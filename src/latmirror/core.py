@@ -20,7 +20,17 @@ pipeline is bit-reproducible.  On top of the cup product the module exposes
 the symmetric top-degree pairing ``pair_sym``, the degree involution
 ``star`` (sign flip on blocks of degree 2 mod 4, the Chern-character image
 of dualisation), the Todd-twisted Euler pairing ``pair_exotic`` (symmetric
-for n = 2, skew for n = 1 and 3) and the Mukai vector ``ch * sqrt(td)``.
+for n = 2, skew for n = 1 and 3), the Mukai vector ``ch * sqrt(td)`` and
+``todd_multiply``, the product with td, sqrt(td) or sqrt(td)^-1.
+
+The two pairings and the three Todd products are bilinear or linear in the
+flat coordinates ``(u_0, u_1..., ..., u_n)`` of length 2 + (n-1)k, so each
+ring compiles them once, on first use, into an :class:`IntegerMatrix`: a
+sparse matrix of Python ints over one common denominator, built by
+evaluating the ``cup`` definition on basis vectors.  Every call of those
+functions runs on the compiled matrix in integer arithmetic (no overflow,
+no floats) and forms a single ``Fraction`` per output entry; ``cup`` stays
+the general product and the definition the matrices are built from.
 
 Todd data is closed-form in every supported dimension:
 
@@ -34,9 +44,11 @@ with ``cup(sqrt_td, sqrt_td) == td`` holding exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import cached_property
+from math import lcm
+from typing import NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -65,6 +77,8 @@ def as_fraction(x: RationalLike) -> Fraction:
     are rejected: exactness is a module invariant, and a float that looks
     like 1/3 is not 1/3.
     """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool):
         raise LatticeError("booleans are not lattice entries")
     if isinstance(x, float):
@@ -317,17 +331,26 @@ class RingDescriptor:
         b = [as_fraction(x) for x in b]
         if len(a) != k or len(b) != k:
             raise ShapeError("divisor coordinates must match picard_rank")
+        a, da = _integral(a)
+        b, db = _integral(b)
+        cubic = self.cubic
         return tuple(
-            sum((a[i] * self.cubic[i][j][d] * b[j] for i in range(k) for j in range(k)),
-                Fraction(0))
+            Fraction(
+                sum(a[i] * cubic[i][j][d] * b[j] for i in range(k) for j in range(k)),
+                da * db,
+            )
             for d in range(k)
         )
 
-    def triple(self, a: Sequence, b: Sequence, c: Sequence) -> Fraction:
-        """Full triple intersection number of three divisor classes."""
-        contracted = self.cubic_contract(a, b)
-        c = [as_fraction(x) for x in c]
-        return sum((x * y for x, y in zip(contracted, c)), Fraction(0))
+    @cached_property
+    def todd(self) -> "ToddData":
+        """Closed-form Todd data, built on first access."""
+        return todd_data(self)
+
+    @cached_property
+    def _forms(self) -> "_RingForms":
+        """Compiled pairings and Todd products, built on first use."""
+        return _compile_forms(self)
 
     def to_payload(self) -> dict:
         if self.dim == 1:
@@ -362,31 +385,35 @@ class RingDescriptor:
 
 @dataclass(frozen=True)
 class ToddData:
-    """Todd class and its positive square root for one descriptor."""
+    """Todd class, its positive square root and that root's inverse."""
 
     td: GradedVector
     sqrt_td: GradedVector
+    sqrt_td_inv: GradedVector
 
 
 def todd_data(ring: RingDescriptor) -> ToddData:
-    """Closed-form Todd data; ``cup(sqrt_td, sqrt_td) == td`` exactly."""
+    """Closed-form Todd data; ``cup(sqrt_td, sqrt_td) == td`` exactly.
+
+    The inverse of (1, 0, a, 0) is (1, 0, -a, 0): a^2 has degree 8.
+    """
     if ring.dim == 1:
-        return ToddData(
-            td=GradedVector(1, (1, 0)),
-            sqrt_td=GradedVector(1, (1, 0)),
-        )
+        one = GradedVector(1, (1, 0))
+        return ToddData(td=one, sqrt_td=one, sqrt_td_inv=one)
     k = ring.picard_rank
     zero = (0,) * k
     if ring.dim == 2:
         return ToddData(
             td=GradedVector(2, (1, zero, 2)),
             sqrt_td=GradedVector(2, (1, zero, 1)),
+            sqrt_td_inv=GradedVector(2, (1, zero, -1)),
         )
     twelfth = tuple(Fraction(c, 12) for c in ring.c2)
     twentyfourth = tuple(Fraction(c, 24) for c in ring.c2)
     return ToddData(
         td=GradedVector(3, (1, zero, twelfth, 0)),
         sqrt_td=GradedVector(3, (1, zero, twentyfourth, 0)),
+        sqrt_td_inv=GradedVector(3, (1, zero, tuple(-x for x in twentyfourth), 0)),
     )
 
 
@@ -434,11 +461,6 @@ def cup(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> GradedVector:
     return GradedVector(3, (u0 * v0, w1, w2, w3))
 
 
-def pair_sym(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> Fraction:
-    """Top-degree component of the cup product (the Poincare pairing)."""
-    return cup(u, v, ring).blocks[ring.dim]
-
-
 def star(u: GradedVector) -> GradedVector:
     """Sign flip on blocks of degree 2 mod 4: (u0, -u1, u2, -u3).
 
@@ -455,27 +477,141 @@ def star(u: GradedVector) -> GradedVector:
     return GradedVector(u.dim, tuple(out))
 
 
-def pair_exotic(
-    u: GradedVector,
-    v: GradedVector,
-    ring: RingDescriptor,
-    todd: ToddData | None = None,
-) -> Fraction:
+def _flat(u: GradedVector) -> tuple:
+    """Flat coordinates (u_0, u_1..., ..., u_n) of a graded vector."""
+    b = u.blocks
+    return (b[0], *(x for block in b[1:-1] for x in block), b[-1])
+
+
+def _unflat(dim: int, picard_rank: int, flat: Sequence) -> GradedVector:
+    mids = tuple(
+        tuple(flat[1 + i * picard_rank: 1 + (i + 1) * picard_rank])
+        for i in range(dim - 1)
+    )
+    return GradedVector(dim, (flat[0], *mids, flat[-1]))
+
+
+def _integral(xs: Sequence[Fraction]) -> tuple[list, int]:
+    """Integer numerators of ``xs`` over their least common denominator."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+class IntegerMatrix(NamedTuple):
+    """Exact square rational matrix: sparse integer rows over one denominator.
+
+    ``rows[i]`` lists the pairs ``(j, m_ij)`` with nonzero integer m_ij; the
+    matrix is ``m / den``.  Vectors are reduced to integer numerators over a
+    common denominator, so every sum runs in Python ints and each output
+    entry is one ``Fraction``.
+    """
+
+    rows: tuple
+    den: int
+
+    @classmethod
+    def from_rationals(cls, matrix: Sequence[Sequence[Fraction]]) -> "IntegerMatrix":
+        den = lcm(*(x.denominator for row in matrix for x in row))
+        rows = tuple(
+            tuple((j, int(x * den)) for j, x in enumerate(row) if x) for row in matrix
+        )
+        return cls(rows=rows, den=den)
+
+    def to_rationals(self) -> list:
+        """Dense matrix of Fractions."""
+        n = len(self.rows)
+        out = [[Fraction(0)] * n for _ in range(n)]
+        for i, row in enumerate(self.rows):
+            for j, m in row:
+                out[i][j] = Fraction(m, self.den)
+        return out
+
+    def pair(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
+        """Bilinear form x^T (m / den) y."""
+        xs, dx = _integral(x)
+        ys, dy = _integral(y)
+        total = 0
+        for xi, row in zip(xs, self.rows):
+            if xi:
+                for j, m in row:
+                    total += xi * m * ys[j]
+        return Fraction(total, dx * dy * self.den)
+
+    def apply(self, x: Sequence[Fraction]) -> list:
+        """Matrix-vector product (m / den) x."""
+        xs, dx = _integral(x)
+        den = dx * self.den
+        return [Fraction(sum(m * xs[j] for j, m in row), den) for row in self.rows]
+
+
+class _RingForms(NamedTuple):
+    """Compiled pairings and products of one ring; see :func:`_compile_forms`."""
+
+    sym: IntegerMatrix
+    exotic: IntegerMatrix
+    products: dict  # ToddData field name -> matrix of the product with it
+
+
+def _compile_forms(ring: RingDescriptor) -> _RingForms:
+    """Evaluate the ``cup`` definitions on basis vectors, once per ring.
+
+    pair_sym(u, v)    = top block of u * v
+    pair_exotic(u, v) = top block of star(u) * v * td
+    product with c    = u * c, column j being the flat coordinates of e_j * c
+    """
+    n, k = ring.dim, ring.picard_rank
+    size = 2 + (n - 1) * k
+    basis = [
+        _unflat(n, k, [int(i == j) for j in range(size)]) for i in range(size)
+    ]
+    td = ring.todd.td
+
+    def gram(pairing):
+        return IntegerMatrix.from_rationals([[pairing(a, b) for b in basis] for a in basis])
+
+    def product(c: GradedVector) -> IntegerMatrix:
+        columns = [_flat(cup(e, c, ring)) for e in basis]
+        return IntegerMatrix.from_rationals(
+            [[col[i] for col in columns] for i in range(size)]
+        )
+
+    return _RingForms(
+        sym=gram(lambda a, b: cup(a, b, ring).blocks[n]),
+        exotic=gram(lambda a, b: cup(cup(star(a), b, ring), td, ring).blocks[n]),
+        products={f.name: product(getattr(ring.todd, f.name)) for f in fields(ToddData)},
+    )
+
+
+def pair_sym(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> Fraction:
+    """Top-degree component of the cup product (the Poincare pairing)."""
+    _check_compatible(u, ring)
+    _check_compatible(v, ring)
+    return ring._forms.sym.pair(_flat(u), _flat(v))
+
+
+def pair_exotic(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> Fraction:
     """Todd-twisted Euler pairing: top block of ``star(u) * v * td``.
 
     On Chern characters this computes chi(Hom(E1, E2)).  It is symmetric
     for dim 2 and skew for dim 1 and 3 (so every vector pairs to zero with
     itself on a threefold: that is the unobstructed-deformation statement).
     """
-    todd = todd or todd_data(ring)
-    return cup(cup(star(u), v, ring), todd.td, ring).blocks[ring.dim]
+    _check_compatible(u, ring)
+    _check_compatible(v, ring)
+    return ring._forms.exotic.pair(_flat(u), _flat(v))
 
 
-def mukai_vector(
-    ch: GradedVector,
-    ring: RingDescriptor,
-    todd: ToddData | None = None,
-) -> GradedVector:
+def todd_multiply(u: GradedVector, ring: RingDescriptor, factor: str) -> GradedVector:
+    """``cup(u, getattr(ring.todd, factor), ring)``.
+
+    ``factor`` names a :class:`ToddData` field: "td", "sqrt_td" or
+    "sqrt_td_inv".
+    """
+    _check_compatible(u, ring)
+    flat = ring._forms.products[factor].apply(_flat(u))
+    return _unflat(ring.dim, ring.picard_rank, flat)
+
+
+def mukai_vector(ch: GradedVector, ring: RingDescriptor) -> GradedVector:
     """Mukai vector ``ch * sqrt(td)`` with the positive square root."""
-    todd = todd or todd_data(ring)
-    return cup(ch, todd.sqrt_td, ring)
+    return todd_multiply(ch, ring, "sqrt_td")

@@ -40,7 +40,6 @@ from .core import (
     mukai_vector,
     pair_sym,
     star,
-    todd_data,
 )
 
 # Euler characteristic of every K3 surface; an elliptic fibration with only
@@ -77,12 +76,12 @@ class K3Descriptor:
 
     @property
     def todd(self) -> ToddData:
-        return todd_data(self.ring)
+        return self.ring.todd
 
 
 def mukai2(ch: GradedVector, X: K3Descriptor) -> GradedVector:
     """Mukai vector (rank, c1, ch2 + rank) of a Chern-data vector."""
-    return mukai_vector(ch, X.ring, X.todd)
+    return mukai_vector(ch, X.ring)
 
 
 def euler_pairing2(ch1: GradedVector, ch2: GradedVector, X: K3Descriptor) -> Fraction:

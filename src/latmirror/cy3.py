@@ -38,10 +38,9 @@ from .core import (
     ShapeError,
     ToddData,
     as_fraction,
-    cup,
     pair_exotic,
     pair_sym,
-    todd_data,
+    todd_multiply,
 )
 
 
@@ -72,7 +71,7 @@ class CY3Descriptor:
 
     @property
     def todd(self) -> ToddData:
-        return todd_data(self.ring)
+        return self.ring.todd
 
     @property
     def k_vector(self) -> GradedVector:
@@ -86,9 +85,9 @@ def line_bundle_ch(L: Sequence, X: CY3Descriptor) -> GradedVector:
     L = tuple(as_fraction(x) for x in L)
     if any(x.denominator != 1 for x in L):
         raise LatticeError("line bundle class must be integral")
-    half_sq = tuple(x / 2 for x in X.ring.cubic_contract(L, L))
-    sixth_cube = X.ring.triple(L, L, L) / 6
-    return GradedVector(3, (1, L, half_sq, sixth_cube))
+    square = X.ring.cubic_contract(L, L)
+    cube = sum(x * y for x, y in zip(square, L))
+    return GradedVector(3, (1, L, tuple(x / 2 for x in square), cube / 6))
 
 
 def chi_bundle3(ch: GradedVector, X: CY3Descriptor) -> Fraction:
@@ -97,7 +96,7 @@ def chi_bundle3(ch: GradedVector, X: CY3Descriptor) -> Fraction:
     Non-integral output is legal input-wise but cannot come from a bundle,
     so it is flagged with :class:`NonIntegralEulerWarning`.
     """
-    val = cup(ch, X.todd.td, X.ring).blocks[3]
+    val = todd_multiply(ch, X.ring, "td").blocks[3]
     if val.denominator != 1:
         warnings.warn(
             f"chi = {val} is not an integer; input is not a bundle class",
@@ -109,7 +108,7 @@ def chi_bundle3(ch: GradedVector, X: CY3Descriptor) -> Fraction:
 
 def euler_pairing3(ch1: GradedVector, ch2: GradedVector, X: CY3Descriptor) -> Fraction:
     """Skew Euler pairing chi(E1^ (x) E2) of two Chern characters."""
-    return pair_exotic(ch1, ch2, X.ring, X.todd)
+    return pair_exotic(ch1, ch2, X.ring)
 
 
 def vdim3(ch: GradedVector, X: CY3Descriptor) -> int:
@@ -125,14 +124,6 @@ def vdim3(ch: GradedVector, X: CY3Descriptor) -> int:
             "the pairing implementation is inconsistent"
         )
     return 0
-
-
-def sqrt_td_inverse(X: CY3Descriptor) -> GradedVector:
-    """Inverse of sqrt(td): (1, 0, -c2/24, 0)."""
-    k = X.ring.picard_rank
-    return GradedVector(
-        3, (1, (0,) * k, tuple(-Fraction(c, 24) for c in X.ring.c2), 0)
-    )
 
 
 @dataclass(frozen=True)
@@ -154,7 +145,7 @@ def mirror_cy3(u: GradedVector, X: CY3Descriptor) -> MirrorClass3:
     """
     if u.dim != 3:
         raise ShapeError("mirror_cy3 needs a dim-3 graded vector")
-    w = cup(u, sqrt_td_inverse(X), X.ring)
+    w = todd_multiply(u, X.ring, "sqrt_td_inv")
     if w.blocks[0].denominator != 1:
         raise LatticeError(f"preimage rank {w.blocks[0]} is not integral")
     if any(x.denominator != 1 for x in w.blocks[1]):
@@ -192,8 +183,8 @@ def mirror_isometry_check3(
     normalization (multiplication by td composed with the mirror map);
     the mirror-side skew pairing must equal the Euler pairing exactly.
     """
-    mu = mirror_cy3(cup(u, X.todd.td, X.ring), X)
-    mv = mirror_cy3(cup(v, X.todd.td, X.ring), X)
+    mu = mirror_cy3(todd_multiply(u, X.ring, "td"), X)
+    mv = mirror_cy3(todd_multiply(v, X.ring, "td"), X)
     lhs = mirror_pairing3(mu, mv)
     rhs = euler_pairing3(u, v, X)
     return IsometryReport3(lhs=lhs, rhs=rhs, ok=(lhs == rhs))
@@ -243,7 +234,7 @@ def canonical_rank3_sublattice(X: CY3Descriptor) -> Rank3Sublattice:
         tuple(pair_sym(a, b, X.ring) for b in basis) for a in basis
     )
     gram_exotic = tuple(
-        tuple(pair_exotic(a, b, X.ring, X.todd) for b in basis) for a in basis
+        tuple(pair_exotic(a, b, X.ring) for b in basis) for a in basis
     )
     return Rank3Sublattice(
         basis_labels=("[X]", "c2", "[pt]"),

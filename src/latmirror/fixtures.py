@@ -94,6 +94,8 @@ def _load_k3(payload: dict, source: str) -> K3Descriptor:
     singular = None
     fibration = payload.get("fibration")
     if fibration is not None:
+        if not isinstance(fibration, dict):
+            raise FixtureError(f"{source}: fibration must be an object, got {fibration!r}")
         extra = set(fibration) - {"singular_fibres"}
         if extra:
             raise FixtureError(f"{source}: unknown fibration keys {sorted(extra)}")
@@ -133,7 +135,9 @@ def load_fixture(name: str, base: Path | None = None):
             return _load_cy3(payload, str(path))
     except FixtureError:
         raise
-    except ValueError as exc:
+    except KeyError as exc:
+        raise FixtureError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise FixtureError(f"{path}: {exc}") from exc
     raise FixtureError(f"{path}: neither a K3 fixture (gram) nor a threefold (cubic)")
 

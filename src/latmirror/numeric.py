@@ -281,6 +281,34 @@ def _theta_truncation(level: int, im_tau: float, tail: float = 1e-14) -> int:
     return 2 * level + math.ceil(slack) + 1
 
 
+def theta_matrix(model: TorusModel, samples: int) -> np.ndarray:
+    """Level-k theta series sampled on a horizontal line, one unit row each.
+
+    Row c is the lattice sum over m = c mod k of exp(i pi tau m^2/k +
+    2 pi i m z).  The exponents of one row span a range that grows like
+    k Im(tau), so the row's largest real part is subtracted before
+    ``np.exp`` (no overflow) and the row is scaled to unit norm (no row
+    swamps the others).  Both are per-row scalings, which leave the rank
+    unchanged.  Every sample z = x + y tau has the same imaginary part, so
+    the real part of an exponent depends on m alone and the exponential
+    splits into a weight per m times the phase exp(2 pi i m x).
+    """
+    k = model.level
+    tau = model.tau
+    n_max = _theta_truncation(k, tau.imag)
+    xs = np.arange(samples, dtype=float) / samples
+    y = 0.3  # generic horizontal line in the fundamental domain
+    ms = np.arange(-n_max, n_max + 1)
+    chars = ms % k
+    exponent = 1j * math.pi * tau * ms * ms / k + 2j * math.pi * ms * (y * tau)
+    shift = np.full(k, -np.inf)
+    np.maximum.at(shift, chars, exponent.real)
+    weights = np.zeros((k, ms.size), dtype=complex)
+    weights[chars, np.arange(ms.size)] = np.exp(exponent - shift[chars])
+    rows = weights @ np.exp(2j * math.pi * np.outer(ms, xs))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 def theta_basis_rank(model: TorusModel, samples: int | None = None) -> int:
     """Numerical rank of the k level-k theta series on a sample grid.
 
@@ -295,18 +323,7 @@ def theta_basis_rank(model: TorusModel, samples: int | None = None) -> int:
         samples = 4 * k
     if samples < 4 * k:
         raise ValueError(f"need at least {4 * k} samples for level {k}")
-    tau = model.tau
-    n_max = _theta_truncation(k, tau.imag)
-    xs = np.arange(samples, dtype=float) / samples
-    y = 0.3
-    zs = xs + y * tau  # generic horizontal line in the fundamental domain
-    rows = []
-    for c in range(k):
-        ms = np.array([m for m in range(-n_max, n_max + 1) if m % k == c % k])
-        coeff = np.exp(1j * math.pi * tau * ms * ms / k)
-        modes = np.exp(2j * math.pi * np.outer(ms, zs))
-        rows.append(coeff @ modes)
-    matrix = np.vstack(rows)
+    matrix = theta_matrix(model, samples)
     sigma = np.linalg.svd(matrix, compute_uv=False)
     rank = int(np.sum(sigma > RANK_RTOL * sigma[0]))
     if rank < k:

@@ -101,3 +101,19 @@ def char_decompose(p: dict[int, int]) -> tuple[tuple[int, int], ...]:
 
 def tensor_decompose_oracle(a: int, b: int) -> tuple[tuple[int, int], ...]:
     return char_decompose(char_mul(sl2_char(a), sl2_char(b)))
+
+
+# --- the (2,2,2,2) hypersurface in (P^1)^4, a Picard-rank-4 threefold -------
+
+def p1x4_2222() -> tuple[list[int], list[int]]:
+    """Flat row-major cubic tensor and c2 vector of the (2,2,2,2) threefold.
+
+    J_a J_b J_c = 2 for distinct a, b, c (a (2,2,2,2) hypersurface meets
+    three distinct hyperplane pullbacks in two points) and 0 otherwise,
+    because J_a^2 = 0 on P^1; c2 . J_a = 24 for every a.
+    """
+    cubic = [
+        2 if len({a, b, c}) == 3 else 0
+        for a in range(4) for b in range(4) for c in range(4)
+    ]
+    return cubic, [24] * 4

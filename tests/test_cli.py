@@ -253,6 +253,31 @@ def test_cli_exit_code_2_paths(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "payload, argv",
+    [
+        # threefold without picard_rank: was an uncaught KeyError
+        ({"label": "q", "cubic": [5], "c2": [50]}, ("cy3", "chi", "--bundle", "1:1:0:0")),
+        # K3 fibration that is not an object: was an uncaught TypeError
+        ({"label": "k", "gram": [[4]], "fibration": 5}, ("cy2", "mukai", "--ch", "1:0:0")),
+    ],
+)
+def test_cli_malformed_fixture_exits_2(capsys, tmp_path, payload, argv):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FixtureError):
+        load_fixture(str(path))
+    code, out, err = run_cli(capsys, *argv, "--fixture", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_cli_theta_rank_level_32(capsys):
+    code, out, _ = run_cli(capsys, "quant", "theta-rank", "--level", "32")
+    assert (code, out.strip()) == (0, "32")
+
+
 def test_cli_verify_default_pass(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0

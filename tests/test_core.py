@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -22,10 +23,17 @@ from latmirror import (
     star,
     todd_data,
 )
+from latmirror.core import ToddData, as_fraction, todd_multiply
+
+from oracles import p1x4_2222
 
 ELLIPTIC = RingDescriptor.elliptic()
 K3_4 = RingDescriptor(dim=2, picard_rank=1, gram=((4,),))
 K3_H = RingDescriptor(dim=2, picard_rank=2, gram=((-2, 1), (1, 0)))
+QUINTIC = RingDescriptor(dim=3, picard_rank=1, cubic=(5,), c2=(50,))
+BICUBIC = RingDescriptor(dim=3, picard_rank=2, cubic=(0, 3, 3, 3, 3, 3, 3, 0), c2=(36, 36))
+P1X4 = RingDescriptor(dim=3, picard_rank=4, cubic=p1x4_2222()[0], c2=p1x4_2222()[1])
+RINGS = (ELLIPTIC, K3_4, K3_H, QUINTIC, BICUBIC, P1X4)
 
 
 def gv(ring, *blocks):
@@ -188,6 +196,103 @@ def test_todd_closed_forms(quintic):
     T = todd_data(quintic.ring)
     assert T.td.blocks == (1, (0,), (Fraction(50, 12),), 0)
     assert T.sqrt_td.blocks == (1, (0,), (Fraction(50, 24),), 0)
+
+
+# ---------------------------------------------------- compiled forms ------
+
+# entries in (1/2)Z and (1/6)Z, the denominators of honest Chern data
+halves_sixths = st.builds(
+    Fraction, st.integers(-60, 60), st.sampled_from((1, 2, 6))
+)
+
+
+@st.composite
+def ring_and_vectors(draw):
+    ring = draw(st.sampled_from(RINGS))
+
+    def vector():
+        mids = [
+            tuple(draw(halves_sixths) for _ in range(ring.picard_rank))
+            for _ in range(ring.dim - 1)
+        ]
+        return GradedVector(ring.dim, (draw(halves_sixths), *mids, draw(halves_sixths)))
+
+    return ring, vector(), vector()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_and_vectors())
+def test_compiled_forms_equal_cup_route(case):
+    ring, u, v = case
+    n = ring.dim
+    assert pair_sym(u, v, ring) == cup(u, v, ring).blocks[n]
+    td = todd_data(ring)
+    assert pair_exotic(u, v, ring) == cup(cup(star(u), v, ring), td.td, ring).blocks[n]
+    for f in ("td", "sqrt_td", "sqrt_td_inv"):
+        assert todd_multiply(u, ring, f) == cup(u, getattr(td, f), ring)
+    assert mukai_vector(u, ring) == cup(u, td.sqrt_td, ring)
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def test_compiled_gram_basis_identities():
+    for ring in RINGS:
+        sym = ring._forms.sym.to_rationals()
+        exotic = ring._forms.exotic.to_rationals()
+        assert sym == transpose(sym)
+        if ring.dim == 2:
+            assert exotic == transpose(exotic)
+        else:  # G + G^T = 0 on a basis: skew on every pair, zero on the diagonal
+            assert all(
+                x + y == 0 for row, col in zip(exotic, transpose(exotic)) for x, y in zip(row, col)
+            )
+
+
+def test_compiled_forms_are_integral_over_one_denominator():
+    for ring in RINGS:
+        forms = ring._forms
+        for m in (forms.sym, forms.exotic, *forms.products.values()):
+            assert m.den >= 1 and all(
+                type(x) is int and x != 0 for row in m.rows for _, x in row
+            )
+    # c2/12 on the quintic is 25/6; the c2/24 products need 12
+    assert QUINTIC._forms.exotic.den == 6
+    assert QUINTIC._forms.products["sqrt_td"].den == 12
+
+
+def test_compiled_forms_are_cached_on_the_ring():
+    ring = RingDescriptor(dim=3, picard_rank=1, cubic=(5,), c2=(50,))
+    assert ring._forms is ring._forms
+    assert ring.todd is ring.todd
+    assert ring == QUINTIC  # cached attributes are not part of equality
+
+
+def test_todd_inverse_and_descriptor_cache(quintic, k3_quartic):
+    assert [f.name for f in fields(ToddData)] == ["td", "sqrt_td", "sqrt_td_inv"]
+    for ring in RINGS:
+        T = todd_data(ring)
+        unit = GradedVector.unit(ring.dim, ring.picard_rank)
+        assert cup(T.sqrt_td, T.sqrt_td_inv, ring) == unit
+    for X in (quintic, k3_quartic):
+        assert X.todd is X.todd is X.ring.todd
+
+
+def test_as_fraction_returns_fraction_unchanged():
+    x = Fraction(7, 3)
+    assert as_fraction(x) is x
+    assert as_fraction(4) == Fraction(4) and type(as_fraction(4)) is Fraction
+
+
+def test_cubic_contract_rational_entries():
+    a = (Fraction(1, 2), Fraction(-3, 2), "1/3", 2)
+    b = (Fraction(5, 6), 1, Fraction(-1, 4), "0")
+    want = tuple(
+        sum(Fraction(a[i]) * P1X4.cubic[i][j][d] * Fraction(b[j]) for i in range(4) for j in range(4))
+        for d in range(4)
+    )
+    assert P1X4.cubic_contract(a, b) == want
 
 
 # ------------------------------------------------------ ring algebra ------

@@ -1,5 +1,6 @@
 """Threefold lattice engine: skew Euler form, chi, mirror map, sublattice."""
 
+import json
 import random
 import warnings
 from fractions import Fraction
@@ -10,6 +11,7 @@ from latmirror import (
     CY3Descriptor,
     GradedVector,
     LatticeError,
+    MirrorClass3,
     NonIntegralEulerWarning,
     RingDescriptor,
     canonical_rank3_sublattice,
@@ -24,9 +26,18 @@ from latmirror import (
     todd_data,
     vdim3,
 )
-from latmirror.cy3 import sqrt_td_inverse
+from latmirror import core, parse_manifest, run_verify
+
+from oracles import p1x4_2222
 
 O3 = GradedVector(3, (1, (0,), (0,), 0))
+
+
+def p1x4():
+    cubic, c2 = p1x4_2222()
+    return CY3Descriptor(
+        ring=RingDescriptor(dim=3, picard_rank=4, cubic=cubic, c2=c2), label="p1x4"
+    )
 
 
 def rand_ch(rng, k, lo=-9, hi=9):
@@ -75,6 +86,27 @@ def test_chi_bicubic_hand_expansion(bicubic):
         pieces = Fraction(9 * a * b * (a + b), 6) + Fraction(36 * (a + b), 12)
         assert pieces == expected
         assert chi_bundle3(line_bundle_ch((a, b), bicubic), bicubic) == expected
+
+
+def test_line_bundle_ch_closed_form(quintic, bicubic):
+    # (1, L, L^2/2, L^3/6) from the raw tensor, with D_abc summed by hand
+    cases = (
+        (quintic, [5], ((1,), (-2,), (3,))),
+        (bicubic, [0, 3, 3, 3, 3, 3, 3, 0], ((1, 0), (2, -1), (-3, 4))),
+        (p1x4(), p1x4_2222()[0], ((1, 0, 0, 0), (1, 1, 1, 1), (1, -2, 3, 1), (-5, 4, 0, 2))),
+    )
+    for X, flat, divisors in cases:
+        k = X.ring.picard_rank
+        for L in divisors:
+            square = [
+                sum(flat[(a * k + b) * k + d] * L[a] * L[b] for a in range(k) for b in range(k))
+                for d in range(k)
+            ]
+            cube = sum(x * y for x, y in zip(square, L))
+            want = (1, L, tuple(Fraction(x, 2) for x in square), Fraction(cube, 6))
+            assert line_bundle_ch(L, X).blocks == want, (X.label, L)
+    # on the (2,2,2,2) threefold L^3 = 12 (L1 L2 L3 + L1 L2 L4 + L1 L3 L4 + L2 L3 L4)
+    assert line_bundle_ch((1, 1, 1, 1), p1x4()).blocks[3] == 8
 
 
 def test_chi_nonintegral_warns(quintic):
@@ -189,8 +221,6 @@ def test_mirror_isometry_random(quintic, bicubic):
 
 def test_mirror_pairing3_normalization(quintic):
     # [s0].[e'] = 1 and the psi duality signs
-    from latmirror import MirrorClass3
-
     s0 = MirrorClass3(1, 0, (0,), (0,))
     e = MirrorClass3(0, 1, (0,), (0,))
     assert mirror_pairing3(s0, e) == 1
@@ -233,9 +263,59 @@ def test_rank3_sublattice_forms(quintic, bicubic):
 
 def test_sqrt_td_inverse_is_inverse(quintic, bicubic):
     for X in (quintic, bicubic):
-        prod = cup(X.todd.sqrt_td, sqrt_td_inverse(X), X.ring)
+        prod = cup(X.todd.sqrt_td, X.todd.sqrt_td_inv, X.ring)
         k = X.ring.picard_rank
         assert prod == GradedVector(3, (1, (0,) * k, (0,) * k, 0))
+
+
+def test_mirror_map_is_an_isometry_on_a_basis(quintic, bicubic):
+    # M^T J M = G_euler exactly, with M the flat matrix of u -> mirror_cy3(u * td),
+    # J the Gram matrix of the hand-written mirror_pairing3 and G_euler the
+    # compiled exotic Gram matrix: the isometry for all inputs, not samples
+    for X in (quintic, bicubic, p1x4()):
+        k = X.ring.picard_rank
+        size = 2 * k + 2
+
+        def unit(i):
+            return [int(i == j) for j in range(size)]
+
+        def mirror_class(flat):
+            return MirrorClass3(flat[0], flat[-1], tuple(flat[1:1 + k]), tuple(flat[1 + k:-1]))
+
+        J = [[mirror_pairing3(mirror_class(unit(i)), mirror_class(unit(j))) for j in range(size)]
+             for i in range(size)]
+        products = X.ring._forms.products
+        M = matmul(products["sqrt_td_inv"].to_rationals(), products["td"].to_rationals())
+        Mt = [list(col) for col in zip(*M)]
+        assert matmul(matmul(Mt, J), M) == X.ring._forms.exotic.to_rationals(), X.label
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_corrupted_compiled_entry_fails_the_threefold_suites(monkeypatch, tmp_path):
+    compile_forms = core._compile_forms
+
+    def corrupted(ring):
+        forms = compile_forms(ring)
+        rows = list(forms.exotic.rows)
+        rows[0] = ((0, 1), *rows[0])  # one new entry: G[0][0] = 1 / den
+        return forms._replace(exotic=forms.exotic._replace(rows=tuple(rows)))
+
+    monkeypatch.setattr(core, "_compile_forms", corrupted)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "version": "1",
+        "fixtures": ["quintic.json", "bicubic.json"],
+        "suites": [
+            {"name": "cy3-skew", "params": {"samples": 50}},
+            {"name": "cy3-mirror-isometry", "params": {"samples": 50}},
+        ],
+    }))
+    reports = {r.suite: r for r in run_verify(parse_manifest(manifest)).reports}
+    assert reports["cy3-skew"].status == "fail"
+    assert reports["cy3-mirror-isometry"].status == "fail"
 
 
 def test_kappa_rejected(quintic):

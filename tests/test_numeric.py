@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from latmirror import (
     theta_basis_rank,
     winding_number,
 )
-from latmirror.numeric import QUADRATURE_TOL, holonomy_closed_form
+from latmirror import numeric
+from latmirror.numeric import QUADRATURE_TOL, ConsistencyError, holonomy_closed_form
 
 TAU_I = 1j
 
@@ -178,6 +180,27 @@ def test_theta_rank_three_tau_values():
     for tau in (1j, 0.5 + 1j, 2j):
         for k in range(1, 9):
             assert theta_basis_rank(model(k, tau=tau)) == k == len(bs_points(k))
+
+
+def test_theta_rank_large_level_times_im_tau():
+    # k * Im(tau) well past 25: unnormalised rows lost rank, then overflowed
+    assert theta_basis_rank(model(32)) == 32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert theta_basis_rank(model(64, tau=3j)) == 64
+
+
+def test_theta_rank_duplicated_characteristic_raises(monkeypatch):
+    build = numeric.theta_matrix
+
+    def duplicated(m, samples):
+        matrix = build(m, samples)
+        matrix[1] = matrix[0]
+        return matrix
+
+    monkeypatch.setattr(numeric, "theta_matrix", duplicated)
+    with pytest.raises(ConsistencyError):
+        theta_basis_rank(model(8))
 
 
 def test_theta_rank_samples_precondition():
