@@ -315,12 +315,7 @@ class RingDescriptor:
         b = [as_fraction(x) for x in b]
         if len(a) != self.picard_rank or len(b) != self.picard_rank:
             raise ShapeError("divisor coordinates must match picard_rank")
-        return sum(
-            (a[i] * self.gram[i][j] * b[j]
-             for i in range(self.picard_rank)
-             for j in range(self.picard_rank)),
-            Fraction(0),
-        )
+        return self._gram_form.pair(a, b)
 
     def cubic_contract(self, a: Sequence, b: Sequence) -> tuple:
         """Divisor-times-divisor product in dual-basis curve coordinates."""
@@ -346,6 +341,11 @@ class RingDescriptor:
     def todd(self) -> "ToddData":
         """Closed-form Todd data, built on first access."""
         return todd_data(self)
+
+    @cached_property
+    def _gram_form(self) -> "IntegerMatrix":
+        """The Picard Gram matrix compiled for :meth:`pic_pair`, built on first use."""
+        return IntegerMatrix.from_rationals(self.gram)
 
     @cached_property
     def _forms(self) -> "_RingForms":

@@ -3,15 +3,24 @@
 The exact modules predict integers: k marked fibres at level k, rank-k
 spaces of level-k theta series, locally constant phase maps on straight
 cycles.  This module rebuilds those numbers from analysis on the flat
-torus C / (Z + tau Z) with total area normalized to 1, so every agreement
-is a genuine two-route check rather than a restatement.
+torus C / (Z + tau Z) with total area normalized to 1.  The marked-fibre
+count, the theta rank and the phase maps are two-route checks; the
+holonomy quadrature is not (next paragraph).
 
 Holonomy of the level-k connection around the fibre at height t is
 exp(2 pi i * A(t)) where A(t) is the symplectic area k*t swept by the
 fibre family between heights 0 and t; the area is computed by 2D
 Gauss-Legendre quadrature with fixed nodes, and cross-checked against the
-closed form on every call.  Marked (trivial-holonomy) fibres are found by
-sign-change bracketing plus bisection on the holonomy argument.  Theta
+closed form on every call.  In this translation-invariant gauge the
+density is the constant k, so the quadrature is one node sum per level
+times a Jacobian linear in t: comparing it with the closed form checks the
+level normalisation, not the holonomy by an independent route (a gauge
+with a non-constant density would make it one).  Heights may be floats or
+arrays and are evaluated elementwise.  Marked (trivial-holonomy) fibres
+are found by sign-change bracketing on a fixed grid, evaluated in one
+batched call, then by bisecting all brackets together on the sign of the
+holonomy argument, each until its own width reaches the stopping width, so
+every root is the one a bracket-by-bracket bisection gives.  Theta
 series of level k are truncated q-expansions; their numerical rank over a
 deterministic sample grid is decided by singular values.  The phase map of
 a sampled cycle is the squared unit tangent direction (the determinant map
@@ -30,7 +39,7 @@ repeated runs give bit-identical floats.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -67,50 +76,72 @@ class TorusModel:
     def __post_init__(self):
         tau = complex(self.tau)
         object.__setattr__(self, "tau", tau)
+        if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
+            raise ValueError(f"tau must be finite, got {tau}")
         if not tau.imag > 0:
             raise ValueError(f"tau must lie in the upper half plane, got {tau}")
         if not isinstance(self.level, int) or self.level < 1:
             raise ValueError(f"level must be a positive integer, got {self.level}")
 
 
-def _swept_area(model: TorusModel, t: float) -> float:
-    """Area integral of the level-k density over [0, t] x [0, 1] by 2D GL.
+@functools.cache
+def _level_sum(level: int) -> float:
+    """2D Gauss-Legendre sum of the level-k density on [-1, 1]^2.
 
-    The density is constant (the form is translation invariant), so the
-    quadrature is exact up to rounding; it is kept as an honest double sum
-    with fixed node order because it is the template for every swept-area
-    computation here.
+    The density is the constant k, so the sum does not depend on the fibre
+    height; it is a fixed double loop over the nodes in a fixed order, run
+    once per level.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"fibre height must lie in [0, 1], got {t}")
-    # map [-1, 1]^2 nodes onto [0, t] x [0, 1]
-    jac = (t / 2.0) * (1.0 / 2.0)
-    density = float(model.level)
+    density = float(level)
     total = 0.0
     for wi in _GL_WEIGHTS:
         row = 0.0
         for wj in _GL_WEIGHTS:
             row += wj * density
         total += wi * row
-    return total * jac
+    return total
 
 
-def holonomy_closed_form(model: TorusModel, t: float) -> complex:
+def _swept_area(model: TorusModel, t: float | np.ndarray) -> float | np.ndarray:
+    """Area integral of the level-k density over [0, t] x [0, 1] by 2D GL.
+
+    ``t`` is a float or an array of heights.  The density is constant (the
+    form is translation invariant), so the quadrature is exact up to
+    rounding and its node sum, :func:`_level_sum`, depends on the level
+    alone; each height only scales it by the Jacobian of the map from
+    [-1, 1]^2 onto [0, t] x [0, 1].  Comparing the result with the closed
+    form k*t therefore checks the level normalisation, not the holonomy by
+    an independent route.
+    """
+    outside = np.logical_not((t >= 0.0) & (t <= 1.0))  # NaN is outside
+    if np.count_nonzero(outside):
+        bad = t if np.ndim(t) == 0 else t[outside][0]
+        raise ValueError(f"fibre height must lie in [0, 1], got {bad}")
+    jac = (t / 2.0) * (1.0 / 2.0)
+    return _level_sum(model.level) * jac
+
+
+def holonomy_closed_form(model: TorusModel, t: float | np.ndarray) -> complex | np.ndarray:
     """exp(2 pi i k t), the analytic value of the fibre holonomy."""
-    return cmath.exp(2j * math.pi * model.level * t)
+    return np.exp(2j * math.pi * model.level * t)
 
 
-def holonomy_character(model: TorusModel, t: float) -> complex:
+def holonomy_character(model: TorusModel, t: float | np.ndarray) -> complex | np.ndarray:
     """Holonomy exp(2 pi i * sweptarea) of the fibre at height t.
 
-    The swept area comes from quadrature; the result is compared against
-    the closed form and a disagreement beyond 1e-9 raises, because it can
-    only mean the quadrature or the model normalization is broken.
+    ``t`` is a float or an array of heights, evaluated elementwise.  The
+    swept area comes from quadrature; the result is compared against the
+    closed form and a disagreement beyond 1e-9 raises, naming the first
+    height where it occurs, because it can only mean the quadrature or the
+    model normalization is broken.
     """
     area = _swept_area(model, t)
-    value = cmath.exp(2j * math.pi * area)
+    value = np.exp(2j * math.pi * area)
     reference = holonomy_closed_form(model, t)
-    if abs(value - reference) > 1e-9:
+    bad = abs(value - reference) > 1e-9
+    if np.count_nonzero(bad):
+        i = np.flatnonzero(bad)[0]
+        t, value, reference = (np.ravel(x)[i].item() for x in (t, value, reference))
         raise ConsistencyError(
             f"holonomy quadrature {value} vs closed form {reference} at t={t}",
             payload={"t": t, "quadrature": value, "closed_form": reference},
@@ -123,35 +154,32 @@ def special_coordinates(model: TorusModel, t: float) -> float:
     return math.exp(-2.0 * math.pi * _swept_area(model, t))
 
 
-def _holonomy_angle(model: TorusModel, t: float) -> float:
-    return cmath.phase(holonomy_character(model, t))
-
-
 def find_bs_fibres(model: TorusModel, tol: float = ROOT_TOL) -> list[float]:
     """Locate all fibre heights in [0, 1) with trivial holonomy.
 
     t = 0 is a root by construction (zero swept area).  The rest are
     bracketed on the offset grid (i + 1/2)/(8k), which never lands on a
-    root, and refined by bisection on the wrapped holonomy angle.  Exactly
-    k positions must emerge at level k; any other count raises.
+    root: one batched holonomy call gives the wrapped angle at every grid
+    point, and a bracket is a step from negative to positive angle by less
+    than pi.  All brackets are then bisected together on the sign of the
+    angle; each halves until its own width is at most tol/4, so a bracket
+    stops exactly where a bisection of it alone would.  Exactly k
+    positions must emerge at level k; any other count raises.
     """
     if not 0.0 < tol <= 1e-6:
         raise ValueError(f"tolerance must lie in (0, 1e-6], got {tol}")
     k = model.level
-    grid = [(i + 0.5) / (8 * k) for i in range(8 * k)]
-    angles = [_holonomy_angle(model, t) for t in grid]
-    roots = [0.0]
-    for i in range(len(grid) - 1):
-        fa, fb = angles[i], angles[i + 1]
-        if fa < 0.0 < fb and (fb - fa) < math.pi:
-            a, b = grid[i], grid[i + 1]
-            while (b - a) > tol * _BISECT_FACTOR:
-                mid = 0.5 * (a + b)
-                if _holonomy_angle(model, mid) < 0.0:
-                    a = mid
-                else:
-                    b = mid
-            roots.append(0.5 * (a + b))
+    grid = (np.arange(8 * k) + 0.5) / (8 * k)
+    angles = np.angle(holonomy_character(model, grid))
+    fa, fb = angles[:-1], angles[1:]
+    bracket = (fa < 0.0) & (0.0 < fb) & ((fb - fa) < math.pi)
+    a, b = grid[:-1][bracket], grid[1:][bracket]
+    while (wide := (b - a) > tol * _BISECT_FACTOR).any():
+        mid = 0.5 * (a[wide] + b[wide])
+        below = np.angle(holonomy_character(model, mid)) < 0.0
+        a[wide] = np.where(below, mid, a[wide])
+        b[wide] = np.where(below, b[wide], mid)
+    roots = [0.0] + (0.5 * (a + b)).tolist()
     if len(roots) != k:
         raise ConsistencyError(
             f"level {k} model produced {len(roots)} trivial-holonomy fibres",

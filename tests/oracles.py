@@ -6,6 +6,9 @@ functions and the library is evidence, not tautology.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 # Draw each class (r, d) as the closed geodesic {(x0 + r t, y0 + d t)} on
@@ -117,3 +120,31 @@ def p1x4_2222() -> tuple[list[int], list[int]]:
         for a in range(4) for b in range(4) for c in range(4)
     ]
     return cubic, [24] * 4
+
+
+# --- Bohr-Sommerfeld fibre search, one bracket and one height at a time -----
+
+def bs_fibres_scalar(holonomy, level: int, tol: float = 1e-9) -> list[float]:
+    """Trivial-holonomy heights in [0, 1) by per-bracket scalar bisection.
+
+    ``holonomy(t)`` returns the complex holonomy of the fibre at one height.
+    Brackets are the steps of the offset grid (i + 1/2)/(8k) where the
+    wrapped angle goes from negative to positive by less than pi; each is
+    bisected on its own, on the sign of the angle, until it is at most
+    tol/4 wide, and its midpoint is the root.  t = 0 is always a root.
+    """
+    grid = [(i + 0.5) / (8 * level) for i in range(8 * level)]
+    angles = [cmath.phase(holonomy(t)) for t in grid]
+    roots = [0.0]
+    for i in range(len(grid) - 1):
+        fa, fb = angles[i], angles[i + 1]
+        if fa < 0.0 < fb and (fb - fa) < math.pi:
+            a, b = grid[i], grid[i + 1]
+            while (b - a) > tol * 0.25:
+                mid = 0.5 * (a + b)
+                if cmath.phase(holonomy(mid)) < 0.0:
+                    a = mid
+                else:
+                    b = mid
+            roots.append(0.5 * (a + b))
+    return roots

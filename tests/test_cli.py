@@ -2,6 +2,7 @@
 
 import copy
 import json
+import warnings
 
 import pytest
 
@@ -251,6 +252,24 @@ def test_cli_exit_code_2_paths(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:  # argparse handles unknown verbs
         main(["cy1", "no-such-verb"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # NaN real part: was two RuntimeWarnings, then an SVD error
+        ("quant", "theta-rank", "--level", "4", "--tau", "nan,1"),
+        # infinite imaginary part: was accepted, exit 0
+        ("quant", "holonomy", "--level", "3", "--height", "0.5", "--tau", "0,inf"),
+    ],
+)
+def test_cli_non_finite_tau_exits_2(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: tau must be finite")
 
 
 @pytest.mark.parametrize(

@@ -295,6 +295,23 @@ def test_cubic_contract_rational_entries():
     assert P1X4.cubic_contract(a, b) == want
 
 
+def test_pic_pair_equals_hand_sum(k3_reflective):
+    ring = k3_reflective.ring
+    k = ring.picard_rank
+    rng = random.Random(31)
+    for _ in range(200):
+        a = [Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3))) for _ in range(k)]
+        b = [str(rng.randint(-20, 20)) for _ in range(k)]
+        want = sum(a[i] * ring.gram[i][j] * Fraction(b[j]) for i in range(k) for j in range(k))
+        assert ring.pic_pair(a, b) == want
+    with pytest.raises(ShapeError):
+        ring.pic_pair([1] * (k + 1), [1] * k)
+    with pytest.raises(LatticeError):
+        ring.pic_pair([0.5] * k, [1] * k)
+    with pytest.raises(ShapeError):
+        QUINTIC.pic_pair([1], [1])
+
+
 # ------------------------------------------------------ ring algebra ------
 
 small_rationals = st.fractions(

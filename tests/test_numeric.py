@@ -1,6 +1,7 @@
 """Floating-point verification layer on the flat torus."""
 
 import cmath
+import json
 import math
 import random
 import warnings
@@ -21,8 +22,10 @@ from latmirror import (
     theta_basis_rank,
     winding_number,
 )
-from latmirror import numeric
+from latmirror import numeric, parse_manifest, run_verify
 from latmirror.numeric import QUADRATURE_TOL, ConsistencyError, holonomy_closed_form
+
+from oracles import bs_fibres_scalar
 
 TAU_I = 1j
 
@@ -63,6 +66,53 @@ def test_holonomy_unit_modulus():
         assert abs(abs(val) - 1.0) < 1e-11
 
 
+def test_holonomy_batch_equals_scalar_calls():
+    ts = np.concatenate(([0.0, 1.0], np.random.default_rng(29).random(300)))
+    for k in (1, 7, 32, 128):
+        m = model(k)
+        batch = holonomy_character(m, ts)
+        assert batch.shape == ts.shape
+        assert batch.tolist() == [complex(holonomy_character(m, float(t))) for t in ts]
+
+
+def test_swept_area_range_check():
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got nan"):
+        holonomy_character(model(2), math.nan)
+    with pytest.raises(ValueError, match=r"got 1\.5"):
+        holonomy_character(model(2), np.array([0.5, 1.5, math.nan]))
+    with pytest.raises(ValueError):
+        special_coordinates(model(2), -0.25)
+
+
+def perturb_level_sum(monkeypatch, rel=1e-6):
+    level_sum = numeric._level_sum
+    monkeypatch.setattr(numeric, "_level_sum", lambda k: level_sum(k) * (1.0 + rel))
+
+
+def test_batch_disagreement_names_first_bad_height(monkeypatch):
+    perturb_level_sum(monkeypatch)
+    # t = 0 sweeps no area, so the first disagreement is at t = 0.5
+    with pytest.raises(ConsistencyError, match=r"at t=0\.5$") as exc:
+        holonomy_character(model(3), np.array([0.0, 0.5, 0.75]))
+    assert exc.value.payload["t"] == 0.5
+
+
+def test_perturbed_level_normalisation_fails_the_numeric_suites(monkeypatch, tmp_path):
+    perturb_level_sum(monkeypatch)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "version": "1",
+        "fixtures": [],
+        "suites": [
+            {"name": "quant-bs", "params": {"k_max": 4}},
+            {"name": "quant-holonomy", "params": {"samples": 20}},
+        ],
+    }))
+    reports = {r.suite: r for r in run_verify(parse_manifest(manifest)).reports}
+    assert reports["quant-bs"].status != "pass"
+    assert reports["quant-holonomy"].status != "pass"
+
+
 # ------------------------------------------------------------- BS search --
 
 def test_bs_fibres_examples():
@@ -88,6 +138,15 @@ def test_bs_fibres_other_tau():
     got = find_bs_fibres(model(5, tau=complex(0.3, 1.7)))
     assert len(got) == 5
     assert max(abs(g - j / 5) for j, g in enumerate(got)) < 1e-9
+
+
+def test_bs_fibres_equal_scalar_reference_bitwise():
+    cases = [(TAU_I, k) for k in range(1, 33)]
+    cases += [(complex(-0.2, 0.8), k) for k in (64, 128)]
+    for tau, k in cases:
+        m = model(k, tau=tau)
+        want = bs_fibres_scalar(lambda t: holonomy_character(m, t), k)
+        assert find_bs_fibres(m) == want, (tau, k)
 
 
 def test_bs_tol_validation():
@@ -220,6 +279,9 @@ def test_torus_model_validation():
         TorusModel(tau=1j, level=0)
     with pytest.raises(ValueError):
         TorusModel(tau=1j, level=1.5)  # type: ignore[arg-type]
+    for tau in (complex(math.nan, 1.0), complex(0.0, math.inf), complex(math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            TorusModel(tau=tau, level=1)
 
 
 def test_winding_number_synthetic():
