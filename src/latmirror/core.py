@@ -16,7 +16,9 @@ Degree-4 coordinates on a threefold are taken in the basis dual to the
 divisor basis, so divisor-times-curve contraction is the plain dot product.
 
 All entries are ``fractions.Fraction``; floats are rejected so that every
-pipeline is bit-reproducible.  On top of the cup product the module exposes
+pipeline is bit-reproducible.  The public constructor coerces and checks
+every entry; the vectors this module computes are Fractions in shape
+already and skip that pass.  On top of the cup product the module exposes
 the symmetric top-degree pairing ``pair_sym``, the degree involution
 ``star`` (sign flip on blocks of degree 2 mod 4, the Chern-character image
 of dualisation), the Todd-twisted Euler pairing ``pair_exotic`` (symmetric
@@ -31,6 +33,13 @@ evaluating the ``cup`` definition on basis vectors.  Every call of those
 functions runs on the compiled matrix in integer arithmetic (no overflow,
 no floats) and forms a single ``Fraction`` per output entry; ``cup`` stays
 the general product and the definition the matrices are built from.
+
+The same matrices also pair and multiply a whole batch of integer vectors
+at once (:meth:`IntegerMatrix.pair_columns` and
+:meth:`IntegerMatrix.apply_columns`): coordinate j of every vector sits in
+one numpy object array of Python ints, so each sparse matrix entry costs
+one array operation and the arithmetic stays exact, with no int64 and no
+fallback path.  The seeded threefold sweeps run on this batch kernel.
 
 Todd data is closed-form in every supported dimension:
 
@@ -140,6 +149,18 @@ class GradedVector:
         object.__setattr__(self, "blocks", coerced)
 
     @classmethod
+    def _of_fractions(cls, dim: int, blocks: tuple) -> "GradedVector":
+        """Wrap blocks this module has just built, already Fractions in shape.
+
+        Skips the checks and coercion of the public constructor, which is
+        the one path for foreign input.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "blocks", blocks)
+        return self
+
+    @classmethod
     def zero(cls, dim: int, picard_rank: int) -> "GradedVector":
         mid = [(0,) * picard_rank] * (dim - 1)
         return cls(dim, tuple([Fraction(0), *mid, Fraction(0)]))
@@ -167,7 +188,7 @@ class GradedVector:
                 out.append(c * b)
             else:
                 out.append(tuple(c * x for x in b))
-        return GradedVector(self.dim, tuple(out))
+        return GradedVector._of_fractions(self.dim, tuple(out))
 
     def __add__(self, other: "GradedVector") -> "GradedVector":
         if not isinstance(other, GradedVector) or other.dim != self.dim:
@@ -180,7 +201,7 @@ class GradedVector:
                 if len(a) != len(b):
                     raise ShapeError("intermediate blocks differ in arity")
                 out.append(tuple(x + y for x, y in zip(a, b)))
-        return GradedVector(self.dim, tuple(out))
+        return GradedVector._of_fractions(self.dim, tuple(out))
 
     def __neg__(self) -> "GradedVector":
         return self.scale(-1)
@@ -444,13 +465,13 @@ def cup(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> GradedVector:
     u0, v0 = u.blocks[0], v.blocks[0]
     if n == 1:
         u1, v1 = u.blocks[1], v.blocks[1]
-        return GradedVector(1, (u0 * v0, u0 * v1 + u1 * v0))
+        return GradedVector._of_fractions(1, (u0 * v0, u0 * v1 + u1 * v0))
     if n == 2:
         u1, v1 = u.blocks[1], v.blocks[1]
         u2, v2 = u.blocks[2], v.blocks[2]
         w1 = tuple(u0 * y + v0 * x for x, y in zip(u1, v1))
         w2 = u0 * v2 + u2 * v0 + ring.pic_pair(u1, v1)
-        return GradedVector(2, (u0 * v0, w1, w2))
+        return GradedVector._of_fractions(2, (u0 * v0, w1, w2))
     u1, v1 = u.blocks[1], v.blocks[1]
     u2, v2 = u.blocks[2], v.blocks[2]
     u3, v3 = u.blocks[3], v.blocks[3]
@@ -458,7 +479,7 @@ def cup(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> GradedVector:
     hh = ring.cubic_contract(u1, v1)
     w2 = tuple(u0 * y + v0 * x + z for x, y, z in zip(u2, v2, hh))
     w3 = u0 * v3 + u3 * v0 + _dot(u1, v2) + _dot(u2, v1)
-    return GradedVector(3, (u0 * v0, w1, w2, w3))
+    return GradedVector._of_fractions(3, (u0 * v0, w1, w2, w3))
 
 
 def star(u: GradedVector) -> GradedVector:
@@ -474,7 +495,7 @@ def star(u: GradedVector) -> GradedVector:
             out.append(-b)
         else:
             out.append(tuple(-x for x in b))
-    return GradedVector(u.dim, tuple(out))
+    return GradedVector._of_fractions(u.dim, tuple(out))
 
 
 def _flat(u: GradedVector) -> tuple:
@@ -483,12 +504,13 @@ def _flat(u: GradedVector) -> tuple:
     return (b[0], *(x for block in b[1:-1] for x in block), b[-1])
 
 
-def _unflat(dim: int, picard_rank: int, flat: Sequence) -> GradedVector:
+def _unflat(dim: int, picard_rank: int, flat: Sequence) -> tuple:
+    """Blocks of the graded vector with flat coordinates ``flat``."""
     mids = tuple(
         tuple(flat[1 + i * picard_rank: 1 + (i + 1) * picard_rank])
         for i in range(dim - 1)
     )
-    return GradedVector(dim, (flat[0], *mids, flat[-1]))
+    return (flat[0], *mids, flat[-1])
 
 
 def _integral(xs: Sequence[Fraction]) -> tuple[list, int]:
@@ -501,9 +523,12 @@ class IntegerMatrix(NamedTuple):
     """Exact square rational matrix: sparse integer rows over one denominator.
 
     ``rows[i]`` lists the pairs ``(j, m_ij)`` with nonzero integer m_ij; the
-    matrix is ``m / den``.  Vectors are reduced to integer numerators over a
-    common denominator, so every sum runs in Python ints and each output
-    entry is one ``Fraction``.
+    matrix is ``m / den``.  :meth:`pair` and :meth:`apply` take one vector of
+    rationals, reduce it to integer numerators over a common denominator,
+    run every sum in Python ints and form one ``Fraction`` per output entry.
+    :meth:`pair_columns` and :meth:`apply_columns` take integer numerators
+    directly, for one vector or a whole batch at once, and return integer
+    numerators.
     """
 
     rows: tuple
@@ -543,6 +568,23 @@ class IntegerMatrix(NamedTuple):
         den = dx * self.den
         return [Fraction(sum(m * xs[j] for j, m in row), den) for row in self.rows]
 
+    def apply_columns(self, xs: Sequence) -> list:
+        """Integer numerators over ``den`` of m x, for integer coordinates x.
+
+        ``xs[j]`` is coordinate j: an int, or a numpy object array of Python
+        ints holding coordinate j of every vector in a batch, in which case
+        each output entry is an array of the same shape.
+        """
+        return [sum((m * xs[j] for j, m in row), 0 * xs[0]) for row in self.rows]
+
+    def pair_columns(self, xs: Sequence, ys: Sequence):
+        """Integer numerators over ``den`` of x^T m y.
+
+        Laid out as in :meth:`apply_columns`: one int, or an array with one
+        entry per pair of vectors.
+        """
+        return sum(x * y for x, y in zip(xs, self.apply_columns(ys)))
+
 
 class _RingForms(NamedTuple):
     """Compiled pairings and products of one ring; see :func:`_compile_forms`."""
@@ -562,7 +604,8 @@ def _compile_forms(ring: RingDescriptor) -> _RingForms:
     n, k = ring.dim, ring.picard_rank
     size = 2 + (n - 1) * k
     basis = [
-        _unflat(n, k, [int(i == j) for j in range(size)]) for i in range(size)
+        GradedVector(n, _unflat(n, k, [int(i == j) for j in range(size)]))
+        for i in range(size)
     ]
     td = ring.todd.td
 
@@ -609,7 +652,8 @@ def todd_multiply(u: GradedVector, ring: RingDescriptor, factor: str) -> GradedV
     """
     _check_compatible(u, ring)
     flat = ring._forms.products[factor].apply(_flat(u))
-    return _unflat(ring.dim, ring.picard_rank, flat)
+    blocks = _unflat(ring.dim, ring.picard_rank, flat)
+    return GradedVector._of_fractions(ring.dim, blocks)
 
 
 def mukai_vector(ch: GradedVector, ring: RingDescriptor) -> GradedVector:

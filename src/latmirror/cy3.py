@@ -155,15 +155,43 @@ def mirror_cy3(u: GradedVector, X: CY3Descriptor) -> MirrorClass3:
     )
 
 
+def mirror_cy3_columns(xs: Sequence, den: int, X: CY3Descriptor) -> tuple:
+    """:func:`mirror_cy3` of a whole batch of classes at once.
+
+    ``xs[j]`` is a numpy object array holding flat coordinate j of every
+    class as integer numerators over ``den``.  Returns the images as one
+    :class:`MirrorClass3` whose fields are arrays of integer numerators,
+    and their common denominator.  The first class (in array order) whose
+    preimage is not integral raises the :class:`LatticeError` of
+    :func:`mirror_cy3`.
+    """
+    inverse = X.ring._forms.products["sqrt_td_inv"]
+    w = inverse.apply_columns(xs)
+    w_den = den * inverse.den
+    k = X.ring.picard_rank
+    non_integral = sum(x % w_den != 0 for x in w[:1 + k]) > 0
+    if non_integral.any():
+        first = int(non_integral.argmax())
+        u = [Fraction(int(x.flat[first]), den) for x in xs]
+        mirror_cy3(GradedVector(3, (u[0], u[1:1 + k], u[1 + k:-1], u[-1])), X)
+        raise RuntimeError("batch and per-class mirror maps disagree on integrality")
+    images = MirrorClass3(
+        s0=w[0], e=w[-1], psi1=tuple(w[1:1 + k]), psi2=tuple(w[1 + k:-1])
+    )
+    return images, w_den
+
+
 def mirror_pairing3(a: MirrorClass3, b: MirrorClass3) -> Fraction:
     """Skew middle-cohomology pairing.
 
     [s0].[e'] = 1 and the psi blocks are dual to each other with the
     orientation psi2 . psi1 = +1 (the sign that transports the Euler form
-    without correction terms).
+    without correction terms).  The formula is elementwise, so classes
+    whose fields are arrays (as from :func:`mirror_cy3_columns`) pair to
+    an array, one value per pair.
     """
-    dot12 = sum((x * y for x, y in zip(a.psi1, b.psi2)), Fraction(0))
-    dot21 = sum((x * y for x, y in zip(a.psi2, b.psi1)), Fraction(0))
+    dot12 = sum(x * y for x, y in zip(a.psi1, b.psi2))
+    dot21 = sum(x * y for x, y in zip(a.psi2, b.psi1))
     return a.s0 * b.e - a.e * b.s0 - dot12 + dot21
 
 

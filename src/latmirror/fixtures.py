@@ -37,13 +37,6 @@ class FixtureError(ValueError):
     """A fixture file is missing, malformed, or semantically invalid."""
 
 
-def fixture_dir() -> Path:
-    override = os.environ.get(ENV_FIXTURE_DIR)
-    if override:
-        return Path(override)
-    return _PACKAGE_FIXTURES
-
-
 def _search_stems(base: Path | None) -> tuple[Path, ...]:
     stems = []
     if base is not None:
@@ -72,18 +65,15 @@ def resolve_fixture(name: str, base: Path | None = None) -> Path:
     raise FixtureError(f"fixture {name!r} not found (tried {[str(c) for c in candidates]})")
 
 
-def _read_json(path: Path) -> dict:
+def _read_json(path: Path):
     try:
         text = path.read_text()
     except OSError as exc:
         raise FixtureError(f"cannot read fixture {path}: {exc}") from exc
     try:
-        payload = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FixtureError(f"fixture {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FixtureError(f"fixture {path} must be a JSON object")
-    return payload
 
 
 def _load_k3(payload: dict, source: str) -> K3Descriptor:
@@ -127,7 +117,13 @@ def _load_cy3(payload: dict, source: str) -> CY3Descriptor:
 def load_fixture(name: str, base: Path | None = None):
     """Load one fixture file into its descriptor (K3 or threefold)."""
     path = resolve_fixture(name, base)
-    payload = _read_json(path)
+    return fixture_from_payload(_read_json(path), path)
+
+
+def fixture_from_payload(payload, path: Path):
+    """Build the descriptor (K3 or threefold) of a parsed fixture file."""
+    if not isinstance(payload, dict):
+        raise FixtureError(f"fixture {path} must be a JSON object")
     try:
         if "gram" in payload:
             return _load_k3(payload, str(path))

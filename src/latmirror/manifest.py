@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fixtures import FixtureError, load_fixture, resolve_fixture
+from .fixtures import FixtureError, fixture_from_payload, resolve_fixture
 from .report import Check, SuiteReport
 from .suites import SUITES, SuiteInputError
 
@@ -40,10 +40,18 @@ class SuiteSpec:
 
 @dataclass(frozen=True)
 class Manifest:
+    """A parsed manifest.
+
+    ``sources[i]`` holds the resolved path and the parsed JSON of
+    ``fixtures[i]``: each file is read once, by :func:`parse_manifest`, and
+    built into its descriptor by :func:`run_verify`.
+    """
+
     version: str
     fixtures: tuple
     suites: tuple
     base: Path
+    sources: tuple
 
 
 def parse_manifest(path: str | Path) -> Manifest:
@@ -67,10 +75,11 @@ def parse_manifest(path: str | Path) -> Manifest:
         )
     base = path.parent
     fixtures = []
+    sources = []
     for name in payload.get("fixtures", ()):
         try:
             resolved = resolve_fixture(str(name), base)
-            json.loads(resolved.read_text())  # must at least be JSON
+            sources.append((resolved, json.loads(resolved.read_text())))
         except (FixtureError, OSError) as exc:
             raise ManifestError(str(exc)) from exc
         except json.JSONDecodeError as exc:
@@ -96,7 +105,11 @@ def parse_manifest(path: str | Path) -> Manifest:
             )
         suites.append(SuiteSpec(name=name, params=dict(params)))
     return Manifest(
-        version=version, fixtures=tuple(fixtures), suites=tuple(suites), base=base
+        version=version,
+        fixtures=tuple(fixtures),
+        suites=tuple(suites),
+        base=base,
+        sources=tuple(sources),
     )
 
 
@@ -123,9 +136,9 @@ class VerifyResult:
 def _load_fixtures(manifest: Manifest) -> tuple[dict, list[Check]]:
     loaded: dict = {}
     checks: list[Check] = []
-    for name in manifest.fixtures:
+    for name, (path, payload) in zip(manifest.fixtures, manifest.sources):
         try:
-            fx = load_fixture(name, manifest.base)
+            fx = fixture_from_payload(payload, path)
         except FixtureError as exc:
             checks.append(
                 Check(name=f"load {name}", ok=False, got=str(exc))

@@ -135,6 +135,22 @@ def test_verify_missing_suite_fixture_is_error_not_crash(tmp_path):
     assert not result.passed
 
 
+def test_verify_builds_fixtures_from_the_parse(tmp_path):
+    # parse_manifest reads each fixture once; run_verify does not read it again
+    (tmp_path / "local.json").write_text(resolve_fixture("quintic.json").read_text())
+    (tmp_path / "arr.json").write_text("[1, 2]")
+    payload = {"version": "1", "fixtures": ["local.json", "arr.json"], "suites": []}
+    m = parse_manifest(write_manifest(tmp_path, payload))
+    (tmp_path / "local.json").unlink()
+    (tmp_path / "arr.json").unlink()
+    result = run_verify(m)
+    checks = result.reports[0].checks
+    assert [c.ok for c in checks] == [True, False]
+    assert checks[0].got == "label 'quintic'"
+    assert checks[1].got == f"fixture {tmp_path / 'arr.json'} must be a JSON object"
+    assert result.exit_code == 1
+
+
 # ------------------------------------------------------------ fixtures ----
 
 def test_fixture_unknown_keys_rejected(tmp_path):

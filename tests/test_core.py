@@ -5,6 +5,7 @@ import random
 from dataclasses import fields
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -310,6 +311,60 @@ def test_pic_pair_equals_hand_sum(k3_reflective):
         ring.pic_pair([0.5] * k, [1] * k)
     with pytest.raises(ShapeError):
         QUINTIC.pic_pair([1], [1])
+
+
+def test_batch_kernel_equals_per_vector_pair_and_apply():
+    rng = random.Random(41)
+    for ring in RINGS:
+        forms = ring._forms
+        size = 2 + (ring.dim - 1) * ring.picard_rank
+        xs = [[rng.randint(-40, 40) for _ in range(size)] for _ in range(50)]
+        ys = [[rng.randint(-40, 40) for _ in range(size)] for _ in range(50)]
+        cols_x = np.array(xs, dtype=object).T
+        cols_y = np.array(ys, dtype=object).T
+        for m in (forms.sym, forms.exotic, *forms.products.values()):
+            paired = m.pair_columns(cols_x, cols_y)
+            applied = m.apply_columns(cols_x)
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                assert type(paired[i]) is int
+                assert Fraction(paired[i], m.den) == m.pair(x, y)
+                assert [Fraction(c[i], m.den) for c in applied] == m.apply(x)
+            # one vector of plain ints is a batch of one
+            assert m.pair_columns(xs[0], ys[0]) == paired[0]
+            assert m.apply_columns(xs[0]) == [c[0] for c in applied]
+
+
+def test_module_results_are_fractions_in_shape():
+    # cup, star, scale, +, - and todd_multiply wrap their blocks without the
+    # public constructor's coercion; they must come out exactly as it would
+    rng = random.Random(43)
+    for ring in RINGS:
+        for _ in range(20):
+            u = random_vector(ring, rng, denom=6)
+            v = random_vector(ring, rng, denom=6)
+            results = [cup(u, v, ring), star(u), u.scale("-5/3"), u + v, u - v, -u]
+            results += [todd_multiply(u, ring, f.name) for f in fields(ToddData)]
+            for w in results:
+                assert GradedVector(w.dim, w.blocks) == w
+                assert type(w.blocks) is tuple
+                for i, block in enumerate(w.blocks):
+                    entries = (block,) if i in (0, w.dim) else block
+                    assert type(block) is (Fraction if i in (0, w.dim) else tuple)
+                    assert all(type(x) is Fraction for x in entries)
+
+
+def test_public_constructors_still_coerce_and_reject():
+    u = GradedVector(2, (1, ["1/2", Fraction(3)], "-2"))
+    assert u.blocks == (Fraction(1), (Fraction(1, 2), Fraction(3)), Fraction(-2))
+    for bad in (0.5, True, "1.5", "x/2"):
+        with pytest.raises(LatticeError):
+            GradedVector(2, (bad, (0, 0), 0))
+        with pytest.raises(LatticeError):
+            u.with_block(2, bad)
+        with pytest.raises(LatticeError):
+            GradedVector.from_payload({"dim": 2, "blocks": [0, [bad, 0], 0]})
+    with pytest.raises(LatticeError):
+        u.scale(0.5)
 
 
 # ------------------------------------------------------ ring algebra ------

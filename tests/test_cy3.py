@@ -1,10 +1,12 @@
 """Threefold lattice engine: skew Euler form, chi, mirror map, sublattice."""
 
 import json
+import math
 import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from latmirror import (
@@ -19,14 +21,18 @@ from latmirror import (
     cup,
     euler_pairing3,
     gft_s0_intersection3,
+    load_cy3_fixture,
     line_bundle_ch,
     mirror_cy3,
     mirror_isometry_check3,
     mirror_pairing3,
+    pair_exotic,
     todd_data,
     vdim3,
 )
 from latmirror import core, parse_manifest, run_verify
+from latmirror.core import todd_multiply
+from latmirror.cy3 import mirror_cy3_columns
 
 from oracles import p1x4_2222
 
@@ -316,6 +322,105 @@ def test_corrupted_compiled_entry_fails_the_threefold_suites(monkeypatch, tmp_pa
     reports = {r.suite: r for r in run_verify(parse_manifest(manifest)).reports}
     assert reports["cy3-skew"].status == "fail"
     assert reports["cy3-mirror-isometry"].status == "fail"
+
+
+def flat(u):
+    b = u.blocks
+    return [b[0], *b[1], *b[2], b[3]]
+
+
+def columns(vectors):
+    # numerators over one denominator, coordinate j of every vector in row j
+    den = math.lcm(*(x.denominator for u in vectors for x in flat(u)))
+    rows = [[int(x * den) for x in flat(u)] for u in vectors]
+    return np.array(rows, dtype=object).T, den
+
+
+def test_batch_equals_per_vector_route(quintic, bicubic):
+    rng = random.Random(83)
+    for X in (quintic, bicubic, p1x4()):
+        k = X.ring.picard_rank
+        us = [rand_ch(rng, k, -30, 30) for _ in range(300)]
+        vs = [rand_ch(rng, k, -30, 30) for _ in range(300)]
+        (cu, _), (cv, _) = columns(us), columns(vs)
+        exotic = X.ring._forms.exotic
+        paired = exotic.pair_columns(cu, cv)
+        td = X.ring._forms.products["td"]
+        mu, den = mirror_cy3_columns(td.apply_columns(cu), td.den, X)
+        mv, den_v = mirror_cy3_columns(td.apply_columns(cv), td.den, X)
+        skew = mirror_pairing3(mu, mv)
+        assert den == den_v
+        for i, (u, v) in enumerate(zip(us, vs)):
+            assert Fraction(paired[i], exotic.den) == pair_exotic(u, v, X.ring)
+            got = MirrorClass3(
+                s0=Fraction(mu.s0[i], den),
+                e=Fraction(mu.e[i], den),
+                psi1=tuple(Fraction(x[i], den) for x in mu.psi1),
+                psi2=tuple(Fraction(x[i], den) for x in mu.psi2),
+            )
+            per_vector = mirror_cy3(todd_multiply(u, X.ring, "td"), X)
+            assert got == per_vector, (X.label, i)
+            image_v = mirror_cy3(todd_multiply(v, X.ring, "td"), X)
+            assert Fraction(skew[i], den * den) == mirror_pairing3(per_vector, image_v)
+
+
+def test_batch_mirror_raises_for_the_first_non_integral_preimage(quintic, bicubic):
+    for X in (quintic, bicubic):
+        k = X.ring.picard_rank
+        good = GradedVector(3, (1, (2,) * k, (Fraction(1, 2),) * k, Fraction(1, 6)))
+        half_rank = GradedVector(3, (Fraction(1, 2), (0,) * k, (0,) * k, 0))
+        third_divisor = GradedVector(3, (0, (Fraction(1, 3),) * k, (0,) * k, 0))
+        for batch, bad in (
+            ([good, half_rank, good, third_divisor], half_rank),
+            ([good, third_divisor, half_rank], third_divisor),
+        ):
+            with pytest.raises(LatticeError) as per_vector:
+                mirror_cy3(bad, X)
+            with pytest.raises(LatticeError) as batched:
+                mirror_cy3_columns(*columns(batch), X)
+            assert str(batched.value) == str(per_vector.value)
+
+
+@pytest.mark.parametrize("factor", ["td", "sqrt_td_inv"])
+def test_corrupted_todd_product_fails_the_mirror_isometry(monkeypatch, tmp_path, factor):
+    compile_forms = core._compile_forms
+
+    def corrupted(ring):
+        forms = compile_forms(ring)
+        m = forms.products[factor]
+        rows = list(m.rows)
+        # one more top-degree entry: the image's fibre coordinate e gains
+        # the first divisor coordinate, an integral change the skew form sees
+        rows[-1] = ((1, m.den), *rows[-1])
+        products = {**forms.products, factor: m._replace(rows=tuple(rows))}
+        return forms._replace(products=products)
+
+    monkeypatch.setattr(core, "_compile_forms", corrupted)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "version": "1",
+        "fixtures": ["quintic.json", "bicubic.json"],
+        "suites": [{"name": "cy3-mirror-isometry", "params": {"samples": 50}}],
+    }))
+    report = {r.suite: r for r in run_verify(parse_manifest(manifest)).reports}[
+        "cy3-mirror-isometry"
+    ]
+    assert report.status == "fail"
+    for label in ("quintic", "bicubic"):
+        X = load_cy3_fixture(label)  # a fresh ring compiles the corrupted forms
+        k = X.ring.picard_rank
+        rng = random.Random(19)  # the suite's default seed and bound
+        failures = []
+        for _ in range(50):
+            u, v = rand_ch(rng, k, -30, 30), rand_ch(rng, k, -30, 30)
+            rep = mirror_isometry_check3(u, v, X)
+            if not rep.ok:
+                failures.append(f"u={u.blocks} v={v.blocks}: {rep.lhs} != {rep.rhs}")
+        check = next(
+            c for c in report.checks if c.name == f"{label}: mirror map is an isometry"
+        )
+        assert failures
+        assert check.got == f"{len(failures)}/50 failed; first: {failures[0]}"
 
 
 def test_kappa_rejected(quintic):
