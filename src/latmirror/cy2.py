@@ -19,7 +19,8 @@ independent expansions.
 
 Spheres of square -2 act on the Picard block by x -> x + (x.delta) delta;
 the bounded chamber walk repeatedly applies reflections until a target
-class pairs nonnegatively with every supplied root.  A hyperbolic summand
+class pairs nonnegatively with every supplied root (Vinberg's walk into a
+fundamental chamber), for a whole batch of classes at once.  A hyperbolic summand
 candidate (e, s) is certified by e^2 = 0, s^2 = -2, e.s = 1 and
 orthogonality of the declared complement.
 """
@@ -32,6 +33,7 @@ from typing import Sequence
 
 from .core import (
     GradedVector,
+    IntegerMatrix,
     LatticeError,
     RingDescriptor,
     ShapeError,
@@ -139,15 +141,40 @@ def mirror_k3(L: Sequence, X: K3Descriptor) -> MirrorClassK3:
     )
 
 
+def mirror_k3_columns(ls: Sequence, X: K3Descriptor) -> MirrorClassK3:
+    """:func:`mirror_k3` of a whole batch of integral classes at once.
+
+    ``ls[c]`` is a numpy object array holding coordinate c of every class.
+    Returns the images as one :class:`MirrorClassK3` whose ``pic`` and
+    ``e`` fields are integer arrays.  The first class (in array order)
+    with odd L^2 raises the :class:`LatticeError` of :func:`mirror_k3`.
+    """
+    l2 = X.ring._gram_form.pair_columns(ls, ls)
+    odd = l2 % 2 != 0
+    if odd.any():
+        first = int(odd.argmax())
+        mirror_k3([int(x.flat[first]) for x in ls], X)
+        raise RuntimeError("batch and per-class mirror maps disagree on parity")
+    return MirrorClassK3(s=1, pic=tuple(ls), e=-(l2 // 2))
+
+
 def mirror_pairing_k3(a: MirrorClassK3, b: MirrorClassK3, X: K3Descriptor) -> Fraction:
-    """Full mirror-lattice pairing: hyperbolic block plus Picard block."""
+    """Full mirror-lattice pairing: hyperbolic block plus Picard block.
+
+    The formula is elementwise, so classes whose fields are arrays (as from
+    :func:`mirror_k3_columns`) pair to an array, one value per pair.
+    """
+    k = X.ring.picard_rank
+    if len(a.pic) != k or len(b.pic) != k:
+        raise ShapeError("divisor coordinates must match picard_rank")
     h = (
         a.s * b.s * H_GRAM[0][0]
         + a.s * b.e * H_GRAM[0][1]
         + a.e * b.s * H_GRAM[1][0]
         + a.e * b.e * H_GRAM[1][1]
     )
-    return h + X.ring.pic_pair(a.pic, b.pic)
+    # the Gram matrix is integral: its compiled form has denominator 1
+    return h + X.ring._gram_form.pair_columns(a.pic, b.pic)
 
 
 @dataclass(frozen=True)
@@ -229,13 +256,26 @@ def verify_quantization_k3(L: Sequence, X: K3Descriptor) -> QuantizationReportK3
     )
 
 
+def _reflect_columns(xs: Sequence, delta: Sequence, X: K3Descriptor) -> list:
+    """Coordinates of x + (x.delta) delta, one entry per coordinate.
+
+    ``xs[c]`` and ``delta[c]`` are exact numbers, or numpy object arrays
+    holding coordinate c of a batch, as in :meth:`IntegerMatrix.pair_columns`.
+    The Gram matrix is integral, so its compiled form has denominator 1 and
+    the pairing is the reflection coefficient itself.
+    """
+    coeff = X.ring._gram_form.pair_columns(xs, delta)
+    return [x + coeff * d for x, d in zip(xs, delta)]
+
+
 def reflect_minus2(x: Sequence, delta: Sequence, X: K3Descriptor) -> tuple:
     """Reflection x + (x.delta) delta in a sphere class of square -2."""
     if X.ring.pic_pair(delta, delta) != -2:
         raise LatticeError("reflection axis must have square -2")
     x = tuple(as_fraction(v) for v in x)
-    coeff = X.ring.pic_pair(x, delta)
-    return tuple(xi + coeff * as_fraction(di) for xi, di in zip(x, delta))
+    if len(x) != X.ring.picard_rank:
+        raise ShapeError("divisor coordinates must match picard_rank")
+    return tuple(_reflect_columns(x, tuple(as_fraction(d) for d in delta), X))
 
 
 @dataclass(frozen=True)
@@ -248,6 +288,83 @@ class WalkResult:
 MAX_WALK_STEPS = 64
 
 
+def _exact(v: Sequence) -> list:
+    """Exact coordinates: ints where integral, Fractions elsewhere.
+
+    Ints pass as they are; every other entry goes through :func:`as_fraction`.
+    """
+    out = []
+    for x in v:
+        if type(x) is not int:
+            x = as_fraction(x)
+            x = x.numerator if x.denominator == 1 else x
+        out.append(x)
+    return out
+
+
+def walk_batch(
+    xs,
+    roots: Sequence[Sequence],
+    X: K3Descriptor,
+    max_steps: int = MAX_WALK_STEPS,
+) -> tuple:
+    """:func:`walk_to_chamber` for a whole batch of classes at once.
+
+    ``xs`` is an (n, k) numpy object array of exact coordinates.  Every
+    root's square is checked once, up front.  At each step all samples
+    still walking are paired with all roots in one product with the
+    compiled Gram matrix; a sample with no negative pairing leaves the
+    batch, and every other one reflects in its first root with a negative
+    pairing.  If samples still have one after ``max_steps`` reflections,
+    the first of them in sample order raises a :class:`LatticeError` that
+    names its starting class.
+
+    Returns the end points, laid out as ``xs``, and the walk history: one
+    pair (sample indices, root indices) of arrays per step.
+    """
+    import numpy as np
+
+    k = X.ring.picard_rank
+    gram = X.ring._gram_form
+    root_rows = [_exact(d) for d in roots]
+    for d in root_rows:
+        if len(d) != k:
+            raise ShapeError("divisor coordinates must match picard_rank")
+        if gram.pair_columns(d, d) != -2:
+            raise LatticeError("reflection axis must have square -2")
+    if xs.ndim != 2 or xs.shape[1] != k:
+        raise ShapeError("divisor coordinates must match picard_rank")
+    root_rows = np.array(root_rows, dtype=object).reshape(-1, k)
+    # column j is the Gram matrix applied to root j, so x @ gram_roots pairs
+    # x with every root; the denominator of the integral Gram form is 1
+    gram_roots = np.array([gram.apply_columns(d) for d in root_rows], dtype=object)
+    gram_roots = gram_roots.reshape(-1, k).T
+    ends = xs.copy()
+    live = np.arange(len(xs))
+    walking_x = xs
+    history = []
+    for step in range(max_steps + 1):
+        pairing = walking_x @ gram_roots
+        negative = pairing < 0
+        walking = negative.any(axis=1)
+        if not walking.all():
+            ends[live[~walking]] = walking_x[~walking]
+            live, walking_x = live[walking], walking_x[walking]
+            negative, pairing = negative[walking], pairing[walking]
+        if not len(live):
+            break
+        if step == max_steps:
+            start = ", ".join(map(str, xs[live[0]]))
+            raise LatticeError(
+                f"no chamber reached within {max_steps} reflections from ({start})"
+            )
+        first = negative.argmax(axis=1)
+        coeff = pairing[np.arange(len(live)), first]
+        walking_x = walking_x + coeff[:, None] * root_rows[first]
+        history.append((live, first))
+    return ends, history
+
+
 def walk_to_chamber(
     x: Sequence,
     roots: Sequence[Sequence],
@@ -256,39 +373,25 @@ def walk_to_chamber(
 ) -> WalkResult:
     """Reflect until x pairs nonnegatively with every root (bounded).
 
-    Applies, at each step, the first root with negative pairing.  Raises if
-    no chamber is reached within ``max_steps`` reflections.
+    Applies, at each step, the first root with negative pairing.  This is
+    the masked batch walk :func:`walk_batch` on a batch of one, so it
+    raises as that does: for a root whose square is not -2, and when no
+    chamber is reached within ``max_steps`` reflections.
     """
-    x = tuple(as_fraction(v) for v in x)
-    applied = []
-    for _ in range(max_steps + 1):
-        bad = next(
-            (i for i, d in enumerate(roots) if X.ring.pic_pair(x, d) < 0), None
-        )
-        if bad is None:
-            return WalkResult(vector=x, steps=len(applied), applied=tuple(applied))
-        if len(applied) == max_steps:
-            break
-        x = reflect_minus2(x, roots[bad], X)
-        applied.append(bad)
-    raise LatticeError(f"no chamber reached within {max_steps} reflections")
+    import numpy as np
+
+    ends, history = walk_batch(np.array([_exact(x)], dtype=object), roots, X, max_steps)
+    return WalkResult(
+        vector=tuple(map(Fraction, ends[0])),
+        steps=len(history),
+        applied=tuple(int(first[0]) for _, first in history),
+    )
 
 
 @dataclass(frozen=True)
 class MainConditionReport:
     checks: tuple  # ((name, ok, detail), ...)
     passed: bool
-
-
-def _gram_pair(gram, a, b) -> Fraction:
-    k = len(gram)
-    a = [as_fraction(x) for x in a]
-    b = [as_fraction(x) for x in b]
-    if len(a) != k or len(b) != k:
-        raise ShapeError("vector length must match the ambient Gram size")
-    return sum(
-        (a[i] * gram[i][j] * b[j] for i in range(k) for j in range(k)), Fraction(0)
-    )
 
 
 def check_main_condition(
@@ -310,16 +413,25 @@ def check_main_condition(
         for j in range(len(gram)):
             if gram[i][j] != gram[j][i]:
                 raise ShapeError("ambient Gram must be symmetric")
+    form = IntegerMatrix.from_rationals(gram)
+
+    def pair(a, b) -> Fraction:
+        a = [as_fraction(x) for x in a]
+        b = [as_fraction(x) for x in b]
+        if len(a) != len(gram) or len(b) != len(gram):
+            raise ShapeError("vector length must match the ambient Gram size")
+        return form.pair(a, b)
+
     checks = []
-    ee = _gram_pair(gram, e, e)
+    ee = pair(e, e)
     checks.append(("e.e == 0", ee == 0, f"e.e = {ee}"))
-    ss = _gram_pair(gram, s, s)
+    ss = pair(s, s)
     checks.append(("s.s == -2", ss == -2, f"s.s = {ss}"))
-    es = _gram_pair(gram, e, s)
+    es = pair(e, s)
     checks.append(("e.s == 1", es == 1, f"e.s = {es}"))
     for idx, c in enumerate(complement):
-        ce = _gram_pair(gram, c, e)
-        cs = _gram_pair(gram, c, s)
+        ce = pair(c, e)
+        cs = pair(c, s)
         checks.append(
             (
                 f"complement[{idx}] orthogonal",

@@ -4,16 +4,32 @@ Each suite recomputes one family of identities through two independent
 routes and records per-check evidence.  Random sweeps are seeded from the
 manifest, so a verify run is deterministic end to end.
 
-The two threefold sweeps (``cy3-skew``, ``cy3-mirror-isometry``) draw all
-their samples first, with the same ``random.Random`` calls in the same
-order as one class at a time would, and then evaluate them as one batch in
-exact Python-int arithmetic on the ring's compiled forms
-(:meth:`IntegerMatrix.pair_columns`, :func:`cy3.mirror_cy3_columns`).  The
-isometry's second route is the hand-written skew form
-:func:`cy3.mirror_pairing3`, applied elementwise to the batch of mirror
-images; it is never folded into one matrix with the Euler form.  A failing
-sample is rebuilt as a :class:`GradedVector` and its detail rendered by the
-per-vector functions, so a report reads the same as one made sample by
+The seeded sweeps below draw all their samples first, with the same
+``random.Random`` calls in the same order as one sample at a time would,
+and then evaluate them as one batch in exact Python-int arithmetic on
+numpy object arrays, on the ring's compiled forms
+(:meth:`IntegerMatrix.pair_columns`, :meth:`IntegerMatrix.apply_columns`):
+
+- ``cy1-mirror-isometry``: the compiled Euler form against the
+  hand-written skew form :func:`cy1.cycle_pairing` of the images;
+- ``k3-reflections``: involution and isometry of the reflections
+  (``cy2._reflect_columns``, the kernel of :func:`cy2.reflect_minus2`),
+  and the end points of one masked walk (:func:`cy2.walk_batch`) paired
+  with every root again;
+- ``k3-mirror-transport``: the compiled Euler form of the Chern characters
+  against the hand-written mirror form :func:`cy2.mirror_pairing_k3` of
+  the images from :func:`cy2.mirror_k3_columns`;
+- ``cy3-skew``: the compiled Euler form, against zero and against itself
+  transposed;
+- ``cy3-mirror-isometry``: the compiled Euler form against the
+  hand-written skew form :func:`cy3.mirror_pairing3` of the images from
+  :func:`cy3.mirror_cy3_columns`, and the closure of the sqrt(td)-span of
+  [X] and [pt] through the compiled sqrt(td) product and the same mirror
+  map.
+
+The hand-written forms work elementwise on the arrays; none is folded into
+a compiled form.  A failing sample is rebuilt and its detail rendered by
+the per-vector functions, so a report reads the same as one made sample by
 sample.
 """
 
@@ -28,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from . import cy1, cy2, cy3, numeric
-from .core import GradedVector, RingDescriptor, cup, pair_exotic
+from .core import GradedVector, RingDescriptor, pair_exotic, todd_multiply
 from .report import Check, summary_check
 
 
@@ -52,21 +68,15 @@ def _get_fixture(fixtures: dict, label: str, kind):
     return fx
 
 
-def _rand_vec1(rng: random.Random, bound: int) -> GradedVector:
-    return GradedVector(1, (rng.randint(-bound, bound), rng.randint(-bound, bound)))
-
-
 def _rand_tuple(rng: random.Random, k: int, bound: int) -> tuple:
     return tuple(rng.randint(-bound, bound) for _ in range(k))
 
 
-def _rand_pairs3(rng: random.Random, k: int, bound: int, samples: int) -> np.ndarray:
-    """Seeded pairs (u, v) of threefold classes, shape (samples, 2, 2k + 2).
+def _rand_pairs(rng: random.Random, size: int, bound: int, samples: int) -> np.ndarray:
+    """Seeded pairs (u, v) of integer vectors, shape (samples, 2, size).
 
-    Each class is flat integer coordinates (rank, divisor, curve, point),
-    one ``randint`` per coordinate, drawn u then v, pair after pair.
+    One ``randint`` per coordinate, drawn u then v, pair after pair.
     """
-    size = 2 * k + 2
     draws = [
         rng.randint(-bound, bound) for _ in range(samples) for _ in range(2 * size)
     ]
@@ -101,14 +111,16 @@ def _run_cy1_quantization(params, fixtures):
 def _run_cy1_mirror_isometry(params, fixtures):
     rng = random.Random(params["seed"])
     ring = RingDescriptor.elliptic()
+    pairs = _rand_pairs(rng, 2, params["bound"], params["samples"])
+    us, vs = pairs[:, 0].T, pairs[:, 1].T
+    # images pair by the hand-written skew form, classes by the compiled Euler form
+    lhs = cy1.cycle_pairing(cy1.CycleClass1(*us), cy1.CycleClass1(*vs))
+    exotic = ring._forms.exotic
     failures = []
-    for _ in range(params["samples"]):
-        u = _rand_vec1(rng, params["bound"])
-        v = _rand_vec1(rng, params["bound"])
-        lhs = cy1.cycle_pairing(cy1.mirror_cy1(u), cy1.mirror_cy1(v))
-        rhs = pair_exotic(u, v, ring)
-        if lhs != rhs:
-            failures.append(f"u={u.blocks} v={v.blocks}: {lhs} != {rhs}")
+    for i in np.flatnonzero(lhs * exotic.den != exotic.pair_columns(us, vs)):
+        u, v = (GradedVector(1, tuple(x)) for x in pairs[i])
+        lhs_i = cy1.cycle_pairing(cy1.mirror_cy1(u), cy1.mirror_cy1(v))
+        failures.append(f"u={u.blocks} v={v.blocks}: {lhs_i} != {pair_exotic(u, v, ring)}")
     return [
         summary_check(
             "mirror pairing equals Euler pairing on the curve",
@@ -218,20 +230,33 @@ def _run_k3_reflections(params, fixtures):
         raise SuiteInputError(f"fixture {X.label} declares no roots")
     rng = random.Random(params["seed"])
     k = X.ring.picard_rank
-    invol, isome, walk = [], [], []
-    for _ in range(params["samples"]):
-        x = _rand_tuple(rng, k, 9)
-        y = _rand_tuple(rng, k, 9)
-        delta = X.roots[rng.randrange(len(X.roots))]
-        rx = cy2.reflect_minus2(x, delta, X)
-        if cy2.reflect_minus2(rx, delta, X) != tuple(map(Fraction, x)):
-            invol.append(f"x={x} delta={delta}")
-        if X.ring.pic_pair(rx, cy2.reflect_minus2(y, delta, X)) != X.ring.pic_pair(x, y):
-            isome.append(f"x={x} y={y} delta={delta}")
-        result = cy2.walk_to_chamber(x, X.roots, X)
-        if any(X.ring.pic_pair(result.vector, d) < 0 for d in X.roots):
-            walk.append(f"x={x} stopped outside the chamber")
     n = params["samples"]
+    xs, ys, picks = [], [], []
+    for _ in range(n):
+        xs.append(_rand_tuple(rng, k, 9))
+        ys.append(_rand_tuple(rng, k, 9))
+        picks.append(rng.randrange(len(X.roots)))
+    x_rows = np.array(xs, dtype=object).reshape(n, k)
+    x_cols = x_rows.T
+    y_cols = np.array(ys, dtype=object).reshape(n, k).T
+    roots = np.array(X.roots, dtype=object)
+    deltas = roots[picks].T
+    gram = X.ring._gram_form
+    rx = cy2._reflect_columns(x_cols, deltas, X)
+    rrx = cy2._reflect_columns(rx, deltas, X)
+    ry = cy2._reflect_columns(y_cols, deltas, X)
+    not_invol = np.any(np.array(rrx, dtype=object) != x_cols, axis=0)
+    not_isome = gram.pair_columns(rx, ry) != gram.pair_columns(x_cols, y_cols)
+    ends, _ = cy2.walk_batch(x_rows, X.roots, X)
+    # every end point against every root: (samples, 1) by (1, roots)
+    outside = gram.pair_columns(ends.T[:, :, None], roots.T[:, None, :]) < 0
+    invol = [f"x={xs[i]} delta={X.roots[picks[i]]}" for i in np.flatnonzero(not_invol)]
+    isome = [
+        f"x={xs[i]} y={ys[i]} delta={X.roots[picks[i]]}" for i in np.flatnonzero(not_isome)
+    ]
+    walk = [
+        f"x={xs[i]} stopped outside the chamber" for i in np.flatnonzero(outside.any(axis=1))
+    ]
     seed_note = f"seed={params['seed']}, fixture={X.label}"
     return [
         summary_check("reflection is an involution", n, invol, inputs=seed_note),
@@ -240,24 +265,37 @@ def _run_k3_reflections(params, fixtures):
     ]
 
 
+def _side_k3(m: cy2.MirrorClassK3, side: int) -> cy2.MirrorClassK3:
+    """The images of the L1 (side 0) or L2 (side 1) classes of a batch of pairs."""
+    return cy2.MirrorClassK3(s=m.s, pic=tuple(x[:, side] for x in m.pic), e=m.e[:, side])
+
+
 def _run_k3_mirror_transport(params, fixtures):
     X = _get_fixture(fixtures, params["fixture"], cy2.K3Descriptor)
     rng = random.Random(params["seed"])
     k = X.ring.picard_rank
-    failures = []
-    spheres = []
-    for _ in range(params["samples"]):
-        L1 = _rand_tuple(rng, k, params["bound"])
-        L2 = _rand_tuple(rng, k, params["bound"])
-        ch1 = GradedVector(2, (1, L1, Fraction(X.ring.pic_pair(L1, L1), 2)))
-        ch2 = GradedVector(2, (1, L2, Fraction(X.ring.pic_pair(L2, L2), 2)))
-        lhs = cy2.mirror_pairing_k3(cy2.mirror_k3(L1, X), cy2.mirror_k3(L2, X), X)
-        rhs = -pair_exotic(ch1, ch2, X.ring)
-        if lhs != rhs:
-            failures.append(f"L1={L1} L2={L2}: {lhs} != {rhs}")
-        if cy2.mirror_pairing_k3(cy2.mirror_k3(L1, X), cy2.mirror_k3(L1, X), X) != -2:
-            spheres.append(f"L={L1}")
     n = params["samples"]
+    pairs = _rand_pairs(rng, k, params["bound"], n)
+    # images (L1 before L2, pair by pair, for the first odd square) pair by
+    # the hand-written mirror form, Chern characters by the compiled Euler form
+    ls = list(pairs.transpose(2, 0, 1))
+    images = cy2.mirror_k3_columns(ls, X)
+    m1, m2 = _side_k3(images, 0), _side_k3(images, 1)
+    lhs = cy2.mirror_pairing_k3(m1, m2, X)
+    sphere = cy2.mirror_pairing_k3(m1, m1, X)
+    # Chern characters (1, L, L^2/2); every square is even past the mirror map
+    ch = [1 + 0 * ls[0], *ls, X.ring._gram_form.pair_columns(ls, ls) // 2]
+    exotic = X.ring._forms.exotic
+    rhs = -exotic.pair_columns([x[:, 0] for x in ch], [x[:, 1] for x in ch])
+    failures = []
+    for i in np.flatnonzero(lhs * exotic.den != rhs):
+        L1, L2 = (tuple(x) for x in pairs[i])
+        ch1, ch2 = (
+            GradedVector(2, (1, L, Fraction(X.ring.pic_pair(L, L), 2))) for L in (L1, L2)
+        )
+        lhs_i = cy2.mirror_pairing_k3(cy2.mirror_k3(L1, X), cy2.mirror_k3(L2, X), X)
+        failures.append(f"L1={L1} L2={L2}: {lhs_i} != {-pair_exotic(ch1, ch2, X.ring)}")
+    spheres = [f"L={tuple(pairs[i, 0])}" for i in np.flatnonzero(sphere != -2)]
     note = f"seed={params['seed']}, fixture={X.label}"
     return [
         summary_check(
@@ -310,7 +348,7 @@ def _run_cy3_skew(params, fixtures):
         rng = random.Random(params["seed"])
         k = X.ring.picard_rank
         n = params["samples"]
-        pairs = _rand_pairs3(rng, k, params["bound"], n)
+        pairs = _rand_pairs(rng, 2 * k + 2, params["bound"], n)
         us, vs = pairs[:, 0].T, pairs[:, 1].T
         exotic = X.ring._forms.exotic
         self_pairing = exotic.pair_columns(us, us)
@@ -345,7 +383,7 @@ def _run_cy3_mirror_isometry(params, fixtures):
         X = _get_fixture(fixtures, label, cy3.CY3Descriptor)
         rng = random.Random(params["seed"])
         k = X.ring.picard_rank
-        pairs = _rand_pairs3(rng, k, params["bound"], params["samples"])
+        pairs = _rand_pairs(rng, 2 * k + 2, params["bound"], params["samples"])
         # classes go through td, then the mirror map (u before v, pair by
         # pair, for the first non-integral preimage); the images pair by the
         # hand-written skew form, the classes by the compiled Euler form
@@ -360,21 +398,21 @@ def _run_cy3_mirror_isometry(params, fixtures):
             u, v = (_vec3(x, k) for x in pairs[i])
             rep = cy3.mirror_isometry_check3(u, v, X)
             failures.append(f"u={u.blocks} v={v.blocks}: {rep.lhs} != {rep.rhs}")
+        # a [X] + b [pt] times sqrt(td) must map back onto a [s0] + b [e']
+        ab = np.array([rng.randint(-20, 20) for _ in range(200)], dtype=object)
+        a, b = ab[0::2], ab[1::2]
+        zero = 0 * a
+        sqrt_td = forms.products["sqrt_td"]
+        span = sqrt_td.apply_columns([a, *(zero,) * (2 * k), b])
+        spanned, den = cy3.mirror_cy3_columns(span, sqrt_td.den, X)
+        off = (spanned.s0 != a * den) | (spanned.e != b * den)
+        for x in (*spanned.psi1, *spanned.psi2):
+            off = off | (x != 0)
         closure = []
-        sqrt_td = X.todd.sqrt_td
-        for _ in range(100):
-            a, b = rng.randint(-20, 20), rng.randint(-20, 20)
-            u = cup(
-                sqrt_td,
-                GradedVector.unit(3, k).scale(a) + GradedVector.point(3, k).scale(b),
-                X.ring,
-            )
-            mir = cy3.mirror_cy3(u, X)
-            expected = cy3.MirrorClass3(
-                Fraction(a), Fraction(b), (Fraction(0),) * k, (Fraction(0),) * k
-            )
-            if mir != expected:
-                closure.append(f"a={a} b={b}: {mir}")
+        for i in np.flatnonzero(off):
+            u = GradedVector(3, (a[i], (0,) * k, (0,) * k, b[i]))
+            mir = cy3.mirror_cy3(todd_multiply(u, X.ring, "sqrt_td"), X)
+            closure.append(f"a={a[i]} b={b[i]}: {mir}")
         note = f"seed={params['seed']}, fixture={label}"
         checks.append(summary_check(
             f"{label}: mirror map is an isometry", params["samples"], failures, inputs=note))

@@ -148,3 +148,29 @@ def bs_fibres_scalar(holonomy, level: int, tol: float = 1e-9) -> list[float]:
                     b = mid
             roots.append(0.5 * (a + b))
     return roots
+
+
+# --- reflection walk into the chamber, one class at a time -----------------
+
+def walk_to_chamber_scalar(gram, roots, x, max_steps: int = 64):
+    """Reflect x in its first root of negative pairing until there is none.
+
+    Integer Gram matrix and integer classes; x -> x + (x.d) d for a root d
+    of square -2.  Returns (end point, steps, applied root indices), or
+    None when a negative pairing remains after ``max_steps`` reflections.
+    """
+    def pair(a, b):
+        return sum(a[i] * gram[i][j] * b[j] for i in range(len(a)) for j in range(len(b)))
+
+    x = tuple(x)
+    applied = []
+    while True:
+        bad = next((i for i, d in enumerate(roots) if pair(x, d) < 0), None)
+        if bad is None:
+            return x, len(applied), tuple(applied)
+        if len(applied) == max_steps:
+            return None
+        d = roots[bad]
+        c = pair(x, d)
+        x = tuple(xi + c * di for xi, di in zip(x, d))
+        applied.append(bad)

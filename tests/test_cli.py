@@ -3,6 +3,7 @@
 import copy
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -84,11 +85,27 @@ def test_manifest_base_dir_resolution(tmp_path):
 
 # -------------------------------------------------------------- verify ----
 
-def test_verify_default_manifest_passes():
-    result = run_verify(parse_manifest(DEFAULT_MANIFEST))
+GOLDEN = Path(__file__).parent / "data" / "verify_default.golden.json"
+
+
+@pytest.fixture(scope="module")
+def default_result():
+    return run_verify(parse_manifest(DEFAULT_MANIFEST))
+
+
+def test_verify_default_manifest_passes(default_result):
+    result = default_result
     assert result.passed
     assert result.exit_code == 0
     assert {r.suite for r in result.reports} >= {"fixtures", "cy3-skew", "quant-bs"}
+
+
+def test_verify_default_report_equals_the_golden_file(default_result):
+    # the default report, durations aside, rendered as `latmirror verify --json` renders it
+    doc = default_result.to_json()
+    for rep in doc["reports"]:
+        rep.pop("duration_s")
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == GOLDEN.read_text()
 
 
 def test_verify_reports_corrupted_fixture_and_keeps_going(tmp_path):

@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import walk_to_chamber_scalar
 
 from latmirror import (
     EULER_K3,
@@ -28,6 +30,8 @@ from latmirror import (
     verify_quantization_k3,
     walk_to_chamber,
 )
+from latmirror.core import IntegerMatrix
+from latmirror.cy2 import mirror_k3_columns, walk_batch
 
 QUARTIC = K3Descriptor(ring=RingDescriptor(dim=2, picard_rank=1, gram=((4,),)))
 DEGREE2 = K3Descriptor(ring=RingDescriptor(dim=2, picard_rank=1, gram=((2,),)))
@@ -122,6 +126,24 @@ def test_mirror_pairing_transport(k3_reflective):
             lhs = mirror_pairing_k3(mirror_k3(L1, X), mirror_k3(L2, X), X)
             rhs = pair_exotic(ch_line(L1, X), ch_line(L2, X), X.ring)
             assert lhs == -rhs, (X.label, L1, L2)
+
+
+def test_batch_mirror_equals_per_class_and_raises_for_the_first_odd_square():
+    rng = random.Random(47)
+    for X in (QUARTIC, DEGREE2):
+        ls = [rng.randint(-9, 9) for _ in range(300)]
+        images = mirror_k3_columns([np.array(ls, dtype=object)], X)
+        for i, L in enumerate(ls):
+            m = mirror_k3((L,), X)
+            assert (images.s, images.pic[0][i], images.e[i]) == (m.s, m.pic[0], m.e)
+    # an odd Gram entry, forced past the ring's checks, makes odd squares
+    X = K3Descriptor(ring=RingDescriptor(dim=2, picard_rank=1, gram=((2,),)))
+    X.ring.__dict__["_gram_form"] = IntegerMatrix.from_rationals([[3]])
+    with pytest.raises(LatticeError) as per_class:
+        mirror_k3((3,), X)
+    with pytest.raises(LatticeError) as batched:
+        mirror_k3_columns([np.array([2, 4, 3, 5], dtype=object)], X)
+    assert str(batched.value) == str(per_class.value) == "L^2 = 27 is not even; not a divisor class here"
 
 
 # --------------------------------------------------------------- GFT ------
@@ -243,6 +265,47 @@ def test_walk_step_cap(k3_reflective):
     # delta and -delta disagree forever; the walk must give up at the cap
     with pytest.raises(LatticeError):
         walk_to_chamber((1, 1, 0), (delta, neg), X)
+
+
+def walked(xs, roots, X):
+    """Per-sample (end point, steps, applied) of one batched walk."""
+    ends, history = walk_batch(np.array(xs, dtype=object), roots, X)
+    applied = [[] for _ in xs]
+    for samples, firsts in history:
+        for i, j in zip(samples, firsts):
+            applied[i].append(int(j))
+    return [(tuple(e), len(a), tuple(a)) for e, a in zip(ends, applied)]
+
+
+def test_batched_walk_equals_the_per_sample_oracle(k3_reflective, k3_elliptic):
+    rng = random.Random(59)
+    for X in (k3_reflective, k3_elliptic):
+        k = X.ring.picard_rank
+        xs = [tuple(rng.randint(-20, 20) for _ in range(k)) for _ in range(500)]
+        want = [walk_to_chamber_scalar(X.ring.gram, X.roots, x) for x in xs]
+        assert walked(xs, X.roots, X) == want
+        assert any(steps > 0 for _, steps, _ in want)
+        for x, (end, steps, applied) in zip(xs[:50], want):
+            res = walk_to_chamber(x, X.roots, X)
+            assert (res.vector, res.steps, res.applied) == (tuple(map(Fraction, end)), steps, applied)
+            assert all(type(v) is Fraction for v in res.vector)
+
+
+def test_batched_walk_names_the_first_sample_to_reach_the_cap(k3_reflective):
+    X = k3_reflective
+    roots = ((0, 1, 0), (0, -1, 0))  # disagree forever on any x with x.delta != 0
+    xs = [(2, 1, 3), (1, 1, 0), (0, 0, 5), (3, 1, 0), (4, 2, 1)]
+    capped = [walk_to_chamber_scalar(X.ring.gram, roots, x) is None for x in xs]
+    assert capped == [False, True, False, True, False]
+    with pytest.raises(LatticeError) as err:
+        walk_batch(np.array(xs, dtype=object), roots, X)
+    assert str(err.value) == "no chamber reached within 64 reflections from (1, 1, 0)"
+    with pytest.raises(LatticeError) as err:
+        walk_batch(np.array(xs[2:], dtype=object), roots, X)
+    assert str(err.value).endswith("from (3, 1, 0)")
+    # every root's square is checked before any sample walks
+    with pytest.raises(LatticeError, match="reflection axis must have square -2"):
+        walk_batch(np.array(xs, dtype=object), ((0, 1, 0), (1, 0, 0)), X)
 
 
 # ------------------------------------------------------ main condition ----
