@@ -20,8 +20,8 @@ independent expansions.
 Spheres of square -2 act on the Picard block by x -> x + (x.delta) delta;
 the bounded chamber walk repeatedly applies reflections until a target
 class pairs nonnegatively with every supplied root (Vinberg's walk into a
-fundamental chamber), for a whole batch of classes at once.  A hyperbolic summand
-candidate (e, s) is certified by e^2 = 0, s^2 = -2, e.s = 1 and
+fundamental chamber), for a whole batch of classes at once.  A hyperbolic
+summand candidate (e, s) is certified by e^2 = 0, s^2 = -2, e.s = 1 and
 orthogonality of the declared complement.
 """
 

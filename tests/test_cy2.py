@@ -143,7 +143,8 @@ def test_batch_mirror_equals_per_class_and_raises_for_the_first_odd_square():
         mirror_k3((3,), X)
     with pytest.raises(LatticeError) as batched:
         mirror_k3_columns([np.array([2, 4, 3, 5], dtype=object)], X)
-    assert str(batched.value) == str(per_class.value) == "L^2 = 27 is not even; not a divisor class here"
+    assert str(batched.value) == str(per_class.value)
+    assert str(per_class.value) == "L^2 = 27 is not even; not a divisor class here"
 
 
 # --------------------------------------------------------------- GFT ------
@@ -287,7 +288,8 @@ def test_batched_walk_equals_the_per_sample_oracle(k3_reflective, k3_elliptic):
         assert any(steps > 0 for _, steps, _ in want)
         for x, (end, steps, applied) in zip(xs[:50], want):
             res = walk_to_chamber(x, X.roots, X)
-            assert (res.vector, res.steps, res.applied) == (tuple(map(Fraction, end)), steps, applied)
+            assert res.vector == tuple(map(Fraction, end))
+            assert (res.steps, res.applied) == (steps, applied)
             assert all(type(v) is Fraction for v in res.vector)
 
 
