@@ -1,8 +1,10 @@
 """Manifest handling, the verify orchestration, and the CLI surface."""
 
 import copy
+import io
 import json
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -348,3 +350,53 @@ def test_cli_verify_json_failure_report(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["passed"] is False
     assert doc["suites"]["failed"] == 1
+
+
+# --------------------------------------------------- exact CLI golden ----
+
+EXACT_GOLDEN = Path(__file__).parent / "data" / "cli_exact.golden.json"
+
+# exact commands whose --json output renders graded-vector blocks and exact
+# rationals; `p/q` entries, ranks 1 to 3, and inputs that exit 2
+EXACT_COMMANDS = [
+    ("cy1", "mirror", "--vector", "3:-2"),
+    ("cy1", "mirror", "--vector", "1/2:1"),
+    ("cy2", "mukai", "--ch", "1:0:0"),
+    ("cy2", "mukai", "--ch", "2:1/2,-1:-3/4", "--fixture", "k3_elliptic"),
+    ("cy2", "mukai", "--ch", "1:0.5:0"),
+    ("cy2", "rr", "--ch1", "1:0:0", "--ch2", "1:1:2"),
+    ("cy2", "rr", "--ch1", "1:1/2,1:0", "--ch2", "3:-1,2/3:5/6", "--fixture", "k3_elliptic"),
+    ("cy2", "mirror", "--divisor", "3"),
+    ("cy2", "mirror", "--divisor", "1,2", "--fixture", "k3_elliptic"),
+    ("cy2", "reflect", "--x", "1,3,4", "--delta", "0,1,0"),
+    ("cy2", "reflect", "--x", "2,-5,7", "--delta", "0,0,1"),
+    ("cy2", "reflect", "--x", "1,3,4", "--delta", "1,0,0"),
+    ("cy3", "chi", "--bundle", "1:1:5/2:5/6"),
+    ("cy3", "chi", "--bundle", "1:1,1:9/2,9/2:3", "--fixture", "bicubic"),
+    ("cy3", "rr", "--ch1", "1:1:5/2:5/6", "--ch2", "2:-1:3/2:-1/6"),
+    ("cy3", "rr", "--ch1", "1:1,0:0,3/2:1/2", "--ch2", "1:-2,1/3:-4,5/6:7/12",
+     "--fixture", "bicubic"),
+    ("cy3", "mirror", "--vector", "1:0:25/12:0"),
+    ("cy3", "mirror", "--vector", "2:1,-1:3/2,-5/6:7/4", "--fixture", "bicubic"),
+    ("cy3", "mirror", "--vector", "1:1/2:0:0"),
+    ("cy3", "mirror", "--vector", "1/3:0:0:0"),
+    ("cy3", "sublattice"),
+    ("cy3", "sublattice", "--fixture", "bicubic"),
+]
+
+
+def exact_cli_record() -> list:
+    """Exit code, stdout and stderr of every exact command, run with --json."""
+    record = []
+    for argv in EXACT_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--json"])
+        record.append(
+            {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+        )
+    return record
+
+
+def test_exact_cli_output_equals_the_golden_file():
+    assert exact_cli_record() == json.loads(EXACT_GOLDEN.read_text())
