@@ -15,31 +15,35 @@ tensor together with the pairing of the second Chern class against divisors.
 Degree-4 coordinates on a threefold are taken in the basis dual to the
 divisor basis, so divisor-times-curve contraction is the plain dot product.
 
-All entries are ``fractions.Fraction``; floats are rejected so that every
-pipeline is bit-reproducible.  The public constructor coerces and checks
-every entry; the vectors this module computes are Fractions in shape
-already and skip that pass.  On top of the cup product the module exposes
-the symmetric top-degree pairing ``pair_sym``, the degree involution
-``star`` (sign flip on blocks of degree 2 mod 4, the Chern-character image
-of dualisation), the Todd-twisted Euler pairing ``pair_exotic`` (symmetric
-for n = 2, skew for n = 1 and 3), the Mukai vector ``ch * sqrt(td)`` and
-``todd_multiply``, the product with td, sqrt(td) or sqrt(td)^-1.
+A class is stored in one form: its flat coordinates ``(u_0, u_1..., ...,
+u_n)`` of length 2 + (n-1)k, laid out by :func:`blocks_of`, as integer
+numerators ``nums`` over one positive denominator ``den`` in lowest terms
+(the matwise form of a rational matrix).  ``blocks`` is a view of them as
+``fractions.Fraction`` entries, built on first use.  Equality and hashing
+use ``(dim, nums, den)``.  Floats are rejected so that every pipeline is
+bit-reproducible: the public constructor coerces and checks every entry
+once; the classes this module computes (``cup``, ``star``, ``scale``,
+``+``, ``todd_multiply``) work on the numerators and enter through one
+numerator constructor that reduces by the gcd.  On top of the cup product
+the module exposes the symmetric top-degree pairing ``pair_sym``, the
+degree involution ``star`` (sign flip on blocks of degree 2 mod 4, the
+Chern-character image of dualisation), the Todd-twisted Euler pairing
+``pair_exotic`` (symmetric for n = 2, skew for n = 1 and 3), the Mukai
+vector ``ch * sqrt(td)`` and ``todd_multiply``, the product with td,
+sqrt(td) or sqrt(td)^-1.
 
 The two pairings and the three Todd products are bilinear or linear in the
-flat coordinates ``(u_0, u_1..., ..., u_n)`` of length 2 + (n-1)k, so each
-ring compiles them once, on first use, into an :class:`IntegerMatrix`: a
-sparse matrix of Python ints over one common denominator, built by
-evaluating the ``cup`` definition on basis vectors.  Every call of those
-functions runs on the compiled matrix in integer arithmetic (no overflow,
-no floats) and forms a single ``Fraction`` per output entry; ``cup`` stays
-the general product and the definition the matrices are built from.
-
-The same matrices also pair and multiply a whole batch of integer vectors
-at once (:meth:`IntegerMatrix.pair_columns` and
-:meth:`IntegerMatrix.apply_columns`): coordinate j of every vector sits in
-one numpy object array of Python ints, so each sparse matrix entry costs
-one array operation and the arithmetic stays exact, with no int64 and no
-fallback path.  The seeded threefold sweeps run on this batch kernel.
+flat coordinates, so each ring compiles them once, on first use, into an
+:class:`IntegerMatrix`: a sparse matrix of Python ints over one common
+denominator, built by evaluating the ``cup`` definition on basis vectors.
+The Picard Gram matrix and the cubic tensor are compiled the same way.
+Every pairing and product runs on one kernel,
+:meth:`IntegerMatrix.apply_columns` and :meth:`IntegerMatrix.pair_columns`,
+in integer arithmetic (no overflow, no floats).  Coordinate j is an int for
+one vector, or a numpy object array of Python ints holding coordinate j of
+a whole batch, so each sparse matrix entry costs one array operation and a
+batch stays exact, with no int64 and no fallback path.  ``cup`` stays the
+general product and the definition the matrices are built from.
 
 Todd data is closed-form in every supported dimension:
 
@@ -56,7 +60,7 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -74,9 +78,12 @@ class ShapeError(LatticeError):
 
 def _as_int(x) -> int:
     """Strict integer coercion: ints and integer-valued strings only."""
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise LatticeError(f"integer lattice datum expected, got {x!r}")
-    return int(x)
+    if not isinstance(x, bool) and isinstance(x, (int, str)):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise LatticeError(f"integer lattice datum expected, got {x!r}")
 
 
 def as_fraction(x: RationalLike) -> Fraction:
@@ -115,65 +122,101 @@ def parse_rational(s: RationalLike) -> Fraction:
     return as_fraction(s)
 
 
-def _coerce_block(block, scalar: bool):
-    if scalar:
-        return as_fraction(block)
-    if isinstance(block, (int, str, Fraction)):
-        raise ShapeError("intermediate block must be a coordinate sequence")
-    return tuple(as_fraction(x) for x in block)
+def _entry(x) -> int | Fraction:
+    """One coerced entry: ints pass as they are, the rest through as_fraction."""
+    return x if type(x) is int else as_fraction(x)
 
 
-@dataclass(frozen=True)
+def blocks_of(dim: int, flat: Sequence) -> tuple:
+    """The blocks of a class from its flat coordinates: the one flat layout.
+
+    ``flat`` is ``(u_0, u_1..., ..., u_n)``: the rank, then the dim - 1
+    middle blocks of k coordinates each, then the top.  The entries may be
+    anything (ints, Fractions, numpy arrays of a batch); ends come back as
+    they are, middle blocks as tuples.
+    """
+    k = (len(flat) - 2) // (dim - 1) if dim > 1 else 0
+    mids = tuple(tuple(flat[1 + i * k: 1 + (i + 1) * k]) for i in range(dim - 1))
+    return (flat[0], *mids, flat[-1])
+
+
 class GradedVector:
-    """One element of the even-cohomology ring, stored blockwise.
+    """One element of the even-cohomology ring.
 
-    ``blocks[i]`` is the degree-2i component: a Fraction for i = 0 and
-    i = dim, a tuple of Fractions in between.
+    Stored as flat integer numerators ``nums`` (laid out by
+    :func:`blocks_of`) over one positive denominator ``den``, in lowest
+    terms.  ``blocks[i]`` is the degree-2i component: a Fraction for i = 0
+    and i = dim, a tuple of Fractions in between.
     """
 
-    dim: int
-    blocks: tuple
-
-    def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ShapeError(f"dim must be 1, 2 or 3, got {self.dim}")
-        raw = self.blocks
-        if len(raw) != self.dim + 1:
-            raise ShapeError(
-                f"dim {self.dim} needs {self.dim + 1} blocks, got {len(raw)}"
-            )
-        coerced = tuple(
-            _coerce_block(b, scalar=(i == 0 or i == self.dim))
-            for i, b in enumerate(raw)
-        )
-        object.__setattr__(self, "blocks", coerced)
+    def __init__(self, dim: int, blocks: tuple):
+        if dim not in (1, 2, 3):
+            raise ShapeError(f"dim must be 1, 2 or 3, got {dim}")
+        if len(blocks) != dim + 1:
+            raise ShapeError(f"dim {dim} needs {dim + 1} blocks, got {len(blocks)}")
+        entries, arities = [], set()
+        for i, block in enumerate(blocks):
+            if i == 0 or i == dim:
+                entries.append(_entry(block))
+            elif isinstance(block, (int, str, Fraction)):
+                raise ShapeError("intermediate block must be a coordinate sequence")
+            else:
+                coerced = [_entry(x) for x in block]
+                arities.add(len(coerced))
+                entries += coerced
+        if len(arities) > 1:
+            raise ShapeError("intermediate blocks differ in arity")
+        # over the least common denominator of reduced entries, the
+        # numerators and the denominator share no factor
+        den = lcm(*(x.denominator for x in entries))
+        nums = tuple(x.numerator * (den // x.denominator) for x in entries)
+        self.__dict__.update(dim=dim, nums=nums, den=den)
 
     @classmethod
-    def _of_fractions(cls, dim: int, blocks: tuple) -> "GradedVector":
-        """Wrap blocks this module has just built, already Fractions in shape.
+    def _of_numerators(cls, dim: int, nums: Sequence[int], den: int = 1) -> "GradedVector":
+        """The class with flat coordinates ``nums / den`` (den > 0), reduced.
 
-        Skips the checks and coercion of the public constructor, which is
-        the one path for foreign input.
+        The one way in for classes this module computes: it skips the
+        checks and coercion of the public constructor, which is the one
+        path for foreign input.
         """
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
         self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "blocks", blocks)
+        self.__dict__.update(dim=dim, nums=tuple(nums), den=den)
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GradedVector is immutable; cannot set {name!r}")
+
+    @cached_property
+    def blocks(self) -> tuple:
+        den = self.den
+        return blocks_of(self.dim, [Fraction(x, den) for x in self.nums])
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedVector):
+            return NotImplemented
+        return (self.dim, self.nums, self.den) == (other.dim, other.nums, other.den)
+
+    def __hash__(self):
+        return hash((self.dim, self.nums, self.den))
+
+    def __repr__(self):
+        return f"GradedVector(dim={self.dim!r}, blocks={self.blocks!r})"
 
     @classmethod
     def zero(cls, dim: int, picard_rank: int) -> "GradedVector":
-        mid = [(0,) * picard_rank] * (dim - 1)
-        return cls(dim, tuple([Fraction(0), *mid, Fraction(0)]))
+        return cls(dim, (0, *[(0,) * picard_rank] * (dim - 1), 0))
 
     @classmethod
     def unit(cls, dim: int, picard_rank: int) -> "GradedVector":
-        z = cls.zero(dim, picard_rank)
-        return z.with_block(0, Fraction(1))
+        return cls.zero(dim, picard_rank).with_block(0, 1)
 
     @classmethod
     def point(cls, dim: int, picard_rank: int) -> "GradedVector":
-        z = cls.zero(dim, picard_rank)
-        return z.with_block(dim, Fraction(1))
+        return cls.zero(dim, picard_rank).with_block(dim, 1)
 
     def with_block(self, i: int, value) -> "GradedVector":
         blocks = list(self.blocks)
@@ -182,41 +225,29 @@ class GradedVector:
 
     def scale(self, c: RationalLike) -> "GradedVector":
         c = as_fraction(c)
-        out = []
-        for i, b in enumerate(self.blocks):
-            if i == 0 or i == self.dim:
-                out.append(c * b)
-            else:
-                out.append(tuple(c * x for x in b))
-        return GradedVector._of_fractions(self.dim, tuple(out))
+        nums = [c.numerator * x for x in self.nums]
+        return GradedVector._of_numerators(self.dim, nums, c.denominator * self.den)
 
     def __add__(self, other: "GradedVector") -> "GradedVector":
         if not isinstance(other, GradedVector) or other.dim != self.dim:
             raise ShapeError("can only add graded vectors of equal dimension")
-        out = []
-        for i, (a, b) in enumerate(zip(self.blocks, other.blocks)):
-            if i == 0 or i == self.dim:
-                out.append(a + b)
-            else:
-                if len(a) != len(b):
-                    raise ShapeError("intermediate blocks differ in arity")
-                out.append(tuple(x + y for x, y in zip(a, b)))
-        return GradedVector._of_fractions(self.dim, tuple(out))
+        if len(other.nums) != len(self.nums):
+            raise ShapeError("intermediate blocks differ in arity")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        nums = [a * x + b * y for x, y in zip(self.nums, other.nums)]
+        return GradedVector._of_numerators(self.dim, nums, den)
 
     def __neg__(self) -> "GradedVector":
-        return self.scale(-1)
+        return GradedVector._of_numerators(self.dim, [-x for x in self.nums], self.den)
 
     def __sub__(self, other: "GradedVector") -> "GradedVector":
         return self + (-other)
 
     def to_payload(self) -> dict:
         """JSON-ready dict with rationals as strings."""
-        blocks = []
-        for i, b in enumerate(self.blocks):
-            if i == 0 or i == self.dim:
-                blocks.append(format_rational(b))
-            else:
-                blocks.append([format_rational(x) for x in b])
+        text = [format_rational(Fraction(x, self.den)) for x in self.nums]
+        blocks = [b if isinstance(b, str) else list(b) for b in blocks_of(self.dim, text)]
         return {"dim": self.dim, "blocks": blocks}
 
     @classmethod
@@ -224,15 +255,15 @@ class GradedVector:
         return cls(int(payload["dim"]), tuple(payload["blocks"]))
 
 
-def _check_symmetric(matrix) -> None:
+def _check_symmetric(matrix, noun: str = "Gram matrix") -> None:
     k = len(matrix)
     for row in matrix:
         if len(row) != k:
-            raise ShapeError("Gram matrix must be square")
+            raise ShapeError(f"{noun} must be square")
     for i in range(k):
         for j in range(k):
             if matrix[i][j] != matrix[j][i]:
-                raise ShapeError("Gram matrix must be symmetric")
+                raise ShapeError(f"{noun} must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -328,35 +359,33 @@ class RingDescriptor:
     def elliptic(cls) -> "RingDescriptor":
         return cls(dim=1, picard_rank=0)
 
+    def _divisors(self, *vectors: Sequence) -> list:
+        """Coerce foreign divisor-block coordinates to Fractions, checking length."""
+        out = [[as_fraction(x) for x in v] for v in vectors]
+        if any(len(v) != self.picard_rank for v in out):
+            raise ShapeError("divisor coordinates must match picard_rank")
+        return out
+
     def pic_pair(self, a: Sequence, b: Sequence) -> Fraction:
-        """Gram pairing of two divisor-block coordinate vectors (dim 2)."""
+        """Gram pairing of two divisor-block coordinate vectors (dim 2).
+
+        An entry point: it coerces both vectors.  Callers holding integer
+        coordinates pair on ``_gram_form`` directly.
+        """
         if self.dim != 2:
             raise ShapeError("pic_pair needs a dim-2 descriptor")
-        a = [as_fraction(x) for x in a]
-        b = [as_fraction(x) for x in b]
-        if len(a) != self.picard_rank or len(b) != self.picard_rank:
-            raise ShapeError("divisor coordinates must match picard_rank")
-        return self._gram_form.pair(a, b)
+        return self._gram_form.pair_columns(*self._divisors(a, b))
 
     def cubic_contract(self, a: Sequence, b: Sequence) -> tuple:
-        """Divisor-times-divisor product in dual-basis curve coordinates."""
+        """Divisor-times-divisor product in dual-basis curve coordinates.
+
+        An entry point, like :meth:`pic_pair`; callers holding integer
+        coordinates contract on ``_cubic_forms`` directly.
+        """
         if self.dim != 3:
             raise ShapeError("cubic_contract needs a dim-3 descriptor")
-        k = self.picard_rank
-        a = [as_fraction(x) for x in a]
-        b = [as_fraction(x) for x in b]
-        if len(a) != k or len(b) != k:
-            raise ShapeError("divisor coordinates must match picard_rank")
-        a, da = _integral(a)
-        b, db = _integral(b)
-        cubic = self.cubic
-        return tuple(
-            Fraction(
-                sum(a[i] * cubic[i][j][d] * b[j] for i in range(k) for j in range(k)),
-                da * db,
-            )
-            for d in range(k)
-        )
+        a, b = self._divisors(a, b)
+        return tuple(m.pair_columns(a, b) for m in self._cubic_forms)
 
     @cached_property
     def todd(self) -> "ToddData":
@@ -367,6 +396,15 @@ class RingDescriptor:
     def _gram_form(self) -> "IntegerMatrix":
         """The Picard Gram matrix compiled for :meth:`pic_pair`, built on first use."""
         return IntegerMatrix.from_rationals(self.gram)
+
+    @cached_property
+    def _cubic_forms(self) -> tuple:
+        """One compiled form per curve coordinate d: (a, b) -> sum D[a][b][d] a b."""
+        k = range(self.picard_rank)
+        cubic = self.cubic
+        return tuple(
+            IntegerMatrix.from_rationals([[cubic[a][b][d] for b in k] for a in k]) for d in k
+        )
 
     @cached_property
     def _forms(self) -> "_RingForms":
@@ -441,15 +479,9 @@ def todd_data(ring: RingDescriptor) -> ToddData:
 def _check_compatible(u: GradedVector, ring: RingDescriptor) -> None:
     if u.dim != ring.dim:
         raise ShapeError(f"vector dim {u.dim} != ring dim {ring.dim}")
-    for i in range(1, u.dim):
-        if len(u.blocks[i]) != ring.picard_rank:
-            raise ShapeError(
-                f"block {i} arity {len(u.blocks[i])} != picard_rank {ring.picard_rank}"
-            )
-
-
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    arity = (len(u.nums) - 2) // (u.dim - 1) if u.dim > 1 else 0
+    if arity != ring.picard_rank:
+        raise ShapeError(f"block 1 arity {arity} != picard_rank {ring.picard_rank}")
 
 
 def cup(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> GradedVector:
@@ -457,29 +489,33 @@ def cup(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> GradedVector:
 
     Everything lives in even degree, so the product is commutative; the
     descriptor supplies the only nontrivial contractions (Gram matrix for
-    surfaces, cubic tensor and divisor/curve duality for threefolds).
+    surfaces, cubic tensor and divisor/curve duality for threefolds).  It
+    runs on the numerators and multiplies the denominators.
     """
     _check_compatible(u, ring)
     _check_compatible(v, ring)
     n = ring.dim
-    u0, v0 = u.blocks[0], v.blocks[0]
+    ub, vb = blocks_of(n, u.nums), blocks_of(n, v.nums)
+    u0, v0 = ub[0], vb[0]
     if n == 1:
-        u1, v1 = u.blocks[1], v.blocks[1]
-        return GradedVector._of_fractions(1, (u0 * v0, u0 * v1 + u1 * v0))
-    if n == 2:
-        u1, v1 = u.blocks[1], v.blocks[1]
-        u2, v2 = u.blocks[2], v.blocks[2]
-        w1 = tuple(u0 * y + v0 * x for x, y in zip(u1, v1))
-        w2 = u0 * v2 + u2 * v0 + ring.pic_pair(u1, v1)
-        return GradedVector._of_fractions(2, (u0 * v0, w1, w2))
-    u1, v1 = u.blocks[1], v.blocks[1]
-    u2, v2 = u.blocks[2], v.blocks[2]
-    u3, v3 = u.blocks[3], v.blocks[3]
-    w1 = tuple(u0 * y + v0 * x for x, y in zip(u1, v1))
-    hh = ring.cubic_contract(u1, v1)
-    w2 = tuple(u0 * y + v0 * x + z for x, y, z in zip(u2, v2, hh))
-    w3 = u0 * v3 + u3 * v0 + _dot(u1, v2) + _dot(u2, v1)
-    return GradedVector._of_fractions(3, (u0 * v0, w1, w2, w3))
+        nums = (u0 * v0, u0 * vb[1] + ub[1] * v0)
+    elif n == 2:
+        (_, u1, u2), (_, v1, v2) = ub, vb
+        w1 = [u0 * y + v0 * x for x, y in zip(u1, v1)]
+        w2 = u0 * v2 + u2 * v0 + ring._gram_form.pair_columns(u1, v1)
+        nums = (u0 * v0, *w1, w2)
+    else:
+        (_, u1, u2, u3), (_, v1, v2, v3) = ub, vb
+        w1 = [u0 * y + v0 * x for x, y in zip(u1, v1)]
+        w2 = [
+            u0 * y + v0 * x + m.pair_columns(u1, v1)
+            for x, y, m in zip(u2, v2, ring._cubic_forms)
+        ]
+        w3 = u0 * v3 + u3 * v0 + sum(x * y for x, y in zip(u1, v2)) + sum(
+            x * y for x, y in zip(u2, v1)
+        )
+        nums = (u0 * v0, *w1, *w2, w3)
+    return GradedVector._of_numerators(n, nums, u.den * v.den)
 
 
 def star(u: GradedVector) -> GradedVector:
@@ -487,48 +523,21 @@ def star(u: GradedVector) -> GradedVector:
 
     This is the Chern-character image of dualisation and an involution.
     """
-    out = []
-    for i, b in enumerate(u.blocks):
-        if i % 2 == 0:
-            out.append(b)
-        elif i == 0 or i == u.dim:
-            out.append(-b)
-        else:
-            out.append(tuple(-x for x in b))
-    return GradedVector._of_fractions(u.dim, tuple(out))
-
-
-def _flat(u: GradedVector) -> tuple:
-    """Flat coordinates (u_0, u_1..., ..., u_n) of a graded vector."""
-    b = u.blocks
-    return (b[0], *(x for block in b[1:-1] for x in block), b[-1])
-
-
-def _unflat(dim: int, picard_rank: int, flat: Sequence) -> tuple:
-    """Blocks of the graded vector with flat coordinates ``flat``."""
-    mids = tuple(
-        tuple(flat[1 + i * picard_rank: 1 + (i + 1) * picard_rank])
-        for i in range(dim - 1)
-    )
-    return (flat[0], *mids, flat[-1])
-
-
-def _integral(xs: Sequence[Fraction]) -> tuple[list, int]:
-    """Integer numerators of ``xs`` over their least common denominator."""
-    den = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
+    nums = []
+    for i, block in enumerate(blocks_of(u.dim, u.nums)):
+        entries = block if 0 < i < u.dim else (block,)
+        nums += [-x for x in entries] if i % 2 else entries
+    return GradedVector._of_numerators(u.dim, nums, u.den)
 
 
 class IntegerMatrix(NamedTuple):
     """Exact square rational matrix: sparse integer rows over one denominator.
 
     ``rows[i]`` lists the pairs ``(j, m_ij)`` with nonzero integer m_ij; the
-    matrix is ``m / den``.  :meth:`pair` and :meth:`apply` take one vector of
-    rationals, reduce it to integer numerators over a common denominator,
-    run every sum in Python ints and form one ``Fraction`` per output entry.
-    :meth:`pair_columns` and :meth:`apply_columns` take integer numerators
-    directly, for one vector or a whole batch at once, and return integer
-    numerators.
+    matrix is ``m / den``.  :meth:`pair_columns` and :meth:`apply_columns`
+    are its one kernel: they take integer numerators coordinate by
+    coordinate, for one vector or a whole batch at once, and return
+    integer numerators over ``den`` (times the inputs' denominators).
     """
 
     rows: tuple
@@ -551,29 +560,13 @@ class IntegerMatrix(NamedTuple):
                 out[i][j] = Fraction(m, self.den)
         return out
 
-    def pair(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        """Bilinear form x^T (m / den) y."""
-        xs, dx = _integral(x)
-        ys, dy = _integral(y)
-        total = 0
-        for xi, row in zip(xs, self.rows):
-            if xi:
-                for j, m in row:
-                    total += xi * m * ys[j]
-        return Fraction(total, dx * dy * self.den)
-
-    def apply(self, x: Sequence[Fraction]) -> list:
-        """Matrix-vector product (m / den) x."""
-        xs, dx = _integral(x)
-        den = dx * self.den
-        return [Fraction(sum(m * xs[j] for j, m in row), den) for row in self.rows]
-
     def apply_columns(self, xs: Sequence) -> list:
         """Integer numerators over ``den`` of m x, for integer coordinates x.
 
         ``xs[j]`` is coordinate j: an int, or a numpy object array of Python
         ints holding coordinate j of every vector in a batch, in which case
-        each output entry is an array of the same shape.
+        each output entry is an array of the same shape.  One vector is a
+        batch of one.
         """
         return [sum((m * xs[j] for j, m in row), 0 * xs[0]) for row in self.rows]
 
@@ -604,32 +597,39 @@ def _compile_forms(ring: RingDescriptor) -> _RingForms:
     n, k = ring.dim, ring.picard_rank
     size = 2 + (n - 1) * k
     basis = [
-        GradedVector(n, _unflat(n, k, [int(i == j) for j in range(size)]))
+        GradedVector._of_numerators(n, [int(i == j) for j in range(size)])
         for i in range(size)
     ]
     td = ring.todd.td
 
     def gram(pairing):
-        return IntegerMatrix.from_rationals([[pairing(a, b) for b in basis] for a in basis])
+        tops = [[pairing(a, b) for b in basis] for a in basis]
+        return IntegerMatrix.from_rationals(
+            [[Fraction(w.nums[-1], w.den) for w in row] for row in tops]
+        )
 
     def product(c: GradedVector) -> IntegerMatrix:
-        columns = [_flat(cup(e, c, ring)) for e in basis]
+        columns = [cup(e, c, ring) for e in basis]
         return IntegerMatrix.from_rationals(
-            [[col[i] for col in columns] for i in range(size)]
+            [[Fraction(col.nums[i], col.den) for col in columns] for i in range(size)]
         )
 
     return _RingForms(
-        sym=gram(lambda a, b: cup(a, b, ring).blocks[n]),
-        exotic=gram(lambda a, b: cup(cup(star(a), b, ring), td, ring).blocks[n]),
+        sym=gram(lambda a, b: cup(a, b, ring)),
+        exotic=gram(lambda a, b: cup(cup(star(a), b, ring), td, ring)),
         products={f.name: product(getattr(ring.todd, f.name)) for f in fields(ToddData)},
     )
+
+
+def _pair(m: IntegerMatrix, u: GradedVector, v: GradedVector) -> Fraction:
+    return Fraction(m.pair_columns(u.nums, v.nums), u.den * v.den * m.den)
 
 
 def pair_sym(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> Fraction:
     """Top-degree component of the cup product (the Poincare pairing)."""
     _check_compatible(u, ring)
     _check_compatible(v, ring)
-    return ring._forms.sym.pair(_flat(u), _flat(v))
+    return _pair(ring._forms.sym, u, v)
 
 
 def pair_exotic(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> Fraction:
@@ -641,7 +641,7 @@ def pair_exotic(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> Fract
     """
     _check_compatible(u, ring)
     _check_compatible(v, ring)
-    return ring._forms.exotic.pair(_flat(u), _flat(v))
+    return _pair(ring._forms.exotic, u, v)
 
 
 def todd_multiply(u: GradedVector, ring: RingDescriptor, factor: str) -> GradedVector:
@@ -651,9 +651,8 @@ def todd_multiply(u: GradedVector, ring: RingDescriptor, factor: str) -> GradedV
     "sqrt_td_inv".
     """
     _check_compatible(u, ring)
-    flat = ring._forms.products[factor].apply(_flat(u))
-    blocks = _unflat(ring.dim, ring.picard_rank, flat)
-    return GradedVector._of_fractions(ring.dim, blocks)
+    m = ring._forms.products[factor]
+    return GradedVector._of_numerators(ring.dim, m.apply_columns(u.nums), u.den * m.den)
 
 
 def mukai_vector(ch: GradedVector, ring: RingDescriptor) -> GradedVector:

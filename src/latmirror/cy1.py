@@ -183,10 +183,9 @@ def mirror_cy1(u: GradedVector) -> CycleClass1:
     """Mirror map on H^0 + H^2: u0*[C] + u1*[pt] goes to u0*[s0] + u1*[e']."""
     if u.dim != 1:
         raise LatticeError("mirror_cy1 needs a dim-1 graded vector")
-    u0, u1 = u.blocks
-    if u0.denominator != 1 or u1.denominator != 1:
+    if u.den != 1:
         raise LatticeError("mirror_cy1 needs integer coefficients")
-    return CycleClass1(int(u0), int(u1))
+    return CycleClass1(*u.nums)
 
 
 def bs_points(k: int) -> list[Fraction]:

@@ -38,6 +38,9 @@ from .core import (
     RingDescriptor,
     ShapeError,
     ToddData,
+    _as_int,
+    _check_symmetric,
+    _entry,
     as_fraction,
     mukai_vector,
     pair_sym,
@@ -65,16 +68,21 @@ class K3Descriptor:
     def __post_init__(self):
         if self.ring.dim != 2:
             raise ShapeError("K3Descriptor needs a dim-2 ring")
-        roots = tuple(tuple(int(x) for x in r) for r in self.roots)
+        roots = tuple(tuple(_as_int(x) for x in r) for r in self.roots)
         for r in roots:
-            if self.ring.pic_pair(r, r) != -2:
+            if len(r) != self.ring.picard_rank:
+                raise ShapeError("divisor coordinates must match picard_rank")
+            if self.ring._gram_form.pair_columns(r, r) != -2:
                 raise LatticeError(f"declared root {r} has square != -2")
         object.__setattr__(self, "roots", roots)
-        if self.singular_fibres is not None and self.singular_fibres != EULER_K3:
-            raise LatticeError(
-                f"elliptic K3 fibration must have {EULER_K3} singular fibres "
-                f"(Euler characteristic), got {self.singular_fibres}"
-            )
+        if self.singular_fibres is not None:
+            count = _as_int(self.singular_fibres)
+            if count != EULER_K3:
+                raise LatticeError(
+                    f"elliptic K3 fibration must have {EULER_K3} singular fibres "
+                    f"(Euler characteristic), got {count}"
+                )
+            object.__setattr__(self, "singular_fibres", count)
 
     @property
     def todd(self) -> ToddData:
@@ -102,11 +110,12 @@ def moduli_dim2(ch: GradedVector, X: K3Descriptor) -> int:
     return int(val)
 
 
-def _square(L: Sequence, X: K3Descriptor) -> Fraction:
-    return X.ring.pic_pair(L, L)
+def _square(L: tuple, X: K3Descriptor) -> Fraction:
+    """L^2 of integer coordinates, as from :func:`_integer_divisor`."""
+    return Fraction(X.ring._gram_form.pair_columns(L, L))
 
 
-def _require_integral(L: Sequence) -> tuple:
+def _integer_divisor(L: Sequence) -> tuple:
     out = tuple(as_fraction(x) for x in L)
     if any(x.denominator != 1 for x in out):
         raise LatticeError("divisor class must be integral")
@@ -130,7 +139,7 @@ class MirrorClassK3:
 
 def mirror_k3(L: Sequence, X: K3Descriptor) -> MirrorClassK3:
     """Mirror image [s] + L - (L^2/2) [e] of an integral divisor class."""
-    L = _require_integral(L)
+    L = _integer_divisor(L)
     l2 = _square(L, X)
     if l2.denominator != 1 or int(l2) % 2 != 0:
         raise LatticeError(f"L^2 = {l2} is not even; not a divisor class here")
@@ -197,7 +206,7 @@ class GftClassK3:
 
 def gft_class_k3(L: Sequence, X: K3Descriptor) -> GftClassK3:
     """Transform class of a polarising bundle; needs L^2 > 0 and even."""
-    L = _require_integral(L)
+    L = _integer_divisor(L)
     l2 = _square(L, X)
     if l2 <= 0:
         raise LatticeError(f"need a polarising class with L^2 > 0, got {l2}")
@@ -208,7 +217,7 @@ def gft_class_k3(L: Sequence, X: K3Descriptor) -> GftClassK3:
 
 def h0_k3(L: Sequence, X: K3Descriptor) -> Fraction:
     """Section count L^2/2 + 2 from Riemann-Roch with vanishing."""
-    L = _require_integral(L)
+    L = _integer_divisor(L)
     l2 = _square(L, X)
     if l2 < -2:
         raise LatticeError(f"L^2 = {l2} < -2 is outside the counting range")
@@ -222,7 +231,7 @@ def bs_count_k3(L: Sequence, X: K3Descriptor) -> Fraction:
     so the quantization identity is a genuine cross-check.  The reversed
     section orientation makes the count positive.
     """
-    L = _require_integral(L)
+    L = _integer_divisor(L)
     l2 = _square(L, X)
     if l2 < -2:
         raise LatticeError(f"L^2 = {l2} < -2 is outside the counting range")
@@ -247,6 +256,7 @@ def verify_quantization_k3(L: Sequence, X: K3Descriptor) -> QuantizationReportK3
     """Compare section count and marked-fibre count for one class."""
     h = h0_k3(L, X)
     n = bs_count_k3(L, X)
+    L = _integer_divisor(L)
     return QuantizationReportK3(
         label=X.label,
         l2=_square(L, X),
@@ -270,12 +280,11 @@ def _reflect_columns(xs: Sequence, delta: Sequence, X: K3Descriptor) -> list:
 
 def reflect_minus2(x: Sequence, delta: Sequence, X: K3Descriptor) -> tuple:
     """Reflection x + (x.delta) delta in a sphere class of square -2."""
-    if X.ring.pic_pair(delta, delta) != -2:
+    (delta,) = X.ring._divisors(delta)
+    if X.ring._gram_form.pair_columns(delta, delta) != -2:
         raise LatticeError("reflection axis must have square -2")
-    x = tuple(as_fraction(v) for v in x)
-    if len(x) != X.ring.picard_rank:
-        raise ShapeError("divisor coordinates must match picard_rank")
-    return tuple(_reflect_columns(x, tuple(as_fraction(d) for d in delta), X))
+    (x,) = X.ring._divisors(x)
+    return tuple(_reflect_columns(x, delta, X))
 
 
 @dataclass(frozen=True)
@@ -286,20 +295,6 @@ class WalkResult:
 
 
 MAX_WALK_STEPS = 64
-
-
-def _exact(v: Sequence) -> list:
-    """Exact coordinates: ints where integral, Fractions elsewhere.
-
-    Ints pass as they are; every other entry goes through :func:`as_fraction`.
-    """
-    out = []
-    for x in v:
-        if type(x) is not int:
-            x = as_fraction(x)
-            x = x.numerator if x.denominator == 1 else x
-        out.append(x)
-    return out
 
 
 def walk_batch(
@@ -326,7 +321,7 @@ def walk_batch(
 
     k = X.ring.picard_rank
     gram = X.ring._gram_form
-    root_rows = [_exact(d) for d in roots]
+    root_rows = [[_entry(x) for x in d] for d in roots]
     for d in root_rows:
         if len(d) != k:
             raise ShapeError("divisor coordinates must match picard_rank")
@@ -380,7 +375,8 @@ def walk_to_chamber(
     """
     import numpy as np
 
-    ends, history = walk_batch(np.array([_exact(x)], dtype=object), roots, X, max_steps)
+    xs = np.array([[_entry(v) for v in x]], dtype=object)
+    ends, history = walk_batch(xs, roots, X, max_steps)
     return WalkResult(
         vector=tuple(map(Fraction, ends[0])),
         steps=len(history),
@@ -406,13 +402,8 @@ def check_main_condition(
     vector is orthogonal to both e and s.  Reports all checks rather than
     stopping at the first failure.
     """
-    gram = tuple(tuple(int(x) for x in row) for row in gram)
-    for i, row in enumerate(gram):
-        if len(row) != len(gram):
-            raise ShapeError("ambient Gram must be square")
-        for j in range(len(gram)):
-            if gram[i][j] != gram[j][i]:
-                raise ShapeError("ambient Gram must be symmetric")
+    gram = tuple(tuple(_as_int(x) for x in row) for row in gram)
+    _check_symmetric(gram, "ambient Gram")
     form = IntegerMatrix.from_rationals(gram)
 
     def pair(a, b) -> Fraction:
@@ -420,7 +411,7 @@ def check_main_condition(
         b = [as_fraction(x) for x in b]
         if len(a) != len(gram) or len(b) != len(gram):
             raise ShapeError("vector length must match the ambient Gram size")
-        return form.pair(a, b)
+        return form.pair_columns(a, b)
 
     checks = []
     ee = pair(e, e)

@@ -37,7 +37,7 @@ from .core import (
     RingDescriptor,
     ShapeError,
     ToddData,
-    as_fraction,
+    blocks_of,
     pair_exotic,
     pair_sym,
     todd_multiply,
@@ -82,12 +82,15 @@ class CY3Descriptor:
 
 def line_bundle_ch(L: Sequence, X: CY3Descriptor) -> GradedVector:
     """Chern character (1, L, L^2/2, L^3/6) of an integral divisor class."""
-    L = tuple(as_fraction(x) for x in L)
+    (L,) = X.ring._divisors(L)
     if any(x.denominator != 1 for x in L):
         raise LatticeError("line bundle class must be integral")
-    square = X.ring.cubic_contract(L, L)
+    L = [x.numerator for x in L]
+    square = [m.pair_columns(L, L) for m in X.ring._cubic_forms]
     cube = sum(x * y for x, y in zip(square, L))
-    return GradedVector(3, (1, L, tuple(x / 2 for x in square), cube / 6))
+    # (1, L, L^2/2, L^3/6) over the denominator 6
+    nums = (6, *(6 * x for x in L), *(3 * x for x in square), cube)
+    return GradedVector._of_numerators(3, nums, 6)
 
 
 def chi_bundle3(ch: GradedVector, X: CY3Descriptor) -> Fraction:
@@ -145,14 +148,12 @@ def mirror_cy3(u: GradedVector, X: CY3Descriptor) -> MirrorClass3:
     """
     if u.dim != 3:
         raise ShapeError("mirror_cy3 needs a dim-3 graded vector")
-    w = todd_multiply(u, X.ring, "sqrt_td_inv")
-    if w.blocks[0].denominator != 1:
-        raise LatticeError(f"preimage rank {w.blocks[0]} is not integral")
-    if any(x.denominator != 1 for x in w.blocks[1]):
-        raise LatticeError(f"preimage divisor block {w.blocks[1]} is not integral")
-    return MirrorClass3(
-        s0=w.blocks[0], e=w.blocks[3], psi1=w.blocks[1], psi2=w.blocks[2]
-    )
+    s0, psi1, psi2, e = todd_multiply(u, X.ring, "sqrt_td_inv").blocks
+    if s0.denominator != 1:
+        raise LatticeError(f"preimage rank {s0} is not integral")
+    if any(x.denominator != 1 for x in psi1):
+        raise LatticeError(f"preimage divisor block {psi1} is not integral")
+    return MirrorClass3(s0=s0, e=e, psi1=psi1, psi2=psi2)
 
 
 def mirror_cy3_columns(xs: Sequence, den: int, X: CY3Descriptor) -> tuple:
@@ -166,19 +167,15 @@ def mirror_cy3_columns(xs: Sequence, den: int, X: CY3Descriptor) -> tuple:
     :func:`mirror_cy3`.
     """
     inverse = X.ring._forms.products["sqrt_td_inv"]
-    w = inverse.apply_columns(xs)
+    s0, psi1, psi2, e = blocks_of(3, inverse.apply_columns(xs))
     w_den = den * inverse.den
-    k = X.ring.picard_rank
-    non_integral = sum(x % w_den != 0 for x in w[:1 + k]) > 0
-    if non_integral.any():
-        first = int(non_integral.argmax())
-        u = [Fraction(int(x.flat[first]), den) for x in xs]
-        mirror_cy3(GradedVector(3, (u[0], u[1:1 + k], u[1 + k:-1], u[-1])), X)
+    fractional = sum(x % w_den != 0 for x in (s0, *psi1)) > 0
+    if fractional.any():
+        first = int(fractional.argmax())
+        u = GradedVector._of_numerators(3, [int(x.flat[first]) for x in xs], den)
+        mirror_cy3(u, X)
         raise RuntimeError("batch and per-class mirror maps disagree on integrality")
-    images = MirrorClass3(
-        s0=w[0], e=w[-1], psi1=tuple(w[1:1 + k]), psi2=tuple(w[1 + k:-1])
-    )
-    return images, w_den
+    return MirrorClass3(s0=s0, e=e, psi1=psi1, psi2=psi2), w_den
 
 
 def mirror_pairing3(a: MirrorClass3, b: MirrorClass3) -> Fraction:

@@ -89,7 +89,7 @@ def _load_k3(payload: dict, source: str) -> K3Descriptor:
         extra = set(fibration) - {"singular_fibres"}
         if extra:
             raise FixtureError(f"{source}: unknown fibration keys {sorted(extra)}")
-        singular = int(fibration["singular_fibres"])
+        singular = fibration["singular_fibres"]
     gram = payload["gram"]
     ring = RingDescriptor(dim=2, picard_rank=len(gram), gram=gram)
     return K3Descriptor(

@@ -83,11 +83,6 @@ def _rand_pairs(rng: random.Random, size: int, bound: int, samples: int) -> np.n
     return np.array(draws, dtype=object).reshape(-1, 2, size)
 
 
-def _vec3(flat, k: int) -> GradedVector:
-    """The threefold class with flat coordinates ``flat``."""
-    return GradedVector(3, (flat[0], flat[1:1 + k], flat[1 + k:-1], flat[-1]))
-
-
 # ---------------------------------------------------------------- cy1 ----
 
 def _run_cy1_quantization(params, fixtures):
@@ -291,7 +286,8 @@ def _run_k3_mirror_transport(params, fixtures):
     for i in np.flatnonzero(lhs * exotic.den != rhs):
         L1, L2 = (tuple(x) for x in pairs[i])
         ch1, ch2 = (
-            GradedVector(2, (1, L, Fraction(X.ring.pic_pair(L, L), 2))) for L in (L1, L2)
+            GradedVector(2, (1, L, Fraction(X.ring._gram_form.pair_columns(L, L), 2)))
+            for L in (L1, L2)
         )
         lhs_i = cy2.mirror_pairing_k3(cy2.mirror_k3(L1, X), cy2.mirror_k3(L2, X), X)
         failures.append(f"L1={L1} L2={L2}: {lhs_i} != {-pair_exotic(ch1, ch2, X.ring)}")
@@ -355,9 +351,9 @@ def _run_cy3_skew(params, fixtures):
         skew_defect = exotic.pair_columns(us, vs) + exotic.pair_columns(vs, us)
         diag, anti = [], []
         for i in np.flatnonzero(self_pairing != 0):
-            diag.append(f"u={_vec3(pairs[i, 0], k).blocks}")
+            diag.append(f"u={GradedVector._of_numerators(3, pairs[i, 0]).blocks}")
         for i in np.flatnonzero(skew_defect != 0):
-            u, v = (_vec3(x, k) for x in pairs[i])
+            u, v = (GradedVector._of_numerators(3, x) for x in pairs[i])
             anti.append(f"u={u.blocks} v={v.blocks}")
         note = f"seed={params['seed']}, fixture={label}"
         checks.append(summary_check(
@@ -395,7 +391,7 @@ def _run_cy3_mirror_isometry(params, fixtures):
         rhs = forms.exotic.pair_columns(pairs[:, 0].T, pairs[:, 1].T)
         failures = []
         for i in np.flatnonzero(lhs * forms.exotic.den != rhs * den * den):
-            u, v = (_vec3(x, k) for x in pairs[i])
+            u, v = (GradedVector._of_numerators(3, x) for x in pairs[i])
             rep = cy3.mirror_isometry_check3(u, v, X)
             failures.append(f"u={u.blocks} v={v.blocks}: {rep.lhs} != {rep.rhs}")
         # a [X] + b [pt] times sqrt(td) must map back onto a [s0] + b [e']

@@ -233,6 +233,11 @@ def test_cli_cy2_paths(capsys):
         capsys, "cy2", "check-H", "--gram", "2,0;0,2", "--e", "1,0", "--s", "0,1"
     )
     assert code == 1  # e is not isotropic: check failure, not usage error
+    for gram, noun in (("0,1;1", "square"), ("0,1;2,-2", "symmetric")):
+        code, out, err = run_cli(
+            capsys, "cy2", "check-H", "--gram", gram, "--e", "1,0", "--s", "0,1"
+        )
+        assert (code, out, err) == (2, "", f"error: ambient Gram must be {noun}\n")
 
 
 def test_cli_cy3_paths(capsys):
@@ -314,6 +319,16 @@ def test_cli_non_finite_tau_exits_2(capsys, argv):
         ({"label": "q", "cubic": [5], "c2": [50]}, ("cy3", "chi", "--bundle", "1:1:0:0")),
         # K3 fibration that is not an object: was an uncaught TypeError
         ({"label": "k", "gram": [[4]], "fibration": 5}, ("cy2", "mukai", "--ch", "1:0:0")),
+        # float root and fibre count: were truncated to the root (1, 0) and 24
+        (
+            {"label": "k", "gram": [[-2, 1], [1, 0]], "roots": [[1.4, 0.2]],
+             "fibration": {"singular_fibres": 24.9}},
+            ("cy2", "mukai", "--ch", "1:0,0:0"),
+        ),
+        ({"label": "k", "gram": [[4]], "fibration": {"singular_fibres": 24.9}},
+         ("cy2", "mukai", "--ch", "1:0:0")),
+        ({"label": "k", "gram": [[-2, 1], [1, 0]], "roots": [["1/2", 0]]},
+         ("cy2", "mukai", "--ch", "1:0,0:0")),
     ],
 )
 def test_cli_malformed_fixture_exits_2(capsys, tmp_path, payload, argv):

@@ -313,7 +313,7 @@ def test_pic_pair_equals_hand_sum(k3_reflective):
         QUINTIC.pic_pair([1], [1])
 
 
-def test_batch_kernel_equals_per_vector_pair_and_apply():
+def test_columns_kernel_equals_dense_fraction_products():
     rng = random.Random(41)
     for ring in RINGS:
         forms = ring._forms
@@ -323,12 +323,14 @@ def test_batch_kernel_equals_per_vector_pair_and_apply():
         cols_x = np.array(xs, dtype=object).T
         cols_y = np.array(ys, dtype=object).T
         for m in (forms.sym, forms.exotic, *forms.products.values()):
+            dense = m.to_rationals()
             paired = m.pair_columns(cols_x, cols_y)
             applied = m.apply_columns(cols_x)
             for i, (x, y) in enumerate(zip(xs, ys)):
+                mx, my = ([sum(a * b for a, b in zip(row, z)) for row in dense] for z in (x, y))
                 assert type(paired[i]) is int
-                assert Fraction(paired[i], m.den) == m.pair(x, y)
-                assert [Fraction(c[i], m.den) for c in applied] == m.apply(x)
+                assert Fraction(paired[i], m.den) == sum(a * b for a, b in zip(x, my))
+                assert [Fraction(c[i], m.den) for c in applied] == mx
             # one vector of plain ints is a batch of one
             assert m.pair_columns(xs[0], ys[0]) == paired[0]
             assert m.apply_columns(xs[0]) == [c[0] for c in applied]
@@ -351,6 +353,31 @@ def test_module_results_are_fractions_in_shape():
                     entries = (block,) if i in (0, w.dim) else block
                     assert type(block) is (Fraction if i in (0, w.dim) else tuple)
                     assert all(type(x) is Fraction for x in entries)
+
+
+def test_spellings_of_one_class_are_one_value():
+    spellings = [
+        GradedVector(2, ("2/4", (Fraction(1, 2), "-0"), 3)),
+        GradedVector(2, (Fraction(1, 2), ["1/2", 0], "6/2")),
+        GradedVector(2, ("+3/6", ("4/8", Fraction(0, 7)), Fraction(-9, -3))),
+        GradedVector(2, (1, (1, 0), 6)).scale("1/2"),
+        GradedVector(2, ("1/6", ("1/3", "1/4"), 1)) + GradedVector(2, ("1/3", ("1/6", "-1/4"), 2)),
+    ]
+    want_blocks = (Fraction(1, 2), (Fraction(1, 2), Fraction(0)), Fraction(3))
+    for u in spellings:
+        assert u == spellings[0] and hash(u) == hash(spellings[0])
+        assert (u.nums, u.den) == ((1, 1, 0, 6), 2)  # lowest terms, positive denominator
+        assert u.blocks == want_blocks
+        assert all(type(x) is Fraction for x in (u.blocks[0], *u.blocks[1], u.blocks[2]))
+    assert len(set(spellings)) == 1
+    # an integral class has denominator 1; zero is (0, ..., 0) over 1
+    assert (spellings[0].scale(2).nums, spellings[0].scale(2).den) == ((1, 1, 0, 6), 1)
+    zero = GradedVector(1, ("-0", "0/5"))
+    assert (zero.nums, zero.den) == ((0, 0), 1) and zero == GradedVector(1, (0, 0))
+    assert GradedVector(1, (1, 2)) != GradedVector(1, ("1/2", 1))
+    assert GradedVector(1, (1, 0)) != GradedVector(2, (1, (), 0))
+    with pytest.raises(AttributeError):
+        spellings[0].den = 4
 
 
 def test_public_constructors_still_coerce_and_reject():

@@ -330,6 +330,16 @@ def test_main_condition_examples():
     assert not touching.passed
 
 
+def test_main_condition_rejects_non_integer_and_malformed_grams():
+    # a float Gram matrix used to be truncated to the hyperbolic plane and pass
+    with pytest.raises(LatticeError, match="integer lattice datum expected, got 1.9"):
+        check_main_condition([[0, 1.9], [1.9, -2]], (1, 0), (0, 1))
+    with pytest.raises(LatticeError, match="^ambient Gram must be square$"):
+        check_main_condition([[0, 1], [1]], (1, 0), (0, 1))
+    with pytest.raises(LatticeError, match="^ambient Gram must be symmetric$"):
+        check_main_condition([[0, 1], [2, -2]], (1, 0), (0, 1))
+
+
 def test_hyperbolic_decomposition_guard():
     HyperbolicDecomposition(
         gram=((0, 1), (1, -2)), e=(1, 0), s=(0, 1)
@@ -347,6 +357,21 @@ def test_fixture_fibration_bookkeeping(k3_elliptic):
             ring=RingDescriptor(dim=2, picard_rank=1, gram=((4,),)),
             singular_fibres=23,
         )
+
+
+def test_roots_and_fibre_count_must_be_integers():
+    ring = RingDescriptor(dim=2, picard_rank=2, gram=((-2, 1), (1, 0)))
+    # bare int() made this root (1, 0), a valid one
+    with pytest.raises(LatticeError, match="integer lattice datum expected, got 1.4"):
+        K3Descriptor(ring=ring, roots=((1.4, 0.2),))
+    for bad in ("1/2", True):
+        with pytest.raises(LatticeError):
+            K3Descriptor(ring=ring, roots=((bad, 0),))
+    with pytest.raises(LatticeError, match="got 24.9"):
+        K3Descriptor(ring=ring, singular_fibres=24.9)
+    assert K3Descriptor(ring=ring, roots=(("1", "0"),), singular_fibres="24") == K3Descriptor(
+        ring=ring, roots=((1, 0),), singular_fibres=24
+    )
 
 
 def test_fixture_roots_validated():

@@ -1,10 +1,12 @@
-"""Each batched sweep fails when one target it checks is broken.
+"""Each suite fails when one target it checks is broken.
 
 One row per suite: a monkeypatch that breaks exactly one target, and a
-reference that redraws the suite's seeded samples and checks them one at a
-time through the per-vector functions.  Under the patch the suite must
-report ``fail`` (not ``error``), and every check the reference builds must
-read exactly as the reference's summary: failure count and first failure.
+reference for what the suite must then report.  For a batched sweep the
+reference redraws the suite's seeded samples and checks them one at a
+time through the per-vector functions; for a fixed list of checks it
+derives the broken values by hand from the mutation.  Under the patch the
+suite must report ``fail`` (not ``error``), and every check the reference
+names must read exactly as the reference says.
 """
 
 import json
@@ -17,14 +19,14 @@ import pytest
 from latmirror import core, cy1, cy2, cy3, load_fixture, parse_manifest, run_verify
 from latmirror.core import GradedVector, RingDescriptor, pair_exotic, todd_multiply
 from latmirror.report import summary_check
-from latmirror.suites import SUITES
+from latmirror.suites import EXPECTED_CHI, SUITES
 
 
 class Row(NamedTuple):
     suite: str
     fixtures: tuple  # fixture files the suite reads
     mutate: Callable  # (monkeypatch) -> None
-    reference: Callable  # (params, fixtures) -> {check name: (total, failures)}
+    reference: Callable  # (params, fixtures) -> {check name: its `got` text}
 
 
 # ------------------------------------------------------------ mutations ----
@@ -47,23 +49,59 @@ def break_h_gram(monkeypatch):
     monkeypatch.setattr(cy2, "H_GRAM", ((-2, 1), (1, 1)))  # [e]^2 = 1
 
 
-def corrupt_sqrt_td_product(monkeypatch):
+def add_unit_entry(monkeypatch, form, row, col):
+    """Add 1 to entry (row, col) of one compiled form of every ring compiled next.
+
+    ``form`` is "sym", "exotic" or a Todd product name.  The entry is
+    integral: its numerator is the form's denominator.
+    """
     compile_forms = core._compile_forms
 
     def corrupted(ring):
         forms = compile_forms(ring)
-        m = forms.products["sqrt_td"]
+        m = forms.products[form] if form in forms.products else getattr(forms, form)
         rows = list(m.rows)
-        # the point coordinate gains the rank coordinate: an integral change
-        # the mirror map carries to the fibre coefficient
-        rows[-1] = ((0, m.den), *rows[-1])
-        products = {**forms.products, "sqrt_td": m._replace(rows=tuple(rows))}
-        return forms._replace(products=products)
+        rows[row] = ((col, m.den), *rows[row])
+        m = m._replace(rows=tuple(rows))
+        if form in forms.products:
+            return forms._replace(products={**forms.products, form: m})
+        return forms._replace(**{form: m})
 
     monkeypatch.setattr(core, "_compile_forms", corrupted)
 
 
+def corrupt_sqrt_td_product(monkeypatch):
+    # the point coordinate gains the rank coordinate: an integral change
+    # the mirror map carries to the fibre coefficient
+    add_unit_entry(monkeypatch, "sqrt_td", -1, 0)
+
+
+def corrupt_td_product(monkeypatch):
+    # chi, the top coordinate of ch * td, gains the rank coordinate
+    add_unit_entry(monkeypatch, "td", -1, 0)
+
+
+def corrupt_sym_form(monkeypatch):
+    # [X].[X] = 1: the rank row and column, outside those of c2, so the
+    # sublattice still degenerates along c2 and the suite fails, not errors
+    add_unit_entry(monkeypatch, "sym", 0, 0)
+
+
 # ----------------------------------------------------------- references ----
+
+def summaries(sweep):
+    """A reference from a per-sample sweep: {check name: (total, failures)}."""
+
+    def reference(params, fixtures):
+        want = sweep(params, fixtures)
+        assert any(failures for _, failures in want.values())
+        return {
+            name: summary_check(name, total, failures).got
+            for name, (total, failures) in want.items()
+        }
+
+    return reference
+
 
 def cy1_isometry_reference(params, fixtures):
     rng = random.Random(params["seed"])
@@ -151,13 +189,39 @@ def cy3_closure_reference(params, fixtures):
     return out
 
 
+def cy3_quantization_reference(params, fixtures):
+    # every class below has rank 1, so every chi is one more than the truth
+    out = {}
+    for label in params["fixtures"]:
+        out[f"{label}: structure sheaf has chi 0"] = "1"
+        for L, chi in EXPECTED_CHI[label]:
+            out[f"{label}: O({L}) section count = transform slope"] = (
+                f"slope={chi + 1}, chi={chi + 1}"
+            )
+    return out
+
+
+def cy3_sublattice_reference(params, fixtures):
+    sym = tuple(tuple(map(Fraction, row)) for row in ((1, 0, 1), (0, 0, 0), (1, 0, 0)))
+    skew = tuple(tuple(map(Fraction, row)) for row in ((0, 0, 1), (0, 0, 0), (-1, 0, 0)))
+    return {
+        f"{label}: rank-3 span degenerates along c2": f"sym {sym}; skew {skew}"
+        for label in params["fixtures"]
+    }
+
+
+THREEFOLDS = ("quintic.json", "bicubic.json")
+
 ROWS = [
-    Row("cy1-mirror-isometry", (), flip_cycle_pairing_sign, cy1_isometry_reference),
+    Row("cy1-mirror-isometry", (), flip_cycle_pairing_sign, summaries(cy1_isometry_reference)),
     Row("k3-reflections", ("k3_reflective.json",), double_reflection_coefficient,
-        k3_reflections_reference),
-    Row("k3-mirror-transport", ("k3_quartic.json",), break_h_gram, k3_transport_reference),
-    Row("cy3-mirror-isometry", ("quintic.json", "bicubic.json"), corrupt_sqrt_td_product,
-        cy3_closure_reference),
+        summaries(k3_reflections_reference)),
+    Row("k3-mirror-transport", ("k3_quartic.json",), break_h_gram,
+        summaries(k3_transport_reference)),
+    Row("cy3-mirror-isometry", THREEFOLDS, corrupt_sqrt_td_product,
+        summaries(cy3_closure_reference)),
+    Row("cy3-quantization", THREEFOLDS, corrupt_td_product, cy3_quantization_reference),
+    Row("cy3-sublattice", THREEFOLDS, corrupt_sym_form, cy3_sublattice_reference),
 ]
 
 
@@ -175,7 +239,6 @@ def test_broken_target_fails_the_suite(row, monkeypatch, tmp_path):
     # fresh descriptors compile their forms under the patch, as the run's did
     fixtures = {fx.label: fx for fx in map(load_fixture, row.fixtures)}
     want = row.reference(SUITES[row.suite].defaults, fixtures)
-    assert any(failures for _, failures in want.values())
     got = {c.name: c.got for c in report.checks}
-    for name, (total, failures) in want.items():
-        assert got[name] == summary_check(name, total, failures).got, name
+    for name, text in want.items():
+        assert got[name] == text, name
