@@ -140,6 +140,7 @@ def blocks_of(dim: int, flat: Sequence) -> tuple:
     return (flat[0], *mids, flat[-1])
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class GradedVector:
     """One element of the even-cohomology ring.
 
@@ -148,6 +149,10 @@ class GradedVector:
     terms.  ``blocks[i]`` is the degree-2i component: a Fraction for i = 0
     and i = dim, a tuple of Fractions in between.
     """
+
+    dim: int
+    nums: tuple
+    den: int
 
     def __init__(self, dim: int, blocks: tuple):
         if dim not in (1, 2, 3):
@@ -187,21 +192,10 @@ class GradedVector:
         self.__dict__.update(dim=dim, nums=tuple(nums), den=den)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GradedVector is immutable; cannot set {name!r}")
-
     @cached_property
     def blocks(self) -> tuple:
         den = self.den
         return blocks_of(self.dim, [Fraction(x, den) for x in self.nums])
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedVector):
-            return NotImplemented
-        return (self.dim, self.nums, self.den) == (other.dim, other.nums, other.den)
-
-    def __hash__(self):
-        return hash((self.dim, self.nums, self.den))
 
     def __repr__(self):
         return f"GradedVector(dim={self.dim!r}, blocks={self.blocks!r})"

@@ -110,16 +110,17 @@ def moduli_dim2(ch: GradedVector, X: K3Descriptor) -> int:
     return int(val)
 
 
-def _square(L: tuple, X: K3Descriptor) -> Fraction:
-    """L^2 of integer coordinates, as from :func:`_integer_divisor`."""
-    return Fraction(X.ring._gram_form.pair_columns(L, L))
-
-
-def _integer_divisor(L: Sequence) -> tuple:
-    out = tuple(as_fraction(x) for x in L)
+def _integer_divisor(L: Sequence, X: K3Descriptor) -> tuple:
+    """Integer coordinates of a foreign divisor class, checked against the ring."""
+    (out,) = X.ring._divisors(L)
     if any(x.denominator != 1 for x in out):
         raise LatticeError("divisor class must be integral")
     return tuple(int(x) for x in out)
+
+
+def _square(L: tuple, X: K3Descriptor) -> Fraction:
+    """L^2 of integer coordinates, as from :func:`_integer_divisor`."""
+    return Fraction(X.ring._gram_form.pair_columns(L, L))
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ class MirrorClassK3:
 
 def mirror_k3(L: Sequence, X: K3Descriptor) -> MirrorClassK3:
     """Mirror image [s] + L - (L^2/2) [e] of an integral divisor class."""
-    L = _integer_divisor(L)
+    L = _integer_divisor(L, X)
     l2 = _square(L, X)
     if l2.denominator != 1 or int(l2) % 2 != 0:
         raise LatticeError(f"L^2 = {l2} is not even; not a divisor class here")
@@ -206,7 +207,7 @@ class GftClassK3:
 
 def gft_class_k3(L: Sequence, X: K3Descriptor) -> GftClassK3:
     """Transform class of a polarising bundle; needs L^2 > 0 and even."""
-    L = _integer_divisor(L)
+    L = _integer_divisor(L, X)
     l2 = _square(L, X)
     if l2 <= 0:
         raise LatticeError(f"need a polarising class with L^2 > 0, got {l2}")
@@ -215,13 +216,30 @@ def gft_class_k3(L: Sequence, X: K3Descriptor) -> GftClassK3:
     return GftClassK3(s0=Fraction(1), e=-l2 / 2)
 
 
-def h0_k3(L: Sequence, X: K3Descriptor) -> Fraction:
-    """Section count L^2/2 + 2 from Riemann-Roch with vanishing."""
-    L = _integer_divisor(L)
-    l2 = _square(L, X)
+def _counting_square(L: Sequence, X: K3Descriptor) -> Fraction:
+    """L^2 of a foreign divisor class, checked to lie in the counting range."""
+    l2 = _square(_integer_divisor(L, X), X)
     if l2 < -2:
         raise LatticeError(f"L^2 = {l2} < -2 is outside the counting range")
+    return l2
+
+
+def _sections(l2: Fraction) -> Fraction:
     return l2 / 2 + 2
+
+
+def _marked_fibres(l2: Fraction) -> Fraction:
+    v1 = (Fraction(-1), Fraction(0))            # -[s0]
+    v2 = (Fraction(1), -l2 / 2)                 # [s0] - L^2/2 [e']
+    return sum(
+        (v1[i] * H_GRAM[i][j] * v2[j] for i in range(2) for j in range(2)),
+        Fraction(0),
+    )
+
+
+def h0_k3(L: Sequence, X: K3Descriptor) -> Fraction:
+    """Section count L^2/2 + 2 from Riemann-Roch with vanishing."""
+    return _sections(_counting_square(L, X))
 
 
 def bs_count_k3(L: Sequence, X: K3Descriptor) -> Fraction:
@@ -231,16 +249,7 @@ def bs_count_k3(L: Sequence, X: K3Descriptor) -> Fraction:
     so the quantization identity is a genuine cross-check.  The reversed
     section orientation makes the count positive.
     """
-    L = _integer_divisor(L)
-    l2 = _square(L, X)
-    if l2 < -2:
-        raise LatticeError(f"L^2 = {l2} < -2 is outside the counting range")
-    v1 = (Fraction(-1), Fraction(0))            # -[s0]
-    v2 = (Fraction(1), -l2 / 2)                 # [s0] - L^2/2 [e']
-    return sum(
-        (v1[i] * H_GRAM[i][j] * v2[j] for i in range(2) for j in range(2)),
-        Fraction(0),
-    )
+    return _marked_fibres(_counting_square(L, X))
 
 
 @dataclass(frozen=True)
@@ -254,16 +263,10 @@ class QuantizationReportK3:
 
 def verify_quantization_k3(L: Sequence, X: K3Descriptor) -> QuantizationReportK3:
     """Compare section count and marked-fibre count for one class."""
-    h = h0_k3(L, X)
-    n = bs_count_k3(L, X)
-    L = _integer_divisor(L)
-    return QuantizationReportK3(
-        label=X.label,
-        l2=_square(L, X),
-        h0=h,
-        bs_count=n,
-        ok=(h == n),
-    )
+    l2 = _counting_square(L, X)
+    h = _sections(l2)
+    n = _marked_fibres(l2)
+    return QuantizationReportK3(label=X.label, l2=l2, h0=h, bs_count=n, ok=(h == n))
 
 
 def _reflect_columns(xs: Sequence, delta: Sequence, X: K3Descriptor) -> list:

@@ -90,6 +90,8 @@ def _load_k3(payload: dict, source: str) -> K3Descriptor:
         if extra:
             raise FixtureError(f"{source}: unknown fibration keys {sorted(extra)}")
         singular = fibration["singular_fibres"]
+        if singular is None:
+            raise FixtureError(f"{source}: fibration declares no singular_fibres count")
     gram = payload["gram"]
     ring = RingDescriptor(dim=2, picard_rank=len(gram), gram=gram)
     return K3Descriptor(

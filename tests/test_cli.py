@@ -329,6 +329,9 @@ def test_cli_non_finite_tau_exits_2(capsys, argv):
          ("cy2", "mukai", "--ch", "1:0:0")),
         ({"label": "k", "gram": [[-2, 1], [1, 0]], "roots": [["1/2", 0]]},
          ("cy2", "mukai", "--ch", "1:0,0:0")),
+        # fibration declaring no count: was loaded as if it had no fibration
+        ({"label": "k", "gram": [[4]], "fibration": {"singular_fibres": None}},
+         ("cy2", "mukai", "--ch", "1:0:0")),
     ],
 )
 def test_cli_malformed_fixture_exits_2(capsys, tmp_path, payload, argv):
@@ -383,6 +386,13 @@ EXACT_COMMANDS = [
     ("cy2", "rr", "--ch1", "1:1/2,1:0", "--ch2", "3:-1,2/3:5/6", "--fixture", "k3_elliptic"),
     ("cy2", "mirror", "--divisor", "3"),
     ("cy2", "mirror", "--divisor", "1,2", "--fixture", "k3_elliptic"),
+    # divisors longer and shorter than the Picard rank exit 2
+    ("cy2", "mirror", "--divisor", "1,2"),
+    ("cy2", "mirror", "--divisor", "1", "--fixture", "k3_elliptic"),
+    ("cy2", "quantize", "--divisor", "1,2"),
+    ("cy2", "quantize", "--divisor", "1", "--fixture", "k3_elliptic"),
+    ("cy2", "gft", "--divisor", "1,2,3", "--fixture", "k3_elliptic"),
+    ("cy2", "gft", "--divisor", "1", "--fixture", "k3_elliptic"),
     ("cy2", "reflect", "--x", "1,3,4", "--delta", "0,1,0"),
     ("cy2", "reflect", "--x", "2,-5,7", "--delta", "0,0,1"),
     ("cy2", "reflect", "--x", "1,3,4", "--delta", "1,0,0"),

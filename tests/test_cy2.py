@@ -16,6 +16,7 @@ from latmirror import (
     K3Descriptor,
     LatticeError,
     RingDescriptor,
+    ShapeError,
     bs_count_k3,
     check_main_condition,
     euler_pairing2,
@@ -106,6 +107,17 @@ def test_mirror_k3_examples():
 def test_mirror_k3_rejects_bad_input():
     with pytest.raises(LatticeError):
         mirror_k3(("1/2",), QUARTIC)
+
+
+@pytest.mark.parametrize(
+    "fn", [mirror_k3, gft_class_k3, h0_k3, bs_count_k3, verify_quantization_k3]
+)
+def test_divisor_functions_check_the_picard_rank(fn, k3_elliptic):
+    # a longer class must not pair on its first coordinates only, nor a
+    # shorter one index past its end
+    for L, X in (((1, 2), QUARTIC), ((), QUARTIC), ((1,), k3_elliptic), ((1, 2, 3), k3_elliptic)):
+        with pytest.raises(ShapeError, match="divisor coordinates must match picard_rank"):
+            fn(L, X)
 
 
 def test_mirror_images_are_minus2_spheres():
