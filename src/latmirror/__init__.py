@@ -5,7 +5,14 @@ and never touches floats.  The numerical layer (`numeric`) checks the same
 identities on flat torus models in IEEE doubles.  `manifest.run_verify` ties
 the two together behind one report format; the `latmirror` console script
 exposes everything on the command line.
+
+Importing the package loads the exact layer and `fixtures` only.  The names
+from `numeric` and `manifest` are imported on first use, so code that never
+touches them never loads numpy.
 """
+
+import importlib
+import types
 
 from .core import (
     GradedVector,
@@ -78,105 +85,48 @@ from .fixtures import (
     load_k3_fixture,
     resolve_fixture,
 )
-from .manifest import (
-    DEFAULT_MANIFEST,
-    Manifest,
-    ManifestError,
-    parse_manifest,
-    run_verify,
-)
-from .numeric import (
-    ConsistencyError,
-    ParamCurve,
-    TorusModel,
-    arc_curve,
-    find_bs_fibres,
-    holonomy_character,
-    phase_map_curve,
-    segment_curve,
-    special_coordinates,
-    theta_basis_rank,
-    winding_number,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtiyahElement",
-    "BundleClass1",
-    "CY3Descriptor",
-    "ConsistencyError",
-    "CycleClass1",
-    "DEFAULT_MANIFEST",
-    "EULER_K3",
-    "FixtureError",
-    "GftClassK3",
-    "GradedVector",
-    "H_GRAM",
-    "HyperbolicDecomposition",
-    "K3Descriptor",
-    "LatticeError",
-    "Manifest",
-    "ManifestError",
-    "MirrorClass3",
-    "MirrorClassK3",
-    "NonIntegralEulerWarning",
-    "ParamCurve",
-    "Rank3Sublattice",
-    "RingDescriptor",
-    "ShapeError",
-    "Slope",
-    "ToddData",
-    "TorusModel",
-    "arc_curve",
-    "atiyah_tensor",
-    "bs_count_k3",
-    "bs_points",
-    "canonical_rank3_sublattice",
-    "check_main_condition",
-    "chi_bundle3",
-    "cup",
-    "cycle_pairing",
-    "decompose_primitive",
-    "euler_pairing2",
-    "euler_pairing3",
-    "find_bs_fibres",
-    "format_rational",
-    "gft_class",
-    "gft_class_k3",
-    "gft_s0_intersection3",
-    "h0_k3",
-    "holonomy_character",
-    "intersection_count",
-    "line_bundle_ch",
-    "load_cy3_fixture",
-    "load_fixture",
-    "load_k3_fixture",
-    "mirror_cy1",
-    "mirror_cy3",
-    "mirror_isometry_check3",
-    "mirror_k3",
-    "mirror_pairing3",
-    "mirror_pairing_k3",
-    "moduli_dim2",
-    "mukai2",
-    "mukai_vector",
-    "odot",
-    "pair_exotic",
-    "pair_sym",
-    "parse_manifest",
-    "parse_rational",
-    "phase_map_curve",
-    "reflect_minus2",
-    "resolve_fixture",
-    "run_verify",
-    "segment_curve",
-    "special_coordinates",
-    "star",
-    "theta_basis_rank",
-    "todd_data",
-    "vdim3",
-    "verify_quantization_k3",
-    "walk_to_chamber",
-    "winding_number",
-]
+# Public names of the modules that load numpy or the verifier, imported on
+# first access (PEP 562) so that `import latmirror` stays numpy-free.
+_LAZY = {
+    **dict.fromkeys(("ConsistencyError", "DEFAULT_MANIFEST", "ManifestError"), "shared"),
+    **dict.fromkeys(("Manifest", "parse_manifest", "run_verify"), "manifest"),
+    **dict.fromkeys(
+        (
+            "ParamCurve",
+            "TorusModel",
+            "arc_curve",
+            "find_bs_fibres",
+            "holonomy_character",
+            "phase_map_curve",
+            "segment_curve",
+            "special_coordinates",
+            "theta_basis_rank",
+            "winding_number",
+        ),
+        "numeric",
+    ),
+}
+
+__all__ = sorted(
+    {
+        name
+        for name, value in globals().items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    | set(_LAZY)
+)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY})

@@ -9,6 +9,9 @@ command takes ``--json`` for machine-readable output.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage or parse
 error (bad flags, malformed manifest or fixture).
+
+Only the ``quant`` and ``verify`` handlers import `numeric` and `manifest`,
+so the exact families run without loading numpy.
 """
 
 from __future__ import annotations
@@ -16,18 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
-from . import cy1, cy2, cy3, numeric
+from . import cy1, cy2, cy3
 from .core import GradedVector, LatticeError, format_rational, parse_rational
 from .fixtures import FixtureError, load_cy3_fixture, load_k3_fixture
-from .manifest import (
-    DEFAULT_MANIFEST,
-    Manifest,
-    ManifestError,
-    parse_manifest,
-    run_verify,
-)
+from .shared import DEFAULT_MANIFEST, ROOT_TOL, ConsistencyError, ManifestError
 
 
 def _parse_int_pair(text: str) -> tuple[int, int]:
@@ -302,7 +300,13 @@ def _h_cy3_verify_isometry(args):
 
 def _h_cy3_chi(args):
     X = load_cy3_fixture(args.fixture)
-    chi = cy3.chi_bundle3(_parse_blocks(args.bundle, 3), X)
+    # a non-integral chi is reported on one stderr line, without the
+    # source location that warnings.showwarning would print
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", cy3.NonIntegralEulerWarning)
+        chi = cy3.chi_bundle3(_parse_blocks(args.bundle, 3), X)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     return 0, {"chi": _fmt(chi)}, _fmt(chi)
 
 
@@ -347,6 +351,8 @@ def _h_cy3_sublattice(args):
 
 
 def _h_quant_bs(args):
+    from . import numeric
+
     model = numeric.TorusModel(tau=complex(*_parse_float_pair(args.tau)), level=args.level)
     roots = numeric.find_bs_fibres(model, tol=args.tol)
     return (
@@ -357,12 +363,16 @@ def _h_quant_bs(args):
 
 
 def _h_quant_theta(args):
+    from . import numeric
+
     model = numeric.TorusModel(tau=complex(*_parse_float_pair(args.tau)), level=args.level)
     rank = numeric.theta_basis_rank(model)
     return 0, {"level": args.level, "rank": rank}, str(rank)
 
 
 def _h_quant_holonomy(args):
+    from . import numeric
+
     model = numeric.TorusModel(tau=complex(*_parse_float_pair(args.tau)), level=args.level)
     val = numeric.holonomy_character(model, args.height)
     return (
@@ -373,12 +383,16 @@ def _h_quant_holonomy(args):
 
 
 def _h_quant_coords(args):
+    from . import numeric
+
     model = numeric.TorusModel(tau=1j, level=args.level)
     u = numeric.special_coordinates(model, args.height)
     return 0, {"u": u}, f"{u:.15e}"
 
 
 def _h_quant_phase(args):
+    from . import numeric
+
     try:
         samples = json.loads(open(args.curve).read())
     except OSError as exc:
@@ -402,6 +416,8 @@ def _h_quant_phase(args):
 
 
 def _h_verify(args):
+    from .manifest import parse_manifest, run_verify
+
     manifest = parse_manifest(args.manifest)
     result = run_verify(manifest)
     lines = []
@@ -513,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(s_quant, "bs", _h_quant_bs, "find trivial-holonomy fibres")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--tau", default="0,1", metavar="re,im")
-    p.add_argument("--tol", type=float, default=numeric.ROOT_TOL)
+    p.add_argument("--tol", type=float, default=ROOT_TOL)
     p = leaf(s_quant, "theta-rank", _h_quant_theta, "rank of the level-k theta space")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--tau", default="0,1", metavar="re,im")
@@ -544,7 +560,7 @@ def main(argv=None) -> int:
     except (ManifestError, FixtureError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except numeric.ConsistencyError as exc:
+    except ConsistencyError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -65,7 +65,7 @@ from typing import NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/[+-]?\d+)?")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
 
 class LatticeError(ValueError):

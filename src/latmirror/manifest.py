@@ -22,14 +22,10 @@ from pathlib import Path
 
 from .fixtures import FixtureError, fixture_from_payload, resolve_fixture
 from .report import Check, SuiteReport
+from .shared import DEFAULT_MANIFEST, ManifestError
 from .suites import SUITES, SuiteInputError
 
 MANIFEST_VERSION = "1"
-DEFAULT_MANIFEST = Path(__file__).parent / "fixtures" / "manifest_default.json"
-
-
-class ManifestError(ValueError):
-    """The manifest (or a file it references) does not parse."""
 
 
 @dataclass(frozen=True)

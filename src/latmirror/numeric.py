@@ -33,6 +33,9 @@ Tolerance hierarchy (loosening as conditioning worsens):
     ROOT_TOL       = 1e-9    marked-fibre positions
     RANK_RTOL      = 1e-8    relative singular-value cutoff
 
+ROOT_TOL and ConsistencyError are defined in `shared`, where the command
+line reads them without importing numpy.
+
 Summation orders are fixed (no reductions over unordered collections), so
 repeated runs give bit-identical floats.
 """
@@ -46,8 +49,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .shared import ROOT_TOL, ConsistencyError
+
 QUADRATURE_TOL = 1e-11
-ROOT_TOL = 1e-9
 RANK_RTOL = 1e-8
 
 # Positions must sit within ROOT_TOL of j/k; bisection stops at a bracket
@@ -56,14 +60,6 @@ _BISECT_FACTOR = 0.25
 
 _GL_ORDER = 20
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
-
-
-class ConsistencyError(RuntimeError):
-    """Two routes to the same number disagreed beyond tolerance."""
-
-    def __init__(self, message: str, payload=None):
-        super().__init__(message)
-        self.payload = payload
 
 
 @dataclass(frozen=True)

@@ -294,6 +294,19 @@ def test_cli_exit_code_2_paths(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+def test_cli_signed_denominator_exits_2(capsys):
+    code, out, err = run_cli(capsys, "cy2", "mukai", "--ch=1:1/-2:0")
+    assert (code, out, err) == (2, "", "error: malformed rational '1/-2'; want 'p' or 'p/q'\n")
+
+
+def test_cli_non_integral_chi_warns_on_one_line(capsys):
+    code, out, err = run_cli(
+        capsys, "cy3", "chi", "--bundle", "1:2,1:9,15/2:33/2", "--fixture", "bicubic"
+    )
+    assert (code, out) == (0, "51/2\n")
+    assert err == "warning: chi = 51/2 is not an integer; input is not a bundle class\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

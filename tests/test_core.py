@@ -383,7 +383,8 @@ def test_spellings_of_one_class_are_one_value():
 def test_public_constructors_still_coerce_and_reject():
     u = GradedVector(2, (1, ["1/2", Fraction(3)], "-2"))
     assert u.blocks == (Fraction(1), (Fraction(1, 2), Fraction(3)), Fraction(-2))
-    for bad in (0.5, True, "1.5", "x/2"):
+    # a signed denominator was a bare ValueError from Fraction()
+    for bad in (0.5, True, "1.5", "x/2", "1/-2", "1/+2"):
         with pytest.raises(LatticeError):
             GradedVector(2, (bad, (0, 0), 0))
         with pytest.raises(LatticeError):
@@ -396,8 +397,11 @@ def test_public_constructors_still_coerce_and_reject():
 
 # ------------------------------------------------------ ring algebra ------
 
-small_rationals = st.fractions(
-    min_value=-6, max_value=6, max_denominator=4
+# every p/q with q <= 4 and |p/q| <= 6: the values st.fractions(-6, 6,
+# max_denominator=4) draws, sampled from a list because building Fractions
+# inside Hypothesis cost most of this file's run time
+small_rationals = st.sampled_from(
+    sorted({Fraction(p, q) for q in range(1, 5) for p in range(-6 * q, 6 * q + 1)})
 )
 
 

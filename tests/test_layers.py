@@ -1,0 +1,96 @@
+"""The package's layering: the exact layer never loads numpy.
+
+`import latmirror` and the exact CLI families must run without numpy in
+`sys.modules`; the names of `numeric` and `manifest` resolve on first use.
+The import checks run in fresh interpreters, since this test process has
+numpy loaded already.
+"""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import latmirror
+from latmirror import cli, manifest, numeric, shared
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+EXACT_PROBE = """
+import io, sys
+from contextlib import redirect_stdout
+assert "numpy" not in sys.modules, "numpy loaded before latmirror"
+import latmirror
+from latmirror import cli, core, cy1, cy2, cy3, fixtures
+fixtures.load_k3_fixture("k3_quartic")
+fixtures.load_cy3_fixture("quintic")
+for argv in (
+    ["cy1", "intersect", "--a", "1,0", "--b", "0,1"],
+    ["cy2", "mukai", "--ch", "1:0:0"],
+    ["cy3", "chi", "--bundle", "1:1:5/2:5/6"],
+):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+
+
+def run_fresh(*args):
+    """Run the interpreter with only `src` on PYTHONPATH, writing no bytecode."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+
+
+def test_exact_imports_and_commands_leave_numpy_unloaded():
+    proc = run_fresh("-c", EXACT_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        (["quant", "theta-rank", "--level", "4"], "4"),
+        (["verify"], "result: PASS"),
+    ],
+)
+def test_numeric_commands_run_from_a_fresh_interpreter(argv, last_line):
+    proc = run_fresh("-m", "latmirror.cli", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == last_line
+
+
+def test_lazy_names_resolve_and_are_listed(capsys, monkeypatch):
+    for name in latmirror.__all__:
+        getattr(latmirror, name)
+    assert set(latmirror.__all__) <= set(dir(latmirror))
+    with pytest.raises(AttributeError, match="module 'latmirror' has no attribute 'nope'"):
+        latmirror.nope
+    # one class per name, wherever it is imported from
+    assert numeric.ConsistencyError is shared.ConsistencyError is latmirror.ConsistencyError
+    assert manifest.ManifestError is shared.ManifestError is latmirror.ManifestError
+    assert numeric.ROOT_TOL is shared.ROOT_TOL
+    assert manifest.DEFAULT_MANIFEST is latmirror.DEFAULT_MANIFEST
+    assert cli.build_parser().parse_args(["quant", "bs", "--level", "2"]).tol == numeric.ROOT_TOL
+
+    def disagree(model):
+        raise numeric.ConsistencyError("routes disagree")
+
+    monkeypatch.setattr(numeric, "theta_basis_rank", disagree)
+    assert cli.main(["quant", "theta-rank", "--level", "4"]) == 1
+    assert capsys.readouterr().err == "check failed: routes disagree\n"
+
+
+def test_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
