@@ -88,8 +88,9 @@ from .fixtures import (
 
 __version__ = "0.1.0"
 
-# Public names of the modules that load numpy or the verifier, imported on
-# first access (PEP 562) so that `import latmirror` stays numpy-free.
+# Public names imported on first access (PEP 562), so that `import latmirror`
+# stays numpy-free: those of `numeric` and `manifest`, which load numpy, and
+# of `shared`, which they re-export.
 _LAZY = {
     **dict.fromkeys(("ConsistencyError", "DEFAULT_MANIFEST", "ManifestError"), "shared"),
     **dict.fromkeys(("Manifest", "parse_manifest", "run_verify"), "manifest"),
@@ -110,6 +111,7 @@ _LAZY = {
     ),
 }
 
+# every name imported above (submodules excluded) plus the lazy ones
 __all__ = sorted(
     {
         name

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .fixtures import FixtureError, fixture_from_payload, resolve_fixture
 from .report import Check, SuiteReport
-from .shared import DEFAULT_MANIFEST, ManifestError
+from .shared import DEFAULT_MANIFEST, ManifestError  # noqa: F401  (DEFAULT_MANIFEST re-exported)
 from .suites import SUITES, SuiteInputError
 
 MANIFEST_VERSION = "1"
