@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 from . import cy1, cy2, cy3
 from .core import GradedVector, LatticeError, format_rational, parse_rational
@@ -156,7 +158,7 @@ def _h_cy2_mirror(args):
         "s": _fmt(m.s),
         "pic": [_fmt(x) for x in m.pic],
         "e": _fmt(m.e),
-        "pic_imaginary": m.pic_imaginary,
+        "pic_imaginary": True,  # the Picard block carries the imaginary unit
     }
     pic_txt = ",".join(_fmt(x) for x in m.pic)
     return 0, payload, f"[s] + i*({pic_txt}) + ({_fmt(m.e)})[e]"
@@ -207,9 +209,9 @@ def _h_cy2_gft_l2(args):
         "s0": _fmt(g.s0),
         "e": _fmt(g.e),
         "slope": _fmt(g.slope),
-        "transcendental": g.transcendental_tag,
+        "transcendental": "omega'",  # the summand that pairs to zero, by name
     }
-    text = f"[s0] + ({_fmt(g.e)})[e'] + {g.transcendental_tag}, slope {_fmt(g.slope)}"
+    text = f"[s0] + ({_fmt(g.e)})[e'] + omega', slope {_fmt(g.slope)}"
     return 0, payload, text
 
 
@@ -394,11 +396,16 @@ def _h_quant_phase(args):
     from . import numeric
 
     try:
-        samples = json.loads(open(args.curve).read())
+        samples = json.loads(Path(args.curve).read_text())
     except OSError as exc:
         raise FixtureError(f"cannot read curve file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FixtureError(f"curve file is not valid JSON: {exc}") from exc
+    if not isinstance(samples, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(x, (int, float)) for x in p)
+        for p in samples
+    ):
+        raise FixtureError("curve file must hold a JSON list of [x, y] number pairs")
     curve = numeric.ParamCurve(tuple(tuple(p) for p in samples), orientation=args.orientation)
     model = numeric.TorusModel(tau=1j, level=1)
     phases = numeric.phase_map_curve(model, curve)
@@ -443,8 +450,22 @@ def _parse_float_pair(text: str) -> tuple[float, float]:
 
 # -------------------------------------------------------------- parser ----
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1,2``, ``-2:1/3,0:5`` and ``-1,0;0,2`` as values, not options.
+
+    argparse takes an argument that starts with ``-`` for a value only if
+    it looks like a plain negative number; here the pairs, tuples, blocks
+    and Gram rows that start with a negative number qualify as well.  Its
+    subparsers are built from the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d[\d.,:/;-]*$|^-\d*\.\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latmirror",
         description="Exact mirror-lattice arithmetic and its numerical verifier.",
     )
@@ -533,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(s_quant, "theta-rank", _h_quant_theta, "rank of the level-k theta space")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--tau", default="0,1", metavar="re,im")
-    p = leaf(s_quant, "holonomy", _h_quant_holonomy, "fibre holonomy by quadrature")
+    p = leaf(s_quant, "holonomy", _h_quant_holonomy, "fibre holonomy exp(2 pi i k t)")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--height", type=float, required=True)
     p.add_argument("--tau", default="0,1", metavar="re,im")

@@ -125,17 +125,16 @@ def _square(L: tuple, X: K3Descriptor) -> Fraction:
 
 @dataclass(frozen=True)
 class MirrorClassK3:
-    """Sphere class [s] + L - L^2/2 [e]; Picard block tagged imaginary.
+    """Sphere class [s] + L - L^2/2 [e].
 
-    ``pic_imaginary`` records that the middle block is multiplied by the
-    imaginary unit in the period normalization.  It is a flag on the basis
-    choice, not a coefficient, so pairings stay exact integers.
+    In the period normalization the Picard block is multiplied by the
+    imaginary unit.  That is a choice of basis, not a coefficient, so it is
+    not stored and pairings stay exact integers.
     """
 
     s: Fraction
     pic: tuple
     e: Fraction
-    pic_imaginary: bool = True
 
 
 def mirror_k3(L: Sequence, X: K3Descriptor) -> MirrorClassK3:
@@ -191,13 +190,12 @@ def mirror_pairing_k3(a: MirrorClassK3, b: MirrorClassK3, X: K3Descriptor) -> Fr
 class GftClassK3:
     """Algebraic shadow [s0] - (L^2/2) [e'] of the transformed bundle.
 
-    The transform also carries a transcendental 2-cycle summand; it pairs
-    to zero with every algebraic class, so it is kept as an opaque tag.
+    The transform also carries a transcendental 2-cycle summand omega'; it
+    pairs to zero with every algebraic class, so it is not stored.
     """
 
     s0: Fraction
     e: Fraction
-    transcendental_tag: str = "omega'"
 
     @property
     def slope(self) -> Fraction:

@@ -20,8 +20,7 @@ exactly.  The span of the fundamental class, the second Chern class and
 the point class is closed under everything above and both restricted forms
 degenerate exactly along the second Chern class.
 
-Only flat fibrewise pairings are modeled; a nonzero pairing twist (kappa)
-is rejected up front.
+Only flat fibrewise pairings are modeled.
 """
 
 from __future__ import annotations
@@ -50,24 +49,14 @@ class NonIntegralEulerWarning(UserWarning):
 
 @dataclass(frozen=True)
 class CY3Descriptor:
-    """Triple-intersection data of a threefold with trivial canonical class.
-
-    ``kappa`` would twist the fibrewise pairing; only the flat case is
-    implemented and anything else raises immediately.
-    """
+    """Triple-intersection data of a threefold with trivial canonical class."""
 
     ring: RingDescriptor
     label: str = "cy3"
-    kappa: int = 0
 
     def __post_init__(self):
         if self.ring.dim != 3:
             raise ShapeError("CY3Descriptor needs a dim-3 ring")
-        if self.kappa != 0:
-            raise LatticeError(
-                "nonflat fibrewise pairing (kappa != 0) is not modeled; "
-                "only the flat-pairing lattice theory is available"
-            )
 
     @property
     def todd(self) -> ToddData:

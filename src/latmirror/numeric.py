@@ -4,32 +4,28 @@ The exact modules predict integers: k marked fibres at level k, rank-k
 spaces of level-k theta series, locally constant phase maps on straight
 cycles.  This module rebuilds those numbers from analysis on the flat
 torus C / (Z + tau Z) with total area normalized to 1.  The marked-fibre
-count, the theta rank and the phase maps are two-route checks; the
-holonomy quadrature is not (next paragraph).
+count, the theta rank and the phase maps are two-route checks.
 
 Holonomy of the level-k connection around the fibre at height t is
-exp(2 pi i * A(t)) where A(t) is the symplectic area k*t swept by the
-fibre family between heights 0 and t; the area is computed by 2D
-Gauss-Legendre quadrature with fixed nodes, and cross-checked against the
-closed form on every call.  In this translation-invariant gauge the
-density is the constant k, so the quadrature is one node sum per level
-times a Jacobian linear in t: comparing it with the closed form checks the
-level normalisation, not the holonomy by an independent route (a gauge
-with a non-constant density would make it one).  Heights may be floats or
-arrays and are evaluated elementwise.  Marked (trivial-holonomy) fibres
-are found by sign-change bracketing on a fixed grid, evaluated in one
-batched call, then by bisecting all brackets together on the sign of the
-holonomy argument, each until its own width reaches the stopping width, so
-every root is the one a bracket-by-bracket bisection gives.  Theta
-series of level k are truncated q-expansions; their numerical rank over a
-deterministic sample grid is decided by singular values.  The phase map of
-a sampled cycle is the squared unit tangent direction (the determinant map
-of the Lagrangian Grassmannian of the flat plane): constant exactly on
-straight segments, winding twice around a full circle.
+exp(2 pi i * A(t)) where A(t) = k*t is the symplectic area swept by the
+fibre family between heights 0 and t.  In the translation-invariant gauge
+the level-k density is the constant k, so the area has this one closed
+form and no second route; the holonomy is trivial exactly at the k
+heights j/k.  Heights may be floats or arrays and are evaluated
+elementwise.  Marked (trivial-holonomy) fibres are found by sign-change
+bracketing on a fixed grid, evaluated in one batched call, then by
+bisecting all brackets together on the sign of the holonomy argument,
+each until its own width reaches the stopping width, so every root is the
+one a bracket-by-bracket bisection gives.  Theta series of level k are
+truncated q-expansions; their numerical rank over a deterministic sample
+grid is decided by singular values.  The phase map of a sampled cycle is
+the squared unit tangent direction (the determinant map of the Lagrangian
+Grassmannian of the flat plane): constant exactly on straight segments,
+winding twice around a full circle.
 
 Tolerance hierarchy (loosening as conditioning worsens):
 
-    QUADRATURE_TOL = 1e-11   quadrature vs closed-form holonomy
+    QUADRATURE_TOL = 1e-11   holonomy at a marked fibre j/k vs 1
     ROOT_TOL       = 1e-9    marked-fibre positions
     RANK_RTOL      = 1e-8    relative singular-value cutoff
 
@@ -42,7 +38,6 @@ repeated runs give bit-identical floats.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -57,9 +52,6 @@ RANK_RTOL = 1e-8
 # Positions must sit within ROOT_TOL of j/k; bisection stops at a bracket
 # a quarter of that wide so the midpoint has margin to spare.
 _BISECT_FACTOR = 0.25
-
-_GL_ORDER = 20
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
 @dataclass(frozen=True)
@@ -80,69 +72,18 @@ class TorusModel:
             raise ValueError(f"level must be a positive integer, got {self.level}")
 
 
-@functools.cache
-def _level_sum(level: int) -> float:
-    """2D Gauss-Legendre sum of the level-k density on [-1, 1]^2.
-
-    The density is the constant k, so the sum does not depend on the fibre
-    height; it is a fixed double loop over the nodes in a fixed order, run
-    once per level.
-    """
-    density = float(level)
-    total = 0.0
-    for wi in _GL_WEIGHTS:
-        row = 0.0
-        for wj in _GL_WEIGHTS:
-            row += wj * density
-        total += wi * row
-    return total
-
-
 def _swept_area(model: TorusModel, t: float | np.ndarray) -> float | np.ndarray:
-    """Area integral of the level-k density over [0, t] x [0, 1] by 2D GL.
-
-    ``t`` is a float or an array of heights.  The density is constant (the
-    form is translation invariant), so the quadrature is exact up to
-    rounding and its node sum, :func:`_level_sum`, depends on the level
-    alone; each height only scales it by the Jacobian of the map from
-    [-1, 1]^2 onto [0, t] x [0, 1].  Comparing the result with the closed
-    form k*t therefore checks the level normalisation, not the holonomy by
-    an independent route.
-    """
+    """Symplectic area k*t swept between heights 0 and t (a float or an array)."""
     outside = np.logical_not((t >= 0.0) & (t <= 1.0))  # NaN is outside
     if np.count_nonzero(outside):
         bad = t if np.ndim(t) == 0 else t[outside][0]
         raise ValueError(f"fibre height must lie in [0, 1], got {bad}")
-    jac = (t / 2.0) * (1.0 / 2.0)
-    return _level_sum(model.level) * jac
-
-
-def holonomy_closed_form(model: TorusModel, t: float | np.ndarray) -> complex | np.ndarray:
-    """exp(2 pi i k t), the analytic value of the fibre holonomy."""
-    return np.exp(2j * math.pi * model.level * t)
+    return model.level * t
 
 
 def holonomy_character(model: TorusModel, t: float | np.ndarray) -> complex | np.ndarray:
-    """Holonomy exp(2 pi i * sweptarea) of the fibre at height t.
-
-    ``t`` is a float or an array of heights, evaluated elementwise.  The
-    swept area comes from quadrature; the result is compared against the
-    closed form and a disagreement beyond 1e-9 raises, naming the first
-    height where it occurs, because it can only mean the quadrature or the
-    model normalization is broken.
-    """
-    area = _swept_area(model, t)
-    value = np.exp(2j * math.pi * area)
-    reference = holonomy_closed_form(model, t)
-    bad = abs(value - reference) > 1e-9
-    if np.count_nonzero(bad):
-        i = np.flatnonzero(bad)[0]
-        t, value, reference = (np.ravel(x)[i].item() for x in (t, value, reference))
-        raise ConsistencyError(
-            f"holonomy quadrature {value} vs closed form {reference} at t={t}",
-            payload={"t": t, "quadrature": value, "closed_form": reference},
-        )
-    return value
+    """Holonomy exp(2 pi i k t) of the fibre at height t, elementwise on arrays."""
+    return np.exp(2j * math.pi * _swept_area(model, t))
 
 
 def special_coordinates(model: TorusModel, t: float) -> float:

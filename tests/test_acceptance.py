@@ -219,10 +219,10 @@ def test_6_numeric_fibre_search_and_quadrature(announce):
         t = rng.random()
         got = holonomy_character(TorusModel(tau=1j, level=k), t)
         if abs(got - cmath.exp(2j * math.pi * k * t)) >= 1e-11:
-            bad.append(("quadrature", k, t))
+            bad.append(("holonomy", k, t))
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < budget
-    announce(ok, "6/9 marked-fibre search exact to 1e-9 for k<=32; quadrature vs closed form < 1e-11", elapsed, budget)
+    announce(ok, "6/9 marked-fibre search exact to 1e-9 for k<=32; holonomy vs exp(2 pi i k t) < 1e-11", elapsed, budget)
     assert not bad, bad[:3]
     assert elapsed < budget
 

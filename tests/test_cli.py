@@ -277,6 +277,9 @@ def test_cli_exit_code_1_on_numeric_disagreement(capsys, tmp_path):
 
 
 def test_cli_exit_code_2_paths(capsys, tmp_path):
+    # a curve of non-pairs was an uncaught TypeError; an object was unpacked as keys
+    (tmp_path / "ints.json").write_text("[1,2,3]")
+    (tmp_path / "object.json").write_text('{"x": 1}')
     cases = [
         ("cy1", "intersect", "--a", "1,0", "--b", "1"),  # malformed pair
         ("cy3", "chi", "--bundle", "1:1:1/2"),  # wrong block count
@@ -284,14 +287,33 @@ def test_cli_exit_code_2_paths(capsys, tmp_path):
         ("quant", "bs", "--level", "3", "--tol", "0.5"),  # tol precondition
         ("verify", "--manifest", str(tmp_path / "absent.json")),
         ("quant", "phase", "--curve", str(tmp_path / "absent.json")),
+        ("quant", "phase", "--curve", str(tmp_path / "ints.json")),
+        ("quant", "phase", "--curve", str(tmp_path / "object.json")),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
-        assert "error" in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
     with pytest.raises(SystemExit) as exc:  # argparse handles unknown verbs
         main(["cy1", "no-such-verb"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value, argv",
+    [
+        ("--a", "-1,2", ("cy1", "intersect", "--b", "0,1")),  # pair
+        ("--x", "-2,5,7", ("cy2", "reflect", "--delta", "0,0,1")),  # tuple
+        ("--ch2", "-1:2,1/3:-4,5/6:7/12",  # blocks
+         ("cy3", "rr", "--ch1", "1:1,0:0,3/2:1/2", "--fixture", "bicubic")),
+        ("--gram", "-2,1;1,0", ("cy2", "check-H", "--e", "0,1", "--s", "1,0")),  # gram rows
+    ],
+)
+def test_cli_value_starting_with_minus_is_a_value(capsys, flag, value, argv):
+    # argparse took these for options ("expected one argument") unless written flag=value
+    want = run_cli(capsys, *argv, f"{flag}={value}")
+    assert want[0] == 0
+    assert run_cli(capsys, *argv, flag, value) == want
 
 
 def test_cli_signed_denominator_exits_2(capsys):

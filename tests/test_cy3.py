@@ -423,11 +423,6 @@ def test_corrupted_todd_product_fails_the_mirror_isometry(monkeypatch, tmp_path,
         assert check.got == f"{len(failures)}/50 failed; first: {failures[0]}"
 
 
-def test_kappa_rejected(quintic):
-    with pytest.raises(LatticeError):
-        CY3Descriptor(ring=quintic.ring, kappa=1)
-
-
 def test_descriptor_requires_dim3(k3_quartic):
     from latmirror import ShapeError
 

@@ -3,9 +3,12 @@
 `import latmirror` and the exact CLI families must run without numpy in
 `sys.modules`; the names of `numeric` and `manifest` resolve on first use.
 The import checks run in fresh interpreters, since this test process has
-numpy loaded already.
+numpy loaded already.  The last test guards the benchmark in `perfbench/`:
+every name it takes from the package must still resolve.
 """
 
+import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -94,3 +97,41 @@ def test_readme_library_example_runs():
     section = text.split("## Library", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def perfbench_uses():
+    """(module, name) for every name the benchmark's files take from latmirror.
+
+    Covers ``from latmirror[.mod] import name`` and ``alias.name`` where
+    ``import latmirror as alias``; the files are parsed, never run.
+    """
+    uses = set()
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "latmirror":
+                uses.update((node.module, a.name) for a in node.names)
+            elif isinstance(node, ast.Import):
+                aliases.update(a.asname for a in node.names if a.name == "latmirror" and a.asname)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                uses.add(("latmirror", node.attr))
+    return uses
+
+
+def test_every_name_the_benchmark_uses_resolves():
+    uses = perfbench_uses()
+    assert ("latmirror.numeric", "QUADRATURE_TOL") in uses
+    assert ("latmirror", "holonomy_character") in uses
+    importlib.import_module("latmirror.cli")  # the benchmark reads lm.cli
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(uses)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

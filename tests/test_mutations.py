@@ -10,13 +10,14 @@ names must read exactly as the reference says.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import pytest
 
-from latmirror import core, cy1, cy2, cy3, load_fixture, parse_manifest, run_verify
+from latmirror import core, cy1, cy2, cy3, load_fixture, numeric, parse_manifest, run_verify
 from latmirror.core import GradedVector, RingDescriptor, pair_exotic, todd_multiply
 from latmirror.report import summary_check
 from latmirror.suites import EXPECTED_CHI, SUITES
@@ -85,6 +86,12 @@ def corrupt_sym_form(monkeypatch):
     # [X].[X] = 1: the rank row and column, outside those of c2, so the
     # sublattice still degenerates along c2 and the suite fails, not errors
     add_unit_entry(monkeypatch, "sym", 0, 0)
+
+
+def scale_holonomy_level(monkeypatch):
+    # the swept area, and so the holonomy, uses the level k * (1 + 1e-6)
+    swept_area = numeric._swept_area
+    monkeypatch.setattr(numeric, "_swept_area", lambda m, t: swept_area(m, t) * (1.0 + 1e-6))
 
 
 # ----------------------------------------------------------- references ----
@@ -210,6 +217,18 @@ def cy3_sublattice_reference(params, fixtures):
     }
 
 
+def quant_holonomy_reference(params, fixtures):
+    rng = random.Random(params["seed"])
+    failures = []
+    for _ in range(params["samples"]):
+        k = rng.randint(1, params["k_max"])
+        j = math.floor(rng.random() * k)
+        got = numeric.holonomy_character(numeric.TorusModel(tau=1j, level=k), j / k)
+        if abs(got - 1.0) > numeric.QUADRATURE_TOL:
+            failures.append(f"k={k} t={Fraction(j, k)}: |holonomy - 1|={abs(got - 1.0):.2e}")
+    return {"holonomy is trivial at the exact marked fibres j/k": (params["samples"], failures)}
+
+
 THREEFOLDS = ("quintic.json", "bicubic.json")
 
 ROWS = [
@@ -222,6 +241,7 @@ ROWS = [
         summaries(cy3_closure_reference)),
     Row("cy3-quantization", THREEFOLDS, corrupt_td_product, cy3_quantization_reference),
     Row("cy3-sublattice", THREEFOLDS, corrupt_sym_form, cy3_sublattice_reference),
+    Row("quant-holonomy", (), scale_holonomy_level, summaries(quant_holonomy_reference)),
 ]
 
 
