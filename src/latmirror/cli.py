@@ -223,6 +223,8 @@ def _h_cy2_verify_range(args):
         raise LatticeError(f"--l2-range wants 'LO..HI', got {args.l2_range!r}") from exc
     if lo % 2 or hi % 2:
         raise LatticeError("--l2-range endpoints must be even")
+    if lo > hi:
+        raise LatticeError(f"--l2-range {lo}..{hi} is empty")
     rows = []
     all_ok = True
     for l2 in range(lo, hi + 1, 2):
@@ -262,6 +264,8 @@ def _h_cy2_check_h(args):
 def _h_cy3_verify_isometry(args):
     import random
 
+    if args.samples < 1:
+        raise LatticeError(f"--samples must be positive, got {args.samples}")
     X = load_cy3_fixture(args.fixture)
     rng = random.Random(args.seed)
     k = X.ring.picard_rank

@@ -280,6 +280,8 @@ class RingDescriptor:
     c2: tuple | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _as_int(self.dim))
+        object.__setattr__(self, "picard_rank", _as_int(self.picard_rank))
         if self.dim not in (1, 2, 3):
             raise ShapeError(f"dim must be 1, 2 or 3, got {self.dim}")
         k = self.picard_rank
@@ -428,8 +430,8 @@ class RingDescriptor:
         if unknown:
             raise ShapeError(f"unknown ring descriptor keys: {sorted(unknown)}")
         return cls(
-            dim=int(payload["dim"]),
-            picard_rank=int(payload.get("picard_rank", 0)),
+            dim=payload["dim"],
+            picard_rank=payload.get("picard_rank", 0),
             gram=payload.get("gram"),
             cubic=payload.get("cubic"),
             c2=payload.get("c2"),

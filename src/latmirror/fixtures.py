@@ -109,7 +109,7 @@ def _load_cy3(payload: dict, source: str) -> CY3Descriptor:
         raise FixtureError(f"{source}: unknown threefold fixture keys {sorted(unknown)}")
     ring = RingDescriptor(
         dim=3,
-        picard_rank=int(payload["picard_rank"]),
+        picard_rank=payload["picard_rank"],
         cubic=tuple(payload["cubic"]),
         c2=tuple(payload["c2"]),
     )

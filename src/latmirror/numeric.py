@@ -21,7 +21,8 @@ truncated q-expansions; their numerical rank over a deterministic sample
 grid is decided by singular values.  The phase map of a sampled cycle is
 the squared unit tangent direction (the determinant map of the Lagrangian
 Grassmannian of the flat plane): constant exactly on straight segments,
-winding twice around a full circle.
+winding twice around a full circle.  It is computed over the whole sample
+array at once, rounded as the per-sample complex formula is, bit for bit.
 
 Tolerance hierarchy (loosening as conditioning worsens):
 
@@ -118,10 +119,7 @@ def find_bs_fibres(model: TorusModel, tol: float = ROOT_TOL) -> list[float]:
         b[wide] = np.where(below, b[wide], mid)
     roots = [0.0] + (0.5 * (a + b)).tolist()
     if len(roots) != k:
-        raise ConsistencyError(
-            f"level {k} model produced {len(roots)} trivial-holonomy fibres",
-            payload={"roots": roots},
-        )
+        raise ConsistencyError(f"level {k} model produced {len(roots)} trivial-holonomy fibres")
     return roots
 
 
@@ -182,49 +180,35 @@ def phase_map_curve(model: TorusModel, curve: ParamCurve) -> np.ndarray:
     plane: invariant under reversal of the tangent, constant exactly on
     straight segments, winding twice per full turn of the tangent.
     Degenerate (repeated-sample) tangents raise.
+
+    The tangents are central differences over the whole sample array (the
+    samples are cyclic on a closed curve, whose last phase repeats its
+    first).  Each phase is (tx + i ty)^2 / |t|^2, rounded as Python
+    divides a complex number by a float, so that a zero imaginary part
+    keeps the sign, and the angle the branch, of the scalar formula.
     """
-    pts = list(curve.points)
-    if curve.orientation == -1:
-        pts = pts[::-1]
+    pts = np.array(curve.points, dtype=float)[:: curve.orientation]
     closed = curve.is_closed
     if closed:
         core = pts[:-1]
-        n = len(core)
-        tangents = [
-            (
-                core[(i + 1) % n][0] - core[(i - 1) % n][0],
-                core[(i + 1) % n][1] - core[(i - 1) % n][1],
-            )
-            for i in range(n)
-        ]
+        tangents = np.roll(core, -1, axis=0) - np.roll(core, 1, axis=0)
+        tangents = np.concatenate([tangents, tangents[:1]])
     else:
-        n = len(pts)
-        tangents = [None] * n
+        tangents = np.empty_like(pts)
+        tangents[1:-1] = pts[2:] - pts[:-2]
         # one-sided 3-point stencils keep the endpoint direction second
         # order, else the winding of an open arc is biased by one sample
-        tangents[0] = (
-            -3 * pts[0][0] + 4 * pts[1][0] - pts[2][0],
-            -3 * pts[0][1] + 4 * pts[1][1] - pts[2][1],
-        )
-        tangents[-1] = (
-            3 * pts[-1][0] - 4 * pts[-2][0] + pts[-3][0],
-            3 * pts[-1][1] - 4 * pts[-2][1] + pts[-3][1],
-        )
-        for i in range(1, n - 1):
-            tangents[i] = (
-                pts[i + 1][0] - pts[i - 1][0],
-                pts[i + 1][1] - pts[i - 1][1],
-            )
-    phases = []
-    for tx, ty in tangents:
-        norm_sq = tx * tx + ty * ty
-        if norm_sq < 1e-30:
-            raise ConsistencyError("degenerate tangent: repeated curve samples")
-        z = complex(tx, ty)
-        phases.append((z * z) / norm_sq)
-    if closed:
-        phases.append(phases[0])
-    return np.asarray(phases, dtype=complex)
+        tangents[0] = -3 * pts[0] + 4 * pts[1] - pts[2]
+        tangents[-1] = 3 * pts[-1] - 4 * pts[-2] + pts[-3]
+    tx, ty = tangents.T
+    norm_sq = tx * tx + ty * ty
+    if (norm_sq < 1e-30).any():
+        raise ConsistencyError("degenerate tangent: repeated curve samples")
+    zr, zi = tx * tx - ty * ty, tx * ty + ty * tx
+    phases = np.empty(len(tangents), dtype=complex)
+    phases.real = (zr + zi * 0.0) / norm_sq
+    phases.imag = (zi - zr * 0.0) / norm_sq
+    return phases
 
 
 def winding_number(phases: Sequence[complex]) -> float:
@@ -274,26 +258,18 @@ def theta_matrix(model: TorusModel, samples: int) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def theta_basis_rank(model: TorusModel, samples: int | None = None) -> int:
-    """Numerical rank of the k level-k theta series on a sample grid.
+def theta_basis_rank(model: TorusModel) -> int:
+    """Numerical rank of the k level-k theta series on 4k sample points.
 
     Characteristic c in {0, ..., k-1} contributes the lattice sum over
     m = c mod k; distinct characteristics use disjoint Fourier modes, so
     the exact rank is k.  The numerical rank (singular values above
     RANK_RTOL relative to the largest) must reproduce it; a deficient
-    matrix raises with the singular values attached.
+    matrix raises.
     """
     k = model.level
-    if samples is None:
-        samples = 4 * k
-    if samples < 4 * k:
-        raise ValueError(f"need at least {4 * k} samples for level {k}")
-    matrix = theta_matrix(model, samples)
-    sigma = np.linalg.svd(matrix, compute_uv=False)
+    sigma = np.linalg.svd(theta_matrix(model, 4 * k), compute_uv=False)
     rank = int(np.sum(sigma > RANK_RTOL * sigma[0]))
     if rank < k:
-        raise ConsistencyError(
-            f"theta matrix rank {rank} < level {k}",
-            payload={"singular_values": sigma.tolist()},
-        )
+        raise ConsistencyError(f"theta matrix rank {rank} < level {k}")
     return rank

@@ -20,10 +20,6 @@ DEFAULT_MANIFEST = Path(__file__).parent / "fixtures" / "manifest_default.json"
 class ConsistencyError(RuntimeError):
     """Two routes to the same number disagreed beyond tolerance."""
 
-    def __init__(self, message: str, payload=None):
-        super().__init__(message)
-        self.payload = payload
-
 
 class ManifestError(ValueError):
     """The manifest (or a file it references) does not parse."""

@@ -27,10 +27,18 @@ numpy object arrays, on the ring's compiled forms
   [X] and [pt] through the compiled sqrt(td) product and the same mirror
   map.
 
-The hand-written forms work elementwise on the arrays; none is folded into
-a compiled form.  A failing sample is rebuilt and its detail rendered by
-the per-vector functions, so a report reads the same as one made sample by
-sample.
+``k3-quantization`` mirrors its fixed list of classes as one batch too.
+The u and the v classes of a sweep are mapped as two batches.  No mirror
+map in these sweeps can raise: a loaded K3 fixture has an even Gram
+lattice, so every L^2 is even, and the preimage of td u is u sqrt(td),
+whose rank and divisor block are those of u.  The hand-written forms work
+elementwise on the arrays; none is folded into a compiled form.  A failing
+sample's detail is rendered from the values the batch already holds, as
+Fractions over the batch's denominator, so a report reads the same as one
+made sample by sample through the per-vector functions
+(:func:`cy1.mirror_cy1`, :func:`cy2.mirror_k3`,
+:func:`cy3.mirror_isometry_check3`, :func:`cy3.mirror_cy3`), which the
+tests keep as references.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from . import cy1, cy2, cy3, numeric
-from .core import GradedVector, RingDescriptor, pair_exotic, todd_multiply
+from .core import GradedVector, RingDescriptor
 from .report import Check, summary_check
 
 
@@ -68,19 +76,27 @@ def _get_fixture(fixtures: dict, label: str, kind):
     return fx
 
 
+def _blocks(dim: int, nums) -> tuple:
+    """The Fraction blocks of one sampled class from its integer coordinates."""
+    return GradedVector._of_numerators(dim, nums).blocks
+
+
 def _rand_tuple(rng: random.Random, k: int, bound: int) -> tuple:
     return tuple(rng.randint(-bound, bound) for _ in range(k))
 
 
-def _rand_pairs(rng: random.Random, size: int, bound: int, samples: int) -> np.ndarray:
-    """Seeded pairs (u, v) of integer vectors, shape (samples, 2, size).
+def _rand_pairs(rng: random.Random, size: int, bound: int, samples: int) -> tuple:
+    """Seeded pairs (u, v) of integer vectors: the u and the v columns.
 
-    One ``randint`` per coordinate, drawn u then v, pair after pair.
+    Each is an object array of shape (size, samples); row j is coordinate j
+    and column i is sample i.  One ``randint`` per coordinate, drawn u then
+    v, pair after pair.
     """
     draws = [
         rng.randint(-bound, bound) for _ in range(samples) for _ in range(2 * size)
     ]
-    return np.array(draws, dtype=object).reshape(-1, 2, size)
+    pairs = np.array(draws, dtype=object).reshape(-1, 2, size)
+    return pairs[:, 0].T, pairs[:, 1].T
 
 
 # ---------------------------------------------------------------- cy1 ----
@@ -106,16 +122,16 @@ def _run_cy1_quantization(params, fixtures):
 def _run_cy1_mirror_isometry(params, fixtures):
     rng = random.Random(params["seed"])
     ring = RingDescriptor.elliptic()
-    pairs = _rand_pairs(rng, 2, params["bound"], params["samples"])
-    us, vs = pairs[:, 0].T, pairs[:, 1].T
+    us, vs = _rand_pairs(rng, 2, params["bound"], params["samples"])
     # images pair by the hand-written skew form, classes by the compiled Euler form
     lhs = cy1.cycle_pairing(cy1.CycleClass1(*us), cy1.CycleClass1(*vs))
     exotic = ring._forms.exotic
-    failures = []
-    for i in np.flatnonzero(lhs * exotic.den != exotic.pair_columns(us, vs)):
-        u, v = (GradedVector(1, tuple(x)) for x in pairs[i])
-        lhs_i = cy1.cycle_pairing(cy1.mirror_cy1(u), cy1.mirror_cy1(v))
-        failures.append(f"u={u.blocks} v={v.blocks}: {lhs_i} != {pair_exotic(u, v, ring)}")
+    rhs = exotic.pair_columns(us, vs)
+    failures = [
+        f"u={_blocks(1, us[:, i])} v={_blocks(1, vs[:, i])}: "
+        f"{lhs[i]} != {Fraction(rhs[i], exotic.den)}"
+        for i in np.flatnonzero(lhs * exotic.den != rhs)
+    ]
     return [
         summary_check(
             "mirror pairing equals Euler pairing on the curve",
@@ -200,13 +216,17 @@ def _run_cy1_atiyah(params, fixtures):
 
 def _run_k3_quantization(params, fixtures):
     X = _get_fixture(fixtures, params["fixture"], cy2.K3Descriptor)
+    l2s = range(0, params["l2_max"] + 1, 2)
+    ls = [(1, l2 // 2 + 1) for l2 in l2s]  # realizes L^2 = l2 in the section/fibre Gram
+    # every class is counted (and its coordinates checked) before any is mirrored
+    reps = [cy2.verify_quantization_k3(L, X) for L in ls]
+    if not ls:
+        return []  # nothing to count or mirror
+    mirrors = cy2.mirror_k3_columns(np.array(ls, dtype=object).T, X)
+    spheres = cy2.mirror_pairing_k3(mirrors, mirrors, X)
     checks = []
-    for l2 in range(0, params["l2_max"] + 1, 2):
-        L = (1, l2 // 2 + 1)  # realizes L^2 = l2 in the section/fibre Gram
-        rep = cy2.verify_quantization_k3(L, X)
+    for l2, L, rep, sphere in zip(l2s, ls, reps, spheres):
         expected = Fraction(l2, 2) + 2
-        mir = cy2.mirror_k3(L, X)
-        sphere = cy2.mirror_pairing_k3(mir, mir, X)
         checks.append(
             Check(
                 name=f"L^2 = {l2}: sections match marked fibres",
@@ -260,38 +280,28 @@ def _run_k3_reflections(params, fixtures):
     ]
 
 
-def _side_k3(m: cy2.MirrorClassK3, side: int) -> cy2.MirrorClassK3:
-    """The images of the L1 (side 0) or L2 (side 1) classes of a batch of pairs."""
-    return cy2.MirrorClassK3(s=m.s, pic=tuple(x[:, side] for x in m.pic), e=m.e[:, side])
-
-
 def _run_k3_mirror_transport(params, fixtures):
     X = _get_fixture(fixtures, params["fixture"], cy2.K3Descriptor)
     rng = random.Random(params["seed"])
     k = X.ring.picard_rank
     n = params["samples"]
-    pairs = _rand_pairs(rng, k, params["bound"], n)
-    # images (L1 before L2, pair by pair, for the first odd square) pair by
-    # the hand-written mirror form, Chern characters by the compiled Euler form
-    ls = list(pairs.transpose(2, 0, 1))
-    images = cy2.mirror_k3_columns(ls, X)
-    m1, m2 = _side_k3(images, 0), _side_k3(images, 1)
+    us, vs = _rand_pairs(rng, k, params["bound"], n)
+    # images pair by the hand-written mirror form, Chern characters by the
+    # compiled Euler form
+    m1, m2 = cy2.mirror_k3_columns(us, X), cy2.mirror_k3_columns(vs, X)
     lhs = cy2.mirror_pairing_k3(m1, m2, X)
     sphere = cy2.mirror_pairing_k3(m1, m1, X)
     # Chern characters (1, L, L^2/2); every square is even past the mirror map
-    ch = [1 + 0 * ls[0], *ls, X.ring._gram_form.pair_columns(ls, ls) // 2]
+    gram = X.ring._gram_form
+    ch1, ch2 = ([1 + 0 * ls[0], *ls, gram.pair_columns(ls, ls) // 2] for ls in (us, vs))
     exotic = X.ring._forms.exotic
-    rhs = -exotic.pair_columns([x[:, 0] for x in ch], [x[:, 1] for x in ch])
-    failures = []
-    for i in np.flatnonzero(lhs * exotic.den != rhs):
-        L1, L2 = (tuple(x) for x in pairs[i])
-        ch1, ch2 = (
-            GradedVector(2, (1, L, Fraction(X.ring._gram_form.pair_columns(L, L), 2)))
-            for L in (L1, L2)
-        )
-        lhs_i = cy2.mirror_pairing_k3(cy2.mirror_k3(L1, X), cy2.mirror_k3(L2, X), X)
-        failures.append(f"L1={L1} L2={L2}: {lhs_i} != {-pair_exotic(ch1, ch2, X.ring)}")
-    spheres = [f"L={tuple(pairs[i, 0])}" for i in np.flatnonzero(sphere != -2)]
+    rhs = -exotic.pair_columns(ch1, ch2)
+    failures = [
+        f"L1={tuple(us[:, i])} L2={tuple(vs[:, i])}: "
+        f"{lhs[i]} != {Fraction(rhs[i], exotic.den)}"
+        for i in np.flatnonzero(lhs * exotic.den != rhs)
+    ]
+    spheres = [f"L={tuple(us[:, i])}" for i in np.flatnonzero(sphere != -2)]
     note = f"seed={params['seed']}, fixture={X.label}"
     return [
         summary_check(
@@ -344,17 +354,15 @@ def _run_cy3_skew(params, fixtures):
         rng = random.Random(params["seed"])
         k = X.ring.picard_rank
         n = params["samples"]
-        pairs = _rand_pairs(rng, 2 * k + 2, params["bound"], n)
-        us, vs = pairs[:, 0].T, pairs[:, 1].T
+        us, vs = _rand_pairs(rng, 2 * k + 2, params["bound"], n)
         exotic = X.ring._forms.exotic
         self_pairing = exotic.pair_columns(us, us)
         skew_defect = exotic.pair_columns(us, vs) + exotic.pair_columns(vs, us)
-        diag, anti = [], []
-        for i in np.flatnonzero(self_pairing != 0):
-            diag.append(f"u={GradedVector._of_numerators(3, pairs[i, 0]).blocks}")
-        for i in np.flatnonzero(skew_defect != 0):
-            u, v = (GradedVector._of_numerators(3, x) for x in pairs[i])
-            anti.append(f"u={u.blocks} v={v.blocks}")
+        diag = [f"u={_blocks(3, us[:, i])}" for i in np.flatnonzero(self_pairing != 0)]
+        anti = [
+            f"u={_blocks(3, us[:, i])} v={_blocks(3, vs[:, i])}"
+            for i in np.flatnonzero(skew_defect != 0)
+        ]
         note = f"seed={params['seed']}, fixture={label}"
         checks.append(summary_check(
             f"{label}: self-pairing vanishes (virtual dimension 0)", n, diag, inputs=note))
@@ -363,13 +371,13 @@ def _run_cy3_skew(params, fixtures):
     return checks
 
 
-def _side(m: cy3.MirrorClass3, side: int) -> cy3.MirrorClass3:
-    """The images of the u (side 0) or v (side 1) classes of a batch of pairs."""
+def _mirror_class3(m: cy3.MirrorClass3, den: int, i: int) -> cy3.MirrorClass3:
+    """Sample i of a batch of images with numerators over ``den``, as Fractions."""
     return cy3.MirrorClass3(
-        s0=m.s0[:, side],
-        e=m.e[:, side],
-        psi1=tuple(x[:, side] for x in m.psi1),
-        psi2=tuple(x[:, side] for x in m.psi2),
+        s0=Fraction(m.s0[i], den),
+        e=Fraction(m.e[i], den),
+        psi1=tuple(Fraction(x[i], den) for x in m.psi1),
+        psi2=tuple(Fraction(x[i], den) for x in m.psi2),
     )
 
 
@@ -379,21 +387,20 @@ def _run_cy3_mirror_isometry(params, fixtures):
         X = _get_fixture(fixtures, label, cy3.CY3Descriptor)
         rng = random.Random(params["seed"])
         k = X.ring.picard_rank
-        pairs = _rand_pairs(rng, 2 * k + 2, params["bound"], params["samples"])
-        # classes go through td, then the mirror map (u before v, pair by
-        # pair, for the first non-integral preimage); the images pair by the
+        us, vs = _rand_pairs(rng, 2 * k + 2, params["bound"], params["samples"])
+        # classes go through td, then the mirror map; the images pair by the
         # hand-written skew form, the classes by the compiled Euler form
         forms = X.ring._forms
-        td = forms.products["td"]
-        mukai = td.apply_columns(pairs.transpose(2, 0, 1))
-        images, den = cy3.mirror_cy3_columns(mukai, td.den, X)
-        lhs = cy3.mirror_pairing3(_side(images, 0), _side(images, 1))
-        rhs = forms.exotic.pair_columns(pairs[:, 0].T, pairs[:, 1].T)
-        failures = []
-        for i in np.flatnonzero(lhs * forms.exotic.den != rhs * den * den):
-            u, v = (GradedVector._of_numerators(3, x) for x in pairs[i])
-            rep = cy3.mirror_isometry_check3(u, v, X)
-            failures.append(f"u={u.blocks} v={v.blocks}: {rep.lhs} != {rep.rhs}")
+        td, exotic = forms.products["td"], forms.exotic
+        mu, den = cy3.mirror_cy3_columns(td.apply_columns(us), td.den, X)
+        mv, _ = cy3.mirror_cy3_columns(td.apply_columns(vs), td.den, X)
+        lhs = cy3.mirror_pairing3(mu, mv)
+        rhs = exotic.pair_columns(us, vs)
+        failures = [
+            f"u={_blocks(3, us[:, i])} v={_blocks(3, vs[:, i])}: "
+            f"{Fraction(lhs[i], den * den)} != {Fraction(rhs[i], exotic.den)}"
+            for i in np.flatnonzero(lhs * exotic.den != rhs * den * den)
+        ]
         # a [X] + b [pt] times sqrt(td) must map back onto a [s0] + b [e']
         ab = np.array([rng.randint(-20, 20) for _ in range(200)], dtype=object)
         a, b = ab[0::2], ab[1::2]
@@ -404,11 +411,9 @@ def _run_cy3_mirror_isometry(params, fixtures):
         off = (spanned.s0 != a * den) | (spanned.e != b * den)
         for x in (*spanned.psi1, *spanned.psi2):
             off = off | (x != 0)
-        closure = []
-        for i in np.flatnonzero(off):
-            u = GradedVector(3, (a[i], (0,) * k, (0,) * k, b[i]))
-            mir = cy3.mirror_cy3(todd_multiply(u, X.ring, "sqrt_td"), X)
-            closure.append(f"a={a[i]} b={b[i]}: {mir}")
+        closure = [
+            f"a={a[i]} b={b[i]}: {_mirror_class3(spanned, den, i)}" for i in np.flatnonzero(off)
+        ]
         note = f"seed={params['seed']}, fixture={label}"
         checks.append(summary_check(
             f"{label}: mirror map is an isometry", params["samples"], failures, inputs=note))

@@ -174,3 +174,56 @@ def walk_to_chamber_scalar(gram, roots, x, max_steps: int = 64):
         c = pair(x, d)
         x = tuple(xi + c * di for xi, di in zip(x, d))
         applied.append(bad)
+
+
+# --- phase map, one tangent and one phase at a time -------------------------
+
+def phase_map_scalar(curve, error) -> np.ndarray:
+    """Squared unit tangent direction at every sample, one sample at a time.
+
+    ``curve`` has the ``points``, ``orientation`` and ``is_closed`` of a
+    sampled cycle.  Tangents are central differences (cyclic on a closed
+    curve, one-sided 3-point stencils at the ends of an open one); each
+    phase is the Python complex (tx + i ty)^2 / (tx^2 + ty^2).  A tangent
+    of squared length below 1e-30 raises ``error``.
+    """
+    pts = list(curve.points)
+    if curve.orientation == -1:
+        pts = pts[::-1]
+    closed = curve.is_closed
+    if closed:
+        core = pts[:-1]
+        n = len(core)
+        tangents = [
+            (
+                core[(i + 1) % n][0] - core[(i - 1) % n][0],
+                core[(i + 1) % n][1] - core[(i - 1) % n][1],
+            )
+            for i in range(n)
+        ]
+    else:
+        n = len(pts)
+        tangents = [None] * n
+        tangents[0] = (
+            -3 * pts[0][0] + 4 * pts[1][0] - pts[2][0],
+            -3 * pts[0][1] + 4 * pts[1][1] - pts[2][1],
+        )
+        tangents[-1] = (
+            3 * pts[-1][0] - 4 * pts[-2][0] + pts[-3][0],
+            3 * pts[-1][1] - 4 * pts[-2][1] + pts[-3][1],
+        )
+        for i in range(1, n - 1):
+            tangents[i] = (
+                pts[i + 1][0] - pts[i - 1][0],
+                pts[i + 1][1] - pts[i - 1][1],
+            )
+    phases = []
+    for tx, ty in tangents:
+        norm_sq = tx * tx + ty * ty
+        if norm_sq < 1e-30:
+            raise error("degenerate tangent: repeated curve samples")
+        z = complex(tx, ty)
+        phases.append((z * z) / norm_sq)
+    if closed:
+        phases.append(phases[0])
+    return np.asarray(phases, dtype=complex)

@@ -3,6 +3,7 @@
 import copy
 import io
 import json
+import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -124,6 +125,23 @@ def test_verify_reports_corrupted_fixture_and_keeps_going(tmp_path):
     assert not by_name["fixtures"].passed
     assert by_name["cy1-quantization"].passed  # run continued past the failure
     assert not result.passed
+    assert result.exit_code == 1
+
+
+def test_verify_records_a_non_integer_picard_rank_as_a_failed_load(tmp_path):
+    # infinity crashed the run with an OverflowError; 1.9 and true loaded as rank 1
+    quintic = json.loads(resolve_fixture("quintic.json").read_text())
+    ranks = {"inf.json": math.inf, "float.json": 1.9, "bool.json": True}
+    for name, rank in ranks.items():
+        (tmp_path / name).write_text(json.dumps({**quintic, "picard_rank": rank}))
+    payload = {"version": "1", "fixtures": list(ranks), "suites": []}
+    result = run_verify(parse_manifest(write_manifest(tmp_path, payload)))
+    checks = result.reports[0].checks
+    assert [c.ok for c in checks] == [False] * 3
+    assert [c.got for c in checks] == [
+        f"{tmp_path / name}: integer lattice datum expected, got {rank!r}"
+        for name, rank in ranks.items()
+    ]
     assert result.exit_code == 1
 
 
@@ -289,6 +307,10 @@ def test_cli_exit_code_2_paths(capsys, tmp_path):
         ("quant", "phase", "--curve", str(tmp_path / "absent.json")),
         ("quant", "phase", "--curve", str(tmp_path / "ints.json")),
         ("quant", "phase", "--curve", str(tmp_path / "object.json")),
+        # verifications of nothing: each printed a pass and exited 0
+        ("cy2", "verify", "--l2-range", "2..-4"),
+        ("cy3", "verify-isometry", "--samples", "0"),
+        ("cy3", "verify-isometry", "--samples", "-5"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
@@ -367,6 +389,12 @@ def test_cli_non_finite_tau_exits_2(capsys, argv):
         # fibration declaring no count: was loaded as if it had no fibration
         ({"label": "k", "gram": [[4]], "fibration": {"singular_fibres": None}},
          ("cy2", "mukai", "--ch", "1:0:0")),
+        # infinite picard_rank was an uncaught OverflowError; 1.9 and true loaded as 1
+        *(
+            ({"label": "q", "picard_rank": rank, "cubic": [5], "c2": [50]},
+             ("cy3", "chi", "--bundle", "1:1:0:0"))
+            for rank in (math.inf, 1.9, True)
+        ),
     ],
 )
 def test_cli_malformed_fixture_exits_2(capsys, tmp_path, payload, argv):

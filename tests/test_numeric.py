@@ -25,7 +25,7 @@ from latmirror import (
 from latmirror import numeric, parse_manifest, run_verify
 from latmirror.numeric import QUADRATURE_TOL, ConsistencyError
 
-from oracles import bs_fibres_scalar
+from oracles import bs_fibres_scalar, phase_map_scalar
 
 TAU_I = 1j
 
@@ -213,6 +213,48 @@ def test_phase_degenerate_samples_raise():
         phase_map_curve(model(1), ParamCurve(pts))
 
 
+def _phase_probe_curves():
+    """The quant-phase curves, axis-parallel segments, arcs and seeded random curves."""
+    curves = [segment_curve((0.1, 0.2), d, n=64) for d in ((1, 1), (2, 3), (1, 4), (5, 1))]
+    curves += [
+        arc_curve((0.5, 0.5), 0.2, turns=1.0, n=256),
+        arc_curve((0.5, 0.5), 0.2, turns=0.5, n=1024),
+    ]
+    # tangents parallel to an axis: the sign of a zero imaginary part decides
+    # whether an end phase reads angle pi or -pi
+    curves += [
+        segment_curve((0.3, 0.7), d, span=0.5, n=32) for d in ((1, 0), (0, 1), (-1, 0), (0, -1))
+    ]
+    curves += [
+        arc_curve((0.5, 0.5), 0.2, turns=t, n=n)
+        for t in (0.25, 0.5, 1.0, 1.5, 2.0)
+        for n in (16, 64, 256, 1024)
+    ]
+    rng = random.Random(31)
+    for n in (16, 100, 333):
+        pts = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n)]
+        curves += [ParamCurve(pts), ParamCurve(pts + pts[:1])]
+    return curves + [ParamCurve(c.points, orientation=-1) for c in curves]
+
+
+def test_phase_map_is_bitwise_the_per_sample_reference():
+    curves = _phase_probe_curves()
+    assert {c.is_closed for c in curves} == {True, False}
+    for curve in curves:
+        want = phase_map_scalar(curve, ConsistencyError)
+        got = phase_map_curve(model(1), curve)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # a fold back on itself has a zero central difference at the turn
+    folded = [(i / 20, 0.0) for i in range(11)] + [(i / 20, 0.0) for i in range(9, -1, -1)]
+    for pts in (((0.1, 0.2),) * 20, folded, folded[:16]):
+        with pytest.raises(ConsistencyError) as want:
+            phase_map_scalar(ParamCurve(pts), ConsistencyError)
+        with pytest.raises(ConsistencyError) as got:
+            phase_map_curve(model(1), ParamCurve(pts))
+        assert str(got.value) == str(want.value)
+
+
 def test_param_curve_validation():
     with pytest.raises(ValueError):
         ParamCurve(((0.0, 0.0), (1.0, 1.0)))
@@ -252,12 +294,6 @@ def test_theta_rank_duplicated_characteristic_raises(monkeypatch):
     monkeypatch.setattr(numeric, "theta_matrix", duplicated)
     with pytest.raises(ConsistencyError):
         theta_basis_rank(model(8))
-
-
-def test_theta_rank_samples_precondition():
-    with pytest.raises(ValueError):
-        theta_basis_rank(model(4), samples=15)
-    assert theta_basis_rank(model(4), samples=64) == 4
 
 
 # ------------------------------------------------------------- model ------
