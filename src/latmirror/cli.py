@@ -262,45 +262,13 @@ def _h_cy2_check_h(args):
 
 
 def _h_cy3_verify_isometry(args):
-    import random
-
-    if args.samples < 1:
-        raise LatticeError(f"--samples must be positive, got {args.samples}")
     X = load_cy3_fixture(args.fixture)
-    rng = random.Random(args.seed)
-    k = X.ring.picard_rank
-    failures = 0
-    for _ in range(args.samples):
-        u = GradedVector(
-            3,
-            (
-                rng.randint(-9, 9),
-                tuple(rng.randint(-9, 9) for _ in range(k)),
-                tuple(rng.randint(-9, 9) for _ in range(k)),
-                rng.randint(-9, 9),
-            ),
-        )
-        v = GradedVector(
-            3,
-            (
-                rng.randint(-9, 9),
-                tuple(rng.randint(-9, 9) for _ in range(k)),
-                tuple(rng.randint(-9, 9) for _ in range(k)),
-                rng.randint(-9, 9),
-            ),
-        )
-        if not cy3.mirror_isometry_check3(u, v, X).ok:
-            failures += 1
-    ok = failures == 0
-    payload = {
-        "fixture": X.label,
-        "samples": args.samples,
-        "failures": failures,
-        "passed": ok,
-    }
+    pairs, failures = cy3.isometry_certificate3(X)
+    ok = not failures
+    payload = {"fixture": X.label, "pairs": pairs, "failures": len(failures), "passed": ok}
     return (0 if ok else 1), payload, (
-        f"{args.samples} random pairs on {X.label}: "
-        + ("all isometric" if ok else f"{failures} FAILURES")
+        f"all {pairs} basis pairs on {X.label}: "
+        + ("isometric" if ok else f"{len(failures)} FAILURES; first: {failures[0]}")
     )
 
 
@@ -544,10 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fixture", default="quintic")
         for f in flags:
             p.add_argument(f"--{f}", required=True)
-    p = leaf(s_cy3, "verify-isometry", _h_cy3_verify_isometry, "mirror isometry on random pairs")
+    p = leaf(s_cy3, "verify-isometry", _h_cy3_verify_isometry, "mirror isometry on a basis")
     p.add_argument("--fixture", default="quintic")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=20260814)
 
     p_quant = top.add_parser("quant", help="numerical torus verification")
     s_quant = p_quant.add_subparsers(dest="verb", required=True)

@@ -212,6 +212,14 @@ class GradedVector:
     def point(cls, dim: int, picard_rank: int) -> "GradedVector":
         return cls.zero(dim, picard_rank).with_block(dim, 1)
 
+    @classmethod
+    def basis(cls, dim: int, picard_rank: int) -> tuple:
+        """The classes e_0, e_1, ... whose flat coordinates are the unit vectors."""
+        size = 2 + (dim - 1) * picard_rank
+        return tuple(
+            cls._of_numerators(dim, [int(i == j) for j in range(size)]) for i in range(size)
+        )
+
     def with_block(self, i: int, value) -> "GradedVector":
         blocks = list(self.blocks)
         blocks[i] = value
@@ -246,7 +254,7 @@ class GradedVector:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "GradedVector":
-        return cls(int(payload["dim"]), tuple(payload["blocks"]))
+        return cls(_as_int(payload["dim"]), tuple(payload["blocks"]))
 
 
 def _check_symmetric(matrix, noun: str = "Gram matrix") -> None:
@@ -587,33 +595,32 @@ def _compile_forms(ring: RingDescriptor) -> _RingForms:
     """Evaluate the ``cup`` definitions on basis vectors, once per ring.
 
     pair_sym(u, v)    = top block of u * v
-    pair_exotic(u, v) = top block of star(u) * v * td
     product with c    = u * c, column j being the flat coordinates of e_j * c
+    pair_exotic(u, v) = top block of star(u) * v * td = pair_sym(star(u), v * td),
+                        so its entry (i, j) is pair_sym(e_i, e_j * td) times
+                        the sign of star on coordinate i
     """
-    n, k = ring.dim, ring.picard_rank
-    size = 2 + (n - 1) * k
-    basis = [
-        GradedVector._of_numerators(n, [int(i == j) for j in range(size)])
-        for i in range(size)
+    basis = GradedVector.basis(ring.dim, ring.picard_rank)
+    sym = IntegerMatrix.from_rationals(
+        [[Fraction(w.nums[-1], w.den) for w in (cup(a, b, ring) for b in basis)] for a in basis]
+    )
+    columns = {
+        f.name: [cup(e, getattr(ring.todd, f.name), ring) for e in basis] for f in fields(ToddData)
+    }
+    signs = [star(e).nums[i] for i, e in enumerate(basis)]
+    exotic = [  # column j
+        [s * Fraction(x, sym.den * w.den) for s, x in zip(signs, sym.apply_columns(w.nums))]
+        for w in columns["td"]
     ]
-    td = ring.todd.td
-
-    def gram(pairing):
-        tops = [[pairing(a, b) for b in basis] for a in basis]
-        return IntegerMatrix.from_rationals(
-            [[Fraction(w.nums[-1], w.den) for w in row] for row in tops]
-        )
-
-    def product(c: GradedVector) -> IntegerMatrix:
-        columns = [cup(e, c, ring) for e in basis]
-        return IntegerMatrix.from_rationals(
-            [[Fraction(col.nums[i], col.den) for col in columns] for i in range(size)]
-        )
-
     return _RingForms(
-        sym=gram(lambda a, b: cup(a, b, ring)),
-        exotic=gram(lambda a, b: cup(cup(star(a), b, ring), td, ring)),
-        products={f.name: product(getattr(ring.todd, f.name)) for f in fields(ToddData)},
+        sym=sym,
+        exotic=IntegerMatrix.from_rationals(list(zip(*exotic))),
+        products={
+            name: IntegerMatrix.from_rationals(
+                [[Fraction(w.nums[i], w.den) for w in cols] for i in range(len(basis))]
+            )
+            for name, cols in columns.items()
+        },
     )
 
 
@@ -649,6 +656,19 @@ def todd_multiply(u: GradedVector, ring: RingDescriptor, factor: str) -> GradedV
     _check_compatible(u, ring)
     m = ring._forms.products[factor]
     return GradedVector._of_numerators(ring.dim, m.apply_columns(u.nums), u.den * m.den)
+
+
+def isometry_failures(classes, images, pairing, image_pairing, names=None) -> list:
+    """One text "(a, b): image pairing != pairing" per ordered pair of classes
+    whose images pair differently; class i is named "e<i>" or ``names[i]``."""
+    names = names or [f"e{i}" for i in range(len(classes))]
+    failures = []
+    for a, u, mu in zip(names, classes, images):
+        for b, v, mv in zip(names, classes, images):
+            lhs, rhs = image_pairing(mu, mv), pairing(u, v)
+            if lhs != rhs:
+                failures.append(f"({a}, {b}): {lhs} != {rhs}")
+    return failures
 
 
 def mukai_vector(ch: GradedVector, ring: RingDescriptor) -> GradedVector:

@@ -3,11 +3,22 @@
 A manifest is strict JSON:
 
     {"version": "1",
-     "fixtures": ["quintic.json", ...],
-     "suites": [{"name": "cy3-skew", "params": {"samples": 1000}}, ...]}
+     "fixtures": ["quintic.json", "k3_reflective.json", ...],
+     "suites": [{"name": "cy3-skew", "params": {"fixtures": ["quintic"]}},
+                {"name": "k3-reflections", "params": {"samples": 240, "seed": 5}},
+                ...]}
 
 Unknown top-level keys, unknown suite names and unknown suite parameters
-are rejected at parse time, as are missing or non-JSON fixture files.
+are rejected at parse time, as are missing or non-JSON fixture files and
+parameters that would verify nothing: a count (``k_max``, ``max_index``,
+``triples``, ``samples``) that is not a positive integer, an ``l2_max``
+below 0, a ``tol`` that is not a positive finite number and an empty list
+of ``fixtures`` or ``taus``.
+The four suites that now prove their identity on a basis or a grid
+(``cy1-mirror-isometry``, ``k3-mirror-transport``, ``cy3-skew``,
+``cy3-mirror-isometry``) still accept the ``samples``, ``seed`` and
+``bound`` of their former sweeps, so that older manifests parse; those
+are checked as above and then dropped, and change nothing.
 Semantic fixture validation (an odd Gram diagonal, a wrong fibre count)
 happens while the verifier runs and is recorded as a failing report
 without aborting the remaining suites.
@@ -16,6 +27,7 @@ without aborting the remaining suites.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +38,25 @@ from .shared import DEFAULT_MANIFEST, ManifestError  # noqa: F401  (DEFAULT_MANI
 from .suites import SUITES, SuiteInputError
 
 MANIFEST_VERSION = "1"
+
+
+# parameter -> (what it must be, test); the suites check the others.
+# type() rather than isinstance(), so that true and false are not numbers.
+_PARAM_RULES = {
+    **dict.fromkeys(
+        ("k_max", "max_index", "triples", "samples"),
+        ("a positive integer", lambda x: type(x) is int and x > 0),
+    ),
+    "l2_max": ("an integer >= 0", lambda x: type(x) is int and x >= 0),
+    "tol": ("a positive finite number", lambda x: type(x) in (int, float) and 0 < x < math.inf),
+    **dict.fromkeys(("fixtures", "taus"), ("a non-empty list", lambda x: type(x) is list and x)),
+}
+
+# suite -> the parameters of its former seeded sweep
+_RETIRED_PARAMS = dict.fromkeys(
+    ("cy1-mirror-isometry", "k3-mirror-transport", "cy3-skew", "cy3-mirror-isometry"),
+    {"samples", "seed", "bound"},
+)
 
 
 @dataclass(frozen=True)
@@ -94,12 +125,22 @@ def parse_manifest(path: str | Path) -> Manifest:
                 f"unknown suite {name!r}; known: {sorted(SUITES)}"
             )
         params = entry.get("params", {})
-        bad = set(params) - set(SUITES[name].defaults)
+        if not isinstance(params, dict):
+            raise ManifestError(f"suite {name!r} params must be an object, got {params!r}")
+        retired = _RETIRED_PARAMS.get(name, set())
+        bad = set(params) - set(SUITES[name].defaults) - retired
         if bad:
             raise ManifestError(
                 f"suite {name!r} does not take parameters {sorted(bad)}"
             )
-        suites.append(SuiteSpec(name=name, params=dict(params)))
+        for key, value in params.items():
+            rule = _PARAM_RULES.get(key)
+            if rule and not rule[1](value):
+                raise ManifestError(
+                    f"suite {name!r} parameter {key!r} must be {rule[0]}, got {value!r}"
+                )
+        kept = {key: value for key, value in params.items() if key not in retired}
+        suites.append(SuiteSpec(name=name, params=kept))
     return Manifest(
         version=version,
         fixtures=tuple(fixtures),

@@ -34,7 +34,7 @@ def summary_check(
     inputs: str = "",
     tol: str = "",
 ) -> Check:
-    """Aggregate a random sweep into one record; failures keep their detail."""
+    """Aggregate a sweep or a certificate into one record; failures keep their detail."""
     if failures:
         got = f"{len(failures)}/{total} failed; first: {failures[0]}"
     else:

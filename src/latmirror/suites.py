@@ -4,45 +4,42 @@ Each suite recomputes one family of identities through two independent
 routes and records per-check evidence.  Random sweeps are seeded from the
 manifest, so a verify run is deterministic end to end.
 
-The seeded sweeps below draw all their samples first, with the same
-``random.Random`` calls in the same order as one sample at a time would,
-and then evaluate them as one batch in exact Python-int arithmetic on
-numpy object arrays, on the ring's compiled forms
-(:meth:`IntegerMatrix.pair_columns`, :meth:`IntegerMatrix.apply_columns`):
+Five suites prove exact identities between polynomials in the integer
+coordinates of the classes on a finite set instead of sampling them.  A
+bilinear identity holds once it holds on every pair of basis classes
+e_i, e_j (:meth:`GradedVector.basis`).  A polynomial of degree at most d
+in each variable that vanishes on d + 1 points per variable is zero
+(Alon, "Combinatorial Nullstellensatz", 1999, Lemma 2.1), so degree 2
+needs the grid {-1, 0, 1}^k and degree 4 the grid {-2, ..., 2}^k:
 
-- ``cy1-mirror-isometry``: the compiled Euler form against the
-  hand-written skew form :func:`cy1.cycle_pairing` of the images;
-- ``k3-reflections``: involution and isometry of the reflections
-  (``cy2._reflect_columns``, the kernel of :func:`cy2.reflect_minus2`),
-  and the end points of one masked walk (:func:`cy2.walk_batch`) paired
-  with every root again;
-- ``k3-mirror-transport``: the compiled Euler form of the Chern characters
-  against the hand-written mirror form :func:`cy2.mirror_pairing_k3` of
-  the images from :func:`cy2.mirror_k3_columns`;
-- ``cy3-skew``: the compiled Euler form, against zero and against itself
-  transposed;
-- ``cy3-mirror-isometry``: the compiled Euler form against the
-  hand-written skew form :func:`cy3.mirror_pairing3` of the images from
-  :func:`cy3.mirror_cy3_columns`, and the closure of the sqrt(td)-span of
-  [X] and [pt] through the compiled sqrt(td) product and the same mirror
-  map.
+- ``cy1-mirror-isometry``: the compiled Euler form against
+  :func:`cy1.cycle_pairing` of the :func:`cy1.mirror_cy1` images, on all
+  basis pairs;
+- ``k3-reflections``: for each declared root, the involution on the basis
+  and the isometry of the compiled Gram form on all basis pairs, through
+  ``cy2._reflect_columns`` (the kernel of :func:`cy2.reflect_minus2`);
+  its seeded walk (:func:`cy2.walk_batch`) is not polynomial;
+- ``k3-mirror-transport``: the compiled Euler form of (1, L, L^2/2)
+  against :func:`cy2.mirror_pairing_k3` of the :func:`cy2.mirror_k3`
+  images, on {-1, 0, 1}^k for each of L1 and L2; the (-2)-sphere square,
+  of degree 4, on {-2, ..., 2}^k;
+- ``cy3-skew``: the compiled Euler form is minus its transpose on all
+  basis pairs; the self-pairing vanishes on every e_i + e_j, i <= j,
+  which determines a quadratic form;
+- ``cy3-mirror-isometry``: :func:`cy3.isometry_certificate3`, and the
+  images of [X] sqrt(td) and [pt] sqrt(td), which span the image of the
+  sqrt(td)-span of [X] and [pt].
 
-``k3-quantization`` mirrors its fixed list of classes as one batch too.
-The u and the v classes of a sweep are mapped as two batches.  No mirror
-map in these sweeps can raise: a loaded K3 fixture has an even Gram
-lattice, so every L^2 is even, and the preimage of td u is u sqrt(td),
-whose rank and divisor block are those of u.  The hand-written forms work
-elementwise on the arrays; none is folded into a compiled form.  A failing
-sample's detail is rendered from the values the batch already holds, as
-Fractions over the batch's denominator, so a report reads the same as one
-made sample by sample through the per-vector functions
-(:func:`cy1.mirror_cy1`, :func:`cy2.mirror_k3`,
-:func:`cy3.mirror_isometry_check3`, :func:`cy3.mirror_cy3`), which the
-tests keep as references.
+Each check's ``inputs`` says what it covers; a failure names the basis
+pair or grid point (:func:`core.isometry_failures`).  No mirror map here
+can raise: a loaded K3 fixture has an even Gram lattice, and the preimage
+of td u is u sqrt(td), whose rank and divisor block are those of u.  The
+hand-written forms pair the images exactly, in Fractions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -52,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from . import cy1, cy2, cy3, numeric
-from .core import GradedVector, RingDescriptor
+from .core import GradedVector, RingDescriptor, isometry_failures, pair_exotic, todd_multiply
 from .report import Check, summary_check
 
 
@@ -76,27 +73,9 @@ def _get_fixture(fixtures: dict, label: str, kind):
     return fx
 
 
-def _blocks(dim: int, nums) -> tuple:
-    """The Fraction blocks of one sampled class from its integer coordinates."""
-    return GradedVector._of_numerators(dim, nums).blocks
-
-
-def _rand_tuple(rng: random.Random, k: int, bound: int) -> tuple:
-    return tuple(rng.randint(-bound, bound) for _ in range(k))
-
-
-def _rand_pairs(rng: random.Random, size: int, bound: int, samples: int) -> tuple:
-    """Seeded pairs (u, v) of integer vectors: the u and the v columns.
-
-    Each is an object array of shape (size, samples); row j is coordinate j
-    and column i is sample i.  One ``randint`` per coordinate, drawn u then
-    v, pair after pair.
-    """
-    draws = [
-        rng.randint(-bound, bound) for _ in range(samples) for _ in range(2 * size)
-    ]
-    pairs = np.array(draws, dtype=object).reshape(-1, 2, size)
-    return pairs[:, 0].T, pairs[:, 1].T
+def _grid(k: int, r: int) -> list:
+    """Every integer point of {-r, ..., r}^k."""
+    return list(itertools.product(range(-r, r + 1), repeat=k))
 
 
 # ---------------------------------------------------------------- cy1 ----
@@ -120,24 +99,21 @@ def _run_cy1_quantization(params, fixtures):
 
 
 def _run_cy1_mirror_isometry(params, fixtures):
-    rng = random.Random(params["seed"])
     ring = RingDescriptor.elliptic()
-    us, vs = _rand_pairs(rng, 2, params["bound"], params["samples"])
-    # images pair by the hand-written skew form, classes by the compiled Euler form
-    lhs = cy1.cycle_pairing(cy1.CycleClass1(*us), cy1.CycleClass1(*vs))
-    exotic = ring._forms.exotic
-    rhs = exotic.pair_columns(us, vs)
-    failures = [
-        f"u={_blocks(1, us[:, i])} v={_blocks(1, vs[:, i])}: "
-        f"{lhs[i]} != {Fraction(rhs[i], exotic.den)}"
-        for i in np.flatnonzero(lhs * exotic.den != rhs)
-    ]
+    basis = GradedVector.basis(1, 0)
+    failures = isometry_failures(
+        basis,
+        [cy1.mirror_cy1(e) for e in basis],
+        lambda u, v: pair_exotic(u, v, ring),
+        cy1.cycle_pairing,
+    )
+    n = len(basis) ** 2
     return [
         summary_check(
             "mirror pairing equals Euler pairing on the curve",
-            params["samples"],
+            n,
             failures,
-            inputs=f"seed={params['seed']}, bound={params['bound']}",
+            inputs=f"all {n} basis pairs",
         )
     ]
 
@@ -243,72 +219,80 @@ def _run_k3_reflections(params, fixtures):
     X = _get_fixture(fixtures, params["fixture"], cy2.K3Descriptor)
     if not X.roots:
         raise SuiteInputError(f"fixture {X.label} declares no roots")
-    rng = random.Random(params["seed"])
     k = X.ring.picard_rank
-    n = params["samples"]
-    xs, ys, picks = [], [], []
-    for _ in range(n):
-        xs.append(_rand_tuple(rng, k, 9))
-        ys.append(_rand_tuple(rng, k, 9))
-        picks.append(rng.randrange(len(X.roots)))
-    x_rows = np.array(xs, dtype=object).reshape(n, k)
-    x_cols = x_rows.T
-    y_cols = np.array(ys, dtype=object).reshape(n, k).T
-    roots = np.array(X.roots, dtype=object)
-    deltas = roots[picks].T
+    # integer coordinates through the kernel of reflect_minus2, paired on
+    # the compiled Gram form
+    basis = [[int(i == j) for j in range(k)] for i in range(k)]
     gram = X.ring._gram_form
-    rx = cy2._reflect_columns(x_cols, deltas, X)
-    rrx = cy2._reflect_columns(rx, deltas, X)
-    ry = cy2._reflect_columns(y_cols, deltas, X)
-    not_invol = np.any(np.array(rrx, dtype=object) != x_cols, axis=0)
-    not_isome = gram.pair_columns(rx, ry) != gram.pair_columns(x_cols, y_cols)
-    ends, _ = cy2.walk_batch(x_rows, X.roots, X)
+    invol, isome = [], []
+    for delta in X.roots:
+        images = [cy2._reflect_columns(e, delta, X) for e in basis]
+        invol += [
+            f"delta={delta} e{i}"
+            for i, (e, r) in enumerate(zip(basis, images))
+            if cy2._reflect_columns(r, delta, X) != e
+        ]
+        failures = isometry_failures(basis, images, gram.pair_columns, gram.pair_columns)
+        isome += [f"delta={delta} {f}" for f in failures]
+    rng = random.Random(params["seed"])
+    n = params["samples"]
+    xs = np.array(rng.choices(range(-9, 10), k=n * k), dtype=object).reshape(n, k)
+    ends, _ = cy2.walk_batch(xs, X.roots, X)
     # every end point against every root: (samples, 1) by (1, roots)
+    roots = np.array(X.roots, dtype=object)
     outside = gram.pair_columns(ends.T[:, :, None], roots.T[:, None, :]) < 0
-    invol = [f"x={xs[i]} delta={X.roots[picks[i]]}" for i in np.flatnonzero(not_invol)]
-    isome = [
-        f"x={xs[i]} y={ys[i]} delta={X.roots[picks[i]]}" for i in np.flatnonzero(not_isome)
-    ]
     walk = [
-        f"x={xs[i]} stopped outside the chamber" for i in np.flatnonzero(outside.any(axis=1))
+        f"x={tuple(xs[i])} stopped outside the chamber"
+        for i in np.flatnonzero(outside.any(axis=1))
     ]
-    seed_note = f"seed={params['seed']}, fixture={X.label}"
+    note = f"fixture={X.label}"
+    m = len(X.roots)
     return [
-        summary_check("reflection is an involution", n, invol, inputs=seed_note),
-        summary_check("reflection preserves the Gram pairing", n, isome, inputs=seed_note),
-        summary_check("bounded walk reaches the nonnegative chamber", n, walk, inputs=seed_note),
+        summary_check(
+            "reflection is an involution", m * k, invol,
+            inputs=f"each of {m} roots on all {k} basis vectors, {note}",
+        ),
+        summary_check(
+            "reflection preserves the Gram pairing", m * k * k, isome,
+            inputs=f"each of {m} roots on all {k * k} basis pairs, {note}",
+        ),
+        summary_check(
+            "bounded walk reaches the nonnegative chamber", n, walk,
+            inputs=f"seed={params['seed']}, {note}",
+        ),
     ]
 
 
 def _run_k3_mirror_transport(params, fixtures):
     X = _get_fixture(fixtures, params["fixture"], cy2.K3Descriptor)
-    rng = random.Random(params["seed"])
     k = X.ring.picard_rank
-    n = params["samples"]
-    us, vs = _rand_pairs(rng, k, params["bound"], n)
-    # images pair by the hand-written mirror form, Chern characters by the
-    # compiled Euler form
-    m1, m2 = cy2.mirror_k3_columns(us, X), cy2.mirror_k3_columns(vs, X)
-    lhs = cy2.mirror_pairing_k3(m1, m2, X)
-    sphere = cy2.mirror_pairing_k3(m1, m1, X)
-    # Chern characters (1, L, L^2/2); every square is even past the mirror map
-    gram = X.ring._gram_form
-    ch1, ch2 = ([1 + 0 * ls[0], *ls, gram.pair_columns(ls, ls) // 2] for ls in (us, vs))
-    exotic = X.ring._forms.exotic
-    rhs = -exotic.pair_columns(ch1, ch2)
-    failures = [
-        f"L1={tuple(us[:, i])} L2={tuple(vs[:, i])}: "
-        f"{lhs[i]} != {Fraction(rhs[i], exotic.den)}"
-        for i in np.flatnonzero(lhs * exotic.den != rhs)
-    ]
-    spheres = [f"L={tuple(us[:, i])}" for i in np.flatnonzero(sphere != -2)]
-    note = f"seed={params['seed']}, fixture={X.label}"
+    # the images pair by the hand-written mirror form, the Chern characters
+    # (1, L, L^2/2) by the compiled Euler form, orientation-reversed
+    ls = _grid(k, 1)
+    chs = [GradedVector(2, (1, L, X.ring.pic_pair(L, L) / 2)) for L in ls]
+    failures = isometry_failures(
+        chs,
+        [cy2.mirror_k3(L, X) for L in ls],
+        lambda u, v: -pair_exotic(u, v, X.ring),
+        lambda a, b: cy2.mirror_pairing_k3(a, b, X),
+        names=ls,
+    )
+    spheres = []
+    for L in _grid(k, 2):
+        m = cy2.mirror_k3(L, X)
+        square = cy2.mirror_pairing_k3(m, m, X)
+        if square != -2:
+            spheres.append(f"L={L}: {square}")
+    n = len(ls) ** 2
     return [
         summary_check(
             "mirror pairing transports the Euler pairing (orientation-reversed)",
-            n, failures, inputs=note,
+            n, failures, inputs=f"all {n} pairs (L1, L2) in {{-1, 0, 1}}^{k}, fixture={X.label}",
         ),
-        summary_check("every mirror image is a (-2)-sphere class", n, spheres, inputs=note),
+        summary_check(
+            "every mirror image is a (-2)-sphere class", 5 ** k, spheres,
+            inputs=f"all {5 ** k} L in {{-2, ..., 2}}^{k}, fixture={X.label}",
+        ),
     ]
 
 
@@ -351,75 +335,50 @@ def _run_cy3_skew(params, fixtures):
     checks = []
     for label in params["fixtures"]:
         X = _get_fixture(fixtures, label, cy3.CY3Descriptor)
-        rng = random.Random(params["seed"])
-        k = X.ring.picard_rank
-        n = params["samples"]
-        us, vs = _rand_pairs(rng, 2 * k + 2, params["bound"], n)
         exotic = X.ring._forms.exotic
-        self_pairing = exotic.pair_columns(us, us)
-        skew_defect = exotic.pair_columns(us, vs) + exotic.pair_columns(vs, us)
-        diag = [f"u={_blocks(3, us[:, i])}" for i in np.flatnonzero(self_pairing != 0)]
-        anti = [
-            f"u={_blocks(3, us[:, i])} v={_blocks(3, vs[:, i])}"
-            for i in np.flatnonzero(skew_defect != 0)
-        ]
-        note = f"seed={params['seed']}, fixture={label}"
+        g = exotic.to_rationals()  # g[i][j] = pair_exotic(e_i, e_j)
+        n = len(g)
+        # a quadratic form is zero once it vanishes on every e_i + e_j, i <= j
+        diag = []
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            w = [(c == i) + (c == j) for c in range(n)]
+            square = Fraction(exotic.pair_columns(w, w), exotic.den)
+            if square != 0:
+                diag.append(f"e{i} + e{j}: {square}")
+        anti = isometry_failures(range(n), range(n), lambda i, j: g[i][j], lambda i, j: -g[j][i])
+        sums = n * (n + 1) // 2
         checks.append(summary_check(
-            f"{label}: self-pairing vanishes (virtual dimension 0)", n, diag, inputs=note))
+            f"{label}: self-pairing vanishes (virtual dimension 0)", sums, diag,
+            inputs=f"all {sums} classes e_i + e_j, i <= j, fixture={label}"))
         checks.append(summary_check(
-            f"{label}: Euler pairing is antisymmetric", n, anti, inputs=note))
+            f"{label}: Euler pairing is antisymmetric", n * n, anti,
+            inputs=f"all {n * n} basis pairs, fixture={label}"))
     return checks
-
-
-def _mirror_class3(m: cy3.MirrorClass3, den: int, i: int) -> cy3.MirrorClass3:
-    """Sample i of a batch of images with numerators over ``den``, as Fractions."""
-    return cy3.MirrorClass3(
-        s0=Fraction(m.s0[i], den),
-        e=Fraction(m.e[i], den),
-        psi1=tuple(Fraction(x[i], den) for x in m.psi1),
-        psi2=tuple(Fraction(x[i], den) for x in m.psi2),
-    )
 
 
 def _run_cy3_mirror_isometry(params, fixtures):
     checks = []
     for label in params["fixtures"]:
         X = _get_fixture(fixtures, label, cy3.CY3Descriptor)
-        rng = random.Random(params["seed"])
         k = X.ring.picard_rank
-        us, vs = _rand_pairs(rng, 2 * k + 2, params["bound"], params["samples"])
-        # classes go through td, then the mirror map; the images pair by the
-        # hand-written skew form, the classes by the compiled Euler form
-        forms = X.ring._forms
-        td, exotic = forms.products["td"], forms.exotic
-        mu, den = cy3.mirror_cy3_columns(td.apply_columns(us), td.den, X)
-        mv, _ = cy3.mirror_cy3_columns(td.apply_columns(vs), td.den, X)
-        lhs = cy3.mirror_pairing3(mu, mv)
-        rhs = exotic.pair_columns(us, vs)
-        failures = [
-            f"u={_blocks(3, us[:, i])} v={_blocks(3, vs[:, i])}: "
-            f"{Fraction(lhs[i], den * den)} != {Fraction(rhs[i], exotic.den)}"
-            for i in np.flatnonzero(lhs * exotic.den != rhs * den * den)
-        ]
+        pairs, failures = cy3.isometry_certificate3(X)
         # a [X] + b [pt] times sqrt(td) must map back onto a [s0] + b [e']
-        ab = np.array([rng.randint(-20, 20) for _ in range(200)], dtype=object)
-        a, b = ab[0::2], ab[1::2]
-        zero = 0 * a
-        sqrt_td = forms.products["sqrt_td"]
-        span = sqrt_td.apply_columns([a, *(zero,) * (2 * k), b])
-        spanned, den = cy3.mirror_cy3_columns(span, sqrt_td.den, X)
-        off = (spanned.s0 != a * den) | (spanned.e != b * den)
-        for x in (*spanned.psi1, *spanned.psi2):
-            off = off | (x != 0)
-        closure = [
-            f"a={a[i]} b={b[i]}: {_mirror_class3(spanned, den, i)}" for i in np.flatnonzero(off)
-        ]
-        note = f"seed={params['seed']}, fixture={label}"
+        zero = (0,) * k
+        span = (
+            ("[X]", GradedVector.unit(3, k), cy3.MirrorClass3(1, 0, zero, zero)),
+            ("[pt]", GradedVector.point(3, k), cy3.MirrorClass3(0, 1, zero, zero)),
+        )
+        closure = []
+        for name, u, want in span:
+            image = cy3.mirror_cy3(todd_multiply(u, X.ring, "sqrt_td"), X)
+            if image != want:
+                closure.append(f"{name}: {image}")
         checks.append(summary_check(
-            f"{label}: mirror map is an isometry", params["samples"], failures, inputs=note))
+            f"{label}: mirror map is an isometry", pairs, failures,
+            inputs=f"all {pairs} basis pairs, fixture={label}"))
         checks.append(summary_check(
             f"{label}: sqrt(td)-span of [X],[pt] maps onto section/fibre lattice",
-            100, closure, inputs=note))
+            2, closure, inputs=f"[X] and [pt], fixture={label}"))
     return checks
 
 
@@ -592,11 +551,7 @@ SUITES = {
     s.name: s
     for s in (
         SuiteDef("cy1-quantization", {"k_max": 50}, _run_cy1_quantization),
-        SuiteDef(
-            "cy1-mirror-isometry",
-            {"samples": 1000, "seed": 7, "bound": 50},
-            _run_cy1_mirror_isometry,
-        ),
+        SuiteDef("cy1-mirror-isometry", {}, _run_cy1_mirror_isometry),
         SuiteDef(
             "cy1-gft-homomorphism",
             {"samples": 300, "seed": 11, "bound": 30},
@@ -619,18 +574,18 @@ SUITES = {
         ),
         SuiteDef(
             "k3-mirror-transport",
-            {"samples": 240, "seed": 13, "fixture": "k3-quartic", "bound": 9},
+            {"fixture": "k3-quartic"},
             _run_k3_mirror_transport,
         ),
         SuiteDef("k3-main-condition", {}, _run_k3_main_condition),
         SuiteDef(
             "cy3-skew",
-            {"samples": 1000, "seed": 17, "bound": 30, "fixtures": CY3_FIXTURE_DEFAULT},
+            {"fixtures": CY3_FIXTURE_DEFAULT},
             _run_cy3_skew,
         ),
         SuiteDef(
             "cy3-mirror-isometry",
-            {"samples": 1000, "seed": 19, "bound": 30, "fixtures": CY3_FIXTURE_DEFAULT},
+            {"fixtures": CY3_FIXTURE_DEFAULT},
             _run_cy3_mirror_isometry,
         ),
         SuiteDef(

@@ -58,6 +58,7 @@ def test_manifest_round_trip(tmp_path):
         lambda p: p["suites"].append({"name": "cy3-skew", "params": {"bogus": 1}}),
         lambda p: p["suites"].append({"name": "cy3-skew", "typo": 1}),
         lambda p: p["suites"].append("cy3-skew"),
+        lambda p: p["suites"].append({"name": "cy3-skew", "params": 5}),  # was a TypeError
         lambda p: p["fixtures"].append("no_such_fixture.json"),
     ],
 )
@@ -65,6 +66,81 @@ def test_manifest_rejects_static_garbage(tmp_path, mutate):
     payload = copy.deepcopy(GOOD_MANIFEST)
     mutate(payload)
     with pytest.raises(ManifestError):
+        parse_manifest(write_manifest(tmp_path, payload))
+
+
+@pytest.mark.parametrize("value", [0, -5, 1.5, True])
+@pytest.mark.parametrize(
+    "suite, key",
+    [
+        ("cy1-quantization", "k_max"),
+        ("cy1-atiyah", "max_index"),
+        ("cy1-atiyah", "triples"),
+        ("k3-reflections", "samples"),
+        ("cy1-gft-homomorphism", "samples"),
+        ("quant-holonomy", "samples"),
+    ],
+)
+def test_manifest_rejects_a_count_that_is_not_positive(tmp_path, capsys, suite, key, value):
+    # a count of 0 or -5 reported "all 0 ok"; 1.5 and true were taken as counts
+    payload = {"version": "1", "suites": [{"name": suite, "params": {key: value}}]}
+    path = write_manifest(tmp_path, payload)
+    with pytest.raises(ManifestError, match=f"parameter '{key}' must be a positive integer"):
+        parse_manifest(path)
+    code, out, err = run_cli(capsys, "verify", "--manifest", str(path))
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+
+
+@pytest.mark.parametrize(
+    "key, value, ok",
+    [
+        ("l2_max", 0, True), ("l2_max", -5, False), ("l2_max", 1.5, False),
+        ("l2_max", True, False),
+        ("tol", 1.5, True), ("tol", 0, False), ("tol", -5, False), ("tol", True, False),
+        ("tol", math.inf, False), ("tol", math.nan, False),
+    ],
+)
+def test_manifest_checks_l2_max_and_tol(tmp_path, key, value, ok):
+    suite = "k3-quantization" if key == "l2_max" else "quant-bs"
+    payload = {"version": "1", "suites": [{"name": suite, "params": {key: value}}]}
+    path = write_manifest(tmp_path, payload)
+    if ok:
+        assert parse_manifest(path).suites[0].params == {key: value}
+    else:
+        with pytest.raises(ManifestError, match=f"parameter '{key}' must be"):
+            parse_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "suite, key, value",
+    [("cy3-skew", "fixtures", []), ("cy3-sublattice", "fixtures", "quintic"),
+     ("quant-theta-rank", "taus", [])],
+)
+def test_manifest_rejects_an_empty_list_of_cases(tmp_path, suite, key, value):
+    # an empty list ran no check, and the suite passed
+    payload = {"version": "1", "suites": [{"name": suite, "params": {key: value}}]}
+    with pytest.raises(ManifestError, match=f"parameter '{key}' must be a non-empty list"):
+        parse_manifest(write_manifest(tmp_path, payload))
+
+
+@pytest.mark.parametrize(
+    "suite, key",
+    [
+        ("cy1-mirror-isometry", "samples"),
+        ("k3-mirror-transport", "seed"),
+        ("cy3-skew", "bound"),
+        ("cy3-mirror-isometry", "samples"),
+    ],
+)
+def test_manifest_drops_the_parameters_of_the_former_sweeps(tmp_path, suite, key):
+    # the certificates take no sample parameters; older manifests still parse
+    payload = {"version": "1", "suites": [{"name": suite, "params": {key: 10}}]}
+    assert parse_manifest(write_manifest(tmp_path, payload)).suites[0].params == {}
+    payload["suites"][0]["params"] = {"samples": 0}
+    with pytest.raises(ManifestError, match="parameter 'samples' must be a positive integer"):
+        parse_manifest(write_manifest(tmp_path, payload))
+    payload["suites"][0]["params"] = {"draws": 10}
+    with pytest.raises(ManifestError, match="does not take parameters \\['draws'\\]"):
         parse_manifest(write_manifest(tmp_path, payload))
 
 
@@ -164,7 +240,7 @@ def test_verify_missing_suite_fixture_is_error_not_crash(tmp_path):
     payload = {
         "version": "1",
         "fixtures": ["k3_quartic.json"],
-        "suites": [{"name": "cy3-skew", "params": {"samples": 10}}],
+        "suites": [{"name": "cy3-skew", "params": {}}],
     }
     result = run_verify(parse_manifest(write_manifest(tmp_path, payload)))
     by_name = {r.suite: r for r in result.reports}
@@ -262,12 +338,11 @@ def test_cli_cy3_paths(capsys):
     # ch(O(H)) on the quintic; the middle blocks use the dual pairing
     code, out, _ = run_cli(capsys, "cy3", "chi", "--bundle", "1:1:5/2:5/6")
     assert (code, out.strip()) == (0, "5")
-    code, out, _ = run_cli(
-        capsys, "cy3", "verify-isometry", "--samples", "40", "--json"
-    )
+    code, out, _ = run_cli(capsys, "cy3", "verify-isometry", "--json")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["failures"] == 0 and doc["samples"] == 40
+    assert json.loads(out) == {"fixture": "quintic", "pairs": 16, "failures": 0, "passed": True}
+    code, out, _ = run_cli(capsys, "cy3", "verify-isometry", "--fixture", "bicubic")
+    assert (code, out) == (0, "all 36 basis pairs on bicubic: isometric\n")
 
 
 def test_cli_quant_paths(capsys, tmp_path):
@@ -309,16 +384,20 @@ def test_cli_exit_code_2_paths(capsys, tmp_path):
         ("quant", "phase", "--curve", str(tmp_path / "object.json")),
         # verifications of nothing: each printed a pass and exited 0
         ("cy2", "verify", "--l2-range", "2..-4"),
-        ("cy3", "verify-isometry", "--samples", "0"),
-        ("cy3", "verify-isometry", "--samples", "-5"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
-    with pytest.raises(SystemExit) as exc:  # argparse handles unknown verbs
-        main(["cy1", "no-such-verb"])
-    assert exc.value.code == 2
+    # argparse handles unknown verbs, and the sample flags verify-isometry dropped
+    for argv in (
+        ("cy1", "no-such-verb"),
+        ("cy3", "verify-isometry", "--samples", "40"),
+        ("cy3", "verify-isometry", "--seed", "5"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
 
 
 @pytest.mark.parametrize(

@@ -486,6 +486,22 @@ def test_graded_vector_payload_round_trip(quintic):
     assert GradedVector.from_payload(json.loads(text)) == u
 
 
+def test_graded_vector_payload_dim_is_a_strict_integer():
+    # int() truncated these: 1.9 and true loaded as dim-1 vectors
+    for dim in (1.9, True):
+        with pytest.raises(LatticeError, match="integer lattice datum expected"):
+            GradedVector.from_payload({"dim": dim, "blocks": [1, 2]})
+    assert GradedVector.from_payload({"dim": "1", "blocks": [1, 2]}) == GradedVector(1, (1, 2))
+
+
+def test_basis_classes_are_the_unit_coordinate_vectors():
+    assert GradedVector.basis(1, 0) == (GradedVector(1, (1, 0)), GradedVector(1, (0, 1)))
+    basis = GradedVector.basis(3, 2)
+    assert len(basis) == 6
+    assert [u.nums for u in basis] == [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    assert basis[2].blocks == (0, (0, 1), (0, 0), 0)
+
+
 def test_ring_descriptor_json_round_trip(quintic, k3_elliptic):
     for ring in (ELLIPTIC, K3_H, quintic.ring):
         through_text = json.loads(json.dumps(ring.to_payload()))

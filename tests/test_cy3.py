@@ -1,12 +1,10 @@
 """Threefold lattice engine: skew Euler form, chi, mirror map, sublattice."""
 
 import json
-import math
 import random
 import warnings
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from latmirror import (
@@ -26,13 +24,12 @@ from latmirror import (
     mirror_cy3,
     mirror_isometry_check3,
     mirror_pairing3,
-    pair_exotic,
     todd_data,
     vdim3,
 )
 from latmirror import core, parse_manifest, run_verify
-from latmirror.core import todd_multiply
-from latmirror.cy3 import mirror_cy3_columns
+from latmirror.cli import main
+from latmirror.cy3 import isometry_certificate3
 
 from oracles import p1x4_2222
 
@@ -300,89 +297,14 @@ def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def test_corrupted_compiled_entry_fails_the_threefold_suites(monkeypatch, tmp_path):
-    compile_forms = core._compile_forms
-
-    def corrupted(ring):
-        forms = compile_forms(ring)
-        rows = list(forms.exotic.rows)
-        rows[0] = ((0, 1), *rows[0])  # one new entry: G[0][0] = 1 / den
-        return forms._replace(exotic=forms.exotic._replace(rows=tuple(rows)))
-
-    monkeypatch.setattr(core, "_compile_forms", corrupted)
-    manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps({
-        "version": "1",
-        "fixtures": ["quintic.json", "bicubic.json"],
-        "suites": [
-            {"name": "cy3-skew", "params": {"samples": 50}},
-            {"name": "cy3-mirror-isometry", "params": {"samples": 50}},
-        ],
-    }))
-    reports = {r.suite: r for r in run_verify(parse_manifest(manifest)).reports}
-    assert reports["cy3-skew"].status == "fail"
-    assert reports["cy3-mirror-isometry"].status == "fail"
-
-
-def flat(u):
-    b = u.blocks
-    return [b[0], *b[1], *b[2], b[3]]
-
-
-def columns(vectors):
-    # numerators over one denominator, coordinate j of every vector in row j
-    den = math.lcm(*(x.denominator for u in vectors for x in flat(u)))
-    rows = [[int(x * den) for x in flat(u)] for u in vectors]
-    return np.array(rows, dtype=object).T, den
-
-
-def test_batch_equals_per_vector_route(quintic, bicubic):
-    rng = random.Random(83)
+def test_isometry_certificate_holds_on_every_basis_pair(quintic, bicubic):
     for X in (quintic, bicubic, p1x4()):
-        k = X.ring.picard_rank
-        us = [rand_ch(rng, k, -30, 30) for _ in range(300)]
-        vs = [rand_ch(rng, k, -30, 30) for _ in range(300)]
-        (cu, _), (cv, _) = columns(us), columns(vs)
-        exotic = X.ring._forms.exotic
-        paired = exotic.pair_columns(cu, cv)
-        td = X.ring._forms.products["td"]
-        mu, den = mirror_cy3_columns(td.apply_columns(cu), td.den, X)
-        mv, den_v = mirror_cy3_columns(td.apply_columns(cv), td.den, X)
-        skew = mirror_pairing3(mu, mv)
-        assert den == den_v
-        for i, (u, v) in enumerate(zip(us, vs)):
-            assert Fraction(paired[i], exotic.den) == pair_exotic(u, v, X.ring)
-            got = MirrorClass3(
-                s0=Fraction(mu.s0[i], den),
-                e=Fraction(mu.e[i], den),
-                psi1=tuple(Fraction(x[i], den) for x in mu.psi1),
-                psi2=tuple(Fraction(x[i], den) for x in mu.psi2),
-            )
-            per_vector = mirror_cy3(todd_multiply(u, X.ring, "td"), X)
-            assert got == per_vector, (X.label, i)
-            image_v = mirror_cy3(todd_multiply(v, X.ring, "td"), X)
-            assert Fraction(skew[i], den * den) == mirror_pairing3(per_vector, image_v)
-
-
-def test_batch_mirror_raises_for_the_first_non_integral_preimage(quintic, bicubic):
-    for X in (quintic, bicubic):
-        k = X.ring.picard_rank
-        good = GradedVector(3, (1, (2,) * k, (Fraction(1, 2),) * k, Fraction(1, 6)))
-        half_rank = GradedVector(3, (Fraction(1, 2), (0,) * k, (0,) * k, 0))
-        third_divisor = GradedVector(3, (0, (Fraction(1, 3),) * k, (0,) * k, 0))
-        for batch, bad in (
-            ([good, half_rank, good, third_divisor], half_rank),
-            ([good, third_divisor, half_rank], third_divisor),
-        ):
-            with pytest.raises(LatticeError) as per_vector:
-                mirror_cy3(bad, X)
-            with pytest.raises(LatticeError) as batched:
-                mirror_cy3_columns(*columns(batch), X)
-            assert str(batched.value) == str(per_vector.value)
+        n = 2 * X.ring.picard_rank + 2
+        assert isometry_certificate3(X) == (n * n, []), X.label
 
 
 @pytest.mark.parametrize("factor", ["td", "sqrt_td_inv"])
-def test_corrupted_todd_product_fails_the_mirror_isometry(monkeypatch, tmp_path, factor):
+def test_corrupted_todd_product_fails_the_mirror_isometry(monkeypatch, tmp_path, capsys, factor):
     compile_forms = core._compile_forms
 
     def corrupted(ring):
@@ -400,7 +322,7 @@ def test_corrupted_todd_product_fails_the_mirror_isometry(monkeypatch, tmp_path,
     manifest.write_text(json.dumps({
         "version": "1",
         "fixtures": ["quintic.json", "bicubic.json"],
-        "suites": [{"name": "cy3-mirror-isometry", "params": {"samples": 50}}],
+        "suites": [{"name": "cy3-mirror-isometry", "params": {}}],
     }))
     report = {r.suite: r for r in run_verify(parse_manifest(manifest)).reports}[
         "cy3-mirror-isometry"
@@ -408,19 +330,24 @@ def test_corrupted_todd_product_fails_the_mirror_isometry(monkeypatch, tmp_path,
     assert report.status == "fail"
     for label in ("quintic", "bicubic"):
         X = load_cy3_fixture(label)  # a fresh ring compiles the corrupted forms
-        k = X.ring.picard_rank
-        rng = random.Random(19)  # the suite's default seed and bound
+        basis = GradedVector.basis(3, X.ring.picard_rank)
         failures = []
-        for _ in range(50):
-            u, v = rand_ch(rng, k, -30, 30), rand_ch(rng, k, -30, 30)
-            rep = mirror_isometry_check3(u, v, X)
-            if not rep.ok:
-                failures.append(f"u={u.blocks} v={v.blocks}: {rep.lhs} != {rep.rhs}")
+        for i, u in enumerate(basis):
+            for j, v in enumerate(basis):
+                rep = mirror_isometry_check3(u, v, X)
+                if not rep.ok:
+                    failures.append(f"(e{i}, e{j}): {rep.lhs} != {rep.rhs}")
         check = next(
             c for c in report.checks if c.name == f"{label}: mirror map is an isometry"
         )
         assert failures
-        assert check.got == f"{len(failures)}/50 failed; first: {failures[0]}"
+        assert check.got == f"{len(failures)}/{len(basis) ** 2} failed; first: {failures[0]}"
+        # the command runs the same certificate
+        assert main(["cy3", "verify-isometry", "--fixture", label]) == 1
+        assert capsys.readouterr().out == (
+            f"all {len(basis) ** 2} basis pairs on {label}: "
+            f"{len(failures)} FAILURES; first: {failures[0]}\n"
+        )
 
 
 def test_descriptor_requires_dim3(k3_quartic):

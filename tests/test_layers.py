@@ -3,13 +3,16 @@
 `import latmirror` and the exact CLI families must run without numpy in
 `sys.modules`; the names of `numeric` and `manifest` resolve on first use.
 The import checks run in fresh interpreters, since this test process has
-numpy loaded already.  The last test guards the benchmark in `perfbench/`:
-every name it takes from the package must still resolve.
+numpy loaded already.  The last two tests guard the benchmark in
+`perfbench/`: every name it takes from the package must still resolve,
+and its report check must accept the golden verify report.
 """
 
 import ast
 import importlib
+import json
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -135,3 +138,13 @@ def test_every_name_the_benchmark_uses_resolves():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_the_benchmark_report_check_accepts_the_golden_report():
+    # the benchmark refuses a verify report whose check counts differ from
+    # those its rules derive from the shipped manifest; run_path reads the
+    # file and writes no bytecode next to it
+    check = runpy.run_path(str(ROOT / "perfbench" / "reportcheck.py"))
+    golden = json.loads((ROOT / "tests" / "data" / "verify_default.golden.json").read_text())
+    counts = check["expected_check_counts"](check["shipped_manifest"](ROOT))
+    assert check["verify_faults"](0, golden, counts) == []

@@ -1,14 +1,16 @@
 """Each suite fails when one target it checks is broken.
 
 One row per suite: a monkeypatch that breaks exactly one target, and a
-reference for what the suite must then report.  For a batched sweep the
-reference redraws the suite's seeded samples and checks them one at a
-time through the per-vector functions; for a fixed list of checks it
-derives the broken values by hand from the mutation.  Under the patch the
+reference for what the suite must then report.  For a certificate the
+reference checks the same basis classes or grid points one at a time
+through the per-vector functions; for a seeded sweep it redraws the
+suite's samples; for a fixed list of checks it derives the broken values
+by hand from the mutation.  Under the patch the
 suite must report ``fail`` (not ``error``), and every check the reference
 names must read exactly as the reference says.
 """
 
+import itertools
 import json
 import math
 import random
@@ -71,6 +73,11 @@ def add_unit_entry(monkeypatch, form, row, col):
     monkeypatch.setattr(core, "_compile_forms", corrupted)
 
 
+def corrupt_exotic_form(monkeypatch):
+    # G[0][0] = 1: [X] pairs to 1 with itself, so G + G^T is not zero
+    add_unit_entry(monkeypatch, "exotic", 0, 0)
+
+
 def corrupt_sqrt_td_product(monkeypatch):
     # the point coordinate gains the rank coordinate: an integral change
     # the mirror map carries to the fibre coefficient
@@ -110,70 +117,104 @@ def summaries(sweep):
     return reference
 
 
+def basis_pairs(basis):
+    """(name, u, v) for every ordered pair of basis classes, as the suites order them."""
+    named = [(f"e{i}", u) for i, u in enumerate(basis)]
+    return [(f"({a}, {b})", u, v) for (a, u), (b, v) in itertools.product(named, repeat=2)]
+
+
+def grid(k, r):
+    return list(itertools.product(range(-r, r + 1), repeat=k))
+
+
 def cy1_isometry_reference(params, fixtures):
-    rng = random.Random(params["seed"])
     ring = RingDescriptor.elliptic()
-    bound = params["bound"]
+    pairs = basis_pairs(GradedVector.basis(1, 0))
     failures = []
-    for _ in range(params["samples"]):
-        u = GradedVector(1, (rng.randint(-bound, bound), rng.randint(-bound, bound)))
-        v = GradedVector(1, (rng.randint(-bound, bound), rng.randint(-bound, bound)))
+    for name, u, v in pairs:
         lhs = cy1.cycle_pairing(cy1.mirror_cy1(u), cy1.mirror_cy1(v))
         rhs = pair_exotic(u, v, ring)
         if lhs != rhs:
-            failures.append(f"u={u.blocks} v={v.blocks}: {lhs} != {rhs}")
-    return {"mirror pairing equals Euler pairing on the curve": (params["samples"], failures)}
+            failures.append(f"{name}: {lhs} != {rhs}")
+    return {"mirror pairing equals Euler pairing on the curve": (len(pairs), failures)}
 
 
 def k3_reflections_reference(params, fixtures):
     X = fixtures[params["fixture"]]
-    rng = random.Random(params["seed"])
     k = X.ring.picard_rank
-    invol, isome, walk = [], [], []
-    for _ in range(params["samples"]):
-        x = tuple(rng.randint(-9, 9) for _ in range(k))
-        y = tuple(rng.randint(-9, 9) for _ in range(k))
-        delta = X.roots[rng.randrange(len(X.roots))]
-        rx = cy2.reflect_minus2(x, delta, X)
-        if cy2.reflect_minus2(rx, delta, X) != tuple(map(Fraction, x)):
-            invol.append(f"x={x} delta={delta}")
-        if X.ring.pic_pair(rx, cy2.reflect_minus2(y, delta, X)) != X.ring.pic_pair(x, y):
-            isome.append(f"x={x} y={y} delta={delta}")
+    basis = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    invol, isome = [], []
+    for delta in X.roots:
+        for i, x in enumerate(basis):
+            if cy2.reflect_minus2(cy2.reflect_minus2(x, delta, X), delta, X) != x:
+                invol.append(f"delta={delta} e{i}")
+        for name, x, y in basis_pairs(basis):
+            rx, ry = cy2.reflect_minus2(x, delta, X), cy2.reflect_minus2(y, delta, X)
+            lhs, rhs = X.ring.pic_pair(rx, ry), X.ring.pic_pair(x, y)
+            if lhs != rhs:
+                isome.append(f"delta={delta} {name}: {lhs} != {rhs}")
+    n = params["samples"]
+    draws = random.Random(params["seed"]).choices(range(-9, 10), k=n * k)
+    walk = []
+    for i in range(n):
+        x = tuple(draws[i * k:(i + 1) * k])
         end = cy2.walk_to_chamber(x, X.roots, X).vector
         if any(X.ring.pic_pair(end, d) < 0 for d in X.roots):
             walk.append(f"x={x} stopped outside the chamber")
-    n = params["samples"]
+    m = len(X.roots)
     return {
-        "reflection is an involution": (n, invol),
-        "reflection preserves the Gram pairing": (n, isome),
+        "reflection is an involution": (m * k, invol),
+        "reflection preserves the Gram pairing": (m * k * k, isome),
         "bounded walk reaches the nonnegative chamber": (n, walk),
     }
 
 
 def k3_transport_reference(params, fixtures):
     X = fixtures[params["fixture"]]
-    rng = random.Random(params["seed"])
     k = X.ring.picard_rank
-    bound = params["bound"]
     failures, spheres = [], []
-    for _ in range(params["samples"]):
-        L1 = tuple(rng.randint(-bound, bound) for _ in range(k))
-        L2 = tuple(rng.randint(-bound, bound) for _ in range(k))
+    for L1, L2 in itertools.product(grid(k, 1), repeat=2):
         ch1, ch2 = (
             GradedVector(2, (1, L, Fraction(X.ring.pic_pair(L, L), 2))) for L in (L1, L2)
         )
-        m1, m2 = cy2.mirror_k3(L1, X), cy2.mirror_k3(L2, X)
-        lhs = cy2.mirror_pairing_k3(m1, m2, X)
+        lhs = cy2.mirror_pairing_k3(cy2.mirror_k3(L1, X), cy2.mirror_k3(L2, X), X)
         rhs = -pair_exotic(ch1, ch2, X.ring)
         if lhs != rhs:
-            failures.append(f"L1={L1} L2={L2}: {lhs} != {rhs}")
-        if cy2.mirror_pairing_k3(m1, m1, X) != -2:
-            spheres.append(f"L={L1}")
-    n = params["samples"]
+            failures.append(f"({L1}, {L2}): {lhs} != {rhs}")
+    for L in grid(k, 2):
+        m = cy2.mirror_k3(L, X)
+        square = cy2.mirror_pairing_k3(m, m, X)
+        if square != -2:
+            spheres.append(f"L={L}: {square}")
     return {
-        "mirror pairing transports the Euler pairing (orientation-reversed)": (n, failures),
-        "every mirror image is a (-2)-sphere class": (n, spheres),
+        "mirror pairing transports the Euler pairing (orientation-reversed)": (
+            3 ** (2 * k), failures,
+        ),
+        "every mirror image is a (-2)-sphere class": (5 ** k, spheres),
     }
+
+
+def cy3_skew_reference(params, fixtures):
+    out = {}
+    for label in params["fixtures"]:
+        X = fixtures[label]
+        basis = GradedVector.basis(3, X.ring.picard_rank)
+        n = len(basis)
+        diag = []
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            w = basis[i] + basis[j]
+            square = pair_exotic(w, w, X.ring)
+            if square != 0:
+                diag.append(f"e{i} + e{j}: {square}")
+        anti = []
+        for i, j in itertools.product(range(n), repeat=2):
+            forward = pair_exotic(basis[i], basis[j], X.ring)
+            backward = pair_exotic(basis[j], basis[i], X.ring)
+            if forward + backward != 0:
+                anti.append(f"(e{i}, e{j}): {-backward} != {forward}")
+        out[f"{label}: self-pairing vanishes (virtual dimension 0)"] = (n * (n + 1) // 2, diag)
+        out[f"{label}: Euler pairing is antisymmetric"] = (n * n, anti)
+    return out
 
 
 def cy3_closure_reference(params, fixtures):
@@ -181,18 +222,17 @@ def cy3_closure_reference(params, fixtures):
     for label in params["fixtures"]:
         X = fixtures[label]
         k = X.ring.picard_rank
-        rng = random.Random(params["seed"])
-        for _ in range(params["samples"] * 2 * (2 * k + 2)):  # the isometry's pairs
-            rng.randint(-params["bound"], params["bound"])
+        zero = (0,) * k
         closure = []
-        for _ in range(100):
-            a, b = rng.randint(-20, 20), rng.randint(-20, 20)
-            u = todd_multiply(GradedVector(3, (a, (0,) * k, (0,) * k, b)), X.ring, "sqrt_td")
-            mir = cy3.mirror_cy3(u, X)
-            if mir != cy3.MirrorClass3(a, b, (0,) * k, (0,) * k):
-                closure.append(f"a={a} b={b}: {mir}")
+        for name, u, want in (
+            ("[X]", GradedVector.unit(3, k), cy3.MirrorClass3(1, 0, zero, zero)),
+            ("[pt]", GradedVector.point(3, k), cy3.MirrorClass3(0, 1, zero, zero)),
+        ):
+            mir = cy3.mirror_cy3(todd_multiply(u, X.ring, "sqrt_td"), X)
+            if mir != want:
+                closure.append(f"{name}: {mir}")
         name = f"{label}: sqrt(td)-span of [X],[pt] maps onto section/fibre lattice"
-        out[name] = (100, closure)
+        out[name] = (2, closure)
     return out
 
 
@@ -237,6 +277,7 @@ ROWS = [
         summaries(k3_reflections_reference)),
     Row("k3-mirror-transport", ("k3_quartic.json",), break_h_gram,
         summaries(k3_transport_reference)),
+    Row("cy3-skew", THREEFOLDS, corrupt_exotic_form, summaries(cy3_skew_reference)),
     Row("cy3-mirror-isometry", THREEFOLDS, corrupt_sqrt_td_product,
         summaries(cy3_closure_reference)),
     Row("cy3-quantization", THREEFOLDS, corrupt_td_product, cy3_quantization_reference),
@@ -262,3 +303,23 @@ def test_broken_target_fails_the_suite(row, monkeypatch, tmp_path):
     got = {c.name: c.got for c in report.checks}
     for name, text in want.items():
         assert got[name] == text, name
+
+
+def test_corrupted_exotic_form_fails_the_mirror_isometry(monkeypatch, tmp_path):
+    # the certificate reads the compiled Euler form on one side: G[0][0] = 1
+    # while the skew image form pairs [X] sqrt(td) to 0 with itself
+    corrupt_exotic_form(monkeypatch)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "version": "1",
+        "fixtures": list(THREEFOLDS),
+        "suites": [{"name": "cy3-mirror-isometry", "params": {}}],
+    }))
+    report = {r.suite: r for r in run_verify(parse_manifest(manifest)).reports}[
+        "cy3-mirror-isometry"
+    ]
+    assert report.status == "fail"
+    for label in ("quintic", "bicubic"):
+        check = next(c for c in report.checks if c.name == f"{label}: mirror map is an isometry")
+        assert not check.ok
+        assert "; first: (e0, e0): 0 != 1" in check.got, check.got
