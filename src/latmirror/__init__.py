@@ -100,6 +100,7 @@ _LAZY = {
             "TorusModel",
             "arc_curve",
             "find_bs_fibres",
+            "find_bs_fibres_batch",
             "holonomy_character",
             "phase_map_curve",
             "segment_curve",

@@ -374,11 +374,12 @@ def _h_quant_phase(args):
     except json.JSONDecodeError as exc:
         raise FixtureError(f"curve file is not valid JSON: {exc}") from exc
     if not isinstance(samples, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, (int, float)) for x in p)
+        # type(), not isinstance(): JSON true and false are not coordinates
+        isinstance(p, list) and len(p) == 2 and all(type(x) in (int, float) for x in p)
         for p in samples
     ):
         raise FixtureError("curve file must hold a JSON list of [x, y] number pairs")
-    curve = numeric.ParamCurve(tuple(tuple(p) for p in samples), orientation=args.orientation)
+    curve = numeric.ParamCurve(samples, orientation=args.orientation)
     model = numeric.TorusModel(tau=1j, level=1)
     phases = numeric.phase_map_curve(model, curve)
     w = numeric.winding_number(phases)

@@ -13,7 +13,9 @@ are rejected at parse time, as are missing or non-JSON fixture files and
 parameters that would verify nothing: a count (``k_max``, ``max_index``,
 ``triples``, ``samples``) that is not a positive integer, an ``l2_max``
 below 0, a ``tol`` that is not a positive finite number and an empty list
-of ``fixtures`` or ``taus``.
+of ``fixtures`` or ``taus``.  So are parameters of the wrong shape, which
+would crash their suite: a ``seed`` that is not an integer, and a ``tau``
+or ``taus`` entry that is not [re, im], two finite numbers with im > 0.
 The four suites that now prove their identity on a basis or a grid
 (``cy1-mirror-isometry``, ``k3-mirror-transport``, ``cy3-skew``,
 ``cy3-mirror-isometry``) still accept the ``samples``, ``seed`` and
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +43,16 @@ from .suites import SUITES, SuiteInputError
 MANIFEST_VERSION = "1"
 
 
+def _is_tau(x) -> bool:
+    # abs(v) <= max float also refuses NaN and ints that overflow a float
+    return (
+        type(x) is list
+        and len(x) == 2
+        and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in x)
+        and x[1] > 0
+    )
+
+
 # parameter -> (what it must be, test); the suites check the others.
 # type() rather than isinstance(), so that true and false are not numbers.
 _PARAM_RULES = {
@@ -49,7 +62,13 @@ _PARAM_RULES = {
     ),
     "l2_max": ("an integer >= 0", lambda x: type(x) is int and x >= 0),
     "tol": ("a positive finite number", lambda x: type(x) in (int, float) and 0 < x < math.inf),
-    **dict.fromkeys(("fixtures", "taus"), ("a non-empty list", lambda x: type(x) is list and x)),
+    "seed": ("an integer", lambda x: type(x) is int),
+    "tau": ("[re, im]: two finite numbers with im > 0", _is_tau),
+    "fixtures": ("a non-empty list", lambda x: type(x) is list and x),
+    "taus": (
+        "a non-empty list of [re, im], each two finite numbers with im > 0",
+        lambda x: type(x) is list and x and all(map(_is_tau, x)),
+    ),
 }
 
 # suite -> the parameters of its former seeded sweep

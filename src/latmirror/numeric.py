@@ -11,14 +11,16 @@ exp(2 pi i * A(t)) where A(t) = k*t is the symplectic area swept by the
 fibre family between heights 0 and t.  In the translation-invariant gauge
 the level-k density is the constant k, so the area has this one closed
 form and no second route; the holonomy is trivial exactly at the k
-heights j/k.  Heights may be floats or arrays and are evaluated
-elementwise.  Marked (trivial-holonomy) fibres are found by sign-change
-bracketing on a fixed grid, evaluated in one batched call, then by
-bisecting all brackets together on the sign of the holonomy argument,
-each until its own width reaches the stopping width, so every root is the
-one a bracket-by-bracket bisection gives.  Theta series of level k are
-truncated q-expansions; their numerical rank over a deterministic sample
-grid is decided by singular values.  The phase map of a sampled cycle is
+heights j/k.  Heights may be floats or arrays, and levels ints or int
+arrays, evaluated elementwise.  Marked (trivial-holonomy) fibres are found
+for any number of models in one search: sign-change bracketing on the
+concatenated fixed grids of every level, evaluated in one batched call,
+then bisection of all brackets together on the sign of the holonomy
+argument, each until its own width reaches the stopping width, so every
+root is the one a bracket-by-bracket bisection gives.  Theta series of
+level k are truncated q-expansions; their numerical rank over a
+deterministic sample grid is decided by singular values.  A sampled cycle
+holds its samples as one read-only (n, 2) float array.  Its phase map is
 the squared unit tangent direction (the determinant map of the Lagrangian
 Grassmannian of the flat plane): constant exactly on straight segments,
 winding twice around a full circle.  It is computed over the whole sample
@@ -73,80 +75,118 @@ class TorusModel:
             raise ValueError(f"level must be a positive integer, got {self.level}")
 
 
-def _swept_area(model: TorusModel, t: float | np.ndarray) -> float | np.ndarray:
-    """Symplectic area k*t swept between heights 0 and t (a float or an array)."""
+def _swept_area(level: int | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
+    """Symplectic area k*t swept between heights 0 and t, elementwise.
+
+    ``level`` is an int, or an int array of the shape of ``t``; ``t`` is a
+    float or an array.
+    """
     outside = np.logical_not((t >= 0.0) & (t <= 1.0))  # NaN is outside
     if np.count_nonzero(outside):
         bad = t if np.ndim(t) == 0 else t[outside][0]
         raise ValueError(f"fibre height must lie in [0, 1], got {bad}")
-    return model.level * t
+    return level * t
+
+
+def _holonomy(level: int | np.ndarray, t: float | np.ndarray) -> complex | np.ndarray:
+    """exp(2 pi i k t) elementwise, with the level k as in `_swept_area`."""
+    return np.exp(2j * math.pi * _swept_area(level, t))
 
 
 def holonomy_character(model: TorusModel, t: float | np.ndarray) -> complex | np.ndarray:
     """Holonomy exp(2 pi i k t) of the fibre at height t, elementwise on arrays."""
-    return np.exp(2j * math.pi * _swept_area(model, t))
+    return _holonomy(model.level, t)
 
 
 def special_coordinates(model: TorusModel, t: float) -> float:
     """Flat coordinate exp(-2 pi * sweptarea(t)); strictly decreasing in t."""
-    return math.exp(-2.0 * math.pi * _swept_area(model, t))
+    return math.exp(-2.0 * math.pi * _swept_area(model.level, t))
 
 
 def find_bs_fibres(model: TorusModel, tol: float = ROOT_TOL) -> list[float]:
     """Locate all fibre heights in [0, 1) with trivial holonomy.
 
+    The one-level case of :func:`find_bs_fibres_batch`: exactly k positions
+    must emerge at level k, the first of them t = 0; any other count raises.
+    """
+    return find_bs_fibres_batch([model], tol)[0]
+
+
+def find_bs_fibres_batch(models: Sequence[TorusModel], tol: float = ROOT_TOL) -> list[list[float]]:
+    """The trivial-holonomy fibre heights of every model, in one search.
+
     t = 0 is a root by construction (zero swept area).  The rest are
-    bracketed on the offset grid (i + 1/2)/(8k), which never lands on a
-    root: one batched holonomy call gives the wrapped angle at every grid
-    point, and a bracket is a step from negative to positive angle by less
-    than pi.  All brackets are then bisected together on the sign of the
-    angle; each halves until its own width is at most tol/4, so a bracket
-    stops exactly where a bisection of it alone would.  Exactly k
-    positions must emerge at level k; any other count raises.
+    bracketed on the offset grid (i + 1/2)/(8k) of each model, which never
+    lands on a root.  The grids of all models are concatenated, so one
+    batched holonomy call gives the wrapped angle at every grid point; a
+    bracket is a step within one model's grid from negative to positive
+    angle by less than pi.  All brackets are then bisected together on the
+    sign of the angle; each halves until its own width is at most tol/4,
+    so a bracket stops exactly where a bisection of it alone would, and
+    every root is the one a one-model search gives.  Exactly k positions
+    must emerge for a model of level k; any other count raises, naming the
+    level.
     """
     if not 0.0 < tol <= 1e-6:
         raise ValueError(f"tolerance must lie in (0, 1e-6], got {tol}")
-    k = model.level
-    grid = (np.arange(8 * k) + 0.5) / (8 * k)
-    angles = np.angle(holonomy_character(model, grid))
+    levels = np.array([m.level for m in models], dtype=np.int64)
+    sizes = 8 * levels
+    owner = np.repeat(np.arange(len(levels)), sizes)  # the model of each grid point
+    offsets = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    grid = (offsets + 0.5) / sizes[owner]
+    angles = np.angle(_holonomy(levels[owner], grid))
     fa, fb = angles[:-1], angles[1:]
-    bracket = (fa < 0.0) & (0.0 < fb) & ((fb - fa) < math.pi)
+    bracket = (owner[:-1] == owner[1:]) & (fa < 0.0) & (0.0 < fb) & ((fb - fa) < math.pi)
     a, b = grid[:-1][bracket], grid[1:][bracket]
+    bracket_owner = owner[:-1][bracket]
+    level = levels[bracket_owner]
     while (wide := (b - a) > tol * _BISECT_FACTOR).any():
         mid = 0.5 * (a[wide] + b[wide])
-        below = np.angle(holonomy_character(model, mid)) < 0.0
+        below = np.angle(_holonomy(level[wide], mid)) < 0.0
         a[wide] = np.where(below, mid, a[wide])
         b[wide] = np.where(below, b[wide], mid)
-    roots = [0.0] + (0.5 * (a + b)).tolist()
-    if len(roots) != k:
-        raise ConsistencyError(f"level {k} model produced {len(roots)} trivial-holonomy fibres")
-    return roots
+    ends = np.cumsum(np.bincount(bracket_owner, minlength=len(levels)))
+    found = []
+    for k, part in zip(levels.tolist(), np.split(0.5 * (a + b), ends[:-1])):
+        roots = [0.0] + part.tolist()
+        if len(roots) != k:
+            raise ConsistencyError(f"level {k} model produced {len(roots)} trivial-holonomy fibres")
+        found.append(roots)
+    return found
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamCurve:
     """Sampled cycle on the torus cover; >= 16 samples, orientation +-1.
 
-    Closure (first = last within 1e-12) is detected, not required: straight
-    rational-slope segments are legitimate probes and cannot close up in
-    cover coordinates.
+    ``points`` is one read-only float64 array of shape (n, 2), copied from
+    the samples given.  Closure (first = last within 1e-12) is detected,
+    not required: straight rational-slope segments are legitimate probes
+    and cannot close up in cover coordinates.
     """
 
-    points: tuple
+    points: np.ndarray
     orientation: int = 1
 
     def __post_init__(self):
-        pts = tuple((float(x), float(y)) for x, y in self.points)
+        try:
+            pts = np.array(self.points, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("curve samples must form an (n, 2) array of numbers") from None
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"curve samples must form an (n, 2) array, got shape {pts.shape}")
+        if not np.isfinite(pts).all():  # NaN also stands in for None
+            raise ValueError("curve samples must be finite numbers")
         if len(pts) < 16:
             raise ValueError(f"need at least 16 samples, got {len(pts)}")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @property
     def is_closed(self) -> bool:
-        (x0, y0), (x1, y1) = self.points[0], self.points[-1]
-        return math.hypot(x1 - x0, y1 - y0) < 1e-12
+        return math.hypot(*(self.points[-1] - self.points[0])) < 1e-12
 
 
 def segment_curve(start, direction, span: float = 1.0, n: int = 64) -> ParamCurve:
@@ -157,7 +197,7 @@ def segment_curve(start, direction, span: float = 1.0, n: int = 64) -> ParamCurv
         (x0 + dx * span * i / (n - 1), y0 + dy * span * i / (n - 1))
         for i in range(n)
     ]
-    return ParamCurve(tuple(pts))
+    return ParamCurve(pts)
 
 
 def arc_curve(center, radius: float, turns: float = 1.0, n: int = 128) -> ParamCurve:
@@ -170,7 +210,16 @@ def arc_curve(center, radius: float, turns: float = 1.0, n: int = 128) -> ParamC
         )
         for i in range(n)
     ]
-    return ParamCurve(tuple(pts))
+    return ParamCurve(pts)
+
+
+def _end_tangents(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tangents at the first and last sample of an open curve.
+
+    One-sided 3-point stencils keep the endpoint direction second order,
+    else the winding of an open arc is biased by one sample.
+    """
+    return -3 * pts[0] + 4 * pts[1] - pts[2], 3 * pts[-1] - 4 * pts[-2] + pts[-3]
 
 
 def phase_map_curve(model: TorusModel, curve: ParamCurve) -> np.ndarray:
@@ -187,7 +236,7 @@ def phase_map_curve(model: TorusModel, curve: ParamCurve) -> np.ndarray:
     divides a complex number by a float, so that a zero imaginary part
     keeps the sign, and the angle the branch, of the scalar formula.
     """
-    pts = np.array(curve.points, dtype=float)[:: curve.orientation]
+    pts = curve.points[:: curve.orientation]
     closed = curve.is_closed
     if closed:
         core = pts[:-1]
@@ -196,10 +245,7 @@ def phase_map_curve(model: TorusModel, curve: ParamCurve) -> np.ndarray:
     else:
         tangents = np.empty_like(pts)
         tangents[1:-1] = pts[2:] - pts[:-2]
-        # one-sided 3-point stencils keep the endpoint direction second
-        # order, else the winding of an open arc is biased by one sample
-        tangents[0] = -3 * pts[0] + 4 * pts[1] - pts[2]
-        tangents[-1] = 3 * pts[-1] - 4 * pts[-2] + pts[-3]
+        tangents[0], tangents[-1] = _end_tangents(pts)
     tx, ty = tangents.T
     norm_sq = tx * tx + ty * ty
     if (norm_sq < 1e-30).any():

@@ -441,9 +441,9 @@ def _run_cy3_sublattice(params, fixtures):
 def _run_quant_bs(params, fixtures):
     checks = []
     tau = complex(*params["tau"])
-    for k in range(1, params["k_max"] + 1):
-        model = numeric.TorusModel(tau=tau, level=k)
-        found = numeric.find_bs_fibres(model, tol=params["tol"])
+    levels = range(1, params["k_max"] + 1)
+    models = [numeric.TorusModel(tau=tau, level=k) for k in levels]
+    for k, found in zip(levels, numeric.find_bs_fibres_batch(models, tol=params["tol"])):
         exact = [float(p) for p in cy1.bs_points(k)]
         err = max(abs(a - b) for a, b in zip(found, exact)) if found else math.inf
         checks.append(

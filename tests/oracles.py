@@ -181,13 +181,14 @@ def walk_to_chamber_scalar(gram, roots, x, max_steps: int = 64):
 def phase_map_scalar(curve, error) -> np.ndarray:
     """Squared unit tangent direction at every sample, one sample at a time.
 
-    ``curve`` has the ``points``, ``orientation`` and ``is_closed`` of a
-    sampled cycle.  Tangents are central differences (cyclic on a closed
+    ``curve`` has the ``points`` (an (n, 2) array), ``orientation`` and
+    ``is_closed`` of a sampled cycle; the samples are read back as Python
+    floats, so every step below is plain float arithmetic.  Tangents are central differences (cyclic on a closed
     curve, one-sided 3-point stencils at the ends of an open one); each
     phase is the Python complex (tx + i ty)^2 / (tx^2 + ty^2).  A tangent
     of squared length below 1e-30 raises ``error``.
     """
-    pts = list(curve.points)
+    pts = curve.points.tolist()
     if curve.orientation == -1:
         pts = pts[::-1]
     closed = curve.is_closed

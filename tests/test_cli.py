@@ -123,6 +123,48 @@ def test_manifest_rejects_an_empty_list_of_cases(tmp_path, suite, key, value):
         parse_manifest(write_manifest(tmp_path, payload))
 
 
+def assert_usage_error(tmp_path, capsys, suite, params, match):
+    """The manifest exits 2 with one line; each of these once crashed its suite (exit 1)."""
+    path = write_manifest(tmp_path, {"version": "1", "suites": [{"name": suite, "params": params}]})
+    with pytest.raises(ManifestError, match=match):
+        parse_manifest(path)
+    code, out, err = run_cli(capsys, "verify", "--manifest", str(path))
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+
+
+def test_manifest_rejects_a_tau_below_the_real_axis(tmp_path, capsys):
+    # was "suite crashed: ValueError: tau must lie in the upper half plane"
+    match = r"parameter 'tau' must be \[re, im\]: two finite numbers with im > 0, got \[0.0, -1.0\]"
+    assert_usage_error(tmp_path, capsys, "quant-bs", {"tau": [0.0, -1.0]}, match)
+    for bad in ([0, 0], [1, 2, 3], [True, 1], ["0", 1], 1, [math.nan, 1], [10**400, 1]):
+        assert_usage_error(tmp_path, capsys, "quant-bs", {"tau": bad}, "parameter 'tau' must be")
+
+
+def test_manifest_rejects_a_taus_entry_of_three_numbers(tmp_path, capsys):
+    # was "suite crashed: TypeError: complex() takes at most 2 arguments (3 given)"
+    match = r"parameter 'taus' must be a non-empty list of \[re, im\], each two finite numbers"
+    assert_usage_error(tmp_path, capsys, "quant-theta-rank", {"taus": [[0, 1, 2]]}, match)
+    assert_usage_error(tmp_path, capsys, "quant-theta-rank", {"taus": [[0, 1], [0, -2]]}, match)
+
+
+def test_manifest_rejects_a_seed_that_is_not_an_integer(tmp_path, capsys):
+    # was a TypeError from random.Random, reported as a crashed suite
+    match = r"parameter 'seed' must be an integer, got \[1\]"
+    assert_usage_error(tmp_path, capsys, "cy1-atiyah", {"seed": [1]}, match)
+    for bad in (True, 1.0, "1"):
+        assert_usage_error(tmp_path, capsys, "k3-reflections", {"seed": bad}, "'seed' must be")
+
+
+def test_manifest_accepts_well_formed_tau_taus_and_seed(tmp_path):
+    suites = [
+        {"name": "quant-bs", "params": {"tau": [0, 2]}},
+        {"name": "quant-theta-rank", "params": {"taus": [[0.5, 1.5], [-1, 0.25]]}},
+        {"name": "cy1-atiyah", "params": {"seed": -3}},
+    ]
+    m = parse_manifest(write_manifest(tmp_path, {"version": "1", "suites": suites}))
+    assert [s.params for s in m.suites] == [s["params"] for s in suites]
+
+
 @pytest.mark.parametrize(
     "suite, key",
     [
@@ -367,6 +409,22 @@ def test_cli_exit_code_1_on_numeric_disagreement(capsys, tmp_path):
     code, _, err = run_cli(capsys, "quant", "phase", "--curve", str(curve))
     assert code == 1
     assert "check failed" in err
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[True, 0.5], [0.25, 0.5, 0.75], [0.25]],
+    ids=["boolean", "three-numbers", "ragged"],
+)
+def test_cli_quant_phase_refuses_a_malformed_sample(capsys, tmp_path, row):
+    # a row of booleans was read as 1 and 0: the curve wound 0 and exited 0
+    pts = [[i / 63, 2 * i / 63] for i in range(64)]
+    pts[7] = row
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(pts))
+    code, out, err = run_cli(capsys, "quant", "phase", "--curve", str(curve))
+    assert (code, out) == (2, "")
+    assert err == "error: curve file must hold a JSON list of [x, y] number pairs\n"
 
 
 def test_cli_exit_code_2_paths(capsys, tmp_path):

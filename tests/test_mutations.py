@@ -23,6 +23,7 @@ from latmirror import core, cy1, cy2, cy3, load_fixture, numeric, parse_manifest
 from latmirror.core import GradedVector, RingDescriptor, pair_exotic, todd_multiply
 from latmirror.report import summary_check
 from latmirror.suites import EXPECTED_CHI, SUITES
+from oracles import bs_fibres_scalar
 
 
 class Row(NamedTuple):
@@ -99,6 +100,11 @@ def scale_holonomy_level(monkeypatch):
     # the swept area, and so the holonomy, uses the level k * (1 + 1e-6)
     swept_area = numeric._swept_area
     monkeypatch.setattr(numeric, "_swept_area", lambda m, t: swept_area(m, t) * (1.0 + 1e-6))
+
+
+def first_order_end_tangents(monkeypatch):
+    # the chords from the end samples replace the one-sided 3-point stencils
+    monkeypatch.setattr(numeric, "_end_tangents", lambda pts: (pts[1] - pts[0], pts[-1] - pts[-2]))
 
 
 # ----------------------------------------------------------- references ----
@@ -269,6 +275,29 @@ def quant_holonomy_reference(params, fixtures):
     return {"holonomy is trivial at the exact marked fibres j/k": (params["samples"], failures)}
 
 
+def quant_bs_reference(params, fixtures):
+    # every level but 1 moves its fibres j/k to j/(k (1 + 1e-6)), far past
+    # the tolerance; the roots come from the per-bracket scalar search
+    tau = complex(*params["tau"])
+    out = {}
+    for k in range(1, params["k_max"] + 1):
+        m = numeric.TorusModel(tau=tau, level=k)
+        roots = bs_fibres_scalar(lambda t: numeric.holonomy_character(m, t), k, params["tol"])
+        err = max(abs(t - j / k) for j, t in enumerate(roots))
+        assert (err > params["tol"]) == (k > 1), k
+        if k > 1:
+            out[f"level {k}: marked fibres sit at j/k"] = f"{k} fibres, max deviation {err:.2e}"
+    return out
+
+
+def quant_phase_reference(params, fixtures):
+    # an end chord of an arc of n samples turns by half a step, pi / (2 (n - 1)),
+    # against the tangent; the half-turn tangent sweeps pi - pi / 1023, and
+    # the det map, its square, winds 1 - 1/1023.  Segments are their own
+    # chords, and the full circle is closed, with no ends.
+    return {"half-turn arc: det map winds once": f"winding {1 - 1 / 1023:.9f}"}
+
+
 THREEFOLDS = ("quintic.json", "bicubic.json")
 
 ROWS = [
@@ -283,6 +312,8 @@ ROWS = [
     Row("cy3-quantization", THREEFOLDS, corrupt_td_product, cy3_quantization_reference),
     Row("cy3-sublattice", THREEFOLDS, corrupt_sym_form, cy3_sublattice_reference),
     Row("quant-holonomy", (), scale_holonomy_level, summaries(quant_holonomy_reference)),
+    Row("quant-bs", (), scale_holonomy_level, quant_bs_reference),
+    Row("quant-phase", (), first_order_end_tangents, quant_phase_reference),
 ]
 
 
@@ -303,6 +334,8 @@ def test_broken_target_fails_the_suite(row, monkeypatch, tmp_path):
     got = {c.name: c.got for c in report.checks}
     for name, text in want.items():
         assert got[name] == text, name
+    # every check that fails is one the reference accounts for
+    assert {c.name for c in report.checks if not c.ok} <= set(want)
 
 
 def test_corrupted_exotic_form_fails_the_mirror_isometry(monkeypatch, tmp_path):

@@ -15,6 +15,7 @@ from latmirror import (
     arc_curve,
     bs_points,
     find_bs_fibres,
+    find_bs_fibres_batch,
     holonomy_character,
     phase_map_curve,
     segment_curve,
@@ -141,6 +142,34 @@ def test_bs_fibres_equal_scalar_reference_bitwise():
         assert find_bs_fibres(m) == want, (tau, k)
 
 
+def test_bs_batch_equals_scalar_reference_bitwise():
+    # one batch over every level, and a mixed batch off the imaginary axis
+    for tau, levels in ((TAU_I, range(1, 33)), (complex(0.2, 1.3), (8, 32, 64, 128))):
+        models = [model(k, tau=tau) for k in levels]
+        got = find_bs_fibres_batch(models)
+        assert len(got) == len(models)
+        for m, roots in zip(models, got):
+            want = bs_fibres_scalar(lambda t: holonomy_character(m, t), m.level)
+            assert roots == want, (tau, m.level)
+
+
+def test_bs_batch_equals_the_per_level_calls():
+    models = [model(5), model(3, tau=complex(-0.4, 0.9)), model(5), model(1), model(17)]
+    assert find_bs_fibres_batch(models) == [find_bs_fibres(m) for m in models]
+    assert find_bs_fibres_batch([]) == []
+
+
+def test_bs_batch_wrong_count_names_the_level(monkeypatch):
+    # the holonomy of level 4 winds as if the level were 6: six fibres
+    swept_area = numeric._swept_area
+    monkeypatch.setattr(
+        numeric, "_swept_area", lambda k, t: swept_area(k, t) * np.where(k == 4, 1.5, 1.0)
+    )
+    assert find_bs_fibres_batch([model(3)]) == [find_bs_fibres(model(3))]
+    with pytest.raises(ConsistencyError, match="^level 4 model produced 6 trivial-holonomy fibres$"):
+        find_bs_fibres_batch([model(3), model(4), model(5)])
+
+
 def test_bs_tol_validation():
     with pytest.raises(ValueError):
         find_bs_fibres(model(2), tol=0.0)
@@ -260,6 +289,32 @@ def test_param_curve_validation():
         ParamCurve(((0.0, 0.0), (1.0, 1.0)))
     with pytest.raises(ValueError):
         ParamCurve(tuple((i / 20, 0.0) for i in range(20)), orientation=2)
+    for bad in (
+        [i / 20 for i in range(20)],  # 1-D
+        [(i / 20, 0.0, 1.0) for i in range(20)],  # three columns
+        [(i / 20, 0.0) for i in range(19)] + [(1.0,)],  # ragged
+        [(i / 20, "y") for i in range(20)],
+    ):
+        with pytest.raises(ValueError, match=r"^curve samples must form an \(n, 2\) array"):
+            ParamCurve(bad)
+    for bad in (None, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^curve samples must be finite numbers$"):
+            ParamCurve([(i / 20, 0.0) for i in range(19)] + [(0.5, bad)])
+
+
+def test_param_curve_holds_one_read_only_array():
+    samples = np.array([(i / 20, i) for i in range(20)], dtype=np.int64)
+    samples[:, 0] = np.arange(20)
+    curve = ParamCurve(samples)
+    assert curve.points.dtype == np.float64 and curve.points.shape == (20, 2)
+    assert not curve.points.flags.writeable
+    with pytest.raises(ValueError):
+        curve.points[0, 0] = 5.0
+    # a copy: changing the input leaves the curve as it was
+    samples[0, 0] = 99
+    assert curve.points[0].tolist() == [0.0, 0.0]
+    floats = np.arange(40.0).reshape(20, 2)
+    assert not np.shares_memory(ParamCurve(floats).points, floats)
 
 
 # ------------------------------------------------------------- theta ------
