@@ -303,18 +303,16 @@ def test_param_curve_validation():
 
 
 def test_param_curve_holds_one_read_only_array():
-    samples = np.array([(i / 20, i) for i in range(20)], dtype=np.int64)
-    samples[:, 0] = np.arange(20)
-    curve = ParamCurve(samples)
-    assert curve.points.dtype == np.float64 and curve.points.shape == (20, 2)
-    assert not curve.points.flags.writeable
-    with pytest.raises(ValueError):
-        curve.points[0, 0] = 5.0
-    # a copy: changing the input leaves the curve as it was
-    samples[0, 0] = 99
-    assert curve.points[0].tolist() == [0.0, 0.0]
-    floats = np.arange(40.0).reshape(20, 2)
-    assert not np.shares_memory(ParamCurve(floats).points, floats)
+    for samples in (np.arange(40).reshape(20, 2), np.arange(40.0).reshape(20, 2)):
+        curve = ParamCurve(samples)
+        assert curve.points.dtype == np.float64 and curve.points.shape == (20, 2)
+        assert not curve.points.flags.writeable
+        with pytest.raises(ValueError):
+            curve.points[0, 0] = 5.0
+        # a copy: changing the input leaves the curve as it was
+        assert not np.shares_memory(curve.points, samples)
+        samples[0, 0] = 99
+        assert curve.points[0].tolist() == [0.0, 1.0]
 
 
 # ------------------------------------------------------------- theta ------
