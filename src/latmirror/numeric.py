@@ -141,14 +141,16 @@ def find_bs_fibres_batch(models: Sequence[TorusModel], tol: float = ROOT_TOL) ->
     bracket_owner = owner[:-1][bracket]
     level = levels[bracket_owner]
     while (wide := (b - a) > tol * _BISECT_FACTOR).any():
-        mid = 0.5 * (a[wide] + b[wide])
+        aw, bw = a[wide], b[wide]
+        mid = 0.5 * (aw + bw)
         below = np.angle(_holonomy(level[wide], mid)) < 0.0
-        a[wide] = np.where(below, mid, a[wide])
-        b[wide] = np.where(below, b[wide], mid)
-    ends = np.cumsum(np.bincount(bracket_owner, minlength=len(levels)))
+        a[wide] = np.where(below, mid, aw)
+        b[wide] = np.where(below, bw, mid)
+    mids = (0.5 * (a + b)).tolist()  # grouped by model, in grid order
     found = []
-    for k, part in zip(levels.tolist(), np.split(0.5 * (a + b), ends[:-1])):
-        roots = [0.0] + part.tolist()
+    for k, n in zip(levels.tolist(), np.bincount(bracket_owner, minlength=len(levels)).tolist()):
+        roots = [0.0] + mids[:n]
+        del mids[:n]
         if len(roots) != k:
             raise ConsistencyError(f"level {k} model produced {len(roots)} trivial-holonomy fibres")
         found.append(roots)
