@@ -15,12 +15,15 @@ heights j/k.  Heights may be floats or arrays, and levels ints or int
 arrays, evaluated elementwise.  Marked (trivial-holonomy) fibres are found
 for any number of models in one search: sign-change bracketing on the
 concatenated fixed grids of every level, evaluated in one batched call,
-then bisection of all brackets together on the sign of the holonomy
-argument, each until its own width reaches the stopping width, so every
-root is the one a bracket-by-bracket bisection gives.  Theta series of
-level k are truncated q-expansions; their numerical rank over a
-deterministic sample grid is decided by singular values.  A sampled cycle
-holds its samples as one read-only (n, 2) float array.  Its phase map is
+then bisection of the brackets still wider than the stopping width, all
+together, on the sign of the holonomy argument, so every root is the one
+a bracket-by-bracket bisection gives.  Theta series of level k are
+truncated q-expansions; their numerical rank over a deterministic sample
+grid is decided by singular values.  The N sample points are x = j/N, so
+each Fourier phase exp(2 pi i m x) is looked up among the N-th roots of
+unity rather than computed; each row is still shifted and scaled to unit
+norm.  A sampled cycle holds its samples as one read-only (n, 2) float
+array, converted from the given rows in one flat pass.  Its phase map is
 the squared unit tangent direction (the determinant map of the Lagrangian
 Grassmannian of the flat plane): constant exactly on straight segments,
 winding twice around a full circle.  It is computed over the whole sample
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -107,9 +111,13 @@ def find_bs_fibres(model: TorusModel, tol: float = ROOT_TOL) -> list[float]:
     """Locate all fibre heights in [0, 1) with trivial holonomy.
 
     The one-level case of :func:`find_bs_fibres_batch`: exactly k positions
-    must emerge at level k, the first of them t = 0; any other count raises.
+    must emerge at level k, the first of them t = 0; any other count raises,
+    naming the level.
     """
-    return find_bs_fibres_batch([model], tol)[0]
+    roots = find_bs_fibres_batch([model], tol)[0]
+    if len(roots) != model.level:
+        raise ConsistencyError(f"level {model.level} model produced {len(roots)} trivial-holonomy fibres")
+    return roots
 
 
 def find_bs_fibres_batch(models: Sequence[TorusModel], tol: float = ROOT_TOL) -> list[list[float]]:
@@ -120,12 +128,12 @@ def find_bs_fibres_batch(models: Sequence[TorusModel], tol: float = ROOT_TOL) ->
     lands on a root.  The grids of all models are concatenated, so one
     batched holonomy call gives the wrapped angle at every grid point; a
     bracket is a step within one model's grid from negative to positive
-    angle by less than pi.  All brackets are then bisected together on the
-    sign of the angle; each halves until its own width is at most tol/4,
-    so a bracket stops exactly where a bisection of it alone would, and
-    every root is the one a one-model search gives.  Exactly k positions
-    must emerge for a model of level k; any other count raises, naming the
-    level.
+    angle by less than pi.  The brackets still wider than tol/4 are then
+    bisected together on the sign of the angle, and each leaves the live
+    set in the round its width reaches tol/4, so a bracket stops exactly
+    where a bisection of it alone would, and every root is the one a
+    one-model search gives.  The roots of every model are returned, however
+    many there are; a model of level k should have exactly k.
     """
     if not 0.0 < tol <= 1e-6:
         raise ValueError(f"tolerance must lie in (0, 1e-6], got {tol}")
@@ -140,21 +148,49 @@ def find_bs_fibres_batch(models: Sequence[TorusModel], tol: float = ROOT_TOL) ->
     a, b = grid[:-1][bracket], grid[1:][bracket]
     bracket_owner = owner[:-1][bracket]
     level = levels[bracket_owner]
+    live = np.arange(len(a))  # the bracket that each entry of a, b and level stands for
+    centres = np.empty(len(a))
     while (wide := (b - a) > tol * _BISECT_FACTOR).any():
-        aw, bw = a[wide], b[wide]
-        mid = 0.5 * (aw + bw)
-        below = np.angle(_holonomy(level[wide], mid)) < 0.0
-        a[wide] = np.where(below, mid, aw)
-        b[wide] = np.where(below, bw, mid)
-    mids = (0.5 * (a + b)).tolist()  # grouped by model, in grid order
+        if not wide.all():  # retire the brackets that reached the stopping width
+            done = ~wide
+            centres[live[done]] = 0.5 * (a[done] + b[done])
+            live, a, b, level = live[wide], a[wide], b[wide], level[wide]
+        mid = 0.5 * (a + b)
+        below = np.angle(_holonomy(level, mid)) < 0.0
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+    centres[live] = 0.5 * (a + b)
+    mids = centres.tolist()  # grouped by model, in grid order
     found = []
-    for k, n in zip(levels.tolist(), np.bincount(bracket_owner, minlength=len(levels)).tolist()):
-        roots = [0.0] + mids[:n]
+    for n in np.bincount(bracket_owner, minlength=len(levels)).tolist():
+        found.append([0.0] + mids[:n])
         del mids[:n]
-        if len(roots) != k:
-            raise ConsistencyError(f"level {k} model produced {len(roots)} trivial-holonomy fibres")
-        found.append(roots)
     return found
+
+
+def _sample_array(samples) -> np.ndarray:
+    """The samples as a new (n, 2) float64 array, each entry read as numpy reads it.
+
+    The samples and each of their rows must be lists, tuples or arrays (a
+    string row is one number to ``np.array(samples, dtype=float)``, not two
+    characters), and every row must hold two entries.  The entries are then
+    converted in one flat pass, which skips numpy's discovery of the nested
+    shape.
+    """
+    numbers = "curve samples must form an (n, 2) array of numbers"
+    try:
+        if not all(issubclass(t, (list, tuple, np.ndarray)) for t in {type(samples), *map(type, samples)}):
+            raise ValueError(numbers)
+        widths = set(map(len, samples))
+    except TypeError:
+        raise ValueError(numbers) from None
+    if widths - {2}:
+        raise ValueError(f"curve samples must form an (n, 2) array, got rows of length {sorted(widths)}")
+    try:
+        flat = np.fromiter(chain.from_iterable(samples), float, count=2 * len(samples))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(numbers) from None
+    return flat.reshape(-1, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,19 +200,17 @@ class ParamCurve:
     ``points`` is one read-only float64 array of shape (n, 2), copied from
     the samples given.  Closure (first = last within 1e-12) is detected,
     not required: straight rational-slope segments are legitimate probes
-    and cannot close up in cover coordinates.
+    and cannot close up in cover coordinates.  Bad input raises
+    ``ValueError`` whose message starts with "curve samples must form an
+    (n, 2) array", "curve samples must be finite numbers", "need at least
+    16 samples" or "orientation must be".
     """
 
     points: np.ndarray
     orientation: int = 1
 
     def __post_init__(self):
-        try:
-            pts = np.array(self.points, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError("curve samples must form an (n, 2) array of numbers") from None
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"curve samples must form an (n, 2) array, got shape {pts.shape}")
+        pts = _sample_array(self.points)
         if not np.isfinite(pts).all():  # NaN also stands in for None
             raise ValueError("curve samples must be finite numbers")
         if len(pts) < 16:
@@ -288,12 +322,14 @@ def theta_matrix(model: TorusModel, samples: int) -> np.ndarray:
     swamps the others).  Both are per-row scalings, which leave the rank
     unchanged.  Every sample z = x + y tau has the same imaginary part, so
     the real part of an exponent depends on m alone and the exponential
-    splits into a weight per m times the phase exp(2 pi i m x).
+    splits into a weight per m times the phase exp(2 pi i m x).  The
+    samples are x = j/N for N = ``samples``, so that phase is the N-th root
+    of unity number (m j mod N): the N roots are computed once and looked
+    up.
     """
     k = model.level
     tau = model.tau
     n_max = _theta_truncation(k, tau.imag)
-    xs = np.arange(samples, dtype=float) / samples
     y = 0.3  # generic horizontal line in the fundamental domain
     ms = np.arange(-n_max, n_max + 1)
     chars = ms % k
@@ -302,7 +338,9 @@ def theta_matrix(model: TorusModel, samples: int) -> np.ndarray:
     np.maximum.at(shift, chars, exponent.real)
     weights = np.zeros((k, ms.size), dtype=complex)
     weights[chars, np.arange(ms.size)] = np.exp(exponent - shift[chars])
-    rows = weights @ np.exp(2j * math.pi * np.outer(ms, xs))
+    js = np.arange(samples)
+    roots = np.exp(2j * math.pi * js / samples)
+    rows = weights @ roots[np.outer(ms, js) % samples]
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 

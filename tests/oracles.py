@@ -150,6 +150,33 @@ def bs_fibres_scalar(holonomy, level: int, tol: float = 1e-9) -> list[float]:
     return roots
 
 
+# --- level-k theta series, one lattice term at a time -----------------------
+
+def theta_matrix_scalar(tau: complex, level: int, samples: int, y: float = 0.3) -> list[list[complex]]:
+    """Level-k theta series at z = j/samples + y tau, one unit-norm row per c.
+
+    Row c sums exp(i pi tau m^2/k + 2 pi i m z) over the m = c mod k, each
+    term one ``cmath.exp``.  The real part of an exponent, a concave
+    quadratic in m, peaks at m = -k y and falls by 40 at a distance
+    w = sqrt(40 k / (pi Im tau)) from it; the sum runs over |m| <= |k y| +
+    w + k, which reaches past w on both sides.  Before the exponential each
+    row subtracts the largest real part of its exponents, and afterwards it
+    is scaled to unit norm.
+    """
+    reach = math.ceil(abs(level * y) + math.sqrt(40 * level / (math.pi * tau.imag))) + level
+    rows = []
+    for c in range(level):
+        ms = [m for m in range(-reach, reach + 1) if m % level == c]
+        shift = max((1j * math.pi * tau * m * m / level + 2j * math.pi * m * (y * tau)).real for m in ms)
+        row = []
+        for j in range(samples):
+            z = j / samples + y * tau
+            row.append(sum(cmath.exp(1j * math.pi * tau * m * m / level + 2j * math.pi * m * z - shift) for m in ms))
+        norm = math.sqrt(sum(abs(v) ** 2 for v in row))
+        rows.append([v / norm for v in row])
+    return rows
+
+
 # --- reflection walk into the chamber, one class at a time -----------------
 
 def walk_to_chamber_scalar(gram, roots, x, max_steps: int = 64):

@@ -2,8 +2,9 @@
 
 `import latmirror` and the exact CLI families must run without numpy in
 `sys.modules`; the names of `numeric` and `manifest` resolve on first use.
-The import checks run in fresh interpreters, since this test process has
-numpy loaded already.  The last two tests guard the benchmark in
+A full `latmirror verify` must leave `numpy.fft` unloaded.  The import
+checks run in fresh interpreters, since this test process has numpy loaded
+already.  The last two tests guard the benchmark in
 `perfbench/`: every name it takes from the package must still resolve,
 and its report check must accept the golden verify report.
 """
@@ -72,6 +73,24 @@ def test_numeric_commands_run_from_a_fresh_interpreter(argv, last_line):
     proc = run_fresh("-m", "latmirror.cli", *argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[-1] == last_line
+
+
+VERIFY_PROBE = """
+import io, sys
+from contextlib import redirect_stdout
+from latmirror import cli
+with redirect_stdout(io.StringIO()):
+    assert cli.main(["verify"]) == 0
+print("numpy" in sys.modules, "numpy.fft" in sys.modules)
+"""
+
+
+def test_verify_leaves_numpy_fft_unloaded():
+    # the theta phases are looked up among roots of unity; the first use of
+    # numpy.fft would import it, a cost every cold `latmirror verify` pays
+    proc = run_fresh("-c", VERIFY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True False\n"
 
 
 def test_lazy_names_resolve_and_are_listed(capsys, monkeypatch):

@@ -4,10 +4,15 @@ import cmath
 import json
 import math
 import random
+import re
+import runpy
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latmirror import (
     ParamCurve,
@@ -26,9 +31,10 @@ from latmirror import (
 from latmirror import numeric, parse_manifest, run_verify
 from latmirror.numeric import QUADRATURE_TOL, ConsistencyError
 
-from oracles import bs_fibres_scalar, phase_map_scalar
+from oracles import bs_fibres_scalar, phase_map_scalar, theta_matrix_scalar
 
 TAU_I = 1j
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
 
 def model(k, tau=TAU_I):
@@ -159,15 +165,54 @@ def test_bs_batch_equals_the_per_level_calls():
     assert find_bs_fibres_batch([]) == []
 
 
-def test_bs_batch_wrong_count_names_the_level(monkeypatch):
+def scale_level_4_area(monkeypatch):
     # the holonomy of level 4 winds as if the level were 6: six fibres
     swept_area = numeric._swept_area
     monkeypatch.setattr(
         numeric, "_swept_area", lambda k, t: swept_area(k, t) * np.where(k == 4, 1.5, 1.0)
     )
-    assert find_bs_fibres_batch([model(3)]) == [find_bs_fibres(model(3))]
+
+
+def test_bs_wrong_count_names_the_level(monkeypatch):
+    scale_level_4_area(monkeypatch)
+    assert find_bs_fibres(model(3)) == bs_fibres_scalar(lambda t: holonomy_character(model(3), t), 3)
     with pytest.raises(ConsistencyError, match="^level 4 model produced 6 trivial-holonomy fibres$"):
-        find_bs_fibres_batch([model(3), model(4), model(5)])
+        find_bs_fibres(model(4))
+    # the batch returns every model's roots, a wrong count included
+    got = find_bs_fibres_batch([model(3), model(4), model(5)])
+    assert [len(roots) for roots in got] == [3, 6, 5]
+    assert got[1] == bs_fibres_scalar(lambda t: holonomy_character(model(4), t), 4)
+
+
+def test_quant_bs_fails_only_the_level_with_a_wrong_count(monkeypatch, tmp_path):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "version": "1",
+        "fixtures": [],
+        "suites": [{"name": "quant-bs", "params": {"k_max": 6}}],
+    }))
+
+    def run():
+        report = {r.suite: r for r in run_verify(parse_manifest(manifest)).reports}["quant-bs"]
+        return report.status, {c.name.split(":")[0]: c for c in report.checks}
+
+    scale_level_4_area(monkeypatch)
+    status, checks = run()
+    assert status == "fail"
+    assert {name: c.ok for name, c in checks.items()} == {f"level {k}": k != 4 for k in range(1, 7)}
+    assert checks["level 4"].got.startswith("6 fibres, ")
+    # the count alone: level 3 loses its last root, and the two left sit at j/3
+    monkeypatch.undo()
+    batch = numeric.find_bs_fibres_batch
+    monkeypatch.setattr(
+        numeric, "find_bs_fibres_batch",
+        lambda models, tol: [r[:-1] if m.level == 3 else r for m, r in zip(models, batch(models, tol))],
+    )
+    status, checks = run()
+    assert status == "fail"
+    assert {name: c.ok for name, c in checks.items()} == {f"level {k}": k != 3 for k in range(1, 7)}
+    count, deviation = re.fullmatch(r"(\d+) fibres, max deviation (\S+)", checks["level 3"].got).groups()
+    assert int(count) == 2 and float(deviation) <= numeric.ROOT_TOL
 
 
 def test_bs_tol_validation():
@@ -302,6 +347,61 @@ def test_param_curve_validation():
             ParamCurve([(i / 20, 0.0) for i in range(19)] + [(0.5, bad)])
 
 
+CURVE_ERRORS = (
+    "curve samples must form an (n, 2) array",
+    "curve samples must be finite numbers",
+    "need at least 16 samples",
+)
+NUMBERS = st.one_of(st.floats(), st.integers(), st.booleans())
+ENTRIES = st.one_of(
+    NUMBERS,
+    NUMBERS.map(str),
+    st.none(),
+    st.just(10**400),  # too large for a float
+    st.text(max_size=3),
+)
+ROWS = st.one_of(st.lists(ENTRIES, max_size=3), ENTRIES)  # any width, or a scalar
+
+
+@st.composite
+def curve_samples(draw):
+    # a clean list of n rows (or n numbers), then a few entries and rows
+    # replaced: few draws per example keep the test fast
+    n = draw(st.one_of(st.integers(15, 20), st.integers(0, 20)))
+    width = draw(st.sampled_from([2, 2, 2, 3, None]))  # None: a 1-D list
+    samples = [i / 7 if width is None else [i, i / 7, -i][:width] for i in range(n)]
+    if n and width:
+        for _ in range(draw(st.integers(0, 3))):
+            entry = draw(st.one_of(NUMBERS, NUMBERS.map(str), ENTRIES))  # mostly numbers
+            samples[draw(st.integers(0, n - 1))][draw(st.integers(0, width - 1))] = entry
+    if n and draw(st.integers(0, 3)) == 0:
+        samples[draw(st.integers(0, n - 1))] = draw(ROWS)
+    return samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(curve_samples())
+# numpy reads a string row as one number and a dict row as one object
+@example(["12"] * 16)
+@example([{0: 1, 2: 3}] * 16)
+@example([])
+@example(np.arange(40.0).reshape(20, 2))
+@example(np.ones((20, 2, 1)))
+def test_param_curve_reads_samples_as_numpy_does(samples):
+    # accepted samples are bitwise numpy's reading of them; the rest raise
+    # a ValueError with one of the documented messages, never anything else
+    try:
+        want = np.array(samples, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        want = None
+    if want is not None and want.ndim == 2 and want.shape[1] == 2 and len(want) >= 16 and np.isfinite(want).all():
+        assert ParamCurve(samples).points.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError) as err:
+            ParamCurve(samples)
+        assert str(err.value).startswith(CURVE_ERRORS), err.value
+
+
 def test_param_curve_holds_one_read_only_array():
     for samples in (np.arange(40).reshape(20, 2), np.arange(40.0).reshape(20, 2)):
         curve = ParamCurve(samples)
@@ -334,6 +434,18 @@ def test_theta_rank_large_level_times_im_tau():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert theta_basis_rank(model(64, tau=3j)) == 64
+
+
+def test_theta_matrix_equals_the_lattice_sum_oracle():
+    # the torus-numeric theta cases of seed 1, two at large k Im(tau), and a
+    # sample count that is not a multiple of the level
+    cases = [(tau, k, 4 * k) for tau, k in runpy.run_path(str(INPUTS))["torus_inputs"](1)["theta"]]
+    cases += [(1j, 32, 128), (3j, 64, 256), (complex(0.3, 0.8), 5, 23)]
+    for tau, k, samples in cases:
+        got = numeric.theta_matrix(model(k, tau=tau), samples)
+        want = np.array(theta_matrix_scalar(tau, k, samples))
+        assert got.shape == want.shape == (k, samples)
+        assert np.abs(got - want).max() <= 1e-12, (tau, k, samples)
 
 
 def test_theta_rank_duplicated_characteristic_raises(monkeypatch):
