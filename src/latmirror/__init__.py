@@ -1,7 +1,7 @@
 """Exact lattice arithmetic for mirror pairs, with a numerical verifier.
 
-The exact layer (`core`, `cy1`, `cy2`, `cy3`) works over `fractions.Fraction`
-and never touches floats.  The numerical layer (`numeric`) checks the same
+The exact layer (`core`, `cy1`, `cy2`, `cy3`) works over Python ints and
+`fractions.Fraction` and never touches floats.  The numerical layer (`numeric`) checks the same
 identities on flat torus models in IEEE doubles.  `manifest.run_verify` ties
 the two together behind one report format; the `latmirror` console script
 exposes everything on the command line.

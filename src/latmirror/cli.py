@@ -27,7 +27,7 @@ from pathlib import Path
 from . import cy1, cy2, cy3
 from .core import GradedVector, LatticeError, format_rational, parse_rational
 from .fixtures import FixtureError, load_cy3_fixture, load_k3_fixture
-from .shared import DEFAULT_MANIFEST, ROOT_TOL, ConsistencyError, ManifestError
+from .shared import DEFAULT_MANIFEST, ROOT_TOL, ConsistencyError
 
 
 def _parse_int_pair(text: str) -> tuple[int, int]:
@@ -549,9 +549,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload, text = args.handler(args)
-    except (ManifestError, FixtureError, LatticeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConsistencyError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

@@ -39,11 +39,9 @@ denominator, built by evaluating the ``cup`` definition on basis vectors.
 The Picard Gram matrix and the cubic tensor are compiled the same way.
 Every pairing and product runs on one kernel,
 :meth:`IntegerMatrix.apply_columns` and :meth:`IntegerMatrix.pair_columns`,
-in integer arithmetic (no overflow, no floats).  Coordinate j is an int for
-one vector, or a numpy object array of Python ints holding coordinate j of
-a whole batch, so each sparse matrix entry costs one array operation and a
-batch stays exact, with no int64 and no fallback path.  ``cup`` stays the
-general product and the definition the matrices are built from.
+on the coordinates of one vector as Python ints (no overflow, no floats).
+``cup`` stays the general product and the definition the matrices are
+built from.
 
 Todd data is closed-form in every supported dimension:
 
@@ -539,9 +537,9 @@ class IntegerMatrix(NamedTuple):
 
     ``rows[i]`` lists the pairs ``(j, m_ij)`` with nonzero integer m_ij; the
     matrix is ``m / den``.  :meth:`pair_columns` and :meth:`apply_columns`
-    are its one kernel: they take integer numerators coordinate by
-    coordinate, for one vector or a whole batch at once, and return
-    integer numerators over ``den`` (times the inputs' denominators).
+    are its one kernel: they take the integer numerators of one vector's
+    coordinates and return integer numerators over ``den`` (times the
+    inputs' denominators).
     """
 
     rows: tuple
@@ -565,21 +563,11 @@ class IntegerMatrix(NamedTuple):
         return out
 
     def apply_columns(self, xs: Sequence) -> list:
-        """Integer numerators over ``den`` of m x, for integer coordinates x.
-
-        ``xs[j]`` is coordinate j: an int, or a numpy object array of Python
-        ints holding coordinate j of every vector in a batch, in which case
-        each output entry is an array of the same shape.  One vector is a
-        batch of one.
-        """
-        return [sum((m * xs[j] for j, m in row), 0 * xs[0]) for row in self.rows]
+        """Integer numerators over ``den`` of m x, for integer coordinates x."""
+        return [sum(m * xs[j] for j, m in row) for row in self.rows]
 
     def pair_columns(self, xs: Sequence, ys: Sequence):
-        """Integer numerators over ``den`` of x^T m y.
-
-        Laid out as in :meth:`apply_columns`: one int, or an array with one
-        entry per pair of vectors.
-        """
+        """Integer numerators over ``den`` of x^T m y, for integer coordinates."""
         return sum(x * y for x, y in zip(xs, self.apply_columns(ys)))
 
 

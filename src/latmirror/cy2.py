@@ -20,7 +20,8 @@ independent expansions.
 Spheres of square -2 act on the Picard block by x -> x + (x.delta) delta;
 the bounded chamber walk repeatedly applies reflections until a target
 class pairs nonnegatively with every supplied root (Vinberg's walk into a
-fundamental chamber), for a whole batch of classes at once.  A hyperbolic
+fundamental chamber).  The Gram lattice is even, so L^2, the mirror and
+transform coefficients and both counts are Python ints.  A hyperbolic
 summand candidate (e, s) is certified by e^2 = 0, s^2 = -2, e.s = 1 and
 orthogonality of the declared complement.
 """
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .core import (
@@ -118,9 +120,12 @@ def _integer_divisor(L: Sequence, X: K3Descriptor) -> tuple:
     return tuple(int(x) for x in out)
 
 
-def _square(L: tuple, X: K3Descriptor) -> Fraction:
-    """L^2 of integer coordinates, as from :func:`_integer_divisor`."""
-    return Fraction(X.ring._gram_form.pair_columns(L, L))
+def _square(L: tuple, X: K3Descriptor) -> int:
+    """L^2 of integer coordinates, as from :func:`_integer_divisor`.
+
+    The Gram matrix is integral, so its compiled form has denominator 1.
+    """
+    return X.ring._gram_form.pair_columns(L, L)
 
 
 @dataclass(frozen=True)
@@ -132,47 +137,22 @@ class MirrorClassK3:
     not stored and pairings stay exact integers.
     """
 
-    s: Fraction
+    s: int
     pic: tuple
-    e: Fraction
+    e: int
 
 
 def mirror_k3(L: Sequence, X: K3Descriptor) -> MirrorClassK3:
     """Mirror image [s] + L - (L^2/2) [e] of an integral divisor class."""
     L = _integer_divisor(L, X)
     l2 = _square(L, X)
-    if l2.denominator != 1 or int(l2) % 2 != 0:
+    if l2 % 2:
         raise LatticeError(f"L^2 = {l2} is not even; not a divisor class here")
-    return MirrorClassK3(
-        s=Fraction(1),
-        pic=tuple(Fraction(x) for x in L),
-        e=-l2 / 2,
-    )
+    return MirrorClassK3(s=1, pic=L, e=-(l2 // 2))
 
 
-def mirror_k3_columns(ls: Sequence, X: K3Descriptor) -> MirrorClassK3:
-    """:func:`mirror_k3` of a whole batch of integral classes at once.
-
-    ``ls[c]`` is a numpy object array holding coordinate c of every class.
-    Returns the images as one :class:`MirrorClassK3` whose ``pic`` and
-    ``e`` fields are integer arrays.  The first class (in array order)
-    with odd L^2 raises the :class:`LatticeError` of :func:`mirror_k3`.
-    """
-    l2 = X.ring._gram_form.pair_columns(ls, ls)
-    odd = l2 % 2 != 0
-    if odd.any():
-        first = int(odd.argmax())
-        mirror_k3([int(x.flat[first]) for x in ls], X)
-        raise RuntimeError("batch and per-class mirror maps disagree on parity")
-    return MirrorClassK3(s=1, pic=tuple(ls), e=-(l2 // 2))
-
-
-def mirror_pairing_k3(a: MirrorClassK3, b: MirrorClassK3, X: K3Descriptor) -> Fraction:
-    """Full mirror-lattice pairing: hyperbolic block plus Picard block.
-
-    The formula is elementwise, so classes whose fields are arrays (as from
-    :func:`mirror_k3_columns`) pair to an array, one value per pair.
-    """
+def mirror_pairing_k3(a: MirrorClassK3, b: MirrorClassK3, X: K3Descriptor) -> int:
+    """Full mirror-lattice pairing: hyperbolic block plus Picard block."""
     k = X.ring.picard_rank
     if len(a.pic) != k or len(b.pic) != k:
         raise ShapeError("divisor coordinates must match picard_rank")
@@ -194,13 +174,13 @@ class GftClassK3:
     pairs to zero with every algebraic class, so it is not stored.
     """
 
-    s0: Fraction
-    e: Fraction
+    s0: int
+    e: int
 
     @property
     def slope(self) -> Fraction:
         # support slope of the multisection: e-coefficient over s0-coefficient
-        return self.e / self.s0
+        return Fraction(self.e, self.s0)
 
 
 def gft_class_k3(L: Sequence, X: K3Descriptor) -> GftClassK3:
@@ -209,12 +189,12 @@ def gft_class_k3(L: Sequence, X: K3Descriptor) -> GftClassK3:
     l2 = _square(L, X)
     if l2 <= 0:
         raise LatticeError(f"need a polarising class with L^2 > 0, got {l2}")
-    if int(l2) % 2 != 0:
+    if l2 % 2:
         raise LatticeError(f"L^2 = {l2} is not even")
-    return GftClassK3(s0=Fraction(1), e=-l2 / 2)
+    return GftClassK3(s0=1, e=-(l2 // 2))
 
 
-def _counting_square(L: Sequence, X: K3Descriptor) -> Fraction:
+def _counting_square(L: Sequence, X: K3Descriptor) -> int:
     """L^2 of a foreign divisor class, checked to lie in the counting range."""
     l2 = _square(_integer_divisor(L, X), X)
     if l2 < -2:
@@ -222,25 +202,23 @@ def _counting_square(L: Sequence, X: K3Descriptor) -> Fraction:
     return l2
 
 
-def _sections(l2: Fraction) -> Fraction:
-    return l2 / 2 + 2
+# L^2 is even in the even Gram lattice, so L^2 // 2 is L^2/2 exactly.
+def _sections(l2: int) -> int:
+    return l2 // 2 + 2
 
 
-def _marked_fibres(l2: Fraction) -> Fraction:
-    v1 = (Fraction(-1), Fraction(0))            # -[s0]
-    v2 = (Fraction(1), -l2 / 2)                 # [s0] - L^2/2 [e']
-    return sum(
-        (v1[i] * H_GRAM[i][j] * v2[j] for i in range(2) for j in range(2)),
-        Fraction(0),
-    )
+def _marked_fibres(l2: int) -> int:
+    v1 = (-1, 0)            # -[s0]
+    v2 = (1, -(l2 // 2))    # [s0] - L^2/2 [e']
+    return sum(v1[i] * H_GRAM[i][j] * v2[j] for i in range(2) for j in range(2))
 
 
-def h0_k3(L: Sequence, X: K3Descriptor) -> Fraction:
+def h0_k3(L: Sequence, X: K3Descriptor) -> int:
     """Section count L^2/2 + 2 from Riemann-Roch with vanishing."""
     return _sections(_counting_square(L, X))
 
 
-def bs_count_k3(L: Sequence, X: K3Descriptor) -> Fraction:
+def bs_count_k3(L: Sequence, X: K3Descriptor) -> int:
     """Marked-fibre count (-[s0]) . ([s0] - L^2/2 [e']).
 
     Expanded through the hyperbolic Gram block, not through Riemann-Roch,
@@ -253,9 +231,9 @@ def bs_count_k3(L: Sequence, X: K3Descriptor) -> Fraction:
 @dataclass(frozen=True)
 class QuantizationReportK3:
     label: str
-    l2: Fraction
-    h0: Fraction
-    bs_count: Fraction
+    l2: int
+    h0: int
+    bs_count: int
     ok: bool
 
 
@@ -270,9 +248,8 @@ def verify_quantization_k3(L: Sequence, X: K3Descriptor) -> QuantizationReportK3
 def _reflect_columns(xs: Sequence, delta: Sequence, X: K3Descriptor) -> list:
     """Coordinates of x + (x.delta) delta, one entry per coordinate.
 
-    ``xs[c]`` and ``delta[c]`` are exact numbers, or numpy object arrays
-    holding coordinate c of a batch, as in :meth:`IntegerMatrix.pair_columns`.
-    The Gram matrix is integral, so its compiled form has denominator 1 and
+    ``xs`` and ``delta`` are exact coordinates (ints or Fractions).  The
+    Gram matrix is integral, so its compiled form has denominator 1 and
     the pairing is the reflection coefficient itself.
     """
     coeff = X.ring._gram_form.pair_columns(xs, delta)
@@ -298,91 +275,64 @@ class WalkResult:
 MAX_WALK_STEPS = 64
 
 
-def walk_batch(
-    xs,
-    roots: Sequence[Sequence],
-    X: K3Descriptor,
-    max_steps: int = MAX_WALK_STEPS,
-) -> tuple:
-    """:func:`walk_to_chamber` for a whole batch of classes at once.
+def walk_batch(points: Sequence[Sequence], roots: Sequence[Sequence], X: K3Descriptor) -> list:
+    """:func:`walk_to_chamber` for each of several classes.
 
-    ``xs`` is an (n, k) numpy object array of exact coordinates.  Every
-    root's square is checked once, up front.  At each step all samples
-    still walking are paired with all roots in one product with the
-    compiled Gram matrix; a sample with no negative pairing leaves the
-    batch, and every other one reflects in its first root with a negative
-    pairing.  If samples still have one after ``max_steps`` reflections,
-    the first of them in sample order raises a :class:`LatticeError` that
-    names its starting class.
+    Every root's square is checked once, up front, and the Gram matrix is
+    applied to every root once, so a point pairs with a root as a dot
+    product.  Each point then walks on its own: it reflects in its first
+    root with a negative pairing until it has none.  The first point that
+    still has one after ``MAX_WALK_STEPS`` reflections raises a
+    :class:`LatticeError` that names its starting class.
 
-    Returns the end points, laid out as ``xs``, and the walk history: one
-    pair (sample indices, root indices) of arrays per step.
+    Returns one pair (end point, indices of the applied roots) per point.
     """
-    import numpy as np
-
     k = X.ring.picard_rank
     gram = X.ring._gram_form
-    root_rows = [[_entry(x) for x in d] for d in roots]
-    for d in root_rows:
+    axes = []
+    for d in roots:
+        d = [_entry(x) for x in d]
         if len(d) != k:
             raise ShapeError("divisor coordinates must match picard_rank")
-        if gram.pair_columns(d, d) != -2:
+        # the denominator of the integral Gram form is 1
+        gram_d = gram.apply_columns(d)
+        if sum(map(mul, d, gram_d)) != -2:
             raise LatticeError("reflection axis must have square -2")
-    if xs.ndim != 2 or xs.shape[1] != k:
-        raise ShapeError("divisor coordinates must match picard_rank")
-    root_rows = np.array(root_rows, dtype=object).reshape(-1, k)
-    # column j is the Gram matrix applied to root j, so x @ gram_roots pairs
-    # x with every root; the denominator of the integral Gram form is 1
-    gram_roots = np.array([gram.apply_columns(d) for d in root_rows], dtype=object)
-    gram_roots = gram_roots.reshape(-1, k).T
-    ends = xs.copy()
-    live = np.arange(len(xs))
-    walking_x = xs
-    history = []
-    for step in range(max_steps + 1):
-        pairing = walking_x @ gram_roots
-        negative = pairing < 0
-        walking = negative.any(axis=1)
-        if not walking.all():
-            ends[live[~walking]] = walking_x[~walking]
-            live, walking_x = live[walking], walking_x[walking]
-            negative, pairing = negative[walking], pairing[walking]
-        if not len(live):
-            break
-        if step == max_steps:
-            start = ", ".join(map(str, xs[live[0]]))
-            raise LatticeError(
-                f"no chamber reached within {max_steps} reflections from ({start})"
-            )
-        first = negative.argmax(axis=1)
-        coeff = pairing[np.arange(len(live)), first]
-        walking_x = walking_x + coeff[:, None] * root_rows[first]
-        history.append((live, first))
-    return ends, history
+        axes.append((d, gram_d))
+    walks = []
+    for x in points:
+        x = start = [_entry(v) for v in x]
+        if len(x) != k:
+            raise ShapeError("divisor coordinates must match picard_rank")
+        applied = []
+        while True:
+            for j, (d, gram_d) in enumerate(axes):
+                coeff = sum(map(mul, x, gram_d))
+                if coeff < 0:
+                    break
+            else:
+                break
+            if len(applied) == MAX_WALK_STEPS:
+                raise LatticeError(
+                    f"no chamber reached within {MAX_WALK_STEPS} reflections from "
+                    f"({', '.join(map(str, start))})"
+                )
+            x = [a + coeff * b for a, b in zip(x, d)]
+            applied.append(j)
+        walks.append((tuple(x), tuple(applied)))
+    return walks
 
 
-def walk_to_chamber(
-    x: Sequence,
-    roots: Sequence[Sequence],
-    X: K3Descriptor,
-    max_steps: int = MAX_WALK_STEPS,
-) -> WalkResult:
+def walk_to_chamber(x: Sequence, roots: Sequence[Sequence], X: K3Descriptor) -> WalkResult:
     """Reflect until x pairs nonnegatively with every root (bounded).
 
     Applies, at each step, the first root with negative pairing.  This is
-    the masked batch walk :func:`walk_batch` on a batch of one, so it
-    raises as that does: for a root whose square is not -2, and when no
-    chamber is reached within ``max_steps`` reflections.
+    :func:`walk_batch` on one point, so it raises as that does: for a root
+    whose square is not -2, and when no chamber is reached within
+    ``MAX_WALK_STEPS`` reflections.
     """
-    import numpy as np
-
-    xs = np.array([[_entry(v) for v in x]], dtype=object)
-    ends, history = walk_batch(xs, roots, X, max_steps)
-    return WalkResult(
-        vector=tuple(map(Fraction, ends[0])),
-        steps=len(history),
-        applied=tuple(int(first[0]) for _, first in history),
-    )
+    ((end, applied),) = walk_batch([x], roots, X)
+    return WalkResult(vector=tuple(map(Fraction, end)), steps=len(applied), applied=applied)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fixtures import FixtureError, fixture_from_payload, resolve_fixture
+from .fixtures import FixtureError, _read_json, fixture_from_payload, resolve_fixture
 from .report import Check, SuiteReport
 from .shared import DEFAULT_MANIFEST, ManifestError  # noqa: F401  (DEFAULT_MANIFEST re-exported)
 from .suites import SUITES, SuiteInputError
@@ -125,11 +125,9 @@ def parse_manifest(path: str | Path) -> Manifest:
     for name in payload.get("fixtures", ()):
         try:
             resolved = resolve_fixture(str(name), base)
-            sources.append((resolved, json.loads(resolved.read_text())))
-        except (FixtureError, OSError) as exc:
+            sources.append((resolved, _read_json(resolved)))
+        except FixtureError as exc:
             raise ManifestError(str(exc)) from exc
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"fixture {name} is not valid JSON: {exc}") from exc
         fixtures.append(str(name))
     suites = []
     for entry in payload.get("suites", ()):

@@ -60,6 +60,9 @@ RANK_RTOL = 1e-8
 # a quarter of that wide so the midpoint has margin to spare.
 _BISECT_FACTOR = 0.25
 
+# Every term a truncated theta series drops is smaller than this.
+_THETA_TAIL = 1e-14
+
 
 @dataclass(frozen=True)
 class TorusModel:
@@ -299,16 +302,16 @@ def winding_number(phases: Sequence[complex]) -> float:
     return float((angles[-1] - angles[0]) / (2.0 * math.pi))
 
 
-def _theta_truncation(level: int, im_tau: float, tail: float = 1e-14) -> int:
+def _theta_truncation(level: int, im_tau: float) -> int:
     """Smallest safe index bound N for level-k theta truncation.
 
     Terms are q^(m^2/(2k)) e^(2 pi i m z) with z = x + y*tau, 0 <= y < 1,
     so |term| = exp(-(pi*im_tau/k) * (m^2 + 2*k*y*m)) and for |m| >= N
     every term is bounded by exp(-(pi*im_tau/k) * N * (N - 2k)).  Choose
-    N = 2k + ceil(sqrt(k * ln(1/tail) / (pi * im_tau))) + 1, which makes
-    that bound smaller than ``tail``.
+    N = 2k + ceil(sqrt(k * ln(1/tail) / (pi * im_tau))) + 1 with tail =
+    ``_THETA_TAIL``, which makes that bound smaller than the tail.
     """
-    slack = math.sqrt(level * math.log(1.0 / tail) / (math.pi * im_tau))
+    slack = math.sqrt(level * math.log(1.0 / _THETA_TAIL) / (math.pi * im_tau))
     return 2 * level + math.ceil(slack) + 1
 
 

@@ -34,7 +34,8 @@ Each check's ``inputs`` says what it covers; a failure names the basis
 pair or grid point (:func:`core.isometry_failures`).  No mirror map here
 can raise: a loaded K3 fixture has an even Gram lattice, and the preimage
 of td u is u sqrt(td), whose rank and divisor block are those of u.  The
-hand-written forms pair the images exactly, in Fractions.
+hand-written forms pair the images exactly: the K3 images in ints, the
+others in Fractions.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -192,17 +194,13 @@ def _run_cy1_atiyah(params, fixtures):
 
 def _run_k3_quantization(params, fixtures):
     X = _get_fixture(fixtures, params["fixture"], cy2.K3Descriptor)
-    l2s = range(0, params["l2_max"] + 1, 2)
-    ls = [(1, l2 // 2 + 1) for l2 in l2s]  # realizes L^2 = l2 in the section/fibre Gram
-    # every class is counted (and its coordinates checked) before any is mirrored
-    reps = [cy2.verify_quantization_k3(L, X) for L in ls]
-    if not ls:
-        return []  # nothing to count or mirror
-    mirrors = cy2.mirror_k3_columns(np.array(ls, dtype=object).T, X)
-    spheres = cy2.mirror_pairing_k3(mirrors, mirrors, X)
     checks = []
-    for l2, L, rep, sphere in zip(l2s, ls, reps, spheres):
-        expected = Fraction(l2, 2) + 2
+    for l2 in range(0, params["l2_max"] + 1, 2):
+        L = (1, l2 // 2 + 1)  # realizes L^2 = l2 in the section/fibre Gram
+        rep = cy2.verify_quantization_k3(L, X)
+        mirror = cy2.mirror_k3(L, X)
+        sphere = cy2.mirror_pairing_k3(mirror, mirror, X)
+        expected = l2 // 2 + 2
         checks.append(
             Check(
                 name=f"L^2 = {l2}: sections match marked fibres",
@@ -236,14 +234,14 @@ def _run_k3_reflections(params, fixtures):
         isome += [f"delta={delta} {f}" for f in failures]
     rng = random.Random(params["seed"])
     n = params["samples"]
-    xs = np.array(rng.choices(range(-9, 10), k=n * k), dtype=object).reshape(n, k)
-    ends, _ = cy2.walk_batch(xs, X.roots, X)
-    # every end point against every root: (samples, 1) by (1, roots)
-    roots = np.array(X.roots, dtype=object)
-    outside = gram.pair_columns(ends.T[:, :, None], roots.T[:, None, :]) < 0
+    draws = rng.choices(range(-9, 10), k=n * k)
+    xs = [tuple(draws[i:i + k]) for i in range(0, n * k, k)]
+    # every end point against every root, the Gram form applied to each root once
+    gram_roots = [gram.apply_columns(d) for d in X.roots]
     walk = [
-        f"x={tuple(xs[i])} stopped outside the chamber"
-        for i in np.flatnonzero(outside.any(axis=1))
+        f"x={x} stopped outside the chamber"
+        for x, (end, _) in zip(xs, cy2.walk_batch(xs, X.roots, X))
+        if any(sum(map(mul, end, g)) < 0 for g in gram_roots)
     ]
     note = f"fixture={X.label}"
     m = len(X.roots)

@@ -195,6 +195,16 @@ def test_manifest_rejects_non_json(tmp_path):
         parse_manifest(tmp_path / "absent.json")
 
 
+def test_manifest_with_a_non_json_fixture_is_one_usage_line(tmp_path, capsys):
+    (tmp_path / "broken.json").write_text("{not json")
+    path = write_manifest(tmp_path, {**GOOD_MANIFEST, "fixtures": ["broken.json"]})
+    with pytest.raises(ManifestError, match=f"^fixture {tmp_path / 'broken.json'} is not valid JSON: "):
+        parse_manifest(path)
+    code, out, err = run_cli(capsys, "verify", "--manifest", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: fixture ") and err.count("\n") == 1
+
+
 def test_manifest_base_dir_resolution(tmp_path):
     # fixtures can live next to the manifest rather than in the package
     src = resolve_fixture("quintic.json")

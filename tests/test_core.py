@@ -5,7 +5,6 @@ import random
 from dataclasses import fields
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -320,20 +319,16 @@ def test_columns_kernel_equals_dense_fraction_products():
         size = 2 + (ring.dim - 1) * ring.picard_rank
         xs = [[rng.randint(-40, 40) for _ in range(size)] for _ in range(50)]
         ys = [[rng.randint(-40, 40) for _ in range(size)] for _ in range(50)]
-        cols_x = np.array(xs, dtype=object).T
-        cols_y = np.array(ys, dtype=object).T
         for m in (forms.sym, forms.exotic, *forms.products.values()):
             dense = m.to_rationals()
-            paired = m.pair_columns(cols_x, cols_y)
-            applied = m.apply_columns(cols_x)
-            for i, (x, y) in enumerate(zip(xs, ys)):
+            for x, y in zip(xs, ys):
                 mx, my = ([sum(a * b for a, b in zip(row, z)) for row in dense] for z in (x, y))
-                assert type(paired[i]) is int
-                assert Fraction(paired[i], m.den) == sum(a * b for a, b in zip(x, my))
-                assert [Fraction(c[i], m.den) for c in applied] == mx
-            # one vector of plain ints is a batch of one
-            assert m.pair_columns(xs[0], ys[0]) == paired[0]
-            assert m.apply_columns(xs[0]) == [c[0] for c in applied]
+                paired = m.pair_columns(x, y)
+                applied = m.apply_columns(x)
+                assert type(paired) is int
+                assert all(type(c) is int for c in applied)
+                assert Fraction(paired, m.den) == sum(a * b for a, b in zip(x, my))
+                assert [Fraction(c, m.den) for c in applied] == mx
 
 
 def test_module_results_are_fractions_in_shape():

@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,7 +31,7 @@ from latmirror import (
     walk_to_chamber,
 )
 from latmirror.core import IntegerMatrix
-from latmirror.cy2 import mirror_k3_columns, walk_batch
+from latmirror.cy2 import walk_batch
 
 QUARTIC = K3Descriptor(ring=RingDescriptor(dim=2, picard_rank=1, gram=((4,),)))
 DEGREE2 = K3Descriptor(ring=RingDescriptor(dim=2, picard_rank=1, gram=((2,),)))
@@ -139,23 +138,25 @@ def test_mirror_pairing_transport(k3_reflective):
             assert lhs == -rhs, (X.label, L1, L2)
 
 
-def test_batch_mirror_equals_per_class_and_raises_for_the_first_odd_square():
-    rng = random.Random(47)
-    for X in (QUARTIC, DEGREE2):
-        ls = [rng.randint(-9, 9) for _ in range(300)]
-        images = mirror_k3_columns([np.array(ls, dtype=object)], X)
-        for i, L in enumerate(ls):
-            m = mirror_k3((L,), X)
-            assert (images.s, images.pic[0][i], images.e[i]) == (m.s, m.pic[0], m.e)
+def test_k3_values_are_ints(k3_elliptic):
+    m = mirror_k3((1, 3), k3_elliptic)  # L^2 = 4
+    assert (m.s, m.pic, m.e) == (1, (1, 3), -2)
+    assert all(type(v) is int for v in (m.s, *m.pic, m.e, mirror_pairing_k3(m, m, k3_elliptic)))
+    g = gft_class_k3((1, 3), k3_elliptic)
+    assert all(type(v) is int for v in (g.s0, g.e))
+    assert type(g.slope) is Fraction
+    rep = verify_quantization_k3((1, 3), k3_elliptic)
+    assert all(type(v) is int for v in (rep.l2, rep.h0, rep.bs_count))
+
+
+def test_mirror_k3_names_an_odd_square():
     # an odd Gram entry, forced past the ring's checks, makes odd squares
     X = K3Descriptor(ring=RingDescriptor(dim=2, picard_rank=1, gram=((2,),)))
     X.ring.__dict__["_gram_form"] = IntegerMatrix.from_rationals([[3]])
-    with pytest.raises(LatticeError) as per_class:
+    assert mirror_k3((2,), X).e == -6
+    with pytest.raises(LatticeError) as err:
         mirror_k3((3,), X)
-    with pytest.raises(LatticeError) as batched:
-        mirror_k3_columns([np.array([2, 4, 3, 5], dtype=object)], X)
-    assert str(batched.value) == str(per_class.value)
-    assert str(per_class.value) == "L^2 = 27 is not even; not a divisor class here"
+    assert str(err.value) == "L^2 = 27 is not even; not a divisor class here"
 
 
 # --------------------------------------------------------------- GFT ------
@@ -278,23 +279,15 @@ def test_walk_step_cap(k3_reflective):
         walk_to_chamber((1, 1, 0), (delta, neg), X)
 
 
-def walked(xs, roots, X):
-    """Per-sample (end point, steps, applied) of one batched walk."""
-    ends, history = walk_batch(np.array(xs, dtype=object), roots, X)
-    applied = [[] for _ in xs]
-    for samples, firsts in history:
-        for i, j in zip(samples, firsts):
-            applied[i].append(int(j))
-    return [(tuple(e), len(a), tuple(a)) for e, a in zip(ends, applied)]
-
-
 def test_batched_walk_equals_the_per_sample_oracle(k3_reflective, k3_elliptic):
     rng = random.Random(59)
     for X in (k3_reflective, k3_elliptic):
         k = X.ring.picard_rank
         xs = [tuple(rng.randint(-20, 20) for _ in range(k)) for _ in range(500)]
         want = [walk_to_chamber_scalar(X.ring.gram, X.roots, x) for x in xs]
-        assert walked(xs, X.roots, X) == want
+        got = walk_batch(xs, X.roots, X)
+        assert [(end, len(applied), applied) for end, applied in got] == want
+        assert all(type(v) is int for end, _ in got for v in end)
         assert any(steps > 0 for _, steps, _ in want)
         for x, (end, steps, applied) in zip(xs[:50], want):
             res = walk_to_chamber(x, X.roots, X)
@@ -310,14 +303,16 @@ def test_batched_walk_names_the_first_sample_to_reach_the_cap(k3_reflective):
     capped = [walk_to_chamber_scalar(X.ring.gram, roots, x) is None for x in xs]
     assert capped == [False, True, False, True, False]
     with pytest.raises(LatticeError) as err:
-        walk_batch(np.array(xs, dtype=object), roots, X)
+        walk_batch(xs, roots, X)
     assert str(err.value) == "no chamber reached within 64 reflections from (1, 1, 0)"
     with pytest.raises(LatticeError) as err:
-        walk_batch(np.array(xs[2:], dtype=object), roots, X)
+        walk_batch(xs[2:], roots, X)
     assert str(err.value).endswith("from (3, 1, 0)")
     # every root's square is checked before any sample walks
     with pytest.raises(LatticeError, match="reflection axis must have square -2"):
-        walk_batch(np.array(xs, dtype=object), ((0, 1, 0), (1, 0, 0)), X)
+        walk_batch(xs, ((0, 1, 0), (1, 0, 0)), X)
+    with pytest.raises(ShapeError, match="divisor coordinates must match picard_rank"):
+        walk_batch([(1, 2, 3), (1, 2)], X.roots, X)
 
 
 # ------------------------------------------------------ main condition ----

@@ -1,7 +1,7 @@
 """The package's layering: the exact layer never loads numpy.
 
-`import latmirror` and the exact CLI families must run without numpy in
-`sys.modules`; the names of `numeric` and `manifest` resolve on first use.
+`import latmirror`, the K3 mirror map, count and chamber walk and the
+exact CLI families must run without numpy in `sys.modules`; the names of `numeric` and `manifest` resolve on first use.
 A full `latmirror verify` must leave `numpy.fft` unloaded.  The import
 checks run in fresh interpreters, since this test process has numpy loaded
 already.  The last two tests guard the benchmark in
@@ -34,6 +34,10 @@ import latmirror
 from latmirror import cli, core, cy1, cy2, cy3, fixtures
 fixtures.load_k3_fixture("k3_quartic")
 fixtures.load_cy3_fixture("quintic")
+X = fixtures.load_k3_fixture("k3_reflective")
+assert cy2.walk_to_chamber((1, 3, 4), X.roots, X).steps > 0
+assert cy2.mirror_k3((2, 1, 0), X).e == -1
+assert cy2.verify_quantization_k3((2, 1, 0), X).h0 == 3
 for argv in (
     ["cy1", "intersect", "--a", "1,0", "--b", "0,1"],
     ["cy2", "mukai", "--ch", "1:0:0"],

@@ -49,6 +49,20 @@ def double_reflection_coefficient(monkeypatch):
     monkeypatch.setattr(cy2, "_reflect_columns", doubled)
 
 
+def flip_fibre_coefficient(monkeypatch):
+    # the marked-fibre expansion reads [s0] + L^2/2 [e'] for [s0] - L^2/2 [e']
+    marked = cy2._marked_fibres
+    monkeypatch.setattr(cy2, "_marked_fibres", lambda l2: marked(-l2))
+
+
+def drop_orthogonality_check(monkeypatch):
+    # the fibre/section pair is certified without its declared complement
+    check = cy2.check_main_condition
+    monkeypatch.setattr(
+        cy2, "check_main_condition", lambda gram, e, s, complement=(): check(gram, e, s)
+    )
+
+
 def break_h_gram(monkeypatch):
     monkeypatch.setattr(cy2, "H_GRAM", ((-2, 1), (1, 1)))  # [e]^2 = 1
 
@@ -173,6 +187,19 @@ def k3_reflections_reference(params, fixtures):
         "reflection preserves the Gram pairing": (m * k * k, isome),
         "bounded walk reaches the nonnegative chamber": (n, walk),
     }
+
+
+def k3_quantization_reference(params, fixtures):
+    # the count becomes 2 - L^2/2 against 2 + L^2/2 sections; the mirror is untouched
+    return {
+        f"L^2 = {l2}: sections match marked fibres": f"h0={2 + l2 // 2}, count={2 - l2 // 2}, square=-2"
+        for l2 in range(0, params["l2_max"] + 1, 2)
+    }
+
+
+def k3_main_condition_reference(params, fixtures):
+    # only the case whose complement meets the fibre needed the dropped check
+    return {"main condition: complement vector meeting the fibre": "pass"}
 
 
 def k3_transport_reference(params, fixtures):
@@ -302,6 +329,9 @@ THREEFOLDS = ("quintic.json", "bicubic.json")
 
 ROWS = [
     Row("cy1-mirror-isometry", (), flip_cycle_pairing_sign, summaries(cy1_isometry_reference)),
+    Row("k3-quantization", ("k3_elliptic.json",), flip_fibre_coefficient,
+        k3_quantization_reference),
+    Row("k3-main-condition", (), drop_orthogonality_check, k3_main_condition_reference),
     Row("k3-reflections", ("k3_reflective.json",), double_reflection_coefficient,
         summaries(k3_reflections_reference)),
     Row("k3-mirror-transport", ("k3_quartic.json",), break_h_gram,
