@@ -1,10 +1,11 @@
 """Exact lattice arithmetic for mirror pairs, with a numerical verifier.
 
 The exact layer (`core`, `cy1`, `cy2`, `cy3`) works over Python ints and
-`fractions.Fraction` and never touches floats.  The numerical layer (`numeric`) checks the same
-identities on flat torus models in IEEE doubles.  `manifest.run_verify` ties
-the two together behind one report format; the `latmirror` console script
-exposes everything on the command line.
+`fractions.Fraction` and never touches floats.  The numerical layer
+(`numeric`) checks the same identities on flat torus models in IEEE
+doubles.  `manifest.run_verify` ties the two together behind one report
+format; the `latmirror` console script exposes everything on the command
+line.
 
 Importing the package loads the exact layer and `fixtures` only.  The names
 from `numeric` and `manifest` are imported on first use, so code that never
