@@ -21,7 +21,6 @@ import json
 import re
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 from . import cy1, cy2, cy3
@@ -54,20 +53,14 @@ def _parse_blocks(text: str, dim: int) -> GradedVector:
     return GradedVector(dim, tuple(out))
 
 
-def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return format_rational(x)
-    return str(x)
-
-
 def _fmt_blocks(vec: GradedVector) -> str:
     # inverse of _parse_blocks: '1:1:1' for the quartic Mukai vector of O
     parts = []
     for block in vec.blocks:
         if isinstance(block, tuple):
-            parts.append(",".join(_fmt(x) for x in block))
+            parts.append(",".join(format_rational(x) for x in block))
         else:
-            parts.append(_fmt(block))
+            parts.append(format_rational(block))
     return ":".join(parts)
 
 
@@ -136,7 +129,7 @@ def _h_cy2_rr(args):
     chi = cy2.euler_pairing2(
         _parse_blocks(args.ch1, 2), _parse_blocks(args.ch2, 2), X
     )
-    return 0, {"chi": _fmt(chi)}, _fmt(chi)
+    return 0, {"chi": format_rational(chi)}, format_rational(chi)
 
 
 def _h_cy2_mukai(args):
@@ -155,13 +148,13 @@ def _h_cy2_mirror(args):
     X = load_k3_fixture(args.fixture)
     m = cy2.mirror_k3(_parse_int_tuple(args.divisor), X)
     payload = {
-        "s": _fmt(m.s),
-        "pic": [_fmt(x) for x in m.pic],
-        "e": _fmt(m.e),
+        "s": format_rational(m.s),
+        "pic": [format_rational(x) for x in m.pic],
+        "e": format_rational(m.e),
         "pic_imaginary": True,  # the Picard block carries the imaginary unit
     }
-    pic_txt = ",".join(_fmt(x) for x in m.pic)
-    return 0, payload, f"[s] + i*({pic_txt}) + ({_fmt(m.e)})[e]"
+    pic_txt = ",".join(format_rational(x) for x in m.pic)
+    return 0, payload, f"[s] + i*({pic_txt}) + ({format_rational(m.e)})[e]"
 
 
 def _h_cy2_quantize(args):
@@ -169,20 +162,20 @@ def _h_cy2_quantize(args):
     rep = cy2.verify_quantization_k3(_parse_int_tuple(args.divisor), X)
     payload = {
         "fixture": rep.label,
-        "l2": _fmt(rep.l2),
-        "h0": _fmt(rep.h0),
-        "bs_count": _fmt(rep.bs_count),
+        "l2": format_rational(rep.l2),
+        "h0": format_rational(rep.h0),
+        "bs_count": format_rational(rep.bs_count),
         "ok": rep.ok,
     }
     code = 0 if rep.ok else 1
-    text = f"L^2={_fmt(rep.l2)}: h0={_fmt(rep.h0)}, marked fibres={_fmt(rep.bs_count)} -> {'ok' if rep.ok else 'MISMATCH'}"
+    text = f"L^2={format_rational(rep.l2)}: h0={format_rational(rep.h0)}, marked fibres={format_rational(rep.bs_count)} -> {'ok' if rep.ok else 'MISMATCH'}"
     return code, payload, text
 
 
 def _h_cy2_reflect(args):
     X = load_k3_fixture(args.fixture)
     y = cy2.reflect_minus2(_parse_int_tuple(args.x), _parse_int_tuple(args.delta), X)
-    return 0, {"image": [_fmt(v) for v in y]}, ",".join(_fmt(v) for v in y)
+    return 0, {"image": [format_rational(v) for v in y]}, ",".join(format_rational(v) for v in y)
 
 
 def _rank1_k3(l2: int) -> cy2.K3Descriptor:
@@ -206,12 +199,12 @@ def _h_cy2_gft_l2(args):
         L = _parse_int_tuple(args.divisor)
     g = cy2.gft_class_k3(L, X)
     payload = {
-        "s0": _fmt(g.s0),
-        "e": _fmt(g.e),
-        "slope": _fmt(g.slope),
+        "s0": format_rational(g.s0),
+        "e": format_rational(g.e),
+        "slope": format_rational(g.slope),
         "transcendental": "omega'",  # the summand that pairs to zero, by name
     }
-    text = f"[s0] + ({_fmt(g.e)})[e'] + omega', slope {_fmt(g.slope)}"
+    text = f"[s0] + ({format_rational(g.e)})[e'] + omega', slope {format_rational(g.slope)}"
     return 0, payload, text
 
 
@@ -230,7 +223,7 @@ def _h_cy2_verify_range(args):
     for l2 in range(lo, hi + 1, 2):
         rep = cy2.verify_quantization_k3((1,), _rank1_k3(l2))
         rows.append(
-            {"l2": l2, "h0": _fmt(rep.h0), "bs_count": _fmt(rep.bs_count), "ok": rep.ok}
+            {"l2": l2, "h0": format_rational(rep.h0), "bs_count": format_rational(rep.bs_count), "ok": rep.ok}
         )
         all_ok = all_ok and rep.ok
     lines = [
@@ -281,7 +274,7 @@ def _h_cy3_chi(args):
         chi = cy3.chi_bundle3(_parse_blocks(args.bundle, 3), X)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    return 0, {"chi": _fmt(chi)}, _fmt(chi)
+    return 0, {"chi": format_rational(chi)}, format_rational(chi)
 
 
 def _h_cy3_rr(args):
@@ -289,28 +282,28 @@ def _h_cy3_rr(args):
     chi = cy3.euler_pairing3(
         _parse_blocks(args.ch1, 3), _parse_blocks(args.ch2, 3), X
     )
-    return 0, {"chi": _fmt(chi)}, _fmt(chi)
+    return 0, {"chi": format_rational(chi)}, format_rational(chi)
 
 
 def _h_cy3_mirror(args):
     X = load_cy3_fixture(args.fixture)
     m = cy3.mirror_cy3(_parse_blocks(args.vector, 3), X)
     payload = {
-        "s0": _fmt(m.s0),
-        "e": _fmt(m.e),
-        "psi1": [_fmt(x) for x in m.psi1],
-        "psi2": [_fmt(x) for x in m.psi2],
+        "s0": format_rational(m.s0),
+        "e": format_rational(m.e),
+        "psi1": [format_rational(x) for x in m.psi1],
+        "psi2": [format_rational(x) for x in m.psi2],
     }
-    psi1 = ",".join(_fmt(x) for x in m.psi1)
-    psi2 = ",".join(_fmt(x) for x in m.psi2)
-    text = f"{_fmt(m.s0)}[s0] + ({_fmt(m.e)})[e'] + psi1({psi1}) + psi2({psi2})"
+    psi1 = ",".join(format_rational(x) for x in m.psi1)
+    psi2 = ",".join(format_rational(x) for x in m.psi2)
+    text = f"{format_rational(m.s0)}[s0] + ({format_rational(m.e)})[e'] + psi1({psi1}) + psi2({psi2})"
     return 0, payload, text
 
 
 def _h_cy3_slope(args):
     X = load_cy3_fixture(args.fixture)
     chi = cy3.gft_s0_intersection3(_parse_int_tuple(args.divisor), X)
-    return 0, {"chi": _fmt(chi)}, _fmt(chi)
+    return 0, {"chi": format_rational(chi)}, format_rational(chi)
 
 
 def _h_cy3_sublattice(args):
@@ -318,8 +311,8 @@ def _h_cy3_sublattice(args):
     sub = cy3.canonical_rank3_sublattice(X)
     payload = {
         "basis": list(sub.basis_labels),
-        "gram_sym": [[_fmt(x) for x in row] for row in sub.gram_sym],
-        "gram_exotic": [[_fmt(x) for x in row] for row in sub.gram_exotic],
+        "gram_sym": [[format_rational(x) for x in row] for row in sub.gram_sym],
+        "gram_exotic": [[format_rational(x) for x in row] for row in sub.gram_exotic],
     }
     return 0, payload, json.dumps(payload, indent=2)
 

@@ -200,15 +200,15 @@ class GradedVector:
 
     @classmethod
     def zero(cls, dim: int, picard_rank: int) -> "GradedVector":
-        return cls(dim, (0, *[(0,) * picard_rank] * (dim - 1), 0))
+        return cls._of_numerators(dim, [0] * (2 + (dim - 1) * picard_rank))
 
     @classmethod
     def unit(cls, dim: int, picard_rank: int) -> "GradedVector":
-        return cls.zero(dim, picard_rank).with_block(0, 1)
+        return cls._of_numerators(dim, [1] + [0] * (1 + (dim - 1) * picard_rank))
 
     @classmethod
     def point(cls, dim: int, picard_rank: int) -> "GradedVector":
-        return cls.zero(dim, picard_rank).with_block(dim, 1)
+        return cls._of_numerators(dim, [0] * (1 + (dim - 1) * picard_rank) + [1])
 
     @classmethod
     def basis(cls, dim: int, picard_rank: int) -> tuple:
@@ -362,11 +362,20 @@ class RingDescriptor:
         return cls(dim=1, picard_rank=0)
 
     def _divisors(self, *vectors: Sequence) -> list:
-        """Coerce foreign divisor-block coordinates to Fractions, checking length."""
-        out = [[as_fraction(x) for x in v] for v in vectors]
-        if any(len(v) != self.picard_rank for v in out):
-            raise ShapeError("divisor coordinates must match picard_rank")
+        """The one way in for foreign divisor coordinates: :func:`_entry`, length checked."""
+        k = self.picard_rank
+        out = [[_entry(x) for x in v] for v in vectors]
+        for v in out:
+            if len(v) != k:
+                raise ShapeError("divisor coordinates must match picard_rank")
         return out
+
+    def _integer_divisor(self, L: Sequence) -> tuple:
+        """Integer coordinates of one foreign divisor class, via :meth:`_divisors`."""
+        (out,) = self._divisors(L)
+        if any(x.denominator != 1 for x in out):
+            raise LatticeError("divisor class must be integral")
+        return tuple(x.numerator for x in out)
 
     def pic_pair(self, a: Sequence, b: Sequence) -> Fraction:
         """Gram pairing of two divisor-block coordinate vectors (dim 2).
@@ -376,7 +385,8 @@ class RingDescriptor:
         """
         if self.dim != 2:
             raise ShapeError("pic_pair needs a dim-2 descriptor")
-        return self._gram_form.pair_columns(*self._divisors(a, b))
+        # the Gram matrix is integral: its compiled form has denominator 1
+        return Fraction(self._gram_form.pair_columns(*self._divisors(a, b)))
 
     def cubic_contract(self, a: Sequence, b: Sequence) -> tuple:
         """Divisor-times-divisor product in dual-basis curve coordinates.
@@ -387,7 +397,7 @@ class RingDescriptor:
         if self.dim != 3:
             raise ShapeError("cubic_contract needs a dim-3 descriptor")
         a, b = self._divisors(a, b)
-        return tuple(m.pair_columns(a, b) for m in self._cubic_forms)
+        return tuple(Fraction(m.pair_columns(a, b)) for m in self._cubic_forms)
 
     @cached_property
     def todd(self) -> "ToddData":

@@ -3,8 +3,10 @@
 Chern data of a sheaf on a K3 enters as a dim-2 graded vector
 (rank, c1, ch2); its Mukai vector is ch * sqrt(td) = (rank, c1, ch2 + rank).
 The Euler pairing chi(Hom(E1, E2)) is the Poincare pairing of the dualised
-Mukai vector of E1 against that of E2, and a simple sheaf moves in a moduli
-space of dimension 2 - chi(Hom(E, E)).
+Mukai vector of E1 against that of E2.  As star(sqrt td) = sqrt td on a K3,
+that is the Todd-twisted pairing :func:`core.pair_exotic` of the Chern
+characters, the one Euler pairing of every dimension; a simple sheaf moves
+in a moduli space of dimension 2 - chi(Hom(E, E)).
 
 The mirror of a polarising class L is the sphere class [s] + L - L^2/2 [e]
 in the lattice spanned by a section [s] ([s]^2 = -2), a fibre [e]
@@ -20,10 +22,11 @@ independent expansions.
 Spheres of square -2 act on the Picard block by x -> x + (x.delta) delta;
 the bounded chamber walk repeatedly applies reflections until a target
 class pairs nonnegatively with every supplied root (Vinberg's walk into a
-fundamental chamber).  The Gram lattice is even, so L^2, the mirror and
-transform coefficients and both counts are Python ints.  A hyperbolic
-summand candidate (e, s) is certified by e^2 = 0, s^2 = -2, e.s = 1 and
-orthogonality of the declared complement.
+fundamental chamber).  Divisor coordinates enter through
+``RingDescriptor._divisors`` and ``_integer_divisor``.  The Gram lattice
+is even, so L^2, the mirror and transform coefficients and both counts
+are Python ints.  A hyperbolic summand candidate (e, s) is certified by
+e^2 = 0, s^2 = -2, e.s = 1 and orthogonality of the declared complement.
 """
 
 from __future__ import annotations
@@ -42,11 +45,9 @@ from .core import (
     ToddData,
     _as_int,
     _check_symmetric,
-    _entry,
     as_fraction,
     mukai_vector,
-    pair_sym,
-    star,
+    pair_exotic,
 )
 
 # Euler characteristic of every K3 surface; an elliptic fibration with only
@@ -97,31 +98,20 @@ def mukai2(ch: GradedVector, X: K3Descriptor) -> GradedVector:
 
 
 def euler_pairing2(ch1: GradedVector, ch2: GradedVector, X: K3Descriptor) -> Fraction:
-    """chi(Hom(E1, E2)) as the Poincare pairing of Mukai vectors."""
-    m1 = mukai2(ch1, X)
-    m2 = mukai2(ch2, X)
-    return pair_sym(star(m1), m2, X.ring)
+    """chi(Hom(E1, E2)): the Todd-twisted pairing :func:`core.pair_exotic`."""
+    return pair_exotic(ch1, ch2, X.ring)
 
 
 def moduli_dim2(ch: GradedVector, X: K3Descriptor) -> int:
-    """Expected moduli dimension 2 - chi(Hom(E, E*dual-twisted))."""
-    m = mukai2(ch, X)
-    val = 2 - pair_sym(m, star(m), X.ring)
+    """Expected moduli dimension 2 - chi(Hom(E, E))."""
+    val = 2 - pair_exotic(ch, ch, X.ring)
     if val.denominator != 1:
         raise LatticeError(f"moduli dimension {val} is not an integer")
     return int(val)
 
 
-def _integer_divisor(L: Sequence, X: K3Descriptor) -> tuple:
-    """Integer coordinates of a foreign divisor class, checked against the ring."""
-    (out,) = X.ring._divisors(L)
-    if any(x.denominator != 1 for x in out):
-        raise LatticeError("divisor class must be integral")
-    return tuple(int(x) for x in out)
-
-
 def _square(L: tuple, X: K3Descriptor) -> int:
-    """L^2 of integer coordinates, as from :func:`_integer_divisor`.
+    """L^2 of integer coordinates, as from ``RingDescriptor._integer_divisor``.
 
     The Gram matrix is integral, so its compiled form has denominator 1.
     """
@@ -144,7 +134,7 @@ class MirrorClassK3:
 
 def mirror_k3(L: Sequence, X: K3Descriptor) -> MirrorClassK3:
     """Mirror image [s] + L - (L^2/2) [e] of an integral divisor class."""
-    L = _integer_divisor(L, X)
+    L = X.ring._integer_divisor(L)
     l2 = _square(L, X)
     if l2 % 2:
         raise LatticeError(f"L^2 = {l2} is not even; not a divisor class here")
@@ -185,7 +175,7 @@ class GftClassK3:
 
 def gft_class_k3(L: Sequence, X: K3Descriptor) -> GftClassK3:
     """Transform class of a polarising bundle; needs L^2 > 0 and even."""
-    L = _integer_divisor(L, X)
+    L = X.ring._integer_divisor(L)
     l2 = _square(L, X)
     if l2 <= 0:
         raise LatticeError(f"need a polarising class with L^2 > 0, got {l2}")
@@ -196,7 +186,7 @@ def gft_class_k3(L: Sequence, X: K3Descriptor) -> GftClassK3:
 
 def _counting_square(L: Sequence, X: K3Descriptor) -> int:
     """L^2 of a foreign divisor class, checked to lie in the counting range."""
-    l2 = _square(_integer_divisor(L, X), X)
+    l2 = _square(X.ring._integer_divisor(L), X)
     if l2 < -2:
         raise LatticeError(f"L^2 = {l2} < -2 is outside the counting range")
     return l2
@@ -256,13 +246,24 @@ def _reflect_columns(xs: Sequence, delta: Sequence, X: K3Descriptor) -> list:
     return [x + coeff * d for x, d in zip(xs, delta)]
 
 
+def _minus2_axes(roots: Sequence[Sequence], X: K3Descriptor) -> list:
+    """(root, Gram applied to the root) for each root, checked to have square -2."""
+    # the Gram matrix is integral: its compiled form has denominator 1
+    gram = X.ring._gram_form
+    axes = []
+    for d in X.ring._divisors(*roots):
+        gram_d = gram.apply_columns(d)
+        if sum(map(mul, d, gram_d)) != -2:
+            raise LatticeError("reflection axis must have square -2")
+        axes.append((d, gram_d))
+    return axes
+
+
 def reflect_minus2(x: Sequence, delta: Sequence, X: K3Descriptor) -> tuple:
     """Reflection x + (x.delta) delta in a sphere class of square -2."""
-    (delta,) = X.ring._divisors(delta)
-    if X.ring._gram_form.pair_columns(delta, delta) != -2:
-        raise LatticeError("reflection axis must have square -2")
+    ((delta, _),) = _minus2_axes([delta], X)
     (x,) = X.ring._divisors(x)
-    return tuple(_reflect_columns(x, delta, X))
+    return tuple(map(Fraction, _reflect_columns(x, delta, X)))
 
 
 @dataclass(frozen=True)
@@ -287,24 +288,10 @@ def walk_batch(points: Sequence[Sequence], roots: Sequence[Sequence], X: K3Descr
 
     Returns one pair (end point, indices of the applied roots) per point.
     """
-    k = X.ring.picard_rank
-    gram = X.ring._gram_form
-    axes = []
-    for d in roots:
-        d = [_entry(x) for x in d]
-        if len(d) != k:
-            raise ShapeError("divisor coordinates must match picard_rank")
-        # the denominator of the integral Gram form is 1
-        gram_d = gram.apply_columns(d)
-        if sum(map(mul, d, gram_d)) != -2:
-            raise LatticeError("reflection axis must have square -2")
-        axes.append((d, gram_d))
+    axes = _minus2_axes(roots, X)
     walks = []
-    for x in points:
-        x = start = [_entry(v) for v in x]
-        if len(x) != k:
-            raise ShapeError("divisor coordinates must match picard_rank")
-        applied = []
+    for start in X.ring._divisors(*points):
+        x, applied = start, []
         while True:
             for j, (d, gram_d) in enumerate(axes):
                 coeff = sum(map(mul, x, gram_d))

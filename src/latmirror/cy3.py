@@ -72,10 +72,7 @@ class CY3Descriptor:
 
 def line_bundle_ch(L: Sequence, X: CY3Descriptor) -> GradedVector:
     """Chern character (1, L, L^2/2, L^3/6) of an integral divisor class."""
-    (L,) = X.ring._divisors(L)
-    if any(x.denominator != 1 for x in L):
-        raise LatticeError("line bundle class must be integral")
-    L = [x.numerator for x in L]
+    L = X.ring._integer_divisor(L)
     square = [m.pair_columns(L, L) for m in X.ring._cubic_forms]
     cube = sum(x * y for x, y in zip(square, L))
     # (1, L, L^2/2, L^3/6) over the denominator 6

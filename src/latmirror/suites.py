@@ -194,6 +194,11 @@ def _run_cy1_atiyah(params, fixtures):
 
 def _run_k3_quantization(params, fixtures):
     X = _get_fixture(fixtures, params["fixture"], cy2.K3Descriptor)
+    if X.ring.gram != cy2.H_GRAM:
+        raise SuiteInputError(
+            f"fixture {X.label} has Gram {X.ring.gram}; the classes (1, L^2/2 + 1) "
+            f"need the section/fibre Gram {cy2.H_GRAM}"
+        )
     checks = []
     for l2 in range(0, params["l2_max"] + 1, 2):
         L = (1, l2 // 2 + 1)  # realizes L^2 = l2 in the section/fibre Gram

@@ -287,6 +287,22 @@ def test_verify_json_report_is_deterministic(tmp_path):
     assert a["suites"] == {"total": 3, "failed": 0}
 
 
+def test_k3_quantization_refuses_another_gram(tmp_path):
+    # its classes (1, L^2/2 + 1) have square L^2 in the section/fibre Gram only
+    (tmp_path / "hyp.json").write_text(json.dumps({"label": "k3-hyp", "gram": [[0, 1], [1, 0]]}))
+    payload = {
+        "version": "1",
+        "fixtures": ["hyp.json"],
+        "suites": [{"name": "k3-quantization", "params": {"fixture": "k3-hyp", "l2_max": 4}}],
+    }
+    result = run_verify(parse_manifest(write_manifest(tmp_path, payload)))
+    rep = {r.suite: r for r in result.reports}["k3-quantization"]
+    assert rep.status == "error"
+    assert [c.name for c in rep.checks] == ["suite preconditions"]
+    assert "((-2, 1), (1, 0))" in rep.checks[0].got
+    assert result.exit_code == 1
+
+
 def test_verify_missing_suite_fixture_is_error_not_crash(tmp_path):
     # a suite whose fixture set lacks any threefold reports, not raises
     payload = {

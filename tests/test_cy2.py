@@ -21,12 +21,15 @@ from latmirror import (
     euler_pairing2,
     gft_class_k3,
     h0_k3,
+    line_bundle_ch,
     mirror_k3,
     mirror_pairing_k3,
     moduli_dim2,
     mukai2,
     pair_exotic,
+    pair_sym,
     reflect_minus2,
+    star,
     verify_quantization_k3,
     walk_to_chamber,
 )
@@ -91,6 +94,34 @@ def test_moduli_dim2_examples():
     assert moduli_dim2(GradedVector(2, (2, (0,), -2)), QUARTIC) == 2
 
 
+@pytest.mark.parametrize("name", ["k3_quartic", "k3_elliptic", "k3_reflective"])
+def test_k3_euler_pairings_equal_the_mukai_route(name, request):
+    # the reference: chi(Hom(E1, E2)) as the Poincare pairing of the dualised
+    # Mukai vector of E1 against that of E2
+    X = request.getfixturevalue(name)
+    k = X.ring.picard_rank
+    rng = random.Random(61)
+
+    def draw():
+        # c1 in thirds makes some self-pairings non-integral
+        c1 = tuple(Fraction(rng.randint(-19, 19), 3) for _ in range(k))
+        return GradedVector(2, (rng.randint(-9, 9), c1, Fraction(rng.randint(-19, 19), 2)))
+
+    integral = 0
+    for _ in range(200):
+        u, v = draw(), draw()
+        mu, mv = mukai2(u, X), mukai2(v, X)
+        assert euler_pairing2(u, v, X) == pair_sym(star(mu), mv, X.ring), (u, v)
+        want = 2 - pair_sym(mu, star(mu), X.ring)
+        if want.denominator == 1:
+            integral += 1
+            assert moduli_dim2(u, X) == want, u
+        else:
+            with pytest.raises(LatticeError, match="is not an integer"):
+                moduli_dim2(u, X)
+    assert 0 < integral < 200
+
+
 # ------------------------------------------------------------ mirror ------
 
 def test_mirror_k3_examples():
@@ -116,6 +147,26 @@ def test_divisor_functions_check_the_picard_rank(fn, k3_elliptic):
     for L, X in (((1, 2), QUARTIC), ((), QUARTIC), ((1,), k3_elliptic), ((1, 2, 3), k3_elliptic)):
         with pytest.raises(ShapeError, match="divisor coordinates must match picard_rank"):
             fn(L, X)
+
+
+@pytest.mark.parametrize(
+    "fn, name",
+    [
+        (mirror_k3, "k3_quartic"),
+        (gft_class_k3, "k3_quartic"),
+        (h0_k3, "k3_quartic"),
+        (bs_count_k3, "k3_quartic"),
+        (line_bundle_ch, "quintic"),
+    ],
+)
+def test_divisor_functions_share_one_way_in(fn, name, request):
+    X = request.getfixturevalue(name)
+    assert fn((2,), X) == fn(("2",), X) == fn((Fraction(4, 2),), X)
+    for bad in (0.5, True):
+        with pytest.raises(LatticeError):
+            fn((bad,), X)
+    with pytest.raises(LatticeError, match="divisor class must be integral"):
+        fn(("1/2",), X)
 
 
 def test_mirror_images_are_minus2_spheres():

@@ -41,7 +41,10 @@ assert cy2.verify_quantization_k3((2, 1, 0), X).h0 == 3
 for argv in (
     ["cy1", "intersect", "--a", "1,0", "--b", "0,1"],
     ["cy2", "mukai", "--ch", "1:0:0"],
+    ["cy2", "rr", "--ch1", "1:0:0", "--ch2", "1:1:2"],
+    ["cy2", "moduli", "--ch", "1:1:2"],
     ["cy3", "chi", "--bundle", "1:1:5/2:5/6"],
+    ["cy3", "slope", "--divisor", "1"],
 ):
     with redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
