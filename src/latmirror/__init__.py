@@ -48,7 +48,6 @@ from .cy2 import (
     EULER_K3,
     H_GRAM,
     GftClassK3,
-    HyperbolicDecomposition,
     K3Descriptor,
     MirrorClassK3,
     bs_count_k3,

@@ -24,7 +24,7 @@ import warnings
 from pathlib import Path
 
 from . import cy1, cy2, cy3
-from .core import GradedVector, LatticeError, format_rational, parse_rational
+from .core import GradedVector, LatticeError, RingDescriptor, format_rational, parse_rational
 from .fixtures import FixtureError, load_cy3_fixture, load_k3_fixture
 from .shared import DEFAULT_MANIFEST, ROOT_TOL, ConsistencyError
 
@@ -180,8 +180,6 @@ def _h_cy2_reflect(args):
 
 def _rank1_k3(l2: int) -> cy2.K3Descriptor:
     # synthetic descriptor <L> with L^2 = l2; enough for the counting ops
-    from .core import RingDescriptor
-
     return cy2.K3Descriptor(
         ring=RingDescriptor(dim=2, picard_rank=1, gram=((l2,),)),
         label=f"rank-1 <{l2}>",

@@ -55,7 +55,7 @@ with ``cup(sqrt_td, sqrt_td) == td`` holding exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -454,8 +454,7 @@ class RingDescriptor:
         )
 
 
-@dataclass(frozen=True)
-class ToddData:
+class ToddData(NamedTuple):
     """Todd class, its positive square root and that root's inverse."""
 
     td: GradedVector
@@ -603,7 +602,7 @@ def _compile_forms(ring: RingDescriptor) -> _RingForms:
         [[Fraction(w.nums[-1], w.den) for w in (cup(a, b, ring) for b in basis)] for a in basis]
     )
     columns = {
-        f.name: [cup(e, getattr(ring.todd, f.name), ring) for e in basis] for f in fields(ToddData)
+        name: [cup(e, getattr(ring.todd, name), ring) for e in basis] for name in ToddData._fields
     }
     signs = [star(e).nums[i] for i, e in enumerate(basis)]
     exotic = [  # column j

@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
-from .core import GradedVector, LatticeError
+from .core import GradedVector, LatticeError, _as_int
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,14 @@ class BundleClass1:
     deg: int
 
     def __post_init__(self):
+        if type(self.rank) is not int or type(self.deg) is not int:
+            object.__setattr__(self, "rank", _as_int(self.rank))
+            object.__setattr__(self, "deg", _as_int(self.deg))
         if self.rank < 0:
             raise LatticeError("rank must be nonnegative")
 
 
-@dataclass(frozen=True)
-class CycleClass1:
+class CycleClass1(NamedTuple):
     """Integer cycle class a*[s0] + b*[e'] on the mirror torus."""
 
     s0: int
@@ -131,7 +134,8 @@ class AtiyahElement:
     def __post_init__(self):
         clean = []
         for idx, mult in self.terms:
-            idx, mult = int(idx), int(mult)
+            if type(idx) is not int or type(mult) is not int:
+                idx, mult = _as_int(idx), _as_int(mult)
             if idx < 1:
                 raise LatticeError("indecomposable index must be >= 1")
             if mult != 0:

@@ -25,8 +25,13 @@ class pairs nonnegatively with every supplied root (Vinberg's walk into a
 fundamental chamber).  Divisor coordinates enter through
 ``RingDescriptor._divisors`` and ``_integer_divisor``.  The Gram lattice
 is even, so L^2, the mirror and transform coefficients and both counts
-are Python ints.  A hyperbolic summand candidate (e, s) is certified by
-e^2 = 0, s^2 = -2, e.s = 1 and orthogonality of the declared complement.
+are Python ints.  :func:`check_main_condition` certifies a hyperbolic
+summand candidate (e, s) by e^2 = 0, s^2 = -2, e.s = 1 and orthogonality
+of the declared complement, and reports every check.
+
+``K3Descriptor`` checks its input and is a dataclass; the mirror,
+transform, count, walk and main-condition results only carry values and
+are ``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     GradedVector,
@@ -118,8 +123,7 @@ def _square(L: tuple, X: K3Descriptor) -> int:
     return X.ring._gram_form.pair_columns(L, L)
 
 
-@dataclass(frozen=True)
-class MirrorClassK3:
+class MirrorClassK3(NamedTuple):
     """Sphere class [s] + L - L^2/2 [e].
 
     In the period normalization the Picard block is multiplied by the
@@ -156,8 +160,7 @@ def mirror_pairing_k3(a: MirrorClassK3, b: MirrorClassK3, X: K3Descriptor) -> in
     return h + X.ring._gram_form.pair_columns(a.pic, b.pic)
 
 
-@dataclass(frozen=True)
-class GftClassK3:
+class GftClassK3(NamedTuple):
     """Algebraic shadow [s0] - (L^2/2) [e'] of the transformed bundle.
 
     The transform also carries a transcendental 2-cycle summand omega'; it
@@ -218,8 +221,7 @@ def bs_count_k3(L: Sequence, X: K3Descriptor) -> int:
     return _marked_fibres(_counting_square(L, X))
 
 
-@dataclass(frozen=True)
-class QuantizationReportK3:
+class QuantizationReportK3(NamedTuple):
     label: str
     l2: int
     h0: int
@@ -266,8 +268,7 @@ def reflect_minus2(x: Sequence, delta: Sequence, X: K3Descriptor) -> tuple:
     return tuple(map(Fraction, _reflect_columns(x, delta, X)))
 
 
-@dataclass(frozen=True)
-class WalkResult:
+class WalkResult(NamedTuple):
     vector: tuple
     steps: int
     applied: tuple  # indices into the supplied root list, in order
@@ -322,8 +323,7 @@ def walk_to_chamber(x: Sequence, roots: Sequence[Sequence], X: K3Descriptor) -> 
     return WalkResult(vector=tuple(map(Fraction, end)), steps=len(applied), applied=applied)
 
 
-@dataclass(frozen=True)
-class MainConditionReport:
+class MainConditionReport(NamedTuple):
     checks: tuple  # ((name, ok, detail), ...)
     passed: bool
 
@@ -371,19 +371,3 @@ def check_main_condition(
     return MainConditionReport(
         checks=tuple(checks), passed=all(ok for _, ok, _ in checks)
     )
-
-
-@dataclass(frozen=True)
-class HyperbolicDecomposition:
-    """A certified fibre/section pair; construction re-runs the checks."""
-
-    gram: tuple
-    e: tuple
-    s: tuple
-    complement: tuple = ()
-
-    def __post_init__(self):
-        report = check_main_condition(self.gram, self.e, self.s, self.complement)
-        if not report.passed:
-            failed = [name for name, ok, _ in report.checks if not ok]
-            raise LatticeError(f"hyperbolic pair checks failed: {failed}")

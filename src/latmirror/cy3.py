@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     GradedVector,
@@ -116,8 +116,7 @@ def vdim3(ch: GradedVector, X: CY3Descriptor) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class MirrorClass3:
+class MirrorClass3(NamedTuple):
     """Middle-cohomology class on the mirror: section, fibre, psi blocks."""
 
     s0: Fraction
@@ -155,8 +154,7 @@ def mirror_pairing3(a: MirrorClass3, b: MirrorClass3) -> Fraction:
     return a.s0 * b.e - a.e * b.s0 - dot12 + dot21
 
 
-@dataclass(frozen=True)
-class IsometryReport3:
+class IsometryReport3(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     ok: bool

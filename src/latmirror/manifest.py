@@ -24,6 +24,10 @@ are checked as above and then dropped, and change nothing.
 Semantic fixture validation (an odd Gram diagonal, a wrong fibre count)
 happens while the verifier runs and is recorded as a failing report
 without aborting the remaining suites.
+
+:class:`Manifest`, its :class:`SuiteSpec` entries and the
+:class:`VerifyResult` are read-only ``NamedTuple``s; the checks above are
+made by :func:`parse_manifest`, not by the records.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .fixtures import FixtureError, _read_json, fixture_from_payload, resolve_fixture
 from .report import Check, SuiteReport
@@ -78,14 +82,12 @@ _RETIRED_PARAMS = dict.fromkeys(
 )
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
+class SuiteSpec(NamedTuple):
     name: str
     params: dict
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     """A parsed manifest.
 
     ``sources[i]`` holds the resolved path and the parsed JSON of
@@ -167,8 +169,7 @@ def parse_manifest(path: str | Path) -> Manifest:
     )
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     reports: tuple
     passed: bool
 

@@ -1,12 +1,15 @@
-"""Check and suite report records shared by the verifier and the CLI."""
+"""Check and suite report records shared by the verifier and the CLI.
+
+Both are read-only ``NamedTuple``s; ``to_json`` gives the plain dicts the
+JSON report prints, since a tuple would print as a list.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verified statement: inputs, expected, got, tolerance used."""
 
     name: str
@@ -17,14 +20,7 @@ class Check:
     tol: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "inputs": self.inputs,
-            "expected": self.expected,
-            "got": self.got,
-            "tol": self.tol,
-        }
+        return self._asdict()
 
 
 def summary_check(
@@ -49,8 +45,7 @@ def summary_check(
     )
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     """Outcome of one suite: pass, fail, or error (crash/missing input)."""
 
     suite: str

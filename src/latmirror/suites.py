@@ -43,10 +43,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,8 +58,7 @@ class SuiteInputError(RuntimeError):
     """A suite could not run (missing fixture or bad parameter)."""
 
 
-@dataclass(frozen=True)
-class SuiteDef:
+class SuiteDef(NamedTuple):
     name: str
     defaults: dict
     run: Callable

@@ -116,6 +116,26 @@ def test_atiyah_examples():
         atiyah_tensor(0, 3)
 
 
+def test_atiyah_and_bundle_entries_must_be_integers():
+    # int() used to truncate these: F_2, multiplicity 1, a float cycle class
+    with pytest.raises(LatticeError, match="^integer lattice datum expected, got 2.5$"):
+        AtiyahElement(((2.5, 1),))
+    with pytest.raises(LatticeError, match="got 1.9$"):
+        AtiyahElement.from_dict({3: 1.9})
+    with pytest.raises(LatticeError, match="got 1.5$"):
+        BundleClass1(1.5, 2.5)
+    with pytest.raises(LatticeError, match="got 2.5$"):
+        BundleClass1(1, 2.5)
+    for bad in ("1/2", True, None):
+        with pytest.raises(LatticeError):
+            AtiyahElement(((bad, 1),))
+        with pytest.raises(LatticeError):
+            BundleClass1(bad, 0)
+    assert AtiyahElement((("2", "3"),)) == AtiyahElement(((2, 3),))
+    assert BundleClass1("2", "-3") == BundleClass1(2, -3)
+    assert type(gft_class(BundleClass1("2", "3")).e) is int
+
+
 def test_atiyah_against_character_oracle():
     start = time.perf_counter()
     for a in range(1, 9):

@@ -11,7 +11,6 @@ from oracles import walk_to_chamber_scalar
 from latmirror import (
     EULER_K3,
     GradedVector,
-    HyperbolicDecomposition,
     K3Descriptor,
     LatticeError,
     RingDescriptor,
@@ -394,14 +393,6 @@ def test_main_condition_rejects_non_integer_and_malformed_grams():
         check_main_condition([[0, 1], [1]], (1, 0), (0, 1))
     with pytest.raises(LatticeError, match="^ambient Gram must be symmetric$"):
         check_main_condition([[0, 1], [2, -2]], (1, 0), (0, 1))
-
-
-def test_hyperbolic_decomposition_guard():
-    HyperbolicDecomposition(
-        gram=((0, 1), (1, -2)), e=(1, 0), s=(0, 1)
-    )
-    with pytest.raises(LatticeError):
-        HyperbolicDecomposition(gram=((0, 1), (1, 0)), e=(1, 0), s=(0, 1))
 
 
 # ------------------------------------------------------------ fixtures ----

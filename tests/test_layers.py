@@ -174,3 +174,20 @@ def test_the_benchmark_report_check_accepts_the_golden_report():
     golden = json.loads((ROOT / "tests" / "data" / "verify_default.golden.json").read_text())
     counts = check["expected_check_counts"](check["shipped_manifest"](ROOT))
     assert check["verify_faults"](0, golden, counts) == []
+
+
+def test_only_validating_classes_are_dataclasses():
+    # a record that only carries values is a NamedTuple; @dataclass is kept
+    # for classes whose __post_init__ or __init__ checks their input
+    plain, validating = [], []
+    for path in sorted((SRC / "latmirror").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if "dataclass" not in [getattr(d, "id", None) for d in decorators]:
+                continue
+            methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            (validating if methods & {"__post_init__", "__init__"} else plain).append(node.name)
+    assert plain == []
+    assert {"GradedVector", "AtiyahElement", "ParamCurve"} <= set(validating)
