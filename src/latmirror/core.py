@@ -32,16 +32,13 @@ Chern-character image of dualisation), the Todd-twisted Euler pairing
 vector ``ch * sqrt(td)`` and ``todd_multiply``, the product with td,
 sqrt(td) or sqrt(td)^-1.
 
-The two pairings and the three Todd products are bilinear or linear in the
-flat coordinates, so each ring compiles them once, on first use, into an
-:class:`IntegerMatrix`: a sparse matrix of Python ints over one common
-denominator, built by evaluating the ``cup`` definition on basis vectors.
-The Picard Gram matrix and the cubic tensor are compiled the same way.
-Every pairing and product runs on one kernel,
-:meth:`IntegerMatrix.apply_columns` and :meth:`IntegerMatrix.pair_columns`,
-on the coordinates of one vector as Python ints (no overflow, no floats).
-``cup`` stays the general product and the definition the matrices are
-built from.
+The two pairings and the three Todd products are written out in closed
+form, one branch per dimension, on the numerators of the flat
+coordinates; ``cup`` stays the general product and their definition.
+Every contraction goes through the Picard Gram matrix or a slice
+``cubic[d]`` of the cubic tensor, which the descriptor stores as tuples of
+Python ints, by :func:`apply_form` and :func:`pair_form` (no overflow, no
+floats).
 
 Todd data is closed-form in every supported dimension:
 
@@ -55,10 +52,12 @@ with ``cup(sqrt_td, sqrt_td) == td`` holding exactly.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -82,6 +81,22 @@ def _as_int(x) -> int:
         except ValueError:
             pass
     raise LatticeError(f"integer lattice datum expected, got {x!r}")
+
+
+def _int_array(x, depth: int, message: str):
+    """Nested tuples of ints from ``depth`` levels of sequences.
+
+    Entries go through :func:`_as_int`.  A string or a non-iterable where a
+    sequence belongs, or a sequence where an entry belongs, raises
+    ``ShapeError(message)``.
+    """
+    if depth == 0:
+        if isinstance(x, (list, tuple)):
+            raise ShapeError(message)
+        return _as_int(x)
+    if isinstance(x, str) or not isinstance(x, Iterable):
+        raise ShapeError(message)
+    return tuple(_int_array(y, depth - 1, message) for y in x)
 
 
 def as_fraction(x: RationalLike) -> Fraction:
@@ -218,11 +233,6 @@ class GradedVector:
             cls._of_numerators(dim, [int(i == j) for j in range(size)]) for i in range(size)
         )
 
-    def with_block(self, i: int, value) -> "GradedVector":
-        blocks = list(self.blocks)
-        blocks[i] = value
-        return GradedVector(self.dim, tuple(blocks))
-
     def scale(self, c: RationalLike) -> "GradedVector":
         c = as_fraction(c)
         nums = [c.numerator * x for x in self.nums]
@@ -277,6 +287,10 @@ class RingDescriptor:
     dim 3: ``cubic`` is the totally symmetric triple-intersection tensor
            D[a][b][c] on divisors and ``c2`` the integer vector of
            second-Chern-class pairings against the divisor basis.
+
+    The stored ``gram``, ``cubic`` and ``c2`` are tuples of Python ints,
+    checked for shape and symmetry here: every pairing and product runs on
+    them.
     """
 
     dim: int
@@ -304,7 +318,7 @@ class RingDescriptor:
                 raise ShapeError("dim-2 ring needs a Gram matrix")
             if self.cubic is not None or self.c2 is not None:
                 raise ShapeError("dim-2 rings carry no cubic/c2 data")
-            gram = tuple(tuple(_as_int(x) for x in row) for row in self.gram)
+            gram = _int_array(self.gram, 2, "Gram matrix must be square")
             if len(gram) != k:
                 raise ShapeError("Gram size must equal picard_rank")
             _check_symmetric(gram)
@@ -321,12 +335,12 @@ class RingDescriptor:
             raise ShapeError("dim-3 ring needs cubic and c2 data")
         if self.gram is not None:
             raise ShapeError("dim-3 rings carry no Gram matrix")
-        cubic = self.cubic
-        if len(cubic) and not isinstance(cubic[0], (tuple, list)):
+        cubic, shape = self.cubic, "cubic tensor must be picard_rank^3"
+        if isinstance(cubic, (tuple, list)) and cubic and not isinstance(cubic[0], (tuple, list)):
             # flattened row-major (a, b, c) form, as in fixture files
             if len(cubic) != k ** 3:
                 raise ShapeError("flattened cubic must have picard_rank^3 entries")
-            flat = [_as_int(x) for x in cubic]
+            flat = _int_array(cubic, 1, shape)
             cubic = tuple(
                 tuple(
                     tuple(flat[(a * k + b) * k + c] for c in range(k))
@@ -335,13 +349,11 @@ class RingDescriptor:
                 for a in range(k)
             )
         else:
-            cubic = tuple(
-                tuple(tuple(_as_int(x) for x in row) for row in plane) for plane in cubic
-            )
+            cubic = _int_array(cubic, 3, shape)
         if len(cubic) != k or any(
             len(plane) != k or any(len(row) != k for row in plane) for plane in cubic
         ):
-            raise ShapeError("cubic tensor must be picard_rank^3")
+            raise ShapeError(shape)
         for a in range(k):
             for b in range(k):
                 for c in range(k):
@@ -351,9 +363,10 @@ class RingDescriptor:
                         == cubic[b][c][a] == cubic[c][a][b] == cubic[c][b][a]
                     ):
                         raise ShapeError("cubic tensor must be totally symmetric")
-        c2 = tuple(_as_int(x) for x in self.c2)
+        length = "c2 vector length must equal picard_rank"
+        c2 = _int_array(self.c2, 1, length)
         if len(c2) != k:
-            raise ShapeError("c2 vector length must equal picard_rank")
+            raise ShapeError(length)
         object.__setattr__(self, "cubic", cubic)
         object.__setattr__(self, "c2", c2)
 
@@ -381,77 +394,16 @@ class RingDescriptor:
         """Gram pairing of two divisor-block coordinate vectors (dim 2).
 
         An entry point: it coerces both vectors.  Callers holding integer
-        coordinates pair on ``_gram_form`` directly.
+        coordinates pair through :func:`pair_form` on ``gram`` directly.
         """
         if self.dim != 2:
             raise ShapeError("pic_pair needs a dim-2 descriptor")
-        # the Gram matrix is integral: its compiled form has denominator 1
-        return Fraction(self._gram_form.pair_columns(*self._divisors(a, b)))
-
-    def cubic_contract(self, a: Sequence, b: Sequence) -> tuple:
-        """Divisor-times-divisor product in dual-basis curve coordinates.
-
-        An entry point, like :meth:`pic_pair`; callers holding integer
-        coordinates contract on ``_cubic_forms`` directly.
-        """
-        if self.dim != 3:
-            raise ShapeError("cubic_contract needs a dim-3 descriptor")
-        a, b = self._divisors(a, b)
-        return tuple(Fraction(m.pair_columns(a, b)) for m in self._cubic_forms)
+        return Fraction(pair_form(self.gram, *self._divisors(a, b)))
 
     @cached_property
     def todd(self) -> "ToddData":
         """Closed-form Todd data, built on first access."""
         return todd_data(self)
-
-    @cached_property
-    def _gram_form(self) -> "IntegerMatrix":
-        """The Picard Gram matrix compiled for :meth:`pic_pair`, built on first use."""
-        return IntegerMatrix.from_rationals(self.gram)
-
-    @cached_property
-    def _cubic_forms(self) -> tuple:
-        """One compiled form per curve coordinate d: (a, b) -> sum D[a][b][d] a b."""
-        k = range(self.picard_rank)
-        cubic = self.cubic
-        return tuple(
-            IntegerMatrix.from_rationals([[cubic[a][b][d] for b in k] for a in k]) for d in k
-        )
-
-    @cached_property
-    def _forms(self) -> "_RingForms":
-        """Compiled pairings and Todd products, built on first use."""
-        return _compile_forms(self)
-
-    def to_payload(self) -> dict:
-        if self.dim == 1:
-            return {"dim": 1, "picard_rank": 0}
-        if self.dim == 2:
-            return {
-                "dim": 2,
-                "picard_rank": self.picard_rank,
-                "gram": [list(row) for row in self.gram],
-            }
-        k = self.picard_rank
-        flat = [
-            self.cubic[a][b][c]
-            for a in range(k) for b in range(k) for c in range(k)
-        ]
-        return {"dim": 3, "picard_rank": k, "cubic": flat, "c2": list(self.c2)}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "RingDescriptor":
-        known = {"dim", "picard_rank", "gram", "cubic", "c2"}
-        unknown = set(payload) - known
-        if unknown:
-            raise ShapeError(f"unknown ring descriptor keys: {sorted(unknown)}")
-        return cls(
-            dim=payload["dim"],
-            picard_rank=payload.get("picard_rank", 0),
-            gram=payload.get("gram"),
-            cubic=payload.get("cubic"),
-            c2=payload.get("c2"),
-        )
 
 
 class ToddData(NamedTuple):
@@ -495,6 +447,24 @@ def _check_compatible(u: GradedVector, ring: RingDescriptor) -> None:
         raise ShapeError(f"block 1 arity {arity} != picard_rank {ring.picard_rank}")
 
 
+def _dot(xs: Sequence, ys: Sequence):
+    return sum(map(mul, xs, ys))
+
+
+def apply_form(matrix: Sequence[Sequence[int]], xs: Sequence) -> list:
+    """The coordinates of ``matrix x``: a square integer matrix applied to a list."""
+    return [_dot(row, xs) for row in matrix]
+
+
+def pair_form(matrix: Sequence[Sequence[int]], xs: Sequence, ys: Sequence):
+    """``x^T matrix y``: two coordinate lists paired through a square integer matrix.
+
+    On a threefold the slice ``ring.cubic[d]`` is the form (a, b) ->
+    D[a][b][d], as the cubic tensor is totally symmetric.
+    """
+    return _dot(xs, apply_form(matrix, ys))
+
+
 def cup(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> GradedVector:
     """Cup product, truncated above degree 2*dim.
 
@@ -513,18 +483,16 @@ def cup(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> GradedVector:
     elif n == 2:
         (_, u1, u2), (_, v1, v2) = ub, vb
         w1 = [u0 * y + v0 * x for x, y in zip(u1, v1)]
-        w2 = u0 * v2 + u2 * v0 + ring._gram_form.pair_columns(u1, v1)
+        w2 = u0 * v2 + u2 * v0 + pair_form(ring.gram, u1, v1)
         nums = (u0 * v0, *w1, w2)
     else:
         (_, u1, u2, u3), (_, v1, v2, v3) = ub, vb
         w1 = [u0 * y + v0 * x for x, y in zip(u1, v1)]
         w2 = [
-            u0 * y + v0 * x + m.pair_columns(u1, v1)
-            for x, y, m in zip(u2, v2, ring._cubic_forms)
+            u0 * y + v0 * x + pair_form(plane, u1, v1)
+            for x, y, plane in zip(u2, v2, ring.cubic)
         ]
-        w3 = u0 * v3 + u3 * v0 + sum(x * y for x, y in zip(u1, v2)) + sum(
-            x * y for x, y in zip(u2, v1)
-        )
+        w3 = u0 * v3 + u3 * v0 + _dot(u1, v2) + _dot(u2, v1)
         nums = (u0 * v0, *w1, *w2, w3)
     return GradedVector._of_numerators(n, nums, u.den * v.den)
 
@@ -541,95 +509,18 @@ def star(u: GradedVector) -> GradedVector:
     return GradedVector._of_numerators(u.dim, nums, u.den)
 
 
-class IntegerMatrix(NamedTuple):
-    """Exact square rational matrix: sparse integer rows over one denominator.
-
-    ``rows[i]`` lists the pairs ``(j, m_ij)`` with nonzero integer m_ij; the
-    matrix is ``m / den``.  :meth:`pair_columns` and :meth:`apply_columns`
-    are its one kernel: they take the integer numerators of one vector's
-    coordinates and return integer numerators over ``den`` (times the
-    inputs' denominators).
-    """
-
-    rows: tuple
-    den: int
-
-    @classmethod
-    def from_rationals(cls, matrix: Sequence[Sequence[Fraction]]) -> "IntegerMatrix":
-        den = lcm(*(x.denominator for row in matrix for x in row))
-        rows = tuple(
-            tuple((j, int(x * den)) for j, x in enumerate(row) if x) for row in matrix
-        )
-        return cls(rows=rows, den=den)
-
-    def to_rationals(self) -> list:
-        """Dense matrix of Fractions."""
-        n = len(self.rows)
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for i, row in enumerate(self.rows):
-            for j, m in row:
-                out[i][j] = Fraction(m, self.den)
-        return out
-
-    def apply_columns(self, xs: Sequence) -> list:
-        """Integer numerators over ``den`` of m x, for integer coordinates x."""
-        return [sum(m * xs[j] for j, m in row) for row in self.rows]
-
-    def pair_columns(self, xs: Sequence, ys: Sequence):
-        """Integer numerators over ``den`` of x^T m y, for integer coordinates."""
-        return sum(x * y for x, y in zip(xs, self.apply_columns(ys)))
-
-
-class _RingForms(NamedTuple):
-    """Compiled pairings and products of one ring; see :func:`_compile_forms`."""
-
-    sym: IntegerMatrix
-    exotic: IntegerMatrix
-    products: dict  # ToddData field name -> matrix of the product with it
-
-
-def _compile_forms(ring: RingDescriptor) -> _RingForms:
-    """Evaluate the ``cup`` definitions on basis vectors, once per ring.
-
-    pair_sym(u, v)    = top block of u * v
-    product with c    = u * c, column j being the flat coordinates of e_j * c
-    pair_exotic(u, v) = top block of star(u) * v * td = pair_sym(star(u), v * td),
-                        so its entry (i, j) is pair_sym(e_i, e_j * td) times
-                        the sign of star on coordinate i
-    """
-    basis = GradedVector.basis(ring.dim, ring.picard_rank)
-    sym = IntegerMatrix.from_rationals(
-        [[Fraction(w.nums[-1], w.den) for w in (cup(a, b, ring) for b in basis)] for a in basis]
-    )
-    columns = {
-        name: [cup(e, getattr(ring.todd, name), ring) for e in basis] for name in ToddData._fields
-    }
-    signs = [star(e).nums[i] for i, e in enumerate(basis)]
-    exotic = [  # column j
-        [s * Fraction(x, sym.den * w.den) for s, x in zip(signs, sym.apply_columns(w.nums))]
-        for w in columns["td"]
-    ]
-    return _RingForms(
-        sym=sym,
-        exotic=IntegerMatrix.from_rationals(list(zip(*exotic))),
-        products={
-            name: IntegerMatrix.from_rationals(
-                [[Fraction(w.nums[i], w.den) for w in cols] for i in range(len(basis))]
-            )
-            for name, cols in columns.items()
-        },
-    )
-
-
-def _pair(m: IntegerMatrix, u: GradedVector, v: GradedVector) -> Fraction:
-    return Fraction(m.pair_columns(u.nums, v.nums), u.den * v.den * m.den)
-
-
 def pair_sym(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> Fraction:
     """Top-degree component of the cup product (the Poincare pairing)."""
     _check_compatible(u, ring)
     _check_compatible(v, ring)
-    return _pair(ring._forms.sym, u, v)
+    n = ring.dim
+    ub, vb = blocks_of(n, u.nums), blocks_of(n, v.nums)
+    top = ub[0] * vb[n] + ub[n] * vb[0]
+    if n == 2:
+        top += pair_form(ring.gram, ub[1], vb[1])
+    elif n == 3:
+        top += _dot(ub[1], vb[2]) + _dot(ub[2], vb[1])
+    return Fraction(top, u.den * v.den)
 
 
 def pair_exotic(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> Fraction:
@@ -638,21 +529,58 @@ def pair_exotic(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> Fract
     On Chern characters this computes chi(Hom(E1, E2)).  It is symmetric
     for dim 2 and skew for dim 1 and 3 (so every vector pairs to zero with
     itself on a threefold: that is the unobstructed-deformation statement).
+    In closed form, with G the Gram matrix:
+
+        n = 1:  u0 v1 - u1 v0
+        n = 2:  u0 v2 + u2 v0 + 2 u0 v0 - u1.G.v1
+        n = 3:  u0 v3 - u3 v0 - u1.v2 + u2.v1 + (u0 (v1.c2) - v0 (u1.c2)) / 12
     """
     _check_compatible(u, ring)
     _check_compatible(v, ring)
-    return _pair(ring._forms.exotic, u, v)
+    n = ring.dim
+    ub, vb = blocks_of(n, u.nums), blocks_of(n, v.nums)
+    u0, v0 = ub[0], vb[0]
+    den = u.den * v.den
+    if n == 1:
+        return Fraction(u0 * vb[1] - ub[1] * v0, den)
+    if n == 2:
+        top = u0 * vb[2] + ub[2] * v0 + 2 * u0 * v0 - pair_form(ring.gram, ub[1], vb[1])
+        return Fraction(top, den)
+    (_, u1, u2, u3), (_, v1, v2, v3) = ub, vb
+    c2 = ring.c2
+    top = 12 * (u0 * v3 - u3 * v0 - _dot(u1, v2) + _dot(u2, v1))
+    return Fraction(top + u0 * _dot(v1, c2) - v0 * _dot(u1, c2), 12 * den)
+
+
+# td, sqrt(td) and sqrt(td)^-1 are 1 + w t, with t the point class on a K3
+# and c2/24 on a threefold; on the curve all three are 1
+_TODD_WEIGHTS = {"td": 2, "sqrt_td": 1, "sqrt_td_inv": -1}
 
 
 def todd_multiply(u: GradedVector, ring: RingDescriptor, factor: str) -> GradedVector:
-    """``cup(u, getattr(ring.todd, factor), ring)``.
+    """``cup(u, getattr(ring.todd, factor), ring)``, in closed form.
 
     ``factor`` names a :class:`ToddData` field: "td", "sqrt_td" or
-    "sqrt_td_inv".
+    "sqrt_td_inv", the factor 1 + w t with w = 2, 1 or -1.  On a K3 the
+    product adds w u0 to the top block; on a threefold it adds w u0 c2/24
+    to the curve block and w (u1.c2)/24 to the top.
     """
     _check_compatible(u, ring)
-    m = ring._forms.products[factor]
-    return GradedVector._of_numerators(ring.dim, m.apply_columns(u.nums), u.den * m.den)
+    w = _TODD_WEIGHTS[factor]
+    if ring.dim == 1:
+        return u
+    u0 = u.nums[0]
+    if ring.dim == 2:
+        return GradedVector._of_numerators(2, (*u.nums[:-1], u.nums[-1] + w * u0), u.den)
+    _, u1, u2, u3 = blocks_of(3, u.nums)
+    c2 = ring.c2
+    nums = (
+        24 * u0,
+        *(24 * x for x in u1),
+        *(24 * x + w * u0 * c for x, c in zip(u2, c2)),
+        24 * u3 + w * _dot(u1, c2),
+    )
+    return GradedVector._of_numerators(3, nums, 24 * u.den)
 
 
 def isometry_failures(classes, images, pairing, image_pairing, names=None) -> list:

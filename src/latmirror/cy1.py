@@ -87,16 +87,26 @@ def reduce_slope(r: int, d: int) -> Slope:
     return Slope(r, d)
 
 
+def _coordinates(c: CycleClass1) -> tuple[int, int]:
+    """(s0, e) of a cycle class as ints: the record checks nothing, so this does."""
+    s0, e = c
+    if type(s0) is not int or type(e) is not int:
+        s0, e = _as_int(s0), _as_int(e)
+    return s0, e
+
+
 def intersection_count(a: CycleClass1, b: CycleClass1) -> int:
     """Geometric intersection number |d1*r2 - d2*r1| of two cycle classes."""
-    if (a.s0, a.e) == (0, 0) or (b.s0, b.e) == (0, 0):
+    (r1, d1), (r2, d2) = _coordinates(a), _coordinates(b)
+    if (r1, d1) == (0, 0) or (r2, d2) == (0, 0):
         raise LatticeError("intersection count needs nonzero classes")
-    return abs(a.e * b.s0 - b.e * a.s0)
+    return abs(d1 * r2 - d2 * r1)
 
 
 def cycle_pairing(a: CycleClass1, b: CycleClass1) -> int:
     """Skew pairing with [s0].[e'] = 1: a.s0*b.e - a.e*b.s0."""
-    return a.s0 * b.e - a.e * b.s0
+    (r1, d1), (r2, d2) = _coordinates(a), _coordinates(b)
+    return r1 * d2 - d1 * r2
 
 
 def gft_class(E: BundleClass1) -> CycleClass1:
@@ -112,17 +122,18 @@ def odot(a: CycleClass1, b: CycleClass1) -> CycleClass1:
     Requires honest multisections (s0 coefficient >= 1); fibre components
     have no well-defined fibrewise product.
     """
-    if a.s0 < 1 or b.s0 < 1:
+    (r1, d1), (r2, d2) = _coordinates(a), _coordinates(b)
+    if r1 < 1 or r2 < 1:
         raise LatticeError("fibrewise product needs s0 coefficients >= 1")
-    return CycleClass1(a.s0 * b.s0, a.s0 * b.e + b.s0 * a.e)
+    return CycleClass1(r1 * r2, r1 * d2 + r2 * d1)
 
 
 def decompose_primitive(c: CycleClass1) -> tuple[Slope, int]:
     """Write a nonzero cycle class as (primitive slope, multiplicity)."""
-    if (c.s0, c.e) == (0, 0):
+    r, d = _coordinates(c)
+    if (r, d) == (0, 0):
         raise LatticeError("zero class has no primitive decomposition")
-    g = gcd(abs(c.s0), abs(c.e))
-    return reduce_slope(c.s0, c.e), g
+    return reduce_slope(r, d), gcd(abs(r), abs(d))
 
 
 @dataclass(frozen=True)

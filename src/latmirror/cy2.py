@@ -43,16 +43,18 @@ from typing import NamedTuple, Sequence
 
 from .core import (
     GradedVector,
-    IntegerMatrix,
     LatticeError,
     RingDescriptor,
     ShapeError,
     ToddData,
     _as_int,
     _check_symmetric,
+    _int_array,
+    apply_form,
     as_fraction,
     mukai_vector,
     pair_exotic,
+    pair_form,
 )
 
 # Euler characteristic of every K3 surface; an elliptic fibration with only
@@ -80,7 +82,7 @@ class K3Descriptor:
         for r in roots:
             if len(r) != self.ring.picard_rank:
                 raise ShapeError("divisor coordinates must match picard_rank")
-            if self.ring._gram_form.pair_columns(r, r) != -2:
+            if pair_form(self.ring.gram, r, r) != -2:
                 raise LatticeError(f"declared root {r} has square != -2")
         object.__setattr__(self, "roots", roots)
         if self.singular_fibres is not None:
@@ -116,11 +118,8 @@ def moduli_dim2(ch: GradedVector, X: K3Descriptor) -> int:
 
 
 def _square(L: tuple, X: K3Descriptor) -> int:
-    """L^2 of integer coordinates, as from ``RingDescriptor._integer_divisor``.
-
-    The Gram matrix is integral, so its compiled form has denominator 1.
-    """
-    return X.ring._gram_form.pair_columns(L, L)
+    """L^2 of integer coordinates, as from ``RingDescriptor._integer_divisor``."""
+    return pair_form(X.ring.gram, L, L)
 
 
 class MirrorClassK3(NamedTuple):
@@ -156,8 +155,7 @@ def mirror_pairing_k3(a: MirrorClassK3, b: MirrorClassK3, X: K3Descriptor) -> in
         + a.e * b.s * H_GRAM[1][0]
         + a.e * b.e * H_GRAM[1][1]
     )
-    # the Gram matrix is integral: its compiled form has denominator 1
-    return h + X.ring._gram_form.pair_columns(a.pic, b.pic)
+    return h + pair_form(X.ring.gram, a.pic, b.pic)
 
 
 class GftClassK3(NamedTuple):
@@ -240,21 +238,18 @@ def verify_quantization_k3(L: Sequence, X: K3Descriptor) -> QuantizationReportK3
 def _reflect_columns(xs: Sequence, delta: Sequence, X: K3Descriptor) -> list:
     """Coordinates of x + (x.delta) delta, one entry per coordinate.
 
-    ``xs`` and ``delta`` are exact coordinates (ints or Fractions).  The
-    Gram matrix is integral, so its compiled form has denominator 1 and
-    the pairing is the reflection coefficient itself.
+    ``xs`` and ``delta`` are exact coordinates (ints or Fractions); their
+    pairing through the integer Gram matrix is the reflection coefficient.
     """
-    coeff = X.ring._gram_form.pair_columns(xs, delta)
+    coeff = pair_form(X.ring.gram, xs, delta)
     return [x + coeff * d for x, d in zip(xs, delta)]
 
 
 def _minus2_axes(roots: Sequence[Sequence], X: K3Descriptor) -> list:
     """(root, Gram applied to the root) for each root, checked to have square -2."""
-    # the Gram matrix is integral: its compiled form has denominator 1
-    gram = X.ring._gram_form
     axes = []
     for d in X.ring._divisors(*roots):
-        gram_d = gram.apply_columns(d)
+        gram_d = apply_form(X.ring.gram, d)
         if sum(map(mul, d, gram_d)) != -2:
             raise LatticeError("reflection axis must have square -2")
         axes.append((d, gram_d))
@@ -340,16 +335,15 @@ def check_main_condition(
     vector is orthogonal to both e and s.  Reports all checks rather than
     stopping at the first failure.
     """
-    gram = tuple(tuple(_as_int(x) for x in row) for row in gram)
+    gram = _int_array(gram, 2, "ambient Gram must be square")
     _check_symmetric(gram, "ambient Gram")
-    form = IntegerMatrix.from_rationals(gram)
 
     def pair(a, b) -> Fraction:
         a = [as_fraction(x) for x in a]
         b = [as_fraction(x) for x in b]
         if len(a) != len(gram) or len(b) != len(gram):
             raise ShapeError("vector length must match the ambient Gram size")
-        return form.pair_columns(a, b)
+        return pair_form(gram, a, b)
 
     checks = []
     ee = pair(e, e)

@@ -39,6 +39,7 @@ from .core import (
     ToddData,
     isometry_failures,
     pair_exotic,
+    pair_form,
     pair_sym,
     todd_multiply,
 )
@@ -73,7 +74,7 @@ class CY3Descriptor:
 def line_bundle_ch(L: Sequence, X: CY3Descriptor) -> GradedVector:
     """Chern character (1, L, L^2/2, L^3/6) of an integral divisor class."""
     L = X.ring._integer_divisor(L)
-    square = [m.pair_columns(L, L) for m in X.ring._cubic_forms]
+    square = [pair_form(plane, L, L) for plane in X.ring.cubic]
     cube = sum(x * y for x, y in zip(square, L))
     # (1, L, L^2/2, L^3/6) over the denominator 6
     nums = (6, *(6 * x for x in L), *(3 * x for x in square), cube)
@@ -181,9 +182,8 @@ def isometry_certificate3(X: CY3Descriptor) -> tuple:
 
     Both sides are bilinear in the flat coordinates of u and v, so
     agreement on the n^2 pairs (e_i, e_j) of :meth:`GradedVector.basis`
-    proves the isometry for every pair of classes: the Euler pairing of
-    e_i and e_j is entry (i, j) of the compiled form.  Returns the number
-    of pairs and the failures of :func:`core.isometry_failures`.
+    proves the isometry for every pair of classes.  Returns the number of
+    pairs and the failures of :func:`core.isometry_failures`.
     """
     basis = GradedVector.basis(3, X.ring.picard_rank)
     images = [mirror_cy3(todd_multiply(e, X.ring, "td"), X) for e in basis]
@@ -200,11 +200,10 @@ def isometry_certificate3(X: CY3Descriptor) -> tuple:
         )
         for m in images
     ]
-    euler = X.ring._forms.exotic.to_rationals()
     failures = isometry_failures(
-        range(len(basis)),
+        basis,
         scaled,
-        lambda i, j: euler[i][j],
+        lambda u, v: pair_exotic(u, v, X.ring),
         lambda a, b: Fraction(mirror_pairing3(a, b), d * d),
     )
     return len(basis) ** 2, failures

@@ -12,18 +12,18 @@ in each variable that vanishes on d + 1 points per variable is zero
 (Alon, "Combinatorial Nullstellensatz", 1999, Lemma 2.1), so degree 2
 needs the grid {-1, 0, 1}^k and degree 4 the grid {-2, ..., 2}^k:
 
-- ``cy1-mirror-isometry``: the compiled Euler form against
+- ``cy1-mirror-isometry``: the Euler form :func:`core.pair_exotic` against
   :func:`cy1.cycle_pairing` of the :func:`cy1.mirror_cy1` images, on all
   basis pairs;
 - ``k3-reflections``: for each declared root, the involution on the basis
-  and the isometry of the compiled Gram form on all basis pairs, through
+  and the isometry of the Gram pairing on all basis pairs, through
   ``cy2._reflect_columns`` (the kernel of :func:`cy2.reflect_minus2`);
   its seeded walk (:func:`cy2.walk_batch`) is not polynomial;
-- ``k3-mirror-transport``: the compiled Euler form of (1, L, L^2/2)
+- ``k3-mirror-transport``: the Euler form of (1, L, L^2/2)
   against :func:`cy2.mirror_pairing_k3` of the :func:`cy2.mirror_k3`
   images, on {-1, 0, 1}^k for each of L1 and L2; the (-2)-sphere square,
   of degree 4, on {-2, ..., 2}^k;
-- ``cy3-skew``: the compiled Euler form is minus its transpose on all
+- ``cy3-skew``: the Euler form is minus its transpose on all
   basis pairs; the self-pairing vanishes on every e_i + e_j, i <= j,
   which determines a quadratic form;
 - ``cy3-mirror-isometry``: :func:`cy3.isometry_certificate3`, and the
@@ -43,14 +43,22 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
+from functools import partial
 from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import cy1, cy2, cy3, numeric
-from .core import GradedVector, RingDescriptor, isometry_failures, pair_exotic, todd_multiply
+from .core import (
+    GradedVector,
+    RingDescriptor,
+    apply_form,
+    isometry_failures,
+    pair_exotic,
+    pair_form,
+    todd_multiply,
+)
 from .report import Check, summary_check
 
 
@@ -221,10 +229,10 @@ def _run_k3_reflections(params, fixtures):
     if not X.roots:
         raise SuiteInputError(f"fixture {X.label} declares no roots")
     k = X.ring.picard_rank
-    # integer coordinates through the kernel of reflect_minus2, paired on
-    # the compiled Gram form
+    # integer coordinates through the kernel of reflect_minus2, paired
+    # through the Gram matrix
     basis = [[int(i == j) for j in range(k)] for i in range(k)]
-    gram = X.ring._gram_form
+    gram_pair = partial(pair_form, X.ring.gram)
     invol, isome = [], []
     for delta in X.roots:
         images = [cy2._reflect_columns(e, delta, X) for e in basis]
@@ -233,14 +241,14 @@ def _run_k3_reflections(params, fixtures):
             for i, (e, r) in enumerate(zip(basis, images))
             if cy2._reflect_columns(r, delta, X) != e
         ]
-        failures = isometry_failures(basis, images, gram.pair_columns, gram.pair_columns)
+        failures = isometry_failures(basis, images, gram_pair, gram_pair)
         isome += [f"delta={delta} {f}" for f in failures]
     rng = random.Random(params["seed"])
     n = params["samples"]
     draws = rng.choices(range(-9, 10), k=n * k)
     xs = [tuple(draws[i:i + k]) for i in range(0, n * k, k)]
-    # every end point against every root, the Gram form applied to each root once
-    gram_roots = [gram.apply_columns(d) for d in X.roots]
+    # every end point against every root, the Gram matrix applied to each root once
+    gram_roots = [apply_form(X.ring.gram, d) for d in X.roots]
     walk = [
         f"x={x} stopped outside the chamber"
         for x, (end, _) in zip(xs, cy2.walk_batch(xs, X.roots, X))
@@ -268,7 +276,7 @@ def _run_k3_mirror_transport(params, fixtures):
     X = _get_fixture(fixtures, params["fixture"], cy2.K3Descriptor)
     k = X.ring.picard_rank
     # the images pair by the hand-written mirror form, the Chern characters
-    # (1, L, L^2/2) by the compiled Euler form, orientation-reversed
+    # (1, L, L^2/2) by the Euler form, orientation-reversed
     ls = _grid(k, 1)
     chs = [GradedVector(2, (1, L, X.ring.pic_pair(L, L) / 2)) for L in ls]
     failures = isometry_failures(
@@ -336,14 +344,14 @@ def _run_cy3_skew(params, fixtures):
     checks = []
     for label in params["fixtures"]:
         X = _get_fixture(fixtures, label, cy3.CY3Descriptor)
-        exotic = X.ring._forms.exotic
-        g = exotic.to_rationals()  # g[i][j] = pair_exotic(e_i, e_j)
-        n = len(g)
+        basis = GradedVector.basis(3, X.ring.picard_rank)
+        n = len(basis)
+        g = [[pair_exotic(u, v, X.ring) for v in basis] for u in basis]
         # a quadratic form is zero once it vanishes on every e_i + e_j, i <= j
         diag = []
         for i, j in itertools.combinations_with_replacement(range(n), 2):
-            w = [(c == i) + (c == j) for c in range(n)]
-            square = Fraction(exotic.pair_columns(w, w), exotic.den)
+            w = basis[i] + basis[j]
+            square = pair_exotic(w, w, X.ring)
             if square != 0:
                 diag.append(f"e{i} + e{j}: {square}")
         anti = isometry_failures(range(n), range(n), lambda i, j: g[i][j], lambda i, j: -g[j][i])

@@ -122,6 +122,23 @@ def p1x4_2222() -> tuple[list[int], list[int]]:
     return cubic, [24] * 4
 
 
+def p1p1p2_223() -> tuple[list[int], list[int]]:
+    """Flat row-major cubic tensor and c2 vector of the (2,2,3) threefold.
+
+    A (2,2,3) hypersurface in P^1 x P^1 x P^2, with J_1, J_2 the P^1
+    hyperplanes and J_3 the P^2 one.  On the ambient J_1^2 = J_2^2 = J_3^3
+    = 0 and J_1 J_2 J_3^2 = 1, so J_1 J_2 J_3 = 3, J_1 J_3^2 = J_2 J_3^2 =
+    2 and every other triple is 0.  c2 is 4 J_1 J_2 + 6 J_1 J_3 + 6 J_2 J_3
+    + 3 J_3^2, so c2 . J = (24, 24, 36).
+    """
+    triples = {(0, 1, 2): 3, (0, 2, 2): 2, (1, 2, 2): 2}
+    cubic = [
+        triples.get(tuple(sorted((a, b, c))), 0)
+        for a in range(3) for b in range(3) for c in range(3)
+    ]
+    return cubic, [24, 24, 36]
+
+
 # --- Bohr-Sommerfeld fibre search, one bracket and one height at a time -----
 
 def bs_fibres_scalar(holonomy, level: int, tol: float = 1e-9) -> list[float]:

@@ -22,17 +22,20 @@ from latmirror import (
     star,
     todd_data,
 )
-from latmirror.core import ToddData, as_fraction, todd_multiply
+from latmirror.core import ToddData, apply_form, as_fraction, pair_form, todd_multiply
 
-from oracles import p1x4_2222
+from oracles import p1p1p2_223, p1x4_2222
 
 ELLIPTIC = RingDescriptor.elliptic()
 K3_4 = RingDescriptor(dim=2, picard_rank=1, gram=((4,),))
 K3_H = RingDescriptor(dim=2, picard_rank=2, gram=((-2, 1), (1, 0)))
+K3_R = RingDescriptor(dim=2, picard_rank=3, gram=((0, 1, 0), (1, -2, 0), (0, 0, -2)))
 QUINTIC = RingDescriptor(dim=3, picard_rank=1, cubic=(5,), c2=(50,))
 BICUBIC = RingDescriptor(dim=3, picard_rank=2, cubic=(0, 3, 3, 3, 3, 3, 3, 0), c2=(36, 36))
+P1P1P2 = RingDescriptor(dim=3, picard_rank=3, cubic=p1p1p2_223()[0], c2=p1p1p2_223()[1])
 P1X4 = RingDescriptor(dim=3, picard_rank=4, cubic=p1x4_2222()[0], c2=p1x4_2222()[1])
-RINGS = (ELLIPTIC, K3_4, K3_H, QUINTIC, BICUBIC, P1X4)
+# Picard ranks 0 to 4
+RINGS = (ELLIPTIC, K3_4, K3_H, K3_R, QUINTIC, BICUBIC, P1P1P2, P1X4)
 
 
 def gv(ring, *blocks):
@@ -197,7 +200,7 @@ def test_todd_closed_forms(quintic):
     assert T.sqrt_td.blocks == (1, (0,), (Fraction(50, 24),), 0)
 
 
-# ---------------------------------------------------- compiled forms ------
+# ------------------------------------------------------ closed forms ------
 
 # entries in (1/2)Z and (1/6)Z, the denominators of honest Chern data
 halves_sixths = st.builds(
@@ -221,7 +224,7 @@ def ring_and_vectors(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(ring_and_vectors())
-def test_compiled_forms_equal_cup_route(case):
+def test_closed_forms_equal_cup_route(case):
     ring, u, v = case
     n = ring.dim
     assert pair_sym(u, v, ring) == cup(u, v, ring).blocks[n]
@@ -237,9 +240,11 @@ def transpose(m):
 
 
 def test_compiled_gram_basis_identities():
+    # the Gram matrices of both pairings on the basis classes
     for ring in RINGS:
-        sym = ring._forms.sym.to_rationals()
-        exotic = ring._forms.exotic.to_rationals()
+        basis = GradedVector.basis(ring.dim, ring.picard_rank)
+        sym = [[pair_sym(a, b, ring) for b in basis] for a in basis]
+        exotic = [[pair_exotic(a, b, ring) for b in basis] for a in basis]
         assert sym == transpose(sym)
         if ring.dim == 2:
             assert exotic == transpose(exotic)
@@ -247,25 +252,6 @@ def test_compiled_gram_basis_identities():
             assert all(
                 x + y == 0 for row, col in zip(exotic, transpose(exotic)) for x, y in zip(row, col)
             )
-
-
-def test_compiled_forms_are_integral_over_one_denominator():
-    for ring in RINGS:
-        forms = ring._forms
-        for m in (forms.sym, forms.exotic, *forms.products.values()):
-            assert m.den >= 1 and all(
-                type(x) is int and x != 0 for row in m.rows for _, x in row
-            )
-    # c2/12 on the quintic is 25/6; the c2/24 products need 12
-    assert QUINTIC._forms.exotic.den == 6
-    assert QUINTIC._forms.products["sqrt_td"].den == 12
-
-
-def test_compiled_forms_are_cached_on_the_ring():
-    ring = RingDescriptor(dim=3, picard_rank=1, cubic=(5,), c2=(50,))
-    assert ring._forms is ring._forms
-    assert ring.todd is ring.todd
-    assert ring == QUINTIC  # cached attributes are not part of equality
 
 
 def test_todd_inverse_and_descriptor_cache(quintic, k3_quartic):
@@ -276,22 +262,15 @@ def test_todd_inverse_and_descriptor_cache(quintic, k3_quartic):
         assert cup(T.sqrt_td, T.sqrt_td_inv, ring) == unit
     for X in (quintic, k3_quartic):
         assert X.todd is X.todd is X.ring.todd
+    ring = RingDescriptor(dim=3, picard_rank=1, cubic=(5,), c2=(50,))
+    assert ring.todd is ring.todd
+    assert ring == QUINTIC  # the cached Todd data is not part of equality
 
 
 def test_as_fraction_returns_fraction_unchanged():
     x = Fraction(7, 3)
     assert as_fraction(x) is x
     assert as_fraction(4) == Fraction(4) and type(as_fraction(4)) is Fraction
-
-
-def test_cubic_contract_rational_entries():
-    a = (Fraction(1, 2), Fraction(-3, 2), "1/3", 2)
-    b = (Fraction(5, 6), 1, Fraction(-1, 4), "0")
-    want = tuple(
-        sum(Fraction(a[i]) * P1X4.cubic[i][j][d] * Fraction(b[j]) for i in range(4) for j in range(4))
-        for d in range(4)
-    )
-    assert P1X4.cubic_contract(a, b) == want
 
 
 def test_pic_pair_equals_hand_sum(k3_reflective):
@@ -312,22 +291,24 @@ def test_pic_pair_equals_hand_sum(k3_reflective):
 
 
 def test_columns_kernel_equals_dense_fraction_products():
+    # apply_form and pair_form on the Gram matrices and the cubic slices,
+    # against sums of Fraction products written out by index
     rng = random.Random(41)
-    for ring in RINGS:
-        forms = ring._forms
-        size = 2 + (ring.dim - 1) * ring.picard_rank
-        xs = [[rng.randint(-40, 40) for _ in range(size)] for _ in range(50)]
-        ys = [[rng.randint(-40, 40) for _ in range(size)] for _ in range(50)]
-        for m in (forms.sym, forms.exotic, *forms.products.values()):
-            dense = m.to_rationals()
-            for x, y in zip(xs, ys):
-                mx, my = ([sum(a * b for a, b in zip(row, z)) for row in dense] for z in (x, y))
-                paired = m.pair_columns(x, y)
-                applied = m.apply_columns(x)
-                assert type(paired) is int
+    for ring in RINGS[1:]:
+        k = ring.picard_rank
+        forms = [ring.gram] if ring.dim == 2 else list(ring.cubic)
+        for _ in range(50):
+            x = [rng.randint(-40, 40) for _ in range(k)]
+            y = [Fraction(rng.randint(-40, 40), rng.choice((1, 2, 6))) for _ in range(k)]
+            for d, m in enumerate(forms):
+                if ring.dim == 3:  # the slice d of the cubic is (a, b) -> D[a][b][d]
+                    assert m == tuple(tuple(ring.cubic[a][b][d] for b in range(k)) for a in range(k))
+                applied = apply_form(m, x)
                 assert all(type(c) is int for c in applied)
-                assert Fraction(paired, m.den) == sum(a * b for a, b in zip(x, my))
-                assert [Fraction(c, m.den) for c in applied] == mx
+                assert applied == [sum(m[i][j] * x[j] for j in range(k)) for i in range(k)]
+                paired = pair_form(m, x, y)
+                assert paired == sum(x[i] * m[i][j] * y[j] for i in range(k) for j in range(k))
+                assert type(pair_form(m, x, x)) is int
 
 
 def test_module_results_are_fractions_in_shape():
@@ -381,8 +362,6 @@ def test_public_constructors_still_coerce_and_reject():
     for bad in (0.5, True, "1.5", "x/2", "1/-2", "1/+2"):
         with pytest.raises(LatticeError):
             GradedVector(2, (bad, (0, 0), 0))
-        with pytest.raises(LatticeError):
-            u.with_block(2, bad)
         with pytest.raises(LatticeError):
             GradedVector.from_payload({"dim": 2, "blocks": [0, [bad, 0], 0]})
     with pytest.raises(LatticeError):
@@ -461,6 +440,26 @@ def test_cubic_symmetry_enforced():
         RingDescriptor(dim=3, picard_rank=2, cubic=bad, c2=(0, 0))
 
 
+def test_malformed_gram_and_cubic_are_shape_errors():
+    # each was a bare TypeError from iterating an int
+    square = "^Gram matrix must be square$"
+    cube = r"^cubic tensor must be picard_rank\^3$"
+    for gram, k, message in (
+        (4, 1, square), ((4,), 1, square), (["0"], 1, square), (((4,),), 1, None),
+    ):
+        if message is None:
+            assert RingDescriptor(dim=2, picard_rank=k, gram=gram).gram == ((4,),)
+            continue
+        with pytest.raises(ShapeError, match=message):
+            RingDescriptor(dim=2, picard_rank=k, gram=gram)
+    for cubic in (5, [[5]], [[[[5]]]], [[[5], 5]]):
+        with pytest.raises(ShapeError, match=cube):
+            RingDescriptor(dim=3, picard_rank=1, cubic=cubic, c2=(50,))
+    with pytest.raises(ShapeError, match="^c2 vector length must equal picard_rank$"):
+        RingDescriptor(dim=3, picard_rank=1, cubic=(5,), c2=50)
+    assert RingDescriptor(dim=3, picard_rank=1, cubic=[[[5]]], c2=["50"]) == QUINTIC
+
+
 def test_rational_strings_round_trip():
     for f in (Fraction(0), Fraction(-7, 3), Fraction(22), Fraction(5, 2)):
         assert parse_rational(format_rational(f)) == f
@@ -494,16 +493,6 @@ def test_basis_classes_are_the_unit_coordinate_vectors():
     assert len(basis) == 6
     assert [u.nums for u in basis] == [tuple(int(i == j) for j in range(6)) for i in range(6)]
     assert basis[2].blocks == (0, (0, 1), (0, 0), 0)
-
-
-def test_ring_descriptor_json_round_trip(quintic, k3_elliptic):
-    for ring in (ELLIPTIC, K3_H, quintic.ring):
-        through_text = json.loads(json.dumps(ring.to_payload()))
-        assert RingDescriptor.from_payload(through_text) == ring
-    with pytest.raises(LatticeError):
-        RingDescriptor.from_payload(
-            {"dim": 2, "picard_rank": 1, "gram": [[4]], "foo": 1}
-        )
 
 
 def test_bit_identical_reruns(quintic):

@@ -136,6 +136,23 @@ def test_atiyah_and_bundle_entries_must_be_integers():
     assert type(gft_class(BundleClass1("2", "3")).e) is int
 
 
+def test_cycle_class_coordinates_must_be_integers():
+    # a float used to pass straight through: 1.5 intersections, a float
+    # product, and a bare TypeError from gcd
+    for bad in (1.5, 2.0, True, None, "1/2"):
+        for call in (
+            lambda: intersection_count(CycleClass1(bad, 0), CycleClass1(0, 1)),
+            lambda: cycle_pairing(CycleClass1(1, 0), CycleClass1(0, bad)),
+            lambda: odot(CycleClass1(1, bad), CycleClass1(2, 1)),
+            lambda: decompose_primitive(CycleClass1(bad, 4)),
+        ):
+            with pytest.raises(LatticeError, match="^integer lattice datum expected, got "):
+                call()
+    assert intersection_count(CycleClass1("1", 0), CycleClass1(0, "-1")) == 1
+    assert odot(CycleClass1("1", "2"), CycleClass1(2, 1)) == CycleClass1(2, 5)
+    assert type(odot(CycleClass1("1", "2"), CycleClass1(2, 1)).e) is int
+
+
 def test_atiyah_against_character_oracle():
     start = time.perf_counter()
     for a in range(1, 9):

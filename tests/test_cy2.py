@@ -32,7 +32,6 @@ from latmirror import (
     verify_quantization_k3,
     walk_to_chamber,
 )
-from latmirror.core import IntegerMatrix
 from latmirror.cy2 import walk_batch
 
 QUARTIC = K3Descriptor(ring=RingDescriptor(dim=2, picard_rank=1, gram=((4,),)))
@@ -202,7 +201,7 @@ def test_k3_values_are_ints(k3_elliptic):
 def test_mirror_k3_names_an_odd_square():
     # an odd Gram entry, forced past the ring's checks, makes odd squares
     X = K3Descriptor(ring=RingDescriptor(dim=2, picard_rank=1, gram=((2,),)))
-    X.ring.__dict__["_gram_form"] = IntegerMatrix.from_rationals([[3]])
+    object.__setattr__(X.ring, "gram", ((3,),))
     assert mirror_k3((2,), X).e == -6
     with pytest.raises(LatticeError) as err:
         mirror_k3((3,), X)

@@ -27,10 +27,12 @@ from latmirror import (
     todd_data,
     vdim3,
 )
-from latmirror import core, parse_manifest, run_verify
+from latmirror import parse_manifest, run_verify
 from latmirror.cli import main
+from latmirror.core import pair_exotic, todd_multiply
 from latmirror.cy3 import isometry_certificate3
 
+from mutants import add_unit_entry
 from oracles import p1x4_2222
 
 O3 = GradedVector(3, (1, (0,), (0,), 0))
@@ -274,23 +276,24 @@ def test_sqrt_td_inverse_is_inverse(quintic, bicubic):
 def test_mirror_map_is_an_isometry_on_a_basis(quintic, bicubic):
     # M^T J M = G_euler exactly, with M the flat matrix of u -> mirror_cy3(u * td),
     # J the Gram matrix of the hand-written mirror_pairing3 and G_euler the
-    # compiled exotic Gram matrix: the isometry for all inputs, not samples
+    # Gram matrix of pair_exotic on the basis: the isometry for all inputs,
+    # not samples
     for X in (quintic, bicubic, p1x4()):
         k = X.ring.picard_rank
-        size = 2 * k + 2
-
-        def unit(i):
-            return [int(i == j) for j in range(size)]
+        basis = GradedVector.basis(3, k)
 
         def mirror_class(flat):
             return MirrorClass3(flat[0], flat[-1], tuple(flat[1:1 + k]), tuple(flat[1 + k:-1]))
 
-        J = [[mirror_pairing3(mirror_class(unit(i)), mirror_class(unit(j))) for j in range(size)]
-             for i in range(size)]
-        products = X.ring._forms.products
-        M = matmul(products["sqrt_td_inv"].to_rationals(), products["td"].to_rationals())
+        J = [[mirror_pairing3(mirror_class(a.nums), mirror_class(b.nums)) for b in basis]
+             for a in basis]
+        # column j is the flat image of e_j under sqrt(td)^-1 * td
+        images = [todd_multiply(todd_multiply(e, X.ring, "td"), X.ring, "sqrt_td_inv")
+                  for e in basis]
+        M = [[Fraction(w.nums[i], w.den) for w in images] for i in range(len(basis))]
         Mt = [list(col) for col in zip(*M)]
-        assert matmul(matmul(Mt, J), M) == X.ring._forms.exotic.to_rationals(), X.label
+        G = [[pair_exotic(a, b, X.ring) for b in basis] for a in basis]
+        assert matmul(matmul(Mt, J), M) == G, X.label
 
 
 def matmul(a, b):
@@ -305,19 +308,9 @@ def test_isometry_certificate_holds_on_every_basis_pair(quintic, bicubic):
 
 @pytest.mark.parametrize("factor", ["td", "sqrt_td_inv"])
 def test_corrupted_todd_product_fails_the_mirror_isometry(monkeypatch, tmp_path, capsys, factor):
-    compile_forms = core._compile_forms
-
-    def corrupted(ring):
-        forms = compile_forms(ring)
-        m = forms.products[factor]
-        rows = list(m.rows)
-        # one more top-degree entry: the image's fibre coordinate e gains
-        # the first divisor coordinate, an integral change the skew form sees
-        rows[-1] = ((1, m.den), *rows[-1])
-        products = {**forms.products, factor: m._replace(rows=tuple(rows))}
-        return forms._replace(products=products)
-
-    monkeypatch.setattr(core, "_compile_forms", corrupted)
+    # one more top-degree entry: the image's fibre coordinate e gains the
+    # first divisor coordinate, an integral change the skew form sees
+    add_unit_entry(monkeypatch, factor, -1, 1)
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({
         "version": "1",
@@ -329,7 +322,7 @@ def test_corrupted_todd_product_fails_the_mirror_isometry(monkeypatch, tmp_path,
     ]
     assert report.status == "fail"
     for label in ("quintic", "bicubic"):
-        X = load_cy3_fixture(label)  # a fresh ring compiles the corrupted forms
+        X = load_cy3_fixture(label)
         basis = GradedVector.basis(3, X.ring.picard_rank)
         failures = []
         for i, u in enumerate(basis):

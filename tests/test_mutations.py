@@ -20,9 +20,10 @@ from typing import Callable, NamedTuple
 import pytest
 
 from latmirror import core, cy1, cy2, cy3, load_fixture, numeric, parse_manifest, run_verify
-from latmirror.core import GradedVector, RingDescriptor, pair_exotic, todd_multiply
+from latmirror.core import GradedVector, RingDescriptor
 from latmirror.report import summary_check
 from latmirror.suites import EXPECTED_CHI, SUITES
+from mutants import add_unit_entry
 from oracles import bs_fibres_scalar
 
 
@@ -65,27 +66,6 @@ def drop_orthogonality_check(monkeypatch):
 
 def break_h_gram(monkeypatch):
     monkeypatch.setattr(cy2, "H_GRAM", ((-2, 1), (1, 1)))  # [e]^2 = 1
-
-
-def add_unit_entry(monkeypatch, form, row, col):
-    """Add 1 to entry (row, col) of one compiled form of every ring compiled next.
-
-    ``form`` is "sym", "exotic" or a Todd product name.  The entry is
-    integral: its numerator is the form's denominator.
-    """
-    compile_forms = core._compile_forms
-
-    def corrupted(ring):
-        forms = compile_forms(ring)
-        m = forms.products[form] if form in forms.products else getattr(forms, form)
-        rows = list(m.rows)
-        rows[row] = ((col, m.den), *rows[row])
-        m = m._replace(rows=tuple(rows))
-        if form in forms.products:
-            return forms._replace(products={**forms.products, form: m})
-        return forms._replace(**{form: m})
-
-    monkeypatch.setattr(core, "_compile_forms", corrupted)
 
 
 def corrupt_exotic_form(monkeypatch):
@@ -153,7 +133,7 @@ def cy1_isometry_reference(params, fixtures):
     failures = []
     for name, u, v in pairs:
         lhs = cy1.cycle_pairing(cy1.mirror_cy1(u), cy1.mirror_cy1(v))
-        rhs = pair_exotic(u, v, ring)
+        rhs = core.pair_exotic(u, v, ring)
         if lhs != rhs:
             failures.append(f"{name}: {lhs} != {rhs}")
     return {"mirror pairing equals Euler pairing on the curve": (len(pairs), failures)}
@@ -211,7 +191,7 @@ def k3_transport_reference(params, fixtures):
             GradedVector(2, (1, L, Fraction(X.ring.pic_pair(L, L), 2))) for L in (L1, L2)
         )
         lhs = cy2.mirror_pairing_k3(cy2.mirror_k3(L1, X), cy2.mirror_k3(L2, X), X)
-        rhs = -pair_exotic(ch1, ch2, X.ring)
+        rhs = -core.pair_exotic(ch1, ch2, X.ring)
         if lhs != rhs:
             failures.append(f"({L1}, {L2}): {lhs} != {rhs}")
     for L in grid(k, 2):
@@ -236,13 +216,13 @@ def cy3_skew_reference(params, fixtures):
         diag = []
         for i, j in itertools.combinations_with_replacement(range(n), 2):
             w = basis[i] + basis[j]
-            square = pair_exotic(w, w, X.ring)
+            square = core.pair_exotic(w, w, X.ring)
             if square != 0:
                 diag.append(f"e{i} + e{j}: {square}")
         anti = []
         for i, j in itertools.product(range(n), repeat=2):
-            forward = pair_exotic(basis[i], basis[j], X.ring)
-            backward = pair_exotic(basis[j], basis[i], X.ring)
+            forward = core.pair_exotic(basis[i], basis[j], X.ring)
+            backward = core.pair_exotic(basis[j], basis[i], X.ring)
             if forward + backward != 0:
                 anti.append(f"(e{i}, e{j}): {-backward} != {forward}")
         out[f"{label}: self-pairing vanishes (virtual dimension 0)"] = (n * (n + 1) // 2, diag)
@@ -261,7 +241,7 @@ def cy3_closure_reference(params, fixtures):
             ("[X]", GradedVector.unit(3, k), cy3.MirrorClass3(1, 0, zero, zero)),
             ("[pt]", GradedVector.point(3, k), cy3.MirrorClass3(0, 1, zero, zero)),
         ):
-            mir = cy3.mirror_cy3(todd_multiply(u, X.ring, "sqrt_td"), X)
+            mir = cy3.mirror_cy3(core.todd_multiply(u, X.ring, "sqrt_td"), X)
             if mir != want:
                 closure.append(f"{name}: {mir}")
         name = f"{label}: sqrt(td)-span of [X],[pt] maps onto section/fibre lattice"
@@ -358,7 +338,7 @@ def test_broken_target_fails_the_suite(row, monkeypatch, tmp_path):
     }))
     report = {r.suite: r for r in run_verify(parse_manifest(manifest)).reports}[row.suite]
     assert report.status == "fail"
-    # fresh descriptors compile their forms under the patch, as the run's did
+    # the references call the patched forms, as the run did
     fixtures = {fx.label: fx for fx in map(load_fixture, row.fixtures)}
     want = row.reference(SUITES[row.suite].defaults, fixtures)
     got = {c.name: c.got for c in report.checks}
@@ -369,7 +349,7 @@ def test_broken_target_fails_the_suite(row, monkeypatch, tmp_path):
 
 
 def test_corrupted_exotic_form_fails_the_mirror_isometry(monkeypatch, tmp_path):
-    # the certificate reads the compiled Euler form on one side: G[0][0] = 1
+    # the certificate pairs the basis by the Euler form on one side: G[0][0] = 1
     # while the skew image form pairs [X] sqrt(td) to 0 with itself
     corrupt_exotic_form(monkeypatch)
     manifest = tmp_path / "m.json"
