@@ -21,11 +21,10 @@ import json
 import re
 import sys
 import warnings
-from pathlib import Path
 
 from . import cy1, cy2, cy3
 from .core import GradedVector, LatticeError, RingDescriptor, format_rational, parse_rational
-from .fixtures import FixtureError, load_cy3_fixture, load_k3_fixture
+from .fixtures import FixtureError, load_cy3_fixture, load_k3_fixture, read_json
 from .shared import DEFAULT_MANIFEST, ROOT_TOL, ConsistencyError
 
 
@@ -358,12 +357,7 @@ def _h_quant_coords(args):
 def _h_quant_phase(args):
     from . import numeric
 
-    try:
-        samples = json.loads(Path(args.curve).read_text())
-    except OSError as exc:
-        raise FixtureError(f"cannot read curve file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FixtureError(f"curve file is not valid JSON: {exc}") from exc
+    samples = read_json(args.curve, FixtureError, "curve file")
     if not isinstance(samples, list) or not all(
         # type(), not isinstance(): JSON true and false are not coordinates
         isinstance(p, list) and len(p) == 2 and all(type(x) in (int, float) for x in p)

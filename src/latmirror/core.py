@@ -374,18 +374,20 @@ class RingDescriptor:
     def elliptic(cls) -> "RingDescriptor":
         return cls(dim=1, picard_rank=0)
 
-    def _divisors(self, *vectors: Sequence) -> list:
-        """The one way in for foreign divisor coordinates: :func:`_entry`, length checked."""
-        k = self.picard_rank
-        out = [[_entry(x) for x in v] for v in vectors]
-        for v in out:
-            if len(v) != k:
+    def _divisors(self, vectors: Sequence[Sequence]) -> list:
+        """The one way in for foreign divisor coordinates: a list or tuple of lists
+        or tuples of ``picard_rank`` entries, each entry through :func:`_entry`."""
+        k, out = self.picard_rank, []
+        # vectors that are not a sequence fail as one vector that is not
+        for v in vectors if isinstance(vectors, (list, tuple)) else [None]:
+            if not isinstance(v, (list, tuple)) or len(v) != k:
                 raise ShapeError("divisor coordinates must match picard_rank")
+            out.append([_entry(x) for x in v])
         return out
 
     def _integer_divisor(self, L: Sequence) -> tuple:
         """Integer coordinates of one foreign divisor class, via :meth:`_divisors`."""
-        (out,) = self._divisors(L)
+        (out,) = self._divisors([L])
         if any(x.denominator != 1 for x in out):
             raise LatticeError("divisor class must be integral")
         return tuple(x.numerator for x in out)
@@ -398,7 +400,7 @@ class RingDescriptor:
         """
         if self.dim != 2:
             raise ShapeError("pic_pair needs a dim-2 descriptor")
-        return Fraction(pair_form(self.gram, *self._divisors(a, b)))
+        return Fraction(pair_form(self.gram, *self._divisors([a, b])))
 
     @cached_property
     def todd(self) -> "ToddData":

@@ -78,7 +78,7 @@ class K3Descriptor:
     def __post_init__(self):
         if self.ring.dim != 2:
             raise ShapeError("K3Descriptor needs a dim-2 ring")
-        roots = tuple(tuple(_as_int(x) for x in r) for r in self.roots)
+        roots = _int_array(self.roots, 2, "roots must be a sequence of divisor coordinate vectors")
         for r in roots:
             if len(r) != self.ring.picard_rank:
                 raise ShapeError("divisor coordinates must match picard_rank")
@@ -248,7 +248,7 @@ def _reflect_columns(xs: Sequence, delta: Sequence, X: K3Descriptor) -> list:
 def _minus2_axes(roots: Sequence[Sequence], X: K3Descriptor) -> list:
     """(root, Gram applied to the root) for each root, checked to have square -2."""
     axes = []
-    for d in X.ring._divisors(*roots):
+    for d in X.ring._divisors(roots):
         gram_d = apply_form(X.ring.gram, d)
         if sum(map(mul, d, gram_d)) != -2:
             raise LatticeError("reflection axis must have square -2")
@@ -259,7 +259,7 @@ def _minus2_axes(roots: Sequence[Sequence], X: K3Descriptor) -> list:
 def reflect_minus2(x: Sequence, delta: Sequence, X: K3Descriptor) -> tuple:
     """Reflection x + (x.delta) delta in a sphere class of square -2."""
     ((delta, _),) = _minus2_axes([delta], X)
-    (x,) = X.ring._divisors(x)
+    (x,) = X.ring._divisors([x])
     return tuple(map(Fraction, _reflect_columns(x, delta, X)))
 
 
@@ -286,7 +286,7 @@ def walk_batch(points: Sequence[Sequence], roots: Sequence[Sequence], X: K3Descr
     """
     axes = _minus2_axes(roots, X)
     walks = []
-    for start in X.ring._divisors(*points):
+    for start in X.ring._divisors(points):
         x, applied = start, []
         while True:
             for j, (d, gram_d) in enumerate(axes):

@@ -12,10 +12,19 @@ and a threefold fixture like
      "cubic": [k^3 ints, row-major],
      "c2": [k ints]}.
 
-Unknown keys are rejected so that a typo cannot silently weaken a suite.
 Files are resolved against an explicit base directory (for manifests),
 then the directory named by the LATMIRROR_FIXTURE_DIR environment
 variable, then the fixtures shipped with the package.
+
+Every JSON input (fixtures, manifests, the curve of ``latmirror quant
+phase``) is read by :func:`read_json` and its objects are checked by
+:func:`check_object`; each failure raises the caller's error class, in one
+line that names the file.  A fixture file that cannot be read or parsed is
+refused while the manifest is parsed.  :func:`fixture_from_payload` raises
+only :class:`FixtureError`: for a payload that is not an object, a missing
+key, an unknown key (so that a typo cannot silently weaken a suite) and
+any lattice error in its data.  Under ``latmirror verify`` that is a
+failing ``load`` check.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import json
 import os
 from pathlib import Path
 
-from .core import RingDescriptor
+from .core import LatticeError, RingDescriptor, _int_array
 from .cy2 import K3Descriptor
 from .cy3 import CY3Descriptor
 
@@ -60,82 +69,77 @@ def resolve_fixture(name: str, base: Path | None = None) -> Path:
             if not name.endswith(".json"):
                 candidates.append(Path(stem) / f"{name}.json")
     for c in candidates:
-        if c.is_file():
+        if os.path.isfile(c):  # False, not an error, for a name the OS refuses
             return c
     raise FixtureError(f"fixture {name!r} not found (tried {[str(c) for c in candidates]})")
 
 
-def _read_json(path: Path):
+def read_json(path: str | Path, error: type[ValueError], noun: str):
+    """The parsed JSON of a file; any failure raises ``error``, one line naming the file."""
     try:
-        text = path.read_text()
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise FixtureError(f"cannot read fixture {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FixtureError(f"fixture {path} is not valid JSON: {exc}") from exc
+        raise error(f"cannot read {noun} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an int too long
+        raise error(f"{noun} {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{noun} {path} is nested too deeply to parse") from exc
+
+
+def check_object(
+    value, noun: str, required=(), optional=(), error=FixtureError, keys="keys"
+) -> dict:
+    """``value``, checked to be a JSON object with every ``required`` key and, unless
+    ``optional`` is None, no other than the ``optional`` ones; else ``error``."""
+    if not isinstance(value, dict):
+        raise error(f"{noun} must be a JSON object")
+    if optional is not None:
+        unknown = set(value).difference(required, optional)
+        if unknown:
+            raise error(f"{noun} does not take {keys} {sorted(unknown)}")
+    for key in required:
+        if key not in value:
+            raise error(f"{noun} has no key {key!r}")
+    return value
 
 
 def _load_k3(payload: dict, source: str) -> K3Descriptor:
-    known = {"label", "gram", "roots", "fibration"}
-    unknown = set(payload) - known
-    if unknown:
-        raise FixtureError(f"{source}: unknown K3 fixture keys {sorted(unknown)}")
     singular = None
     fibration = payload.get("fibration")
     if fibration is not None:
-        if not isinstance(fibration, dict):
-            raise FixtureError(f"{source}: fibration must be an object, got {fibration!r}")
-        extra = set(fibration) - {"singular_fibres"}
-        if extra:
-            raise FixtureError(f"{source}: unknown fibration keys {sorted(extra)}")
+        fibration = check_object(fibration, f"{source}: fibration", ("singular_fibres",))
         singular = fibration["singular_fibres"]
         if singular is None:
             raise FixtureError(f"{source}: fibration declares no singular_fibres count")
-    gram = payload["gram"]
-    ring = RingDescriptor(dim=2, picard_rank=len(gram), gram=gram)
+    gram = _int_array(payload["gram"], 2, "Gram matrix must be square")
     return K3Descriptor(
-        ring=ring,
+        ring=RingDescriptor(dim=2, picard_rank=len(gram), gram=gram),
         label=str(payload.get("label", "k3")),
-        roots=tuple(tuple(r) for r in payload.get("roots", ())),
+        roots=payload.get("roots", ()),
         singular_fibres=singular,
     )
-
-
-def _load_cy3(payload: dict, source: str) -> CY3Descriptor:
-    known = {"label", "picard_rank", "cubic", "c2"}
-    unknown = set(payload) - known
-    if unknown:
-        raise FixtureError(f"{source}: unknown threefold fixture keys {sorted(unknown)}")
-    ring = RingDescriptor(
-        dim=3,
-        picard_rank=payload["picard_rank"],
-        cubic=tuple(payload["cubic"]),
-        c2=tuple(payload["c2"]),
-    )
-    return CY3Descriptor(ring=ring, label=str(payload.get("label", "cy3")))
 
 
 def load_fixture(name: str, base: Path | None = None):
     """Load one fixture file into its descriptor (K3 or threefold)."""
     path = resolve_fixture(name, base)
-    return fixture_from_payload(_read_json(path), path)
+    return fixture_from_payload(read_json(path, FixtureError, "fixture"), path)
 
 
 def fixture_from_payload(payload, path: Path):
     """Build the descriptor (K3 or threefold) of a parsed fixture file."""
-    if not isinstance(payload, dict):
-        raise FixtureError(f"fixture {path} must be a JSON object")
+    payload = check_object(payload, f"fixture {path}", optional=None)
     try:
         if "gram" in payload:
-            return _load_k3(payload, str(path))
+            keys = ("gram",), ("label", "roots", "fibration")
+            return _load_k3(check_object(payload, f"{path}: K3 fixture", *keys), str(path))
         if "cubic" in payload:
-            return _load_cy3(payload, str(path))
-    except FixtureError:
-        raise
-    except KeyError as exc:
-        raise FixtureError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+            keys = ("picard_rank", "cubic", "c2"), ("label",)
+            check_object(payload, f"{path}: threefold fixture", *keys)
+            rank, cubic, c2 = (payload[key] for key in keys[0])
+            ring = RingDescriptor(dim=3, picard_rank=rank, cubic=cubic, c2=c2)
+            return CY3Descriptor(ring=ring, label=str(payload.get("label", "cy3")))
+    except LatticeError as exc:
         raise FixtureError(f"{path}: {exc}") from exc
     raise FixtureError(f"{path}: neither a K3 fixture (gram) nor a threefold (cubic)")
 

@@ -8,21 +8,27 @@ A manifest is strict JSON:
                 {"name": "k3-reflections", "params": {"samples": 240, "seed": 5}},
                 ...]}
 
-Unknown top-level keys, unknown suite names and unknown suite parameters
-are rejected at parse time, as are missing or non-JSON fixture files and
-parameters that would verify nothing: a count (``k_max``, ``max_index``,
-``triples``, ``samples``) that is not a positive integer, an ``l2_max``
-below 0, a ``tol`` that is not a positive finite number and an empty list
-of ``fixtures`` or ``taus``.  So are parameters of the wrong shape, which
-would crash their suite: a ``seed`` that is not an integer, and a ``tau``
-or ``taus`` entry that is not [re, im], two finite numbers with im > 0.
+Rejected at parse time, with one :class:`ManifestError` line: a manifest
+or fixture file that cannot be read or parsed as JSON (through
+:func:`fixtures.read_json`); an object with an unknown or a missing key
+(through :func:`fixtures.check_object`); ``fixtures`` or ``suites`` that
+is not a list, a fixture name that is not a string or names no file, and
+an unknown suite name.  So are parameters that would verify nothing: a
+count (``k_max``, ``max_index``, ``triples``, ``samples``) that is not a
+positive integer, an ``l2_max`` below 0, a ``tol`` that is not a positive
+finite number and an empty list of ``fixtures`` or ``taus``; and
+parameters of the wrong shape, which would crash their suite: a ``seed``
+that is not an integer, a ``fixture`` that is not a string, a
+``fixtures`` entry that is not one, and a ``tau`` or ``taus`` entry that
+is not [re, im], two finite numbers with im > 0.
 The four suites that now prove their identity on a basis or a grid
 (``cy1-mirror-isometry``, ``k3-mirror-transport``, ``cy3-skew``,
 ``cy3-mirror-isometry``) still accept the ``samples``, ``seed`` and
 ``bound`` of their former sweeps, so that older manifests parse; those
 are checked as above and then dropped, and change nothing.
-Semantic fixture validation (an odd Gram diagonal, a wrong fibre count)
-happens while the verifier runs and is recorded as a failing report
+A fixture file that parses but is not a valid fixture (not an object, a
+wrong key, an odd Gram diagonal, a wrong fibre count) is built while the
+verifier runs and is recorded as a failing ``load`` check, exit 1,
 without aborting the remaining suites.
 
 :class:`Manifest`, its :class:`SuiteSpec` entries and the
@@ -32,14 +38,13 @@ made by :func:`parse_manifest`, not by the records.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import time
 from pathlib import Path
 from typing import NamedTuple
 
-from .fixtures import FixtureError, _read_json, fixture_from_payload, resolve_fixture
+from .fixtures import FixtureError, check_object, fixture_from_payload, read_json, resolve_fixture
 from .report import Check, SuiteReport
 from .shared import DEFAULT_MANIFEST, ManifestError  # noqa: F401  (DEFAULT_MANIFEST re-exported)
 from .suites import SUITES, SuiteInputError
@@ -57,6 +62,10 @@ def _is_tau(x) -> bool:
     )
 
 
+def _is_names(x) -> bool:
+    return type(x) is list and all(type(name) is str for name in x)
+
+
 # parameter -> (what it must be, test); the suites check the others.
 # type() rather than isinstance(), so that true and false are not numbers.
 _PARAM_RULES = {
@@ -68,7 +77,8 @@ _PARAM_RULES = {
     "tol": ("a positive finite number", lambda x: type(x) in (int, float) and 0 < x < math.inf),
     "seed": ("an integer", lambda x: type(x) is int),
     "tau": ("[re, im]: two finite numbers with im > 0", _is_tau),
-    "fixtures": ("a non-empty list", lambda x: type(x) is list and x),
+    "fixture": ("a string", lambda x: type(x) is str),
+    "fixtures": ("a non-empty list of strings", lambda x: _is_names(x) and x),
     "taus": (
         "a non-empty list of [re, im], each two finite numbers with im > 0",
         lambda x: type(x) is list and x and all(map(_is_tau, x)),
@@ -105,53 +115,42 @@ class Manifest(NamedTuple):
 def parse_manifest(path: str | Path) -> Manifest:
     """Parse and statically validate a manifest file."""
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ManifestError("manifest must be a JSON object")
-    unknown = set(payload) - {"version", "fixtures", "suites"}
-    if unknown:
-        raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
-    version = payload.get("version")
+    noun = f"manifest {path}"
+    payload = check_object(
+        read_json(path, ManifestError, "manifest"),
+        noun, ("version",), ("fixtures", "suites"), error=ManifestError,
+    )
+    version = payload["version"]
     if version != MANIFEST_VERSION:
         raise ManifestError(
             f"unsupported manifest version {version!r} (expected {MANIFEST_VERSION!r})"
         )
+    fixtures, entries = payload.get("fixtures", []), payload.get("suites", [])
+    if not _is_names(fixtures):
+        raise ManifestError(f"{noun}: fixtures must be a JSON list of file names")
+    if type(entries) is not list:
+        raise ManifestError(f"{noun}: suites must be a JSON list")
     base = path.parent
-    fixtures = []
     sources = []
-    for name in payload.get("fixtures", ()):
+    for name in fixtures:
         try:
-            resolved = resolve_fixture(str(name), base)
-            sources.append((resolved, _read_json(resolved)))
+            resolved = resolve_fixture(name, base)
         except FixtureError as exc:
             raise ManifestError(str(exc)) from exc
-        fixtures.append(str(name))
+        sources.append((resolved, read_json(resolved, ManifestError, "fixture")))
     suites = []
-    for entry in payload.get("suites", ()):
-        if not isinstance(entry, dict):
-            raise ManifestError(f"suite entry must be an object, got {entry!r}")
-        extra = set(entry) - {"name", "params"}
-        if extra:
-            raise ManifestError(f"unknown suite entry keys: {sorted(extra)}")
-        name = entry.get("name")
-        if name not in SUITES:
-            raise ManifestError(
-                f"unknown suite {name!r}; known: {sorted(SUITES)}"
-            )
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            raise ManifestError(f"suite {name!r} params must be an object, got {params!r}")
+    for i, entry in enumerate(entries):
+        entry = check_object(
+            entry, f"{noun} suite entry {i}", ("name",), ("params",), error=ManifestError
+        )
+        name = entry["name"]
+        if type(name) is not str or name not in SUITES:
+            raise ManifestError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
         retired = _RETIRED_PARAMS.get(name, set())
-        bad = set(params) - set(SUITES[name].defaults) - retired
-        if bad:
-            raise ManifestError(
-                f"suite {name!r} does not take parameters {sorted(bad)}"
-            )
+        params = check_object(
+            entry.get("params", {}), f"suite {name!r} params", (),
+            {*SUITES[name].defaults, *retired}, error=ManifestError, keys="parameters",
+        )
         for key, value in params.items():
             rule = _PARAM_RULES.get(key)
             if rule and not rule[1](value):

@@ -9,6 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmirror import (
     DEFAULT_MANIFEST,
@@ -21,6 +23,8 @@ from latmirror import (
     run_verify,
 )
 from latmirror.cli import main
+from latmirror.fixtures import fixture_from_payload
+from latmirror.suites import SUITES
 
 GOOD_MANIFEST = {
     "version": "1",
@@ -60,6 +64,14 @@ def test_manifest_round_trip(tmp_path):
         lambda p: p["suites"].append("cy3-skew"),
         lambda p: p["suites"].append({"name": "cy3-skew", "params": 5}),  # was a TypeError
         lambda p: p["fixtures"].append("no_such_fixture.json"),
+        # a traceback with exit 1: an int is not iterable, a list not hashable
+        lambda p: p.update(fixtures=5),
+        lambda p: p.update(suites=5),
+        lambda p: p["suites"].append({"name": ["x"]}),
+        # loaded the quintic, looked for a fixture 'q', looked for 'None'
+        lambda p: p.update(fixtures={"quintic.json": 1}),
+        lambda p: p.update(fixtures="quintic.json"),
+        lambda p: p.update(fixtures=[None]),
     ],
 )
 def test_manifest_rejects_static_garbage(tmp_path, mutate):
@@ -155,6 +167,14 @@ def test_manifest_rejects_a_seed_that_is_not_an_integer(tmp_path, capsys):
         assert_usage_error(tmp_path, capsys, "k3-reflections", {"seed": bad}, "'seed' must be")
 
 
+def test_manifest_rejects_fixture_parameters_that_are_not_names(tmp_path, capsys):
+    # was "suite crashed: TypeError: unhashable type: 'list'"
+    match = r"parameter 'fixture' must be a string, got \['x'\]"
+    assert_usage_error(tmp_path, capsys, "k3-reflections", {"fixture": ["x"]}, match)
+    match = r"parameter 'fixtures' must be a non-empty list of strings, got \['quintic', 5\]"
+    assert_usage_error(tmp_path, capsys, "cy3-skew", {"fixtures": ["quintic", 5]}, match)
+
+
 def test_manifest_accepts_well_formed_tau_taus_and_seed(tmp_path):
     suites = [
         {"name": "quant-bs", "params": {"tau": [0, 2]}},
@@ -203,6 +223,14 @@ def test_manifest_with_a_non_json_fixture_is_one_usage_line(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "--manifest", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: fixture ") and err.count("\n") == 1
+
+
+def test_manifest_with_a_fixture_that_is_not_utf8_is_a_manifest_error(tmp_path):
+    # was a bare UnicodeDecodeError
+    (tmp_path / "latin1.json").write_bytes(b'{"label": "\xe9"}')
+    path = write_manifest(tmp_path, {**GOOD_MANIFEST, "fixtures": ["latin1.json"]})
+    with pytest.raises(ManifestError, match="is not valid JSON: 'utf-8' codec can't decode"):
+        parse_manifest(path)
 
 
 def test_manifest_base_dir_resolution(tmp_path):
@@ -571,6 +599,37 @@ def test_cli_malformed_fixture_exits_2(capsys, tmp_path, payload, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+DEEP = "[" * 100000 + "]" * 100000
+NOT_NAMES = "fixtures must be a JSON list of file names"
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        # each was a RecursionError traceback, exit 1
+        (("cy2", "mukai", "--ch", "1:0:0", "--fixture"), DEEP, "is nested too deeply"),
+        (("verify", "--manifest"), DEEP, "is nested too deeply"),
+        (("quant", "phase", "--curve"), DEEP, "is nested too deeply"),
+        # each was a traceback, exit 1, or ran the wrong fixtures
+        (("verify", "--manifest"), '{"version": "1", "fixtures": 5}', NOT_NAMES),
+        (("verify", "--manifest"), '{"version": "1", "suites": 5}', "suites must be a JSON list"),
+        (("verify", "--manifest"), '{"version": "1", "suites": [{"name": ["x"]}]}',
+         "unknown suite ['x']"),
+        (("verify", "--manifest"), '{"version": "1", "fixtures": {"quintic.json": 1}}', NOT_NAMES),
+        (("verify", "--manifest"), '{"version": "1", "fixtures": "quintic.json"}', NOT_NAMES),
+        (("verify", "--manifest"), '{"version": "1", "fixtures": [null]}', NOT_NAMES),
+    ],
+    ids=["fixture-deep", "manifest-deep", "curve-deep", "fixtures-int", "suites-int",
+         "name-list", "fixtures-object", "fixtures-string", "fixtures-null"],
+)
+def test_cli_input_file_of_the_wrong_shape_exits_2(capsys, tmp_path, argv, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    assert err.startswith("error: ") and message in err
+
+
 def test_cli_theta_rank_level_32(capsys):
     code, out, _ = run_cli(capsys, "quant", "theta-rank", "--level", "32")
     assert (code, out.strip()) == (0, "32")
@@ -651,3 +710,61 @@ def exact_cli_record() -> list:
 
 def test_exact_cli_output_equals_the_golden_file():
     assert exact_cli_record() == json.loads(EXACT_GOLDEN.read_text())
+
+
+# ------------------------------------------------- input payload fuzz ----
+
+PARAMS = sorted({key for suite in SUITES.values() for key in suite.defaults})
+LEAVES = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats()
+    | st.text(max_size=3)
+    | st.sampled_from(["1", "24", "quintic.json", "k3-reflective", *sorted(SUITES)])
+)
+KEYS = st.text(max_size=3) | st.sampled_from(
+    ["label", "gram", "roots", "fibration", "singular_fibres", "picard_rank", "cubic", "c2",
+     "version", "fixtures", "suites", "name", "params", *PARAMS]
+)
+# JSON values whose objects mostly use the keys the readers know
+JSON = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=5),
+    max_leaves=12,
+)
+SUITE_ENTRIES = st.fixed_dictionaries(
+    {"name": st.sampled_from(sorted(SUITES)) | JSON},
+    optional={"params": st.dictionaries(st.sampled_from(PARAMS) | KEYS, JSON, max_size=3) | JSON},
+)
+MANIFESTS = JSON | st.fixed_dictionaries(
+    {"version": st.just("1") | JSON},
+    optional={
+        "fixtures": st.lists(LEAVES, max_size=3) | JSON,
+        "suites": st.lists(SUITE_ENTRIES | JSON, max_size=3) | JSON,
+    },
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(payload=JSON)
+def test_fixture_payload_loads_or_raises_fixture_error(payload):
+    try:
+        fixture_from_payload(payload, Path("fuzz.json"))
+    except FixtureError as exc:
+        assert "\n" not in str(exc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=MANIFESTS)
+def test_manifest_payload_parses_or_raises_manifest_error(fuzz_dir, payload):
+    path = write_manifest(fuzz_dir, payload)
+    try:
+        parse_manifest(path)
+    except ManifestError:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            assert main(["verify", "--manifest", str(path)]) == 2
+        assert len(err.getvalue().splitlines()) == 1

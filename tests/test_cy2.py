@@ -426,3 +426,17 @@ def test_fixture_roots_validated():
             ring=RingDescriptor(dim=2, picard_rank=1, gram=((4,),)),
             roots=((1,),),
         )
+
+
+def test_roots_of_the_wrong_nesting_are_shape_errors(k3_reflective):
+    # each raised a bare TypeError ("'int' object is not iterable")
+    X = k3_reflective
+    for roots in (5, [5]):
+        with pytest.raises(ShapeError, match="^roots must be a sequence of divisor"):
+            K3Descriptor(ring=X.ring, roots=roots)
+        with pytest.raises(ShapeError, match="^divisor coordinates must match picard_rank$"):
+            walk_to_chamber((1, 2, 3), roots, X)
+    with pytest.raises(ShapeError, match="^divisor coordinates must match picard_rank$"):
+        reflect_minus2((1, 2, 3), 5, X)
+    with pytest.raises(ShapeError, match="^divisor coordinates must match picard_rank$"):
+        reflect_minus2(5, (0, 1, 0), X)
