@@ -52,7 +52,6 @@ with ``cup(sqrt_td, sqrt_td) == td`` holding exactly.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -86,15 +85,15 @@ def _as_int(x) -> int:
 def _int_array(x, depth: int, message: str):
     """Nested tuples of ints from ``depth`` levels of sequences.
 
-    Entries go through :func:`_as_int`.  A string or a non-iterable where a
-    sequence belongs, or a sequence where an entry belongs, raises
-    ``ShapeError(message)``.
+    Entries go through :func:`_as_int`.  Anything but a list or tuple where
+    a sequence belongs (a string, a JSON object, a number), or a list or
+    tuple where an entry belongs, raises ``ShapeError(message)``.
     """
     if depth == 0:
         if isinstance(x, (list, tuple)):
             raise ShapeError(message)
         return _as_int(x)
-    if isinstance(x, str) or not isinstance(x, Iterable):
+    if not isinstance(x, (list, tuple)):
         raise ShapeError(message)
     return tuple(_int_array(y, depth - 1, message) for y in x)
 
@@ -571,18 +570,16 @@ def todd_multiply(u: GradedVector, ring: RingDescriptor, factor: str) -> GradedV
     w = _TODD_WEIGHTS[factor]
     if ring.dim == 1:
         return u
-    u0 = u.nums[0]
+    nums = u.nums
     if ring.dim == 2:
-        return GradedVector._of_numerators(2, (*u.nums[:-1], u.nums[-1] + w * u0), u.den)
-    _, u1, u2, u3 = blocks_of(3, u.nums)
-    c2 = ring.c2
-    nums = (
-        24 * u0,
-        *(24 * x for x in u1),
-        *(24 * x + w * u0 * c for x, c in zip(u2, c2)),
-        24 * u3 + w * _dot(u1, c2),
-    )
-    return GradedVector._of_numerators(3, nums, 24 * u.den)
+        return GradedVector._of_numerators(2, (*nums[:-1], nums[-1] + w * nums[0]), u.den)
+    # flat slices: u0 | u1 = nums[1:k+1] | u2 = nums[k+1:-1] | u3
+    k, c2 = ring.picard_rank, ring.c2
+    wu0 = w * nums[0]
+    out = [24 * x for x in nums[:k + 1]]
+    out += [24 * x + wu0 * c for x, c in zip(nums[k + 1:-1], c2)]
+    out.append(24 * nums[-1] + w * _dot(nums[1:k + 1], c2))
+    return GradedVector._of_numerators(3, out, 24 * u.den)
 
 
 def isometry_failures(classes, images, pairing, image_pairing, names=None) -> list:

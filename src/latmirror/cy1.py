@@ -138,7 +138,12 @@ def decompose_primitive(c: CycleClass1) -> tuple[Slope, int]:
 
 @dataclass(frozen=True)
 class AtiyahElement:
-    """Formal integer combination of the indecomposables F_r (r >= 1)."""
+    """Formal integer combination of the indecomposables F_r (r >= 1).
+
+    The constructor checks and sorts the terms.  A product adds the
+    Clebsch-Gordan indices of every pair of terms into one dict and builds
+    one element from it.
+    """
 
     terms: tuple  # sorted ((index, multiplicity), ...), zeros dropped
 
@@ -179,9 +184,15 @@ class AtiyahElement:
         out: dict = {}
         for ia, ma in self.terms:
             for ib, mb in other.terms:
-                for idx, mult in atiyah_tensor(ia, ib).terms:
-                    out[idx] = out.get(idx, 0) + ma * mb * mult
+                mult = ma * mb
+                for idx in _clebsch_gordan(ia, ib):
+                    out[idx] = out.get(idx, 0) + mult
         return AtiyahElement.from_dict(out)
+
+
+def _clebsch_gordan(a: int, b: int) -> range:
+    """The indices a + b - 1 - 2j, j = 0..min(a, b) - 1, of F_a (x) F_b."""
+    return range(a + b - 1, abs(a - b), -2)
 
 
 def atiyah_tensor(a: int, b: int) -> AtiyahElement:
@@ -191,7 +202,7 @@ def atiyah_tensor(a: int, b: int) -> AtiyahElement:
     """
     if a < 1 or b < 1:
         raise LatticeError("indecomposable indices must be >= 1")
-    return AtiyahElement(tuple((a + b - 1 - 2 * j, 1) for j in range(min(a, b))))
+    return AtiyahElement(tuple((idx, 1) for idx in _clebsch_gordan(a, b)))
 
 
 def mirror_cy1(u: GradedVector) -> CycleClass1:

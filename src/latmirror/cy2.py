@@ -36,7 +36,7 @@ are ``NamedTuple``s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -68,23 +68,33 @@ H_GRAM = ((-2, 1), (1, 0))
 
 @dataclass(frozen=True)
 class K3Descriptor:
-    """A K3 Picard lattice plus optional root and fibration metadata."""
+    """A K3 Picard lattice plus optional root and fibration metadata.
+
+    ``root_axes`` holds, for each declared root, the pair (root, Gram
+    applied to the root), built and square-checked here once; a walk on
+    the descriptor's own roots reads it instead of checking them again.
+    """
 
     ring: RingDescriptor
     label: str = "k3"
     roots: tuple = ()
     singular_fibres: int | None = None
+    root_axes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ring.dim != 2:
             raise ShapeError("K3Descriptor needs a dim-2 ring")
         roots = _int_array(self.roots, 2, "roots must be a sequence of divisor coordinate vectors")
+        axes = []
         for r in roots:
             if len(r) != self.ring.picard_rank:
                 raise ShapeError("divisor coordinates must match picard_rank")
-            if pair_form(self.ring.gram, r, r) != -2:
+            gram_r = tuple(apply_form(self.ring.gram, r))
+            if sum(map(mul, r, gram_r)) != -2:
                 raise LatticeError(f"declared root {r} has square != -2")
+            axes.append((r, gram_r))
         object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "root_axes", tuple(axes))
         if self.singular_fibres is not None:
             count = _as_int(self.singular_fibres)
             if count != EULER_K3:
@@ -256,6 +266,24 @@ def _minus2_axes(roots: Sequence[Sequence], X: K3Descriptor) -> list:
     return axes
 
 
+_INT = frozenset({int})
+
+
+def _walk_axes(roots: Sequence[Sequence], X: K3Descriptor) -> Sequence:
+    """``X.root_axes`` when ``roots`` equal ``X.roots`` as tuples of ints, else
+    :func:`_minus2_axes` of the foreign roots."""
+    if type(roots) is tuple:
+        # the types before the values: an entry that only compares equal to
+        # an int (a float, a bool) is foreign input, refused by _minus2_axes
+        for r in roots:
+            if type(r) is not tuple or set(map(type, r)) - _INT:
+                break
+        else:
+            if roots == X.roots:
+                return X.root_axes
+    return _minus2_axes(roots, X)
+
+
 def reflect_minus2(x: Sequence, delta: Sequence, X: K3Descriptor) -> tuple:
     """Reflection x + (x.delta) delta in a sphere class of square -2."""
     ((delta, _),) = _minus2_axes([delta], X)
@@ -275,16 +303,18 @@ MAX_WALK_STEPS = 64
 def walk_batch(points: Sequence[Sequence], roots: Sequence[Sequence], X: K3Descriptor) -> list:
     """:func:`walk_to_chamber` for each of several classes.
 
-    Every root's square is checked once, up front, and the Gram matrix is
-    applied to every root once, so a point pairs with a root as a dot
-    product.  Each point then walks on its own: it reflects in its first
-    root with a negative pairing until it has none.  The first point that
-    still has one after ``MAX_WALK_STEPS`` reflections raises a
+    Each root comes with the Gram matrix applied to it, so a point pairs
+    with a root as a dot product.  On the descriptor's own roots these
+    pairs are ``X.root_axes``, checked when ``X`` was built; foreign roots
+    are checked to have square -2 and Gram-applied once per call.  Each
+    point then walks on its own: it reflects in its first root with a
+    negative pairing until it has none.  The first point that still has
+    one after ``MAX_WALK_STEPS`` reflections raises a
     :class:`LatticeError` that names its starting class.
 
     Returns one pair (end point, indices of the applied roots) per point.
     """
-    axes = _minus2_axes(roots, X)
+    axes = _walk_axes(roots, X)
     walks = []
     for start in X.ring._divisors(points):
         x, applied = start, []

@@ -84,10 +84,13 @@ def line_bundle_ch(L: Sequence, X: CY3Descriptor) -> GradedVector:
 def chi_bundle3(ch: GradedVector, X: CY3Descriptor) -> Fraction:
     """Holomorphic Euler characteristic: top block of ch * td.
 
-    Non-integral output is legal input-wise but cannot come from a bundle,
-    so it is flagged with :class:`NonIntegralEulerWarning`.
+    Read as the last numerator of :func:`core.todd_multiply` over its
+    denominator, without building the other blocks.  Non-integral output
+    is legal input-wise but cannot come from a bundle, so it is flagged
+    with :class:`NonIntegralEulerWarning`.
     """
-    val = todd_multiply(ch, X.ring, "td").blocks[3]
+    w = todd_multiply(ch, X.ring, "td")
+    val = Fraction(w.nums[-1], w.den)
     if val.denominator != 1:
         warnings.warn(
             f"chi = {val} is not an integer; input is not a bundle class",

@@ -103,6 +103,15 @@ def check_object(
     return value
 
 
+def _label(payload: dict, default: str, source) -> str:
+    """The fixture's ``label``, or ``default`` when it has none; suites look
+    fixtures up by it, so anything but a string is refused."""
+    label = payload.get("label", default)
+    if not isinstance(label, str):
+        raise FixtureError(f"{source}: label must be a string, got {type(label).__name__}")
+    return label
+
+
 def _load_k3(payload: dict, source: str) -> K3Descriptor:
     singular = None
     fibration = payload.get("fibration")
@@ -114,7 +123,7 @@ def _load_k3(payload: dict, source: str) -> K3Descriptor:
     gram = _int_array(payload["gram"], 2, "Gram matrix must be square")
     return K3Descriptor(
         ring=RingDescriptor(dim=2, picard_rank=len(gram), gram=gram),
-        label=str(payload.get("label", "k3")),
+        label=_label(payload, "k3", source),
         roots=payload.get("roots", ()),
         singular_fibres=singular,
     )
@@ -138,7 +147,7 @@ def fixture_from_payload(payload, path: Path):
             check_object(payload, f"{path}: threefold fixture", *keys)
             rank, cubic, c2 = (payload[key] for key in keys[0])
             ring = RingDescriptor(dim=3, picard_rank=rank, cubic=cubic, c2=c2)
-            return CY3Descriptor(ring=ring, label=str(payload.get("label", "cy3")))
+            return CY3Descriptor(ring=ring, label=_label(payload, "cy3", path))
     except LatticeError as exc:
         raise FixtureError(f"{path}: {exc}") from exc
     raise FixtureError(f"{path}: neither a K3 fixture (gram) nor a threefold (cubic)")
