@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,8 @@ from latmirror import (
     resolve_fixture,
     run_verify,
 )
-from latmirror.cli import main
+from latmirror.cli import _fmt_blocks, _parse_blocks, main
+from latmirror.core import LatticeError, format_rational, parse_rational
 from latmirror.fixtures import fixture_from_payload
 from latmirror.suites import SUITES
 
@@ -580,6 +582,17 @@ def test_cli_non_finite_tau_exits_2(capsys, argv):
         # fibration declaring no count: was loaded as if it had no fibration
         ({"label": "k", "gram": [[4]], "fibration": {"singular_fibres": None}},
          ("cy2", "mukai", "--ch", "1:0:0")),
+        # a JSON object where a list belongs: its keys were read as the entries,
+        # so these loaded as c2 = (50,), the Gram matrix [[4]] and the root (1, 0)
+        ({"label": "q", "picard_rank": 1, "cubic": [5], "c2": {"50": 0}},
+         ("cy3", "chi", "--bundle", "1:1:0:0")),
+        ({"label": "k", "gram": [{"4": 0}]}, ("cy2", "mukai", "--ch", "1:0:0")),
+        ({"label": "k", "gram": [[-2, 1], [1, 0]], "roots": [{"1": 0, "0": 1}]},
+         ("cy2", "mukai", "--ch", "1:0,0:0")),
+        # a label that is not a string: was loaded under its str()
+        ({"label": ["x"], "gram": [[4]]}, ("cy2", "mukai", "--ch", "1:0:0")),
+        ({"label": 5, "picard_rank": 1, "cubic": [5], "c2": [50]},
+         ("cy3", "chi", "--bundle", "1:1:0:0")),
         # infinite picard_rank was an uncaught OverflowError; 1.9 and true loaded as 1
         *(
             ({"label": "q", "picard_rank": rank, "cubic": [5], "c2": [50]},
@@ -597,6 +610,25 @@ def test_cli_malformed_fixture_exits_2(capsys, tmp_path, payload, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"label": 5, "gram": [[4]]},
+        {"label": None, "gram": [[4]]},
+        {"label": ["x"], "picard_rank": 1, "cubic": [5], "c2": [50]},
+    ],
+)
+def test_fixture_label_must_be_a_string(tmp_path, payload):
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FixtureError) as err:
+        load_fixture(str(path))
+    assert str(err.value).startswith(f"{path}: label must be a string, got ")
+    del payload["label"]
+    path.write_text(json.dumps(payload))
+    assert load_fixture(str(path)).label in ("k3", "cy3")
 
 
 DEEP = "[" * 100000 + "]" * 100000
@@ -768,3 +800,78 @@ def test_manifest_payload_parses_or_raises_manifest_error(fuzz_dir, payload):
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             assert main(["verify", "--manifest", str(path)]) == 2
         assert len(err.getvalue().splitlines()) == 1
+
+
+# ---------------------------------------------------- CLI syntax fuzz ----
+
+# one command per dimension that reads a graded vector from its flag
+BLOCK_COMMANDS = {
+    1: ("cy1", "mirror", "--vector={}"),
+    2: ("cy2", "mukai", "--fixture", "k3_reflective", "--ch={}"),
+    3: ("cy3", "chi", "--fixture", "bicubic", "--bundle={}"),
+}
+
+
+# "p" or "p/q": p signed or not, q from 1 to 999, or 0 once in ten
+RATIONAL_TEXT = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "+", "-"]),
+    st.integers(0, 999),
+    st.just("") | st.integers(0, 9).flatmap(
+        lambda tenth: st.just("/0") if tenth == 9 else st.integers(1, 999).map("/{}".format)
+    ),
+)
+
+
+@st.composite
+def block_texts(draw):
+    """(dim, text), each malformation about once in ten: any characters in
+    place of the whole text or of a coordinate, another number of blocks,
+    another arity of a middle block."""
+    def once_in_ten():
+        return draw(st.integers(0, 9)) == 9
+
+    dim = draw(st.sampled_from(sorted(BLOCK_COMMANDS)))
+    if once_in_ten():
+        return dim, draw(st.text(max_size=8))
+    n_blocks = draw(st.integers(1, 5)) if once_in_ten() else dim + 1
+    arity = draw(st.integers(1, 3))
+    blocks = []
+    for i in range(n_blocks):
+        size = 1 if i in (0, n_blocks - 1) else arity
+        if once_in_ten():
+            size = draw(st.integers(1, 3))
+        coordinates = [
+            draw(st.text(max_size=3) if once_in_ten() else RATIONAL_TEXT) for _ in range(size)
+        ]
+        blocks.append(",".join(coordinates))
+    return dim, ":".join(blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=block_texts())
+def test_block_syntax_loads_or_exits_2_on_one_line(case):
+    dim, text = case
+    try:
+        vector = _parse_blocks(text, dim)
+    except LatticeError:
+        vector = None
+    else:
+        assert _parse_blocks(_fmt_blocks(vector), dim) == vector
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([arg.format(text) for arg in BLOCK_COMMANDS[dim]])
+    # a vector that loads may still be refused by the command (a rational
+    # mirror_cy1 input, an arity other than the fixture's Picard rank)
+    assert code == 2 if vector is None else code in (0, 2)
+    assert len(err.getvalue().splitlines()) <= 1
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.fractions())
+def test_rational_text_round_trips(q):
+    text = format_rational(q)
+    assert parse_rational(text) == q and type(parse_rational(text)) is Fraction
+    assert parse_rational(f" {text} ") == q

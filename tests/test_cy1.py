@@ -172,6 +172,25 @@ def test_atiyah_ring_laws():
         assert (A * B) * C == A * (B * C), (a, b, c)
 
 
+def test_atiyah_product_of_formal_sums_agrees_with_the_character_oracle():
+    # a product of formal sums is the sum over pairs of terms of the
+    # characters' decomposition, scaled by both multiplicities
+    rng = random.Random(43)
+    for _ in range(200):
+        sums = [
+            {rng.randint(1, 8): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 3))}
+            for _ in range(2)
+        ]
+        want: dict = {}
+        for ia, ma in sums[0].items():
+            for ib, mb in sums[1].items():
+                for idx, mult in tensor_decompose_oracle(ia, ib):
+                    want[idx] = want.get(idx, 0) + ma * mb * mult
+        got = AtiyahElement.from_dict(sums[0]) * AtiyahElement.from_dict(sums[1])
+        assert got.as_dict() == {idx: m for idx, m in want.items() if m}, sums
+        assert list(got.terms) == sorted(got.terms)
+
+
 def test_atiyah_oracle_agrees_with_symmetric_power_recursion():
     # cross-check the oracle itself: chi_a * chi_b expanded two ways
     for a in range(1, 9):

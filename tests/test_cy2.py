@@ -32,6 +32,7 @@ from latmirror import (
     verify_quantization_k3,
     walk_to_chamber,
 )
+from latmirror import cy2
 from latmirror.cy2 import walk_batch
 
 QUARTIC = K3Descriptor(ring=RingDescriptor(dim=2, picard_rank=1, gram=((4,),)))
@@ -362,6 +363,53 @@ def test_batched_walk_names_the_first_sample_to_reach_the_cap(k3_reflective):
         walk_batch(xs, ((0, 1, 0), (1, 0, 0)), X)
     with pytest.raises(ShapeError, match="divisor coordinates must match picard_rank"):
         walk_batch([(1, 2, 3), (1, 2)], X.roots, X)
+
+
+def test_walk_on_the_descriptors_own_roots_skips_the_root_set_up(
+    monkeypatch, k3_reflective, k3_elliptic
+):
+    checked = []
+    original = cy2._minus2_axes
+
+    def counting(roots, X):
+        checked.append(roots)
+        return original(roots, X)
+
+    monkeypatch.setattr(cy2, "_minus2_axes", counting)
+    rng = random.Random(61)
+    for X in (k3_reflective, k3_elliptic):
+        k = X.ring.picard_rank
+        xs = [tuple(rng.randint(-20, 20) for _ in range(k)) for _ in range(200)]
+        own = X.roots
+        equal = tuple(tuple(r) for r in own)
+        as_lists = [list(r) for r in own]
+        foreign = [list(r) for r in own[::-1]]
+        for roots, reads_own in ((own, True), (equal, True), (as_lists, False), (foreign, False)):
+            checked.clear()
+            want = [walk_to_chamber_scalar(X.ring.gram, roots, x) for x in xs]
+            got = walk_batch(xs, roots, X)
+            assert [(end, len(applied), applied) for end, applied in got] == want
+            for x, (end, steps, applied) in zip(xs[:40], want):
+                res = walk_to_chamber(x, roots, X)
+                assert res == (tuple(map(Fraction, end)), steps, applied)
+            assert (checked == []) is reads_own, roots
+        assert any(steps for _, steps, _ in want)
+
+
+def test_walk_checks_every_root_it_was_not_built_with(k3_reflective):
+    X = k3_reflective
+    square = "^reflection axis must have square -2$"
+    for roots in ([[1, 0, 0]], X.roots + ((1, 0, 0),), [list(X.roots[0]), [0, 1, 1]]):
+        with pytest.raises(LatticeError, match=square):
+            walk_batch([(1, 2, 3)], roots, X)
+        with pytest.raises(LatticeError, match=square):
+            walk_to_chamber((1, 2, 3), roots, X)
+    # equal in value to the declared roots, but not integers: refused as before
+    for bad in (0.0, False):
+        roots = ((bad, 1, 0), (0, 0, 1))
+        assert roots == X.roots
+        with pytest.raises(LatticeError, match="^(float|booleans)"):
+            walk_to_chamber((1, 2, 3), roots, X)
 
 
 # ------------------------------------------------------ main condition ----

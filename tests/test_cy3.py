@@ -124,6 +124,35 @@ def test_chi_nonintegral_warns(quintic):
         chi_bundle3(line_bundle_ch((2,), quintic), quintic)  # integral: no warning
 
 
+def test_chi_is_the_top_block_of_the_todd_product(quintic, bicubic):
+    rng = random.Random(71)
+    halves = [Fraction(n, 2) for n in range(-4, 5)]
+    sixths = [Fraction(n, 6) for n in range(-7, 8)]
+    integral = set()
+    for X in (quintic, bicubic, p1x4()):
+        k = X.ring.picard_rank
+        for _ in range(150):
+            ch = GradedVector(
+                3,
+                (
+                    rng.randint(-3, 3),
+                    tuple(rng.randint(-4, 4) for _ in range(k)),
+                    tuple(rng.choice(halves) for _ in range(k)),
+                    rng.choice(sixths),
+                ),
+            )
+            want = todd_multiply(ch, X.ring, "td").blocks[3]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = chi_bundle3(ch, X)
+            assert (got, type(got)) == (want, Fraction), (X.label, ch)
+            assert [w.category for w in caught] == [NonIntegralEulerWarning] * (
+                want.denominator != 1
+            )
+            integral.add(want.denominator == 1)
+    assert integral == {True, False}
+
+
 # ------------------------------------------------------------ pairing -----
 
 def test_euler_pairing3_example(quintic):
