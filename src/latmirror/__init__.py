@@ -50,11 +50,9 @@ from .cy2 import (
     GftClassK3,
     K3Descriptor,
     MirrorClassK3,
-    bs_count_k3,
     check_main_condition,
     euler_pairing2,
     gft_class_k3,
-    h0_k3,
     mirror_k3,
     mirror_pairing_k3,
     moduli_dim2,
@@ -76,7 +74,6 @@ from .cy3 import (
     mirror_cy3,
     mirror_isometry_check3,
     mirror_pairing3,
-    vdim3,
 )
 from .fixtures import (
     FixtureError,

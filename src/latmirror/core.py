@@ -213,10 +213,6 @@ class GradedVector:
         return f"GradedVector(dim={self.dim!r}, blocks={self.blocks!r})"
 
     @classmethod
-    def zero(cls, dim: int, picard_rank: int) -> "GradedVector":
-        return cls._of_numerators(dim, [0] * (2 + (dim - 1) * picard_rank))
-
-    @classmethod
     def unit(cls, dim: int, picard_rank: int) -> "GradedVector":
         return cls._of_numerators(dim, [1] + [0] * (1 + (dim - 1) * picard_rank))
 
@@ -259,10 +255,6 @@ class GradedVector:
         blocks = [b if isinstance(b, str) else list(b) for b in blocks_of(self.dim, text)]
         return {"dim": self.dim, "blocks": blocks}
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "GradedVector":
-        return cls(_as_int(payload["dim"]), tuple(payload["blocks"]))
-
 
 def _check_symmetric(matrix, noun: str = "Gram matrix") -> None:
     k = len(matrix)
@@ -284,12 +276,13 @@ class RingDescriptor:
            block; its diagonal must be even (the lattice of an algebraic
            surface with vanishing odd Chern data is even).
     dim 3: ``cubic`` is the totally symmetric triple-intersection tensor
-           D[a][b][c] on divisors and ``c2`` the integer vector of
+           D[a][b][c] on divisors, given as the flat row-major list of its
+           k^3 entries, and ``c2`` the integer vector of
            second-Chern-class pairings against the divisor basis.
 
-    The stored ``gram``, ``cubic`` and ``c2`` are tuples of Python ints,
-    checked for shape and symmetry here: every pairing and product runs on
-    them.
+    The stored ``gram``, ``cubic`` (nested) and ``c2`` are tuples of Python
+    ints, checked for shape and symmetry here: every pairing and product
+    runs on them.
     """
 
     dim: int
@@ -334,25 +327,13 @@ class RingDescriptor:
             raise ShapeError("dim-3 ring needs cubic and c2 data")
         if self.gram is not None:
             raise ShapeError("dim-3 rings carry no Gram matrix")
-        cubic, shape = self.cubic, "cubic tensor must be picard_rank^3"
-        if isinstance(cubic, (tuple, list)) and cubic and not isinstance(cubic[0], (tuple, list)):
-            # flattened row-major (a, b, c) form, as in fixture files
-            if len(cubic) != k ** 3:
-                raise ShapeError("flattened cubic must have picard_rank^3 entries")
-            flat = _int_array(cubic, 1, shape)
-            cubic = tuple(
-                tuple(
-                    tuple(flat[(a * k + b) * k + c] for c in range(k))
-                    for b in range(k)
-                )
-                for a in range(k)
-            )
-        else:
-            cubic = _int_array(cubic, 3, shape)
-        if len(cubic) != k or any(
-            len(plane) != k or any(len(row) != k for row in plane) for plane in cubic
-        ):
+        shape = "cubic tensor must be picard_rank^3"
+        flat = _int_array(self.cubic, 1, shape)
+        if len(flat) != k ** 3:
             raise ShapeError(shape)
+        # row-major: D[a][b] is the run of k entries from (a k + b) k
+        rows = [flat[i:i + k] for i in range(0, k ** 3, k)]
+        cubic = tuple(tuple(rows[a * k:(a + 1) * k]) for a in range(k))
         for a in range(k):
             for b in range(k):
                 for c in range(k):

@@ -96,11 +96,12 @@ def _coordinates(c: CycleClass1) -> tuple[int, int]:
 
 
 def intersection_count(a: CycleClass1, b: CycleClass1) -> int:
-    """Geometric intersection number |d1*r2 - d2*r1| of two cycle classes."""
-    (r1, d1), (r2, d2) = _coordinates(a), _coordinates(b)
-    if (r1, d1) == (0, 0) or (r2, d2) == (0, 0):
+    """Geometric intersection number |d1*r2 - d2*r1|: the size of :func:`cycle_pairing`."""
+    n = cycle_pairing(a, b)
+    # a zero class pairs to 0 with every class
+    if n == 0 and (0, 0) in (_coordinates(a), _coordinates(b)):
         raise LatticeError("intersection count needs nonzero classes")
-    return abs(d1 * r2 - d2 * r1)
+    return abs(n)
 
 
 def cycle_pairing(a: CycleClass1, b: CycleClass1) -> int:
@@ -173,12 +174,6 @@ class AtiyahElement:
     def dimension(self) -> int:
         # rank of the underlying bundle: rank F_r = r
         return sum(idx * mult for idx, mult in self.terms)
-
-    def __add__(self, other: "AtiyahElement") -> "AtiyahElement":
-        out = self.as_dict()
-        for idx, mult in other.terms:
-            out[idx] = out.get(idx, 0) + mult
-        return AtiyahElement.from_dict(out)
 
     def __mul__(self, other: "AtiyahElement") -> "AtiyahElement":
         out: dict = {}

@@ -15,9 +15,9 @@ the image carry an imaginary-unit marker that is bookkeeping, never a
 number.  The fibrewise Fourier transform of L projects to
 [s0] - L^2/2 [e'] plus a transcendental summand that pairs to zero with
 everything algebraic; its support slope is -L^2/2.  Level counting is the
-content of the quantization check: h^0(L) = L^2/2 + 2 sections against
-(-[s0]) . ([s0] - L^2/2 [e']) = 2 + L^2/2 marked fibres, computed from two
-independent expansions.
+content of :func:`verify_quantization_k3`: h^0(L) = L^2/2 + 2 sections
+against (-[s0]) . ([s0] - L^2/2 [e']) = 2 + L^2/2 marked fibres, the
+latter through :func:`core.pair_form` on ``H_GRAM``, as the mirror pairs.
 
 Spheres of square -2 act on the Picard block by x -> x + (x.delta) delta;
 the bounded chamber walk repeatedly applies reflections until a target
@@ -46,7 +46,6 @@ from .core import (
     LatticeError,
     RingDescriptor,
     ShapeError,
-    ToddData,
     _as_int,
     _check_symmetric,
     _int_array,
@@ -104,10 +103,6 @@ class K3Descriptor:
                 )
             object.__setattr__(self, "singular_fibres", count)
 
-    @property
-    def todd(self) -> ToddData:
-        return self.ring.todd
-
 
 def mukai2(ch: GradedVector, X: K3Descriptor) -> GradedVector:
     """Mukai vector (rank, c1, ch2 + rank) of a Chern-data vector."""
@@ -159,13 +154,7 @@ def mirror_pairing_k3(a: MirrorClassK3, b: MirrorClassK3, X: K3Descriptor) -> in
     k = X.ring.picard_rank
     if len(a.pic) != k or len(b.pic) != k:
         raise ShapeError("divisor coordinates must match picard_rank")
-    h = (
-        a.s * b.s * H_GRAM[0][0]
-        + a.s * b.e * H_GRAM[0][1]
-        + a.e * b.s * H_GRAM[1][0]
-        + a.e * b.e * H_GRAM[1][1]
-    )
-    return h + pair_form(X.ring.gram, a.pic, b.pic)
+    return pair_form(H_GRAM, (a.s, a.e), (b.s, b.e)) + pair_form(X.ring.gram, a.pic, b.pic)
 
 
 class GftClassK3(NamedTuple):
@@ -209,24 +198,13 @@ def _sections(l2: int) -> int:
 
 
 def _marked_fibres(l2: int) -> int:
-    v1 = (-1, 0)            # -[s0]
-    v2 = (1, -(l2 // 2))    # [s0] - L^2/2 [e']
-    return sum(v1[i] * H_GRAM[i][j] * v2[j] for i in range(2) for j in range(2))
-
-
-def h0_k3(L: Sequence, X: K3Descriptor) -> int:
-    """Section count L^2/2 + 2 from Riemann-Roch with vanishing."""
-    return _sections(_counting_square(L, X))
-
-
-def bs_count_k3(L: Sequence, X: K3Descriptor) -> int:
     """Marked-fibre count (-[s0]) . ([s0] - L^2/2 [e']).
 
     Expanded through the hyperbolic Gram block, not through Riemann-Roch,
     so the quantization identity is a genuine cross-check.  The reversed
     section orientation makes the count positive.
     """
-    return _marked_fibres(_counting_square(L, X))
+    return pair_form(H_GRAM, (-1, 0), (1, -(l2 // 2)))
 
 
 class QuantizationReportK3(NamedTuple):
@@ -238,7 +216,7 @@ class QuantizationReportK3(NamedTuple):
 
 
 def verify_quantization_k3(L: Sequence, X: K3Descriptor) -> QuantizationReportK3:
-    """Compare section count and marked-fibre count for one class."""
+    """Compare h0 = L^2/2 + 2 (Riemann-Roch) with :func:`_marked_fibres` for one class."""
     l2 = _counting_square(L, X)
     h = _sections(l2)
     n = _marked_fibres(l2)

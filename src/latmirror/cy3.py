@@ -105,21 +105,6 @@ def euler_pairing3(ch1: GradedVector, ch2: GradedVector, X: CY3Descriptor) -> Fr
     return pair_exotic(ch1, ch2, X.ring)
 
 
-def vdim3(ch: GradedVector, X: CY3Descriptor) -> int:
-    """Virtual deformation dimension; identically 0 by skewness.
-
-    The self-pairing is recomputed and asserted: a nonzero value cannot
-    come from any input, only from a broken form implementation.
-    """
-    self_pair = euler_pairing3(ch, ch, X)
-    if self_pair != 0:
-        raise RuntimeError(
-            f"skew form returned nonzero self-pairing {self_pair}; "
-            "the pairing implementation is inconsistent"
-        )
-    return 0
-
-
 class MirrorClass3(NamedTuple):
     """Middle-cohomology class on the mirror: section, fibre, psi blocks."""
 
@@ -153,6 +138,8 @@ def mirror_pairing3(a: MirrorClass3, b: MirrorClass3) -> Fraction:
     orientation psi2 . psi1 = +1 (the sign that transports the Euler form
     without correction terms).
     """
+    if not len(a.psi1) == len(a.psi2) == len(b.psi1) == len(b.psi2):
+        raise ShapeError("psi blocks of both classes must have one length")
     dot12 = sum(x * y for x, y in zip(a.psi1, b.psi2))
     dot21 = sum(x * y for x, y in zip(a.psi2, b.psi1))
     return a.s0 * b.e - a.e * b.s0 - dot12 + dot21
@@ -186,13 +173,14 @@ def isometry_certificate3(X: CY3Descriptor) -> tuple:
     Both sides are bilinear in the flat coordinates of u and v, so
     agreement on the n^2 pairs (e_i, e_j) of :meth:`GradedVector.basis`
     proves the isometry for every pair of classes.  Returns the number of
-    pairs and the failures of :func:`core.isometry_failures`.
+    pairs and the failures of :func:`core.isometry_failures`, each giving
+    the two numbers of that function's report.
     """
     basis = GradedVector.basis(3, X.ring.picard_rank)
     images = [mirror_cy3(todd_multiply(e, X.ring, "td"), X) for e in basis]
     # the skew form is bilinear: pair the images times one common
     # denominator d, in integers, and divide by d^2; pairing the Fraction
-    # images instead costs about 2 ms more in a fresh `latmirror verify`
+    # images instead about doubles the suite's time in a fresh verify
     d = lcm(*(x.denominator for m in images for x in (m.s0, m.e, *m.psi1, *m.psi2)))
     scaled = [
         MirrorClass3(

@@ -9,7 +9,7 @@ A K3 fixture looks like
 and a threefold fixture like
 
     {"label": "...", "picard_rank": k,
-     "cubic": [k^3 ints, row-major],
+     "cubic": [k^3 ints, row-major],         the one form of the cubic
      "c2": [k ints]}.
 
 Files are resolved against an explicit base directory (for manifests),
@@ -153,15 +153,15 @@ def fixture_from_payload(payload, path: Path):
     raise FixtureError(f"{path}: neither a K3 fixture (gram) nor a threefold (cubic)")
 
 
-def load_k3_fixture(name: str, base: Path | None = None) -> K3Descriptor:
-    fx = load_fixture(name, base)
+def load_k3_fixture(name: str) -> K3Descriptor:
+    fx = load_fixture(name)
     if not isinstance(fx, K3Descriptor):
         raise FixtureError(f"{name} is not a K3 fixture")
     return fx
 
 
-def load_cy3_fixture(name: str, base: Path | None = None) -> CY3Descriptor:
-    fx = load_fixture(name, base)
+def load_cy3_fixture(name: str) -> CY3Descriptor:
+    fx = load_fixture(name)
     if not isinstance(fx, CY3Descriptor):
         raise FixtureError(f"{name} is not a threefold fixture")
     return fx

@@ -53,7 +53,6 @@ from . import cy1, cy2, cy3, numeric
 from .core import (
     GradedVector,
     RingDescriptor,
-    apply_form,
     isometry_failures,
     pair_exotic,
     pair_form,
@@ -247,8 +246,8 @@ def _run_k3_reflections(params, fixtures):
     n = params["samples"]
     draws = rng.choices(range(-9, 10), k=n * k)
     xs = [tuple(draws[i:i + k]) for i in range(0, n * k, k)]
-    # every end point against every root, the Gram matrix applied to each root once
-    gram_roots = [apply_form(X.ring.gram, d) for d in X.roots]
+    # every end point against every root, through the Gram-applied roots of the fixture
+    gram_roots = [gram_d for _, gram_d in X.root_axes]
     walk = [
         f"x={x} stopped outside the chamber"
         for x, (end, _) in zip(xs, cy2.walk_batch(xs, X.roots, X))

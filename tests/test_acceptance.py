@@ -25,14 +25,12 @@ from latmirror import (
     TorusModel,
     arc_curve,
     atiyah_tensor,
-    bs_count_k3,
     bs_points,
     chi_bundle3,
     cycle_pairing,
     euler_pairing3,
     find_bs_fibres,
     gft_class,
-    h0_k3,
     holonomy_character,
     intersection_count,
     line_bundle_ch,
@@ -43,6 +41,7 @@ from latmirror import (
     phase_map_curve,
     segment_curve,
     theta_basis_rank,
+    verify_quantization_k3,
     winding_number,
 )
 from latmirror.numeric import RANK_RTOL
@@ -111,8 +110,8 @@ def test_3_k3_counting_identity_even_range(announce):
     bad = []
     for l2 in range(0, 41, 2):
         X = rank1_k3(l2)
-        h0 = h0_k3((1,), X)
-        marked = bs_count_k3((1,), X)
+        rep = verify_quantization_k3((1,), X)
+        h0, marked = rep.h0, rep.bs_count
         # closed form frozen here: independent of both library expansions
         if not (h0 == marked == Fraction(l2, 2) + 2):
             bad.append((l2, h0, marked))

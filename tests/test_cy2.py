@@ -15,11 +15,9 @@ from latmirror import (
     LatticeError,
     RingDescriptor,
     ShapeError,
-    bs_count_k3,
     check_main_condition,
     euler_pairing2,
     gft_class_k3,
-    h0_k3,
     line_bundle_ch,
     mirror_k3,
     mirror_pairing_k3,
@@ -138,7 +136,7 @@ def test_mirror_k3_rejects_bad_input():
 
 
 @pytest.mark.parametrize(
-    "fn", [mirror_k3, gft_class_k3, h0_k3, bs_count_k3, verify_quantization_k3]
+    "fn", [mirror_k3, gft_class_k3, verify_quantization_k3]
 )
 def test_divisor_functions_check_the_picard_rank(fn, k3_elliptic):
     # a longer class must not pair on its first coordinates only, nor a
@@ -153,8 +151,7 @@ def test_divisor_functions_check_the_picard_rank(fn, k3_elliptic):
     [
         (mirror_k3, "k3_quartic"),
         (gft_class_k3, "k3_quartic"),
-        (h0_k3, "k3_quartic"),
-        (bs_count_k3, "k3_quartic"),
+        (verify_quantization_k3, "k3_quartic"),
         (line_bundle_ch, "quintic"),
     ],
 )
@@ -236,13 +233,9 @@ def test_gft_class_k3_rejects_nonpositive_or_odd():
 # ------------------------------------------------- section counting -------
 
 def test_h0_and_bs_examples():
-    assert h0_k3((1,), DEGREE2) == 3
-    assert bs_count_k3((1,), DEGREE2) == 3
-    assert h0_k3((1,), QUARTIC) == 4
-    assert bs_count_k3((1,), QUARTIC) == 4
-    X0 = rank1_k3(0)
-    assert h0_k3((1,), X0) == 2
-    assert bs_count_k3((1,), X0) == 2
+    for X, count in ((DEGREE2, 3), (QUARTIC, 4), (rank1_k3(0), 2)):
+        rep = verify_quantization_k3((1,), X)
+        assert (rep.h0, rep.bs_count) == (count, count)
 
 
 def test_theorem_sections_equal_marked_fibres():

@@ -14,6 +14,7 @@ from latmirror import (
     MirrorClass3,
     NonIntegralEulerWarning,
     RingDescriptor,
+    ShapeError,
     canonical_rank3_sublattice,
     chi_bundle3,
     cup,
@@ -25,7 +26,6 @@ from latmirror import (
     mirror_isometry_check3,
     mirror_pairing3,
     todd_data,
-    vdim3,
 )
 from latmirror import parse_manifest, run_verify
 from latmirror.cli import main
@@ -181,14 +181,6 @@ def test_euler_pairing3_additive(quintic):
         ) + euler_pairing3(u, w, quintic)
 
 
-def test_vdim3(quintic):
-    assert vdim3(O3, quintic) == 0
-    assert vdim3(line_bundle_ch((1,), quintic), quintic) == 0
-    rng = random.Random(71)
-    for _ in range(200):
-        assert vdim3(rand_ch(rng, 1), quintic) == 0
-
-
 # ------------------------------------------------------------- mirror -----
 
 def test_mirror_cy3_unit(quintic):
@@ -264,6 +256,14 @@ def test_mirror_pairing3_normalization(quintic):
     assert mirror_pairing3(p1, p2) == -1
     assert mirror_pairing3(p2, p1) == 1
     assert mirror_pairing3(p1, p1) == 0
+
+
+def test_mirror_pairing3_refuses_psi_blocks_of_different_lengths():
+    # zip paired (1, 2) with (5,) and dropped the 2, returning 10
+    a, b = MirrorClass3(1, 0, (1, 2), (3, 4)), MirrorClass3(0, 1, (5,), (6,))
+    for x, y in ((a, b), (b, a), (a, MirrorClass3(0, 1, (5, 6), (7,)))):
+        with pytest.raises(ShapeError, match="^psi blocks of both classes must have one length$"):
+            mirror_pairing3(x, y)
 
 
 # ---------------------------------------------------------- GFT corollary -

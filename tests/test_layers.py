@@ -121,6 +121,31 @@ def test_lazy_names_resolve_and_are_listed(capsys, monkeypatch):
     assert capsys.readouterr().err == "check failed: routes disagree\n"
 
 
+# the package's public surface; adding or dropping an exported name changes this list
+PUBLIC_NAMES = [
+    "AtiyahElement", "BundleClass1", "CY3Descriptor", "ConsistencyError", "CycleClass1",
+    "DEFAULT_MANIFEST", "EULER_K3", "FixtureError", "GftClassK3", "GradedVector", "H_GRAM",
+    "K3Descriptor", "LatticeError", "Manifest", "ManifestError", "MirrorClass3",
+    "MirrorClassK3", "NonIntegralEulerWarning", "ParamCurve", "Rank3Sublattice",
+    "RingDescriptor", "ShapeError", "Slope", "ToddData", "TorusModel", "arc_curve",
+    "atiyah_tensor", "bs_points", "canonical_rank3_sublattice", "check_main_condition",
+    "chi_bundle3", "cup", "cycle_pairing", "decompose_primitive", "euler_pairing2",
+    "euler_pairing3", "find_bs_fibres", "find_bs_fibres_batch", "format_rational",
+    "gft_class", "gft_class_k3", "gft_s0_intersection3", "holonomy_character",
+    "intersection_count", "line_bundle_ch", "load_cy3_fixture", "load_fixture",
+    "load_k3_fixture", "mirror_cy1", "mirror_cy3", "mirror_isometry_check3", "mirror_k3",
+    "mirror_pairing3", "mirror_pairing_k3", "moduli_dim2", "mukai2", "mukai_vector", "odot",
+    "pair_exotic", "pair_sym", "parse_manifest", "parse_rational", "phase_map_curve",
+    "reflect_minus2", "resolve_fixture", "run_verify", "segment_curve",
+    "special_coordinates", "star", "theta_basis_rank", "todd_data",
+    "verify_quantization_k3", "walk_to_chamber", "winding_number",
+]
+
+
+def test_public_names_are_pinned():
+    assert latmirror.__all__ == PUBLIC_NAMES
+
+
 def test_readme_library_example_runs():
     text = (ROOT / "README.md").read_text()
     section = text.split("## Library", 1)[1]
