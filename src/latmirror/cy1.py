@@ -132,8 +132,6 @@ def odot(a: CycleClass1, b: CycleClass1) -> CycleClass1:
 def decompose_primitive(c: CycleClass1) -> tuple[Slope, int]:
     """Write a nonzero cycle class as (primitive slope, multiplicity)."""
     r, d = _coordinates(c)
-    if (r, d) == (0, 0):
-        raise LatticeError("zero class has no primitive decomposition")
     return reduce_slope(r, d), gcd(abs(r), abs(d))
 
 

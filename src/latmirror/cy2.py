@@ -70,8 +70,9 @@ class K3Descriptor:
     """A K3 Picard lattice plus optional root and fibration metadata.
 
     ``root_axes`` holds, for each declared root, the pair (root, Gram
-    applied to the root), built and square-checked here once; a walk on
-    the descriptor's own roots reads it instead of checking them again.
+    applied to the root), built and square-checked here once by
+    :func:`_minus2_axes`, the one (-2)-root check; a walk on the
+    descriptor's own roots reads it instead of checking them again.
     """
 
     ring: RingDescriptor
@@ -84,16 +85,8 @@ class K3Descriptor:
         if self.ring.dim != 2:
             raise ShapeError("K3Descriptor needs a dim-2 ring")
         roots = _int_array(self.roots, 2, "roots must be a sequence of divisor coordinate vectors")
-        axes = []
-        for r in roots:
-            if len(r) != self.ring.picard_rank:
-                raise ShapeError("divisor coordinates must match picard_rank")
-            gram_r = tuple(apply_form(self.ring.gram, r))
-            if sum(map(mul, r, gram_r)) != -2:
-                raise LatticeError(f"declared root {r} has square != -2")
-            axes.append((r, gram_r))
         object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "root_axes", tuple(axes))
+        object.__setattr__(self, "root_axes", tuple(_minus2_axes(roots, self)))
         if self.singular_fibres is not None:
             count = _as_int(self.singular_fibres)
             if count != EULER_K3:

@@ -16,9 +16,12 @@ with [s0] the zero-section class, [e'] the fibre class and psi1/psi2 the
 transported divisor/curve blocks.  The middle-cohomology form is skew with
 [s0].[e'] = 1 and psi-blocks dual to each other; orientations are fixed so
 the transported pairing of Chern characters reproduces the Euler form
-exactly.  The span of the fundamental class, the second Chern class and
-the point class is closed under everything above and both restricted forms
-degenerate exactly along the second Chern class.
+exactly.  The image is stored as w itself: :class:`MirrorClass3` is the
+dim-3 graded vector w with its blocks named s0, psi1, psi2 and e, and
+:func:`mirror_pairing3` pairs two images on their numerators.  The span
+of the fundamental class, the second Chern class and the point class is
+closed under everything above and both restricted forms degenerate
+exactly along the second Chern class.
 
 Only flat fibrewise pairings are modeled.
 """
@@ -28,7 +31,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Sequence
 
 from .core import (
@@ -37,6 +39,8 @@ from .core import (
     RingDescriptor,
     ShapeError,
     ToddData,
+    _dot,
+    blocks_of,
     isometry_failures,
     pair_exotic,
     pair_form,
@@ -105,44 +109,62 @@ def euler_pairing3(ch1: GradedVector, ch2: GradedVector, X: CY3Descriptor) -> Fr
     return pair_exotic(ch1, ch2, X.ring)
 
 
-class MirrorClass3(NamedTuple):
-    """Middle-cohomology class on the mirror: section, fibre, psi blocks."""
+# frozen here too, so that no attribute can be set on the subclass either
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class MirrorClass3(GradedVector):
+    """Middle-cohomology class on the mirror: section, fibre, psi blocks.
 
-    s0: Fraction
-    e: Fraction
-    psi1: tuple
-    psi2: tuple
+    The dim-3 graded vector with blocks (s0, psi1, psi2, e), so storage,
+    reduction, equality, hashing and input checks are those of
+    :class:`GradedVector`; the four names read its ``blocks`` view.
+    """
+
+    def __init__(self, s0, e, psi1, psi2):
+        GradedVector.__init__(self, 3, (s0, psi1, psi2, e))
+
+    s0 = property(lambda self: self.blocks[0])
+    psi1 = property(lambda self: self.blocks[1])
+    psi2 = property(lambda self: self.blocks[2])
+    e = property(lambda self: self.blocks[3])
+
+    def __repr__(self):
+        return (
+            f"MirrorClass3(s0={self.s0!r}, e={self.e!r}, "
+            f"psi1={self.psi1!r}, psi2={self.psi2!r})"
+        )
 
 
 def mirror_cy3(u: GradedVector, X: CY3Descriptor) -> MirrorClass3:
-    """Mirror image of a Mukai-normalized class.
+    """Mirror image of a Mukai-normalized class: the preimage w = u *
+    sqrt(td)^{-1} itself, its blocks read as (s0, psi1, psi2, e).
 
-    The preimage w = u * sqrt(td)^{-1} must have integral rank and divisor
-    blocks (the lattice-level constraints); curve and top blocks may be
+    w must have integral rank and divisor blocks (the lattice-level
+    constraints), checked on its numerators; curve and top blocks may be
     rational, as honest Chern data is.
     """
     if u.dim != 3:
         raise ShapeError("mirror_cy3 needs a dim-3 graded vector")
-    s0, psi1, psi2, e = todd_multiply(u, X.ring, "sqrt_td_inv").blocks
-    if s0.denominator != 1:
-        raise LatticeError(f"preimage rank {s0} is not integral")
-    if any(x.denominator != 1 for x in psi1):
-        raise LatticeError(f"preimage divisor block {psi1} is not integral")
-    return MirrorClass3(s0=s0, e=e, psi1=psi1, psi2=psi2)
+    w = todd_multiply(u, X.ring, "sqrt_td_inv")
+    nums, den = w.nums, w.den
+    if nums[0] % den:
+        raise LatticeError(f"preimage rank {w.blocks[0]} is not integral")
+    if any(x % den for x in nums[1:X.ring.picard_rank + 1]):
+        raise LatticeError(f"preimage divisor block {w.blocks[1]} is not integral")
+    return MirrorClass3._of_numerators(3, nums, den)
 
 
 def mirror_pairing3(a: MirrorClass3, b: MirrorClass3) -> Fraction:
-    """Skew middle-cohomology pairing.
+    """Skew middle-cohomology pairing, on the numerators.
 
     [s0].[e'] = 1 and the psi blocks are dual to each other with the
     orientation psi2 . psi1 = +1 (the sign that transports the Euler form
     without correction terms).
     """
-    if not len(a.psi1) == len(a.psi2) == len(b.psi1) == len(b.psi2):
+    if len(a.nums) != len(b.nums):
         raise ShapeError("psi blocks of both classes must have one length")
-    dot12 = sum(x * y for x, y in zip(a.psi1, b.psi2))
-    dot21 = sum(x * y for x, y in zip(a.psi2, b.psi1))
-    return a.s0 * b.e - a.e * b.s0 - dot12 + dot21
+    a0, a1, a2, a3 = blocks_of(3, a.nums)
+    b0, b1, b2, b3 = blocks_of(3, b.nums)
+    return Fraction(a0 * b3 - a3 * b0 - _dot(a1, b2) + _dot(a2, b1), a.den * b.den)
 
 
 class IsometryReport3(NamedTuple):
@@ -172,30 +194,15 @@ def isometry_certificate3(X: CY3Descriptor) -> tuple:
 
     Both sides are bilinear in the flat coordinates of u and v, so
     agreement on the n^2 pairs (e_i, e_j) of :meth:`GradedVector.basis`
-    proves the isometry for every pair of classes.  Returns the number of
-    pairs and the failures of :func:`core.isometry_failures`, each giving
-    the two numbers of that function's report.
+    proves the isometry for every pair of classes.  Both pairings run on
+    the numerators of the classes.  Returns the number of pairs and the
+    failures of :func:`core.isometry_failures`, each giving the two
+    numbers of that function's report.
     """
     basis = GradedVector.basis(3, X.ring.picard_rank)
     images = [mirror_cy3(todd_multiply(e, X.ring, "td"), X) for e in basis]
-    # the skew form is bilinear: pair the images times one common
-    # denominator d, in integers, and divide by d^2; pairing the Fraction
-    # images instead about doubles the suite's time in a fresh verify
-    d = lcm(*(x.denominator for m in images for x in (m.s0, m.e, *m.psi1, *m.psi2)))
-    scaled = [
-        MirrorClass3(
-            s0=int(m.s0 * d),
-            e=int(m.e * d),
-            psi1=tuple(int(x * d) for x in m.psi1),
-            psi2=tuple(int(x * d) for x in m.psi2),
-        )
-        for m in images
-    ]
     failures = isometry_failures(
-        basis,
-        scaled,
-        lambda u, v: pair_exotic(u, v, X.ring),
-        lambda a, b: Fraction(mirror_pairing3(a, b), d * d),
+        basis, images, lambda u, v: pair_exotic(u, v, X.ring), mirror_pairing3
     )
     return len(basis) ** 2, failures
 

@@ -726,17 +726,39 @@ EXACT_COMMANDS = [
     ("cy3", "sublattice", "--fixture", "bicubic"),
 ]
 
+# commands whose text output (no --json) is pinned as well
+TEXT_COMMANDS = [
+    ("cy3", "mirror", "--vector", "1:0:25/12:0"),
+    ("cy3", "mirror", "--vector", "2:1,-1:3/2,-5/6:7/4", "--fixture", "bicubic"),
+    ("cy3", "mirror", "--vector", "1:1/2:0:0"),
+    ("cy3", "mirror", "--vector", "1/3:0:0:0"),
+    ("cy1", "intersect", "--a", "2,3", "--b", "-1,4"),
+    ("cy1", "gft", "--rank", "4", "--deg", "-6"),
+    ("cy1", "gft", "--rank", "1", "--deg", "3"),
+    ("cy1", "odot", "--a", "2,3", "--b", "1,-2"),
+    ("cy1", "decompose", "--cycle", "6,-4"),
+    ("cy1", "decompose", "--cycle", "0,-5"),
+    ("cy1", "decompose", "--cycle", "0,0"),
+    ("cy1", "atiyah", "--a", "3", "--b", "2"),
+    ("cy1", "bs", "--level", "3"),
+]
+
 
 def exact_cli_record() -> list:
-    """Exit code, stdout and stderr of every exact command, run with --json."""
+    """Exit code, stdout and stderr of every exact command: each of
+    EXACT_COMMANDS run with --json, then each of TEXT_COMMANDS as it is
+    (its entry marked ``"text": true``)."""
+    runs = [(argv, [*argv, "--json"], {}) for argv in EXACT_COMMANDS]
+    runs += [(argv, list(argv), {"text": True}) for argv in TEXT_COMMANDS]
     record = []
-    for argv in EXACT_COMMANDS:
+    for argv, args, mark in runs:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = main([*argv, "--json"])
-        record.append(
-            {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-        )
+            code = main(args)
+        record.append({
+            "argv": list(argv), **mark,
+            "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+        })
     return record
 
 

@@ -92,8 +92,21 @@ def test_decompose_examples():
     assert decompose_primitive(CycleClass1(2, 4)) == (Slope(1, 2), 2)
     assert decompose_primitive(CycleClass1(1, 9)) == (Slope(1, 9), 1)
     assert decompose_primitive(CycleClass1(6, 5)) == (Slope(6, 5), 1)
-    with pytest.raises(LatticeError):
+    # the unit classes next to zero decompose; the refusal is reduce_slope's
+    assert decompose_primitive(CycleClass1(1, 0)) == (Slope(1, 0), 1)
+    assert decompose_primitive(CycleClass1(0, -1)) == (Slope(0, 1), 1)
+    with pytest.raises(LatticeError, match="^zero class has no slope$"):
         decompose_primitive(CycleClass1(0, 0))
+
+
+def test_rank_zero_bundle_class_is_accepted():
+    assert gft_class(BundleClass1(0, 1)) == CycleClass1(0, 1)
+    with pytest.raises(LatticeError, match="^rank must be nonnegative$"):
+        BundleClass1(-1, 1)
+
+
+def test_atiyah_dimension_weights_each_index_by_its_multiplicity():
+    assert AtiyahElement.from_dict({2: 3, 5: -2}).dimension() == -4
 
 
 @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 12))

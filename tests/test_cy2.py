@@ -462,11 +462,12 @@ def test_roots_and_fibre_count_must_be_integers():
 
 
 def test_fixture_roots_validated():
-    with pytest.raises(LatticeError):
-        K3Descriptor(
-            ring=RingDescriptor(dim=2, picard_rank=1, gram=((4,),)),
-            roots=((1,),),
-        )
+    # the one (-2)-root check, with the text foreign roots get
+    ring = RingDescriptor(dim=2, picard_rank=1, gram=((4,),))
+    with pytest.raises(LatticeError, match="^reflection axis must have square -2$"):
+        K3Descriptor(ring=ring, roots=((1,),))
+    with pytest.raises(ShapeError, match="^divisor coordinates must match picard_rank$"):
+        K3Descriptor(ring=ring, roots=((1, 0),))
 
 
 def test_roots_of_the_wrong_nesting_are_shape_errors(k3_reflective):

@@ -261,9 +261,25 @@ def test_mirror_pairing3_normalization(quintic):
 def test_mirror_pairing3_refuses_psi_blocks_of_different_lengths():
     # zip paired (1, 2) with (5,) and dropped the 2, returning 10
     a, b = MirrorClass3(1, 0, (1, 2), (3, 4)), MirrorClass3(0, 1, (5,), (6,))
-    for x, y in ((a, b), (b, a), (a, MirrorClass3(0, 1, (5, 6), (7,)))):
+    for x, y in ((a, b), (b, a)):
         with pytest.raises(ShapeError, match="^psi blocks of both classes must have one length$"):
             mirror_pairing3(x, y)
+    # a class whose own psi blocks differ is refused when it is built
+    with pytest.raises(ShapeError, match="^intermediate blocks differ in arity$"):
+        MirrorClass3(0, 1, (5, 6), (7,))
+
+
+def test_mirror_class3_refuses_floats():
+    with pytest.raises(LatticeError):
+        MirrorClass3(1, 0, (0.5,), (0,))
+
+
+def test_mirror_cy3_builds_no_fraction_view(quintic, bicubic):
+    # the image is the preimage's numerators: its blocks are built on first read
+    for X, L in ((quintic, (2,)), (bicubic, (1, -3))):
+        m = mirror_cy3(line_bundle_ch(L, X), X)
+        assert "blocks" not in m.__dict__
+        assert m.psi1 == L and "blocks" in m.__dict__
 
 
 # ---------------------------------------------------------- GFT corollary -

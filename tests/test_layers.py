@@ -216,3 +216,49 @@ def test_only_validating_classes_are_dataclasses():
             (validating if methods & {"__post_init__", "__init__"} else plain).append(node.name)
     assert plain == []
     assert {"GradedVector", "AtiyahElement", "ParamCurve"} <= set(validating)
+
+
+def unused_imports(path: Path) -> list:
+    """``file:line name`` for each name the module imports and never uses.
+
+    A use is any ``Name`` node, the base of an attribute chain included, or
+    a name inside a string annotation (``-> "GradedVector"``).  Lines marked ``# noqa: F401`` are
+    skipped, as are ``from __future__`` imports.
+    """
+    source = path.read_text()
+    tree = ast.parse(source, str(path))
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__" or "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+    used, annotations = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+    for node in filter(None, annotations):
+        for text in ast.walk(node):
+            if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                parsed = ast.parse(text.value, mode="eval")
+                used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_src_modules_import_nothing_unused(tmp_path):
+    # __init__.py imports to re-export
+    modules = sorted(p for p in (SRC / "latmirror").glob("*.py") if p.name != "__init__.py")
+    assert [f for path in modules for f in unused_imports(path)] == []
+    # the check sees an unused import, and a marked one it skips
+    toy = tmp_path / "toy.py"
+    toy.write_text(
+        "from math import gcd, lcm\nimport os  # noqa: F401\nimport sys\n"
+        "def f(x: 'Fraction') -> int:\n    return gcd(x, sys.maxsize)\n"
+    )
+    assert unused_imports(toy) == ["toy.py:1 lcm"]

@@ -3,7 +3,9 @@
 Records that only carry values are ``NamedTuple``s.  Failure texts in
 reports and in the benchmark's fault messages embed their reprs, so the
 repr keeps the ``Name(field=value, ...)`` text, and ``Check.to_json``
-keeps its key order.
+keeps its key order.  ``MirrorClass3`` is the ``GradedVector`` the mirror
+map computes; it keeps the read-only fields, value equality, hash and
+repr of the record it was.
 """
 
 from fractions import Fraction
@@ -42,7 +44,6 @@ def _records(k3_reflective, quintic):
         "QuantizationReportK3": lambda: cy2.verify_quantization_k3((2, 1, 0), X),
         "WalkResult": lambda: cy2.walk_to_chamber((1, 3, 4), X.roots, X),
         "MainConditionReport": lambda: cy2.check_main_condition(((0, 1), (1, -2)), (1, 0), (0, 1)),
-        "MirrorClass3": lambda: mirror_cy3(line_bundle_ch((1,), Q), Q),
         "IsometryReport3": lambda: cy3.mirror_isometry_check3(u, v, Q),
         "SuiteSpec": lambda: manifest.SuiteSpec("cy1-atiyah", {"seed": 1}),
         "Manifest": lambda: manifest.Manifest("1", ("a",), (), Path("x"), ()),
@@ -62,10 +63,6 @@ LITERAL_REPRS = {
         "WalkResult(vector=(Fraction(1, 1), Fraction(-2, 1), Fraction(-4, 1)), "
         "steps=2, applied=(0, 1))"
     ),
-    "MirrorClass3": (
-        "MirrorClass3(s0=Fraction(1, 1), e=Fraction(-5, 4), psi1=(Fraction(1, 1),), "
-        "psi2=(Fraction(5, 12),))"
-    ),
     "QuantizationReportK3": (
         "QuantizationReportK3(label='k3-reflective', l2=2, h0=3, bs_count=3, ok=True)"
     ),
@@ -73,9 +70,9 @@ LITERAL_REPRS = {
 }
 
 
-def test_fifteen_records_are_read_only_values(k3_reflective, quintic):
+def test_fourteen_records_are_read_only_values(k3_reflective, quintic):
     records = _records(k3_reflective, quintic)
-    assert len(records) == 15
+    assert len(records) == 14
     for name, make in records.items():
         a, b = make(), make()
         assert type(a).__name__ == name
@@ -90,6 +87,23 @@ def test_fifteen_records_are_read_only_values(k3_reflective, quintic):
         assert repr(a) == f"{name}({fields})"
         if name in LITERAL_REPRS:
             assert repr(a) == LITERAL_REPRS[name]
+
+
+def test_mirror_class3_is_a_read_only_value(quintic):
+    a, b = (mirror_cy3(line_bundle_ch((1,), quintic), quintic) for _ in range(2))
+    assert isinstance(a, GradedVector) and a.dim == 3
+    assert a == b and hash(a) == hash(b)
+    assert a == cy3.MirrorClass3(1, Fraction(-5, 4), (1,), (Fraction(5, 12),))
+    assert a != cy3.MirrorClass3(1, Fraction(-5, 4), (1,), (0,))
+    assert (a.s0, a.e, a.psi1, a.psi2) == (1, Fraction(-5, 4), (1,), (Fraction(5, 12),))
+    for attr in ("s0", "e", "psi1", "psi2", "nums", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, None)
+    # suite failure texts print it with str
+    assert repr(a) == str(a) == (
+        "MirrorClass3(s0=Fraction(1, 1), e=Fraction(-5, 4), psi1=(Fraction(1, 1),), "
+        "psi2=(Fraction(5, 12),))"
+    )
 
 
 def test_record_properties_and_json_keep_their_shape():
