@@ -65,6 +65,12 @@ def _fmt_blocks(vec: GradedVector) -> str:
 
 # ------------------------------------------------------------ handlers ----
 
+def _cycle_text(c: cy1.CycleClass1) -> str:
+    """``[a*s0 + b*e']``, with a negative fibre coefficient as ``- |b|*e'``."""
+    sign = "-" if c.e < 0 else "+"
+    return f"[{c.s0}*s0 {sign} {abs(c.e)}*e']"
+
+
 def _h_cy1_intersect(args):
     a = cy1.CycleClass1(*_parse_int_pair(args.a))
     b = cy1.CycleClass1(*_parse_int_pair(args.b))
@@ -78,7 +84,7 @@ def _h_cy1_gft(args):
     return (
         0,
         {"class": [c.s0, c.e], "slope": str(slope), "multiplicity": mult},
-        f"[{c.s0}*s0 + {c.e}*e'], slope {slope}, multiplicity {mult}",
+        f"{_cycle_text(c)}, slope {slope}, multiplicity {mult}",
     )
 
 
@@ -86,7 +92,7 @@ def _h_cy1_odot(args):
     a = cy1.CycleClass1(*_parse_int_pair(args.a))
     b = cy1.CycleClass1(*_parse_int_pair(args.b))
     c = cy1.odot(a, b)
-    return 0, {"product": [c.s0, c.e]}, f"[{c.s0}*s0 + {c.e}*e']"
+    return 0, {"product": [c.s0, c.e]}, _cycle_text(c)
 
 
 def _h_cy1_decompose(args):
@@ -120,7 +126,7 @@ def _h_cy1_bs(args):
 def _h_cy1_mirror(args):
     u = _parse_blocks(args.vector, 1)
     c = cy1.mirror_cy1(u)
-    return 0, {"class": [c.s0, c.e]}, f"[{c.s0}*s0 + {c.e}*e']"
+    return 0, {"class": [c.s0, c.e]}, _cycle_text(c)
 
 
 def _h_cy2_rr(args):

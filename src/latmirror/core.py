@@ -35,10 +35,12 @@ sqrt(td) or sqrt(td)^-1.
 The two pairings and the three Todd products are written out in closed
 form, one branch per dimension, on the numerators of the flat
 coordinates; ``cup`` stays the general product and their definition.
-Every contraction goes through the Picard Gram matrix or a slice
-``cubic[d]`` of the cubic tensor, which the descriptor stores as tuples of
-Python ints, by :func:`apply_form` and :func:`pair_form` (no overflow, no
-floats).
+Every contraction runs on Python ints (no overflow, no floats): the
+Picard Gram matrix through :func:`apply_form` and :func:`pair_form`, and
+the cubic tensor as the descriptor's k planes.  Plane d is the flat
+row-major form (a, b) -> D[a][b][d] of k^2 ints, so one ``_dot`` of a
+plane with the outer product of two divisor vectors gives their
+contraction against divisor d.
 
 Todd data is closed-form in every supported dimension:
 
@@ -134,11 +136,6 @@ def parse_rational(s: RationalLike) -> Fraction:
     return as_fraction(s)
 
 
-def _entry(x) -> int | Fraction:
-    """One coerced entry: ints pass as they are, the rest through as_fraction."""
-    return x if type(x) is int else as_fraction(x)
-
-
 def blocks_of(dim: int, flat: Sequence) -> tuple:
     """The blocks of a class from its flat coordinates: the one flat layout.
 
@@ -167,27 +164,35 @@ class GradedVector:
     den: int
 
     def __init__(self, dim: int, blocks: tuple):
-        if dim not in (1, 2, 3):
+        if type(dim) is not int or dim not in (1, 2, 3):
             raise ShapeError(f"dim must be 1, 2 or 3, got {dim}")
         if len(blocks) != dim + 1:
             raise ShapeError(f"dim {dim} needs {dim + 1} blocks, got {len(blocks)}")
-        entries, arities = [], set()
+        # one pass: an int is kept as it is, anything else goes through
+        # as_fraction and leaves its denominator in dens
+        entries, dens, arities = [], [], set()
         for i, block in enumerate(blocks):
             if i == 0 or i == dim:
-                entries.append(_entry(block))
+                block = (block,)
             elif isinstance(block, (int, str, Fraction)):
                 raise ShapeError("intermediate block must be a coordinate sequence")
             else:
-                coerced = [_entry(x) for x in block]
-                arities.add(len(coerced))
-                entries += coerced
+                start = len(entries)
+            for x in block:
+                if type(x) is not int:
+                    x = as_fraction(x)
+                    dens.append(x.denominator)
+                entries.append(x)
+            if 0 < i < dim:
+                arities.add(len(entries) - start)
         if len(arities) > 1:
             raise ShapeError("intermediate blocks differ in arity")
         # over the least common denominator of reduced entries, the
         # numerators and the denominator share no factor
-        den = lcm(*(x.denominator for x in entries))
-        nums = tuple(x.numerator * (den // x.denominator) for x in entries)
-        self.__dict__.update(dim=dim, nums=nums, den=den)
+        den = lcm(*dens)
+        if dens:
+            entries = [x.numerator * (den // x.denominator) for x in entries]
+        self.__dict__.update(dim=dim, nums=tuple(entries), den=den)
 
     @classmethod
     def _of_numerators(cls, dim: int, nums: Sequence[int], den: int = 1) -> "GradedVector":
@@ -280,9 +285,10 @@ class RingDescriptor:
            k^3 entries, and ``c2`` the integer vector of
            second-Chern-class pairings against the divisor basis.
 
-    The stored ``gram``, ``cubic`` (nested) and ``c2`` are tuples of Python
-    ints, checked for shape and symmetry here: every pairing and product
-    runs on them.
+    The stored ``gram``, ``cubic`` and ``c2`` are tuples of Python ints,
+    checked for shape and symmetry here: every pairing and product runs
+    on them.  ``cubic`` is stored as k planes of k^2 ints: plane d is the
+    flat row-major form (a, b) -> D[a][b][d].
     """
 
     dim: int
@@ -331,18 +337,20 @@ class RingDescriptor:
         flat = _int_array(self.cubic, 1, shape)
         if len(flat) != k ** 3:
             raise ShapeError(shape)
-        # row-major: D[a][b] is the run of k entries from (a k + b) k
-        rows = [flat[i:i + k] for i in range(0, k ** 3, k)]
-        cubic = tuple(tuple(rows[a * k:(a + 1) * k]) for a in range(k))
+        # row-major: D[a][b][c] is the entry (a k + b) k + c
         for a in range(k):
             for b in range(k):
                 for c in range(k):
-                    v = cubic[a][b][c]
+                    v = flat[(a * k + b) * k + c]
                     if not (
-                        v == cubic[a][c][b] == cubic[b][a][c]
-                        == cubic[b][c][a] == cubic[c][a][b] == cubic[c][b][a]
+                        v == flat[(a * k + c) * k + b] == flat[(b * k + a) * k + c]
+                        == flat[(b * k + c) * k + a] == flat[(c * k + a) * k + b]
+                        == flat[(c * k + b) * k + a]
                     ):
                         raise ShapeError("cubic tensor must be totally symmetric")
+        # by that symmetry, plane d, (a, b) -> D[a][b][d] = D[d][a][b], is
+        # the run of k^2 entries from d k^2
+        cubic = tuple(flat[d * k * k:(d + 1) * k * k] for d in range(k))
         length = "c2 vector length must equal picard_rank"
         c2 = _int_array(self.c2, 1, length)
         if len(c2) != k:
@@ -356,21 +364,34 @@ class RingDescriptor:
 
     def _divisors(self, vectors: Sequence[Sequence]) -> list:
         """The one way in for foreign divisor coordinates: a list or tuple of lists
-        or tuples of ``picard_rank`` entries, each entry through :func:`_entry`."""
+        or tuples of ``picard_rank`` entries, ints kept, the rest through
+        :func:`as_fraction`."""
         k, out = self.picard_rank, []
         # vectors that are not a sequence fail as one vector that is not
         for v in vectors if isinstance(vectors, (list, tuple)) else [None]:
             if not isinstance(v, (list, tuple)) or len(v) != k:
                 raise ShapeError("divisor coordinates must match picard_rank")
-            out.append([_entry(x) for x in v])
+            out.append([x if type(x) is int else as_fraction(x) for x in v])
         return out
 
     def _integer_divisor(self, L: Sequence) -> tuple:
-        """Integer coordinates of one foreign divisor class, via :meth:`_divisors`."""
-        (out,) = self._divisors([L])
-        if any(x.denominator != 1 for x in out):
+        """Integer coordinates of one foreign divisor class.
+
+        The checks of :meth:`_divisors`, then integrality, in one pass:
+        every entry is coerced before a fractional one is refused.
+        """
+        if not isinstance(L, (list, tuple)) or len(L) != self.picard_rank:
+            raise ShapeError("divisor coordinates must match picard_rank")
+        out, fractional = [], False
+        for x in L:
+            if type(x) is not int:
+                x = as_fraction(x)
+                fractional = fractional or x.denominator != 1
+                x = x.numerator
+            out.append(x)
+        if fractional:
             raise LatticeError("divisor class must be integral")
-        return tuple(x.numerator for x in out)
+        return tuple(out)
 
     def pic_pair(self, a: Sequence, b: Sequence) -> Fraction:
         """Gram pairing of two divisor-block coordinate vectors (dim 2).
@@ -441,8 +462,9 @@ def apply_form(matrix: Sequence[Sequence[int]], xs: Sequence) -> list:
 def pair_form(matrix: Sequence[Sequence[int]], xs: Sequence, ys: Sequence):
     """``x^T matrix y``: two coordinate lists paired through a square integer matrix.
 
-    On a threefold the slice ``ring.cubic[d]`` is the form (a, b) ->
-    D[a][b][d], as the cubic tensor is totally symmetric.
+    The cubic's planes are flat, not matrices: plane d pairs x and y as
+    ``_dot(plane, [a * b for a in x for b in y])``, one outer product
+    serving every plane.
     """
     return _dot(xs, apply_form(matrix, ys))
 
@@ -470,8 +492,9 @@ def cup(u: GradedVector, v: GradedVector, ring: RingDescriptor) -> GradedVector:
     else:
         (_, u1, u2, u3), (_, v1, v2, v3) = ub, vb
         w1 = [u0 * y + v0 * x for x, y in zip(u1, v1)]
+        outer = [x * y for x in u1 for y in v1]
         w2 = [
-            u0 * y + v0 * x + pair_form(plane, u1, v1)
+            u0 * y + v0 * x + _dot(plane, outer)
             for x, y, plane in zip(u2, v2, ring.cubic)
         ]
         w3 = u0 * v3 + u3 * v0 + _dot(u1, v2) + _dot(u2, v1)

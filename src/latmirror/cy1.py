@@ -141,7 +141,7 @@ class AtiyahElement:
 
     The constructor checks and sorts the terms.  A product adds the
     Clebsch-Gordan indices of every pair of terms into one dict and builds
-    one element from it.
+    one element from it through :meth:`_of_terms`.
     """
 
     terms: tuple  # sorted ((index, multiplicity), ...), zeros dropped
@@ -157,6 +157,18 @@ class AtiyahElement:
                 clean.append((idx, mult))
         clean.sort()
         object.__setattr__(self, "terms", tuple(clean))
+
+    @classmethod
+    def _of_terms(cls, terms) -> "AtiyahElement":
+        """The element of int (index, multiplicity) pairs with indices >= 1.
+
+        The one way in for elements this module computes: it only sorts
+        the terms and drops zero multiplicities, skipping the checks of
+        ``__post_init__``, which is the one path for foreign terms.
+        """
+        self = object.__new__(cls)
+        self.__dict__["terms"] = tuple(sorted(t for t in terms if t[1]))
+        return self
 
     @classmethod
     def basis(cls, r: int) -> "AtiyahElement":
@@ -180,7 +192,7 @@ class AtiyahElement:
                 mult = ma * mb
                 for idx in _clebsch_gordan(ia, ib):
                     out[idx] = out.get(idx, 0) + mult
-        return AtiyahElement.from_dict(out)
+        return AtiyahElement._of_terms(out.items())
 
 
 def _clebsch_gordan(a: int, b: int) -> range:
@@ -193,9 +205,10 @@ def atiyah_tensor(a: int, b: int) -> AtiyahElement:
 
     F_a (x) F_b = sum_{j=0}^{min(a,b)-1} F_{a+b-1-2j}; ranks add up to a*b.
     """
+    a, b = _as_int(a), _as_int(b)
     if a < 1 or b < 1:
         raise LatticeError("indecomposable indices must be >= 1")
-    return AtiyahElement(tuple((idx, 1) for idx in _clebsch_gordan(a, b)))
+    return AtiyahElement._of_terms((idx, 1) for idx in _clebsch_gordan(a, b))
 
 
 def mirror_cy1(u: GradedVector) -> CycleClass1:

@@ -43,7 +43,6 @@ from .core import (
     blocks_of,
     isometry_failures,
     pair_exotic,
-    pair_form,
     pair_sym,
     todd_multiply,
 )
@@ -78,8 +77,9 @@ class CY3Descriptor:
 def line_bundle_ch(L: Sequence, X: CY3Descriptor) -> GradedVector:
     """Chern character (1, L, L^2/2, L^3/6) of an integral divisor class."""
     L = X.ring._integer_divisor(L)
-    square = [pair_form(plane, L, L) for plane in X.ring.cubic]
-    cube = sum(x * y for x, y in zip(square, L))
+    outer = [x * y for x in L for y in L]
+    square = [_dot(plane, outer) for plane in X.ring.cubic]
+    cube = _dot(square, L)
     # (1, L, L^2/2, L^3/6) over the denominator 6
     nums = (6, *(6 * x for x in L), *(3 * x for x in square), cube)
     return GradedVector._of_numerators(3, nums, 6)

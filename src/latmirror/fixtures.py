@@ -12,6 +12,9 @@ and a threefold fixture like
      "cubic": [k^3 ints, row-major],         the one form of the cubic
      "c2": [k ints]}.
 
+The descriptor keeps that flat list as it is, cut into k runs of k^2
+ints: the planes of :class:`core.RingDescriptor`.
+
 Files are resolved against an explicit base directory (for manifests),
 then the directory named by the LATMIRROR_FIXTURE_DIR environment
 variable, then the fixtures shipped with the package.

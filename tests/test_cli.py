@@ -741,6 +741,7 @@ TEXT_COMMANDS = [
     ("cy1", "decompose", "--cycle", "0,0"),
     ("cy1", "atiyah", "--a", "3", "--b", "2"),
     ("cy1", "bs", "--level", "3"),
+    ("cy1", "mirror", "--vector", "3:-2"),
 ]
 
 

@@ -3,11 +3,14 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import latmirror
 from latmirror import (
     GradedVector,
     LatticeError,
@@ -15,6 +18,7 @@ from latmirror import (
     ShapeError,
     cup,
     format_rational,
+    load_cy3_fixture,
     mukai_vector,
     pair_exotic,
     pair_sym,
@@ -22,7 +26,7 @@ from latmirror import (
     star,
     todd_data,
 )
-from latmirror.core import ToddData, apply_form, as_fraction, pair_form, todd_multiply
+from latmirror.core import ToddData, _dot, apply_form, as_fraction, pair_form, todd_multiply
 
 from oracles import p1p1p2_223, p1x4_2222
 
@@ -30,10 +34,12 @@ ELLIPTIC = RingDescriptor.elliptic()
 K3_4 = RingDescriptor(dim=2, picard_rank=1, gram=((4,),))
 K3_H = RingDescriptor(dim=2, picard_rank=2, gram=((-2, 1), (1, 0)))
 K3_R = RingDescriptor(dim=2, picard_rank=3, gram=((0, 1, 0), (1, -2, 0), (0, 0, -2)))
-QUINTIC = RingDescriptor(dim=3, picard_rank=1, cubic=(5,), c2=(50,))
-BICUBIC = RingDescriptor(dim=3, picard_rank=2, cubic=(0, 3, 3, 3, 3, 3, 3, 0), c2=(36, 36))
-P1P1P2 = RingDescriptor(dim=3, picard_rank=3, cubic=p1p1p2_223()[0], c2=p1p1p2_223()[1])
-P1X4 = RingDescriptor(dim=3, picard_rank=4, cubic=p1x4_2222()[0], c2=p1x4_2222()[1])
+# the flat row-major cubic of each threefold ring below, by Picard rank
+FLAT_CUBICS = {1: (5,), 2: (0, 3, 3, 3, 3, 3, 3, 0), 3: p1p1p2_223()[0], 4: p1x4_2222()[0]}
+QUINTIC = RingDescriptor(dim=3, picard_rank=1, cubic=FLAT_CUBICS[1], c2=(50,))
+BICUBIC = RingDescriptor(dim=3, picard_rank=2, cubic=FLAT_CUBICS[2], c2=(36, 36))
+P1P1P2 = RingDescriptor(dim=3, picard_rank=3, cubic=FLAT_CUBICS[3], c2=p1p1p2_223()[1])
+P1X4 = RingDescriptor(dim=3, picard_rank=4, cubic=FLAT_CUBICS[4], c2=p1x4_2222()[1])
 # Picard ranks 0 to 4
 RINGS = (ELLIPTIC, K3_4, K3_H, K3_R, QUINTIC, BICUBIC, P1P1P2, P1X4)
 
@@ -290,24 +296,54 @@ def test_pic_pair_equals_hand_sum(k3_reflective):
 
 
 def test_columns_kernel_equals_dense_fraction_products():
-    # apply_form and pair_form on the Gram matrices and the cubic slices,
-    # against sums of Fraction products written out by index
+    # apply_form and pair_form on the Gram matrices, and each cubic plane
+    # dotted with an outer product, against sums of Fraction products
+    # written out by index (on a threefold from the flat row-major input)
     rng = random.Random(41)
     for ring in RINGS[1:]:
         k = ring.picard_rank
-        forms = [ring.gram] if ring.dim == 2 else list(ring.cubic)
         for _ in range(50):
             x = [rng.randint(-40, 40) for _ in range(k)]
             y = [Fraction(rng.randint(-40, 40), rng.choice((1, 2, 6))) for _ in range(k)]
-            for d, m in enumerate(forms):
-                if ring.dim == 3:  # the slice d of the cubic is (a, b) -> D[a][b][d]
-                    assert m == tuple(tuple(ring.cubic[a][b][d] for b in range(k)) for a in range(k))
+            if ring.dim == 2:
+                m = ring.gram
                 applied = apply_form(m, x)
                 assert all(type(c) is int for c in applied)
                 assert applied == [sum(m[i][j] * x[j] for j in range(k)) for i in range(k)]
                 paired = pair_form(m, x, y)
                 assert paired == sum(x[i] * m[i][j] * y[j] for i in range(k) for j in range(k))
                 assert type(pair_form(m, x, x)) is int
+                continue
+            flat = FLAT_CUBICS[k]
+            assert len(ring.cubic) == k
+            for d, plane in enumerate(ring.cubic):
+                paired = _dot(plane, [a * b for a in x for b in y])
+                assert paired == sum(
+                    x[i] * flat[(i * k + j) * k + d] * y[j] for i in range(k) for j in range(k)
+                )
+                assert type(_dot(plane, [a * b for a in x for b in x])) is int
+
+
+def test_cubic_planes_hold_the_tensor_under_every_index_order():
+    # plane d entry a k + b is D[a][b][d] = D[a][d][b] = ... for all six orders
+    cases = [(P1P1P2, FLAT_CUBICS[3]), (P1X4, FLAT_CUBICS[4])]
+    for name in ("quintic", "bicubic"):
+        raw = json.loads((Path(latmirror.__file__).parent / "fixtures" / f"{name}.json").read_text())
+        cases.append((load_cy3_fixture(name).ring, raw["cubic"]))
+    for ring, flat in cases:
+        k = ring.picard_rank
+
+        def D(a, b, c):
+            return flat[(a * k + b) * k + c]
+
+        assert len(ring.cubic) == k
+        for d, plane in enumerate(ring.cubic):
+            assert type(plane) is tuple and len(plane) == k * k
+            assert all(type(x) is int for x in plane)
+            for a in range(k):
+                for b in range(k):
+                    orders = {D(a, b, d), D(a, d, b), D(b, a, d), D(b, d, a), D(d, a, b), D(d, b, a)}
+                    assert orders == {plane[a * k + b]}, (k, a, b, d)
 
 
 def test_module_results_are_fractions_in_shape():
@@ -365,6 +401,91 @@ def test_public_constructors_still_coerce_and_reject():
             GradedVector(2, (0, [bad, 0], 0))
     with pytest.raises(LatticeError):
         u.scale(0.5)
+    # True and 1.0 compare equal to 1; they used to build a class whose payload
+    # said "dim": true, or whose blocks raised a bare TypeError
+    for dim in (True, 1.0, False, 3.0, "3", None):
+        with pytest.raises(ShapeError) as caught:
+            GradedVector(dim, (1, 2))
+        assert str(caught.value) == f"dim must be 1, 2 or 3, got {dim}"
+
+
+def coerced_by_rule(dim, blocks):
+    """What the public constructor gives for ``blocks``, by its stated rule.
+
+    The Fraction blocks, or the (class, message) of the first check that
+    fails: the block count, then each block in order (an end is one entry,
+    a middle block a sequence of entries, each through as_fraction), then
+    the arities of the middle blocks.
+    """
+    try:
+        if len(blocks) != dim + 1:
+            raise ShapeError(f"dim {dim} needs {dim + 1} blocks, got {len(blocks)}")
+        out = []
+        for i, block in enumerate(blocks):
+            if i in (0, dim):
+                out.append(as_fraction(block))
+            elif isinstance(block, (int, str, Fraction)):
+                raise ShapeError("intermediate block must be a coordinate sequence")
+            else:
+                out.append(tuple(as_fraction(x) for x in block))
+        if len({len(b) for b in out[1:-1]}) > 1:
+            raise ShapeError("intermediate blocks differ in arity")
+    except (LatticeError, TypeError) as exc:
+        return type(exc), str(exc)
+    return tuple(out)
+
+
+ENTRIES = st.integers(0, 7).flatmap(
+    # one entry in eight is refused, so that most classes reach the later checks
+    lambda n: (
+        st.floats(-2, 2) | st.booleans() | st.sampled_from(["1/0", "1.5", "x", "1/-2", ""])
+        if n == 0 else
+        st.integers(-30, 30)
+        | st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+        | st.sampled_from(["3", "-4/6", " 5/10 ", "+2"])
+    )
+)
+
+
+@st.composite
+def raw_classes(draw):
+    dim = draw(st.sampled_from((1, 2, 3)))
+    arity = draw(st.integers(0, 3))
+    blocks = [draw(ENTRIES)]
+    for _ in range(dim - 1):
+        if draw(st.integers(0, 9)) == 0:  # a scalar where a sequence belongs
+            blocks.append(draw(ENTRIES))
+        else:  # now and then one entry more or fewer than the other blocks
+            n = arity + draw(st.sampled_from((0, 0, 0, 0, 1, -1)))
+            seq = [draw(ENTRIES) for _ in range(max(n, 0))]
+            blocks.append(draw(st.sampled_from((list, tuple)))(seq))
+    blocks.append(draw(ENTRIES))
+    if draw(st.integers(0, 19)) == 0:
+        blocks.pop()
+    return dim, tuple(blocks)
+
+
+@settings(max_examples=400)
+@given(raw_classes())
+# each check in turn is the first to fail: arity after a later bad entry,
+# a scalar middle block after a bad rank, the count before anything
+@example((3, (1, (1, 2), (3,), 0.5)))
+@example((3, (0.5, 7, (3,), 1)))
+@example((2, (1, [True], "x")))
+@example((3, (1.5, (1,), 0)))
+def test_public_constructor_coerces_by_its_rule(case):
+    dim, blocks = case
+    want = coerced_by_rule(dim, blocks)
+    if isinstance(want[0], type):
+        with pytest.raises(want[0]) as caught:
+            GradedVector(dim, blocks)
+        assert (type(caught.value), str(caught.value)) == want
+        return
+    u = GradedVector(dim, blocks)
+    assert u == GradedVector(dim, want) and u.blocks == want
+    entries = [want[0], *(x for b in want[1:-1] for x in b), want[-1]]
+    den = lcm(*(x.denominator for x in entries))
+    assert (u.nums, u.den) == (tuple(int(x * den) for x in entries), den)
 
 
 # ------------------------------------------------------ ring algebra ------

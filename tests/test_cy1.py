@@ -1,6 +1,7 @@
 """Elliptic-curve lattice calculus against two independent oracles."""
 
 import random
+import re
 import time
 
 import pytest
@@ -149,6 +150,16 @@ def test_atiyah_and_bundle_entries_must_be_integers():
     assert type(gft_class(BundleClass1("2", "3")).e) is int
 
 
+def test_atiyah_tensor_indices_must_be_integers():
+    # True used to give F_2 (as F_1 (x) F_2); 2.0 and "x" a bare TypeError
+    for bad in (True, 2.0, "x", None, "1/2"):
+        for args in ((bad, 2), (2, bad)):
+            with pytest.raises(LatticeError, match=f"^integer lattice datum expected, got {re.escape(repr(bad))}$"):
+                atiyah_tensor(*args)
+    assert atiyah_tensor("3", "2") == atiyah_tensor(3, 2)
+    assert all(type(x) is int for term in atiyah_tensor("3", "2").terms for x in term)
+
+
 def test_cycle_class_coordinates_must_be_integers():
     # a float used to pass straight through: 1.5 intersections, a float
     # product, and a bare TypeError from gcd
@@ -187,8 +198,13 @@ def test_atiyah_ring_laws():
 
 def test_atiyah_product_of_formal_sums_agrees_with_the_character_oracle():
     # a product of formal sums is the sum over pairs of terms of the
-    # characters' decomposition, scaled by both multiplicities
+    # characters' decomposition, scaled by both multiplicities; where terms
+    # cancel, as F_2 (F_1 - F_3) = F_2 - (F_2 + F_4) = -F_4, the product is
+    # still the element of the summed dict: sorted, no zero multiplicity
+    got = AtiyahElement.basis(2) * AtiyahElement.from_dict({1: 1, 3: -1})
+    assert got == AtiyahElement.from_dict({2: 0, 4: -1}) and got.terms == ((4, -1),)
     rng = random.Random(43)
+    cancelled = 0
     for _ in range(200):
         sums = [
             {rng.randint(1, 8): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 3))}
@@ -199,9 +215,12 @@ def test_atiyah_product_of_formal_sums_agrees_with_the_character_oracle():
             for ib, mb in sums[1].items():
                 for idx, mult in tensor_decompose_oracle(ia, ib):
                     want[idx] = want.get(idx, 0) + ma * mb * mult
+        cancelled += 0 in want.values()
         got = AtiyahElement.from_dict(sums[0]) * AtiyahElement.from_dict(sums[1])
         assert got.as_dict() == {idx: m for idx, m in want.items() if m}, sums
         assert list(got.terms) == sorted(got.terms)
+        assert got == AtiyahElement.from_dict(want) and hash(got) == hash(AtiyahElement.from_dict(want))
+    assert cancelled >= 10
 
 
 def test_atiyah_oracle_agrees_with_symmetric_power_recursion():

@@ -165,6 +165,20 @@ def test_divisor_functions_share_one_way_in(fn, name, request):
         fn(("1/2",), X)
 
 
+def test_divisor_entries_are_all_read_before_integrality(bicubic, k3_elliptic):
+    # a fractional entry is refused only once every entry has been coerced,
+    # and the coordinates that pass are ints
+    for fn, X in ((line_bundle_ch, bicubic), (mirror_k3, k3_elliptic)):
+        with pytest.raises(LatticeError, match="^float 0.5 rejected"):
+            fn(("1/2", 0.5), X)
+        with pytest.raises(TypeError, match="^cannot interpret None"):
+            fn((Fraction(1, 2), None), X)
+        with pytest.raises(LatticeError, match="^divisor class must be integral$"):
+            fn(("1/2", "4/2"), X)
+    assert mirror_k3((Fraction(4, 2), "-3"), k3_elliptic).pic == (2, -3)
+    assert all(type(x) is int for x in mirror_k3((Fraction(4, 2), "-3"), k3_elliptic).pic)
+
+
 def test_mirror_images_are_minus2_spheres():
     for l2 in range(0, 42, 2):
         X = rank1_k3(l2)

@@ -33,7 +33,7 @@ from latmirror.core import pair_exotic, todd_multiply
 from latmirror.cy3 import isometry_certificate3
 
 from mutants import add_unit_entry
-from oracles import p1x4_2222
+from oracles import p1p1p2_223, p1x4_2222
 
 O3 = GradedVector(3, (1, (0,), (0,), 0))
 
@@ -42,6 +42,13 @@ def p1x4():
     cubic, c2 = p1x4_2222()
     return CY3Descriptor(
         ring=RingDescriptor(dim=3, picard_rank=4, cubic=cubic, c2=c2), label="p1x4"
+    )
+
+
+def p1p1p2():
+    cubic, c2 = p1p1p2_223()
+    return CY3Descriptor(
+        ring=RingDescriptor(dim=3, picard_rank=3, cubic=cubic, c2=c2), label="p1p1p2"
     )
 
 
@@ -94,22 +101,49 @@ def test_chi_bicubic_hand_expansion(bicubic):
 
 
 def test_line_bundle_ch_closed_form(quintic, bicubic):
-    # (1, L, L^2/2, L^3/6) from the raw tensor, with D_abc summed by hand
+    # (1, L, L^2/2, L^3/6) and the dim-3 cup product from the raw tensor,
+    # with D_abc summed by hand in Fractions, at Picard ranks 1 to 4
     cases = (
         (quintic, [5], ((1,), (-2,), (3,))),
         (bicubic, [0, 3, 3, 3, 3, 3, 3, 0], ((1, 0), (2, -1), (-3, 4))),
+        (p1p1p2(), p1p1p2_223()[0], ((1, 0, 0), (0, 0, 1), (1, 1, 1), (2, -1, 3), (-4, 0, 5))),
         (p1x4(), p1x4_2222()[0], ((1, 0, 0, 0), (1, 1, 1, 1), (1, -2, 3, 1), (-5, 4, 0, 2))),
     )
+    rng = random.Random(97)
+    sixths = [Fraction(n, 6) for n in range(-13, 14)]
     for X, flat, divisors in cases:
         k = X.ring.picard_rank
+
+        def contract(x, y, d):
+            # sum over a, b of x_a y_b D_abd, in Fractions
+            return sum(
+                (Fraction(x[a]) * y[b] * flat[(a * k + b) * k + d] for a in range(k) for b in range(k)),
+                Fraction(0),
+            )
+
         for L in divisors:
-            square = [
-                sum(flat[(a * k + b) * k + d] * L[a] * L[b] for a in range(k) for b in range(k))
-                for d in range(k)
-            ]
+            square = [contract(L, L, d) for d in range(k)]
             cube = sum(x * y for x, y in zip(square, L))
-            want = (1, L, tuple(Fraction(x, 2) for x in square), Fraction(cube, 6))
+            want = (1, L, tuple(x / 2 for x in square), cube / 6)
             assert line_bundle_ch(L, X).blocks == want, (X.label, L)
+        for _ in range(20):
+            u, v = (
+                GradedVector(3, (
+                    rng.choice(sixths),
+                    tuple(rng.choice(sixths) for _ in range(k)),
+                    tuple(rng.choice(sixths) for _ in range(k)),
+                    rng.choice(sixths),
+                ))
+                for _ in range(2)
+            )
+            (u0, u1, u2, u3), (v0, v1, v2, v3) = u.blocks, v.blocks
+            want = (
+                u0 * v0,
+                tuple(u0 * y + v0 * x for x, y in zip(u1, v1)),
+                tuple(u0 * v2[d] + v0 * u2[d] + contract(u1, v1, d) for d in range(k)),
+                u0 * v3 + u3 * v0 + sum(x * y for x, y in zip(u1, v2)) + sum(x * y for x, y in zip(u2, v1)),
+            )
+            assert cup(u, v, X.ring).blocks == want, (X.label, u, v)
     # on the (2,2,2,2) threefold L^3 = 12 (L1 L2 L3 + L1 L2 L4 + L1 L3 L4 + L2 L3 L4)
     assert line_bundle_ch((1, 1, 1, 1), p1x4()).blocks[3] == 8
 
