@@ -21,7 +21,8 @@ numerators ``nums`` over one positive denominator ``den`` in lowest terms
 (the matwise form of a rational matrix).  ``blocks`` is a view of them as
 ``fractions.Fraction`` entries, built on first use.  Equality and hashing
 use ``(dim, nums, den)``.  Floats are rejected so that every pipeline is
-bit-reproducible: the public constructor coerces and checks every entry
+bit-reproducible: the public constructor takes the blocks, and each
+middle block, as a list or tuple, and coerces and checks every entry
 once; the classes this module computes (``cup``, ``star``, ``scale``,
 ``+``, ``todd_multiply``) work on the numerators and enter through one
 numerator constructor that reduces by the gcd.  On top of the cup product
@@ -166,6 +167,8 @@ class GradedVector:
     def __init__(self, dim: int, blocks: tuple):
         if type(dim) is not int or dim not in (1, 2, 3):
             raise ShapeError(f"dim must be 1, 2 or 3, got {dim}")
+        if not isinstance(blocks, (list, tuple)):
+            raise ShapeError("blocks must be a list or tuple")
         if len(blocks) != dim + 1:
             raise ShapeError(f"dim {dim} needs {dim + 1} blocks, got {len(blocks)}")
         # one pass: an int is kept as it is, anything else goes through
@@ -174,7 +177,7 @@ class GradedVector:
         for i, block in enumerate(blocks):
             if i == 0 or i == dim:
                 block = (block,)
-            elif isinstance(block, (int, str, Fraction)):
+            elif not isinstance(block, (list, tuple)):
                 raise ShapeError("intermediate block must be a coordinate sequence")
             else:
                 start = len(entries)

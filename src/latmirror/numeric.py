@@ -11,18 +11,21 @@ exp(2 pi i * A(t)) where A(t) = k*t is the symplectic area swept by the
 fibre family between heights 0 and t.  In the translation-invariant gauge
 the level-k density is the constant k, so the area has this one closed
 form and no second route; the holonomy is trivial exactly at the k
-heights j/k.  Heights may be floats or arrays, and levels ints or int
-arrays, evaluated elementwise.  Marked (trivial-holonomy) fibres are found
-for any number of models in one search: sign-change bracketing on the
-concatenated fixed grids of every level, evaluated in one batched call,
-then bisection of the brackets still wider than the stopping width, all
-together, on the sign of the holonomy argument, so every root is the one
-a bracket-by-bracket bisection gives.  Theta series of level k are
-truncated q-expansions; their numerical rank over a deterministic sample
-grid is decided by singular values.  The N sample points are x = j/N, so
-each Fourier phase exp(2 pi i m x) is looked up among the N-th roots of
-unity rather than computed; each row is still shifted and scaled to unit
-norm.  A sampled cycle holds its samples as one read-only (n, 2) float
+heights j/k.  A Python float or int height is one scalar, checked and
+exponentiated with ``math`` and ``cmath`` (its holonomy is a built-in
+complex); an array of heights, with an int or an int array of levels, is
+evaluated elementwise by numpy, to the same bits.  Marked
+(trivial-holonomy) fibres are found for any number of models in one
+search: sign-change bracketing on the concatenated fixed grids of every
+level, evaluated in one batched call, then bisection of the brackets
+still wider than the stopping width, all together, on the sign of the
+holonomy's imaginary part, which is the sign of its argument at every
+midpoint, so every root is the one a bracket-by-bracket bisection gives.
+Theta series of level k are truncated q-expansions; their numerical rank
+over a deterministic sample grid is decided by singular values.  The N
+sample points are x = j/N, so each Fourier phase exp(2 pi i m x) is
+looked up among the N-th roots of unity rather than computed; each row
+is still shifted and scaled to unit norm.  A sampled cycle holds its samples as one read-only (n, 2) float
 array, converted from the given rows in one flat pass.  Its phase map is
 the squared unit tangent direction (the determinant map of the Lagrangian
 Grassmannian of the flat plane): constant exactly on straight segments,
@@ -44,6 +47,7 @@ repeated runs give bit-identical floats.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -72,36 +76,55 @@ class TorusModel:
     level: int
 
     def __post_init__(self):
-        tau = complex(self.tau)
-        object.__setattr__(self, "tau", tau)
+        tau = self.tau
+        if type(tau) is not complex:
+            tau = complex(tau)
+            object.__setattr__(self, "tau", tau)
         if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
             raise ValueError(f"tau must be finite, got {tau}")
         if not tau.imag > 0:
             raise ValueError(f"tau must lie in the upper half plane, got {tau}")
-        if not isinstance(self.level, int) or self.level < 1:
-            raise ValueError(f"level must be a positive integer, got {self.level}")
+        level = self.level
+        if not isinstance(level, int) or type(level) is bool or level < 1:
+            raise ValueError(f"level must be a positive integer, got {level}")
 
 
 def _swept_area(level: int | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
     """Symplectic area k*t swept between heights 0 and t, elementwise.
 
     ``level`` is an int, or an int array of the shape of ``t``; ``t`` is a
-    float or an array.
+    Python float or int, checked by one chained comparison, or a numpy
+    scalar or array, checked by one reduction.  NaN lies outside [0, 1].
     """
-    outside = np.logical_not((t >= 0.0) & (t <= 1.0))  # NaN is outside
-    if np.count_nonzero(outside):
-        bad = t if np.ndim(t) == 0 else t[outside][0]
+    if isinstance(t, (float, int)):
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"fibre height must lie in [0, 1], got {t}")
+        return level * t
+    inside = (t >= 0.0) & (t <= 1.0)
+    if not inside.all():
+        bad = t if np.ndim(t) == 0 else t[~inside][0]
         raise ValueError(f"fibre height must lie in [0, 1], got {bad}")
     return level * t
 
 
 def _holonomy(level: int | np.ndarray, t: float | np.ndarray) -> complex | np.ndarray:
-    """exp(2 pi i k t) elementwise, with the level k as in `_swept_area`."""
+    """exp(2 pi i k t), with the level k and height t as in `_swept_area`.
+
+    A Python float or int height gives a built-in complex from
+    ``cmath.exp``; anything else goes through ``np.exp`` elementwise.  The
+    two give the same bits at every height.
+    """
+    if isinstance(t, (float, int)):
+        return cmath.exp(2j * math.pi * _swept_area(level, t))
     return np.exp(2j * math.pi * _swept_area(level, t))
 
 
 def holonomy_character(model: TorusModel, t: float | np.ndarray) -> complex | np.ndarray:
-    """Holonomy exp(2 pi i k t) of the fibre at height t, elementwise on arrays."""
+    """Holonomy exp(2 pi i k t) of the fibre at height t.
+
+    A Python float or int height gives a built-in complex; a numpy array
+    gives an array of the same shape, elementwise.
+    """
     return _holonomy(model.level, t)
 
 
@@ -132,11 +155,14 @@ def find_bs_fibres_batch(models: Sequence[TorusModel], tol: float = ROOT_TOL) ->
     batched holonomy call gives the wrapped angle at every grid point; a
     bracket is a step within one model's grid from negative to positive
     angle by less than pi.  The brackets still wider than tol/4 are then
-    bisected together on the sign of the angle, and each leaves the live
-    set in the round its width reaches tol/4, so a bracket stops exactly
-    where a bisection of it alone would, and every root is the one a
-    one-model search gives.  The roots of every model are returned, however
-    many there are; a model of level k should have exactly k.
+    bisected together on the sign of the angle, read as the sign of the
+    holonomy's imaginary part: every midpoint lies in (0, 1), where that
+    part is never -0.0, and off -0.0 atan2(y, x) < 0 exactly when y < 0.
+    Each bracket leaves the live set in the round its width reaches tol/4,
+    so a bracket stops exactly where a bisection of it alone would, and
+    every root is the one a one-model search gives.  The roots of every
+    model are returned, however many there are; a model of level k should
+    have exactly k.
     """
     if not 0.0 < tol <= 1e-6:
         raise ValueError(f"tolerance must lie in (0, 1e-6], got {tol}")
@@ -159,7 +185,7 @@ def find_bs_fibres_batch(models: Sequence[TorusModel], tol: float = ROOT_TOL) ->
             centres[live[done]] = 0.5 * (a[done] + b[done])
             live, a, b, level = live[wide], a[wide], b[wide], level[wide]
         mid = 0.5 * (a + b)
-        below = np.angle(_holonomy(level, mid)) < 0.0
+        below = _holonomy(level, mid).imag < 0.0
         a = np.where(below, mid, a)
         b = np.where(below, b, mid)
     centres[live] = 0.5 * (a + b)

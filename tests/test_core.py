@@ -407,24 +407,35 @@ def test_public_constructors_still_coerce_and_reject():
         with pytest.raises(ShapeError) as caught:
             GradedVector(dim, (1, 2))
         assert str(caught.value) == f"dim must be 1, 2 or 3, got {dim}"
+    # the blocks, and each middle block, are a list or tuple: a dict, bytes,
+    # a set or a generator was read by iterating it, a scalar was a bare TypeError
+    for middle in ({1: 2}, b"\x01\x02", {1, 2}, (x for x in (1, 2)), 0.5, "12", 7, None):
+        with pytest.raises(ShapeError, match="^intermediate block must be a coordinate sequence$"):
+            GradedVector(2, (1, middle, 3))
+    for blocks in (5, "12", {1: 0, 2: 0}, {1, 2}, b"\x01\x02", (x for x in (1, 2)), None):
+        with pytest.raises(ShapeError, match="^blocks must be a list or tuple$"):
+            GradedVector(1, blocks)
+    assert GradedVector(2, [1, [0], 3]) == GradedVector(2, (1, (0,), 3))
 
 
 def coerced_by_rule(dim, blocks):
     """What the public constructor gives for ``blocks``, by its stated rule.
 
     The Fraction blocks, or the (class, message) of the first check that
-    fails: the block count, then each block in order (an end is one entry,
-    a middle block a sequence of entries, each through as_fraction), then
-    the arities of the middle blocks.
+    fails: the blocks a list or tuple, the block count, then each block in
+    order (an end is one entry, a middle block a list or tuple of entries,
+    each through as_fraction), then the arities of the middle blocks.
     """
     try:
+        if not isinstance(blocks, (list, tuple)):
+            raise ShapeError("blocks must be a list or tuple")
         if len(blocks) != dim + 1:
             raise ShapeError(f"dim {dim} needs {dim + 1} blocks, got {len(blocks)}")
         out = []
         for i, block in enumerate(blocks):
             if i in (0, dim):
                 out.append(as_fraction(block))
-            elif isinstance(block, (int, str, Fraction)):
+            elif not isinstance(block, (list, tuple)):
                 raise ShapeError("intermediate block must be a coordinate sequence")
             else:
                 out.append(tuple(as_fraction(x) for x in block))
@@ -473,6 +484,17 @@ def raw_classes(draw):
 @example((3, (0.5, 7, (3,), 1)))
 @example((2, (1, [True], "x")))
 @example((3, (1.5, (1,), 0)))
+# a middle block or the blocks that are not a list or tuple, however iterable
+@example((2, (1, 0.5, 3)))
+@example((2, (1, {1: 2}, 3)))
+@example((2, (1, b"\x01\x02", 3)))
+@example((2, (1, {1, 2}, 3)))
+@example((2, (1, (x for x in (1, 2)), 3)))
+@example((3, (1, "12", (3, 4), 0)))
+@example((1, 5))
+@example((1, "12"))
+@example((1, {1: 0, 2: 0}))
+@example((1, (x for x in (1, 2))))
 def test_public_constructor_coerces_by_its_rule(case):
     dim, blocks = case
     want = coerced_by_rule(dim, blocks)

@@ -2,9 +2,10 @@
 
 `import latmirror`, the K3 mirror map, count and chamber walk and the
 exact CLI families must run without numpy in `sys.modules`; the names of `numeric` and `manifest` resolve on first use.
-A full `latmirror verify` must leave `numpy.fft` unloaded.  The import
-checks run in fresh interpreters, since this test process has numpy loaded
-already.  The last two tests guard the benchmark in
+A full `latmirror verify` must leave `numpy.fft` unloaded, and the float
+layer's holonomy and flat coordinate at one scalar height must not call
+numpy at all.  The import checks run in fresh interpreters, since this
+test process has numpy loaded already.  The last two tests guard the benchmark in
 `perfbench/`: every name it takes from the package must still resolve,
 and its report check must accept the golden verify report.
 """
@@ -98,6 +99,31 @@ def test_verify_leaves_numpy_fft_unloaded():
     proc = run_fresh("-c", VERIFY_PROBE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True False\n"
+
+
+class _NoNumpy:
+    """Stands in for numpy in `numeric`: any use of it raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used at a scalar height")
+
+
+def test_scalar_heights_stay_off_numpy(monkeypatch):
+    # a scalar height is checked by one chained comparison and exponentiated
+    # by cmath or math; np.exp, np.count_nonzero and np.logical_not (the
+    # array route's calls once) and every other numpy name must go unused
+    model = numeric.TorusModel(tau=0.5 + 1j, level=7)
+    want = numeric.holonomy_character(model, 0.3), numeric.special_coordinates(model, 0.3)
+    heights = numeric.np.array([0.3])
+    monkeypatch.setattr(numeric, "np", _NoNumpy())
+    for t in (0.3, 0, 1):
+        assert type(numeric.holonomy_character(model, t)) is complex
+        assert type(numeric.special_coordinates(model, t)) is float
+    assert (numeric.holonomy_character(model, 0.3), numeric.special_coordinates(model, 0.3)) == want
+    with pytest.raises(ValueError, match=r"^fibre height must lie in \[0, 1\], got nan$"):
+        numeric.holonomy_character(model, float("nan"))
+    with pytest.raises(AssertionError, match="numpy"):  # arrays still use numpy
+        numeric.holonomy_character(model, heights)
 
 
 def test_lazy_names_resolve_and_are_listed(capsys, monkeypatch):

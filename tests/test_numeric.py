@@ -90,6 +90,61 @@ def test_swept_area_range_check():
         special_coordinates(model(2), -0.25)
 
 
+def bits(z):
+    return complex(z).real.hex(), complex(z).imag.hex()
+
+
+def test_scalar_heights_give_the_array_route_bitwise():
+    # a Python float or int height goes through math and cmath, a numpy
+    # scalar of a float too; a 0-d array stays on numpy
+    heights = (0, 1, -0.0, 0.0, 1.0, 0.3, 1 / 3, math.nextafter(1.0, 0.0), np.float64(0.3), np.array(0.3))
+    for k in (1, 3, 128):
+        m = model(k)
+        for t in heights:
+            got = holonomy_character(m, t)
+            assert type(got) is (np.complex128 if isinstance(t, np.ndarray) else complex), t
+            assert bits(got) == bits(holonomy_character(m, np.array([float(t)]))[0]), (k, t)
+            area = numeric._swept_area(k, np.array([float(t)]))[0]
+            assert special_coordinates(m, t) == math.exp(-2.0 * math.pi * area)
+
+
+def test_scalar_heights_outside_the_range_raise_as_arrays_do():
+    for t, text in (
+        (math.nextafter(1.0, 2.0), "1.0000000000000002"),
+        (math.nextafter(0.0, -1.0), "-5e-324"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (math.nan, "nan"),
+        (2, "2"),
+        (-1, "-1"),
+        (np.float64(math.nan), "nan"),
+        (np.array(1.5), "1.5"),
+        (np.array([0.5, -0.5, math.nan]), "-0.5"),
+    ):
+        for call in (holonomy_character, special_coordinates):
+            with pytest.raises(ValueError) as caught:
+                call(model(3), t)
+            assert str(caught.value) == f"fibre height must lie in [0, 1], got {text}", (call, t)
+
+
+def test_holonomy_at_the_benchmark_points_equals_the_array_route():
+    points = runpy.run_path(str(INPUTS))["torus_inputs"](1)["holonomy"]
+    assert len(points) == 400
+    for tau, k, t in points:
+        m = model(k, tau=tau)
+        got = holonomy_character(m, t)
+        assert type(got) is complex
+        assert bits(got) == bits(holonomy_character(m, np.array([t]))[0]), (tau, k, t)
+
+
+def test_bs_fibres_at_the_benchmark_levels_equal_the_scalar_reference():
+    cases = runpy.run_path(str(INPUTS))["torus_inputs"](1)["bs"]
+    assert [k for _, k in cases] == [8, 32, 64, 128]
+    for tau, k in cases:
+        m = model(k, tau=tau)
+        assert find_bs_fibres(m) == bs_fibres_scalar(lambda t: holonomy_character(m, t), k), (tau, k)
+
+
 def perturb_level(monkeypatch, rel=1e-6):
     """Scale the level inside holonomy_character: k becomes k * (1 + rel)."""
     swept_area = numeric._swept_area
@@ -475,6 +530,15 @@ def test_torus_model_validation():
     for tau in (complex(math.nan, 1.0), complex(0.0, math.inf), complex(math.inf, 1.0)):
         with pytest.raises(ValueError, match="finite"):
             TorusModel(tau=tau, level=1)
+    # a bool is an int to isinstance; True used to pass and then fail in numpy
+    for level in (True, False, np.int64(3)):
+        with pytest.raises(ValueError) as caught:
+            TorusModel(tau=1j, level=level)
+        assert str(caught.value) == f"level must be a positive integer, got {level}"
+    # tau is stored as a built-in complex, however it is given
+    for tau in (1j, np.complex128(0.5 + 1j), "0.5+1j"):
+        m = TorusModel(tau=tau, level=2)
+        assert type(m.tau) is complex and m.tau == complex(tau)
 
 
 def test_winding_number_synthetic():
