@@ -21,11 +21,15 @@ parameters of the wrong shape, which would crash their suite: a ``seed``
 that is not an integer, a ``fixture`` that is not a string, a
 ``fixtures`` entry that is not one, and a ``tau`` or ``taus`` entry that
 is not [re, im], two finite numbers with im > 0.
-The four suites that now prove their identity on a basis or a grid
-(``cy1-mirror-isometry``, ``k3-mirror-transport``, ``cy3-skew``,
-``cy3-mirror-isometry``) still accept the ``samples``, ``seed`` and
-``bound`` of their former sweeps, so that older manifests parse; those
-are checked as above and then dropped, and change nothing.
+The suites that now check a basis, a grid or a whole finite set
+instead of a seeded sample still accept the parameters of their former
+sweeps, so that older manifests parse: ``samples``, ``seed`` and
+``bound`` for ``cy1-mirror-isometry``, ``cy1-gft-homomorphism``,
+``k3-mirror-transport``, ``cy3-skew`` and ``cy3-mirror-isometry``;
+``triples`` and ``seed`` for ``cy1-atiyah``; ``samples`` and ``seed``
+for ``quant-holonomy``.  Those are checked as above and then dropped,
+and change nothing.  ``k3-reflections`` is the one suite that still
+takes a ``seed``.
 A fixture file that parses but is not a valid fixture (not an object, a
 wrong key, an odd Gram diagonal, a wrong fibre count) is built while the
 verifier runs and is recorded as a failing ``load`` check, exit 1,
@@ -86,10 +90,17 @@ _PARAM_RULES = {
 }
 
 # suite -> the parameters of its former seeded sweep
-_RETIRED_PARAMS = dict.fromkeys(
-    ("cy1-mirror-isometry", "k3-mirror-transport", "cy3-skew", "cy3-mirror-isometry"),
-    {"samples", "seed", "bound"},
-)
+_RETIRED_PARAMS = {
+    **dict.fromkeys(
+        (
+            "cy1-mirror-isometry", "cy1-gft-homomorphism", "k3-mirror-transport",
+            "cy3-skew", "cy3-mirror-isometry",
+        ),
+        {"samples", "seed", "bound"},
+    ),
+    "cy1-atiyah": {"triples", "seed"},
+    "quant-holonomy": {"samples", "seed"},
+}
 
 
 class SuiteSpec(NamedTuple):

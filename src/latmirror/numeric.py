@@ -86,7 +86,10 @@ class TorusModel:
             raise ValueError(f"tau must lie in the upper half plane, got {tau}")
         level = self.level
         if not isinstance(level, int) or type(level) is bool or level < 1:
-            raise ValueError(f"level must be a positive integer, got {level}")
+            # a numpy integer level is stored as an int; a bool is refused
+            if not isinstance(level, np.integer) or level < 1:
+                raise ValueError(f"level must be a positive integer, got {level}")
+            object.__setattr__(self, "level", int(level))
 
 
 def _swept_area(level: int | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
@@ -95,11 +98,16 @@ def _swept_area(level: int | np.ndarray, t: float | np.ndarray) -> float | np.nd
     ``level`` is an int, or an int array of the shape of ``t``; ``t`` is a
     Python float or int, checked by one chained comparison, or a numpy
     scalar or array, checked by one reduction.  NaN lies outside [0, 1].
+    Any other height (a list, a string, None, a complex number or array)
+    raises ``ValueError`` too, naming its type or dtype.
     """
     if isinstance(t, (float, int)):
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"fibre height must lie in [0, 1], got {t}")
         return level * t
+    if not isinstance(t, (np.ndarray, np.generic)) or t.dtype.kind not in "biuf":
+        got = t.dtype if isinstance(t, (np.ndarray, np.generic)) else type(t).__name__
+        raise ValueError(f"fibre height must be a float, an int or a real numpy array, got {got}")
     inside = (t >= 0.0) & (t <= 1.0)
     if not inside.all():
         bad = t if np.ndim(t) == 0 else t[~inside][0]

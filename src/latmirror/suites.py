@@ -1,20 +1,26 @@
 """Verification suites orchestrated by ``latmirror verify``.
 
 Each suite recomputes one family of identities through two independent
-routes and records per-check evidence.  Random sweeps are seeded from the
-manifest, so a verify run is deterministic end to end.
+routes and records per-check evidence.  The one random sweep, the walk of
+``k3-reflections``, is seeded from the manifest, so a verify run is
+deterministic end to end.
 
-Five suites prove exact identities between polynomials in the integer
-coordinates of the classes on a finite set instead of sampling them.  A
-bilinear identity holds once it holds on every pair of basis classes
-e_i, e_j (:meth:`GradedVector.basis`).  A polynomial of degree at most d
-in each variable that vanishes on d + 1 points per variable is zero
-(Alon, "Combinatorial Nullstellensatz", 1999, Lemma 2.1), so degree 2
-needs the grid {-1, 0, 1}^k and degree 4 the grid {-2, ..., 2}^k:
+Eight suites check a finite set whole instead of sampling it.  Six of
+them prove exact identities between polynomials in the integer
+coordinates of the classes.  A bilinear identity holds once it holds on
+every pair of basis classes e_i, e_j (:meth:`GradedVector.basis`).  A
+polynomial of degree at most d in each variable that vanishes on d + 1
+points per variable is zero (Alon, "Combinatorial Nullstellensatz",
+1999, Lemma 2.1), so degree 1 needs two values per variable, degree 2
+the grid {-1, 0, 1}^k and degree 4 the grid {-2, ..., 2}^k:
 
 - ``cy1-mirror-isometry``: the Euler form :func:`core.pair_exotic` against
   :func:`cy1.cycle_pairing` of the :func:`cy1.mirror_cy1` images, on all
   basis pairs;
+- ``cy1-gft-homomorphism``: the transform of the cup product
+  (:func:`core.cup`) of the Chern characters (r1, d1) and (r2, d2)
+  against :func:`cy1.odot` of the two transforms, of degree 1 in each
+  variable, on all 16 points with ranks in {1, 2} and degrees in {0, 1};
 - ``k3-reflections``: for each declared root, the involution on the basis
   and the isometry of the Gram pairing on all basis pairs, through
   ``cy2._reflect_columns`` (the kernel of :func:`cy2.reflect_minus2`);
@@ -29,6 +35,15 @@ needs the grid {-1, 0, 1}^k and degree 4 the grid {-2, ..., 2}^k:
 - ``cy3-mirror-isometry``: :func:`cy3.isometry_certificate3`, and the
   images of [X] sqrt(td) and [pt] sqrt(td), which span the image of the
   sqrt(td)-span of [X] and [pt].
+
+The other two cover a finite domain whole:
+
+- ``cy1-atiyah``: rank and commutativity on the table of all products
+  F_a (x) F_b (:func:`cy1.atiyah_tensor`), a, b <= ``max_index``, and
+  associativity (F_a F_b) F_c = F_a (F_b F_c) on every triple, with the
+  inner products read from that table;
+- ``quant-holonomy``: the holonomy at every mark j/k of
+  :func:`cy1.bs_points`, k <= ``k_max``.
 
 Each check's ``inputs`` says what it covers; a failure names the basis
 pair or grid point (:func:`core.isometry_failures`).  No mirror map here
@@ -53,6 +68,7 @@ from . import cy1, cy2, cy3, numeric
 from .core import (
     GradedVector,
     RingDescriptor,
+    cup,
     isometry_failures,
     pair_exotic,
     pair_form,
@@ -88,18 +104,22 @@ def _grid(k: int, r: int) -> list:
 # ---------------------------------------------------------------- cy1 ----
 
 def _run_cy1_quantization(params, fixtures):
+    # the transform of L^k meets the section in as many points as L^k has
+    # sections: chi(O, L^k) by Riemann-Roch, the Euler form on the curve
+    ring = RingDescriptor.elliptic()
+    structure = GradedVector(1, (1, 0))
     checks = []
     s0 = cy1.CycleClass1(1, 0)
     for k in range(1, params["k_max"] + 1):
         count = cy1.intersection_count(cy1.gft_class(cy1.BundleClass1(1, k)), s0)
-        marked = len(cy1.bs_points(k))
+        sections = pair_exotic(structure, GradedVector(1, (1, k)), ring)
         checks.append(
             Check(
-                name=f"level {k}: transform meets section in k points, k marked fibres",
-                ok=(count == k == marked),
+                name=f"level {k}: transform meets section in k points, L^k has k sections",
+                ok=(count == sections == k),
                 inputs=f"k={k}",
                 expected=str(k),
-                got=f"intersections={count}, marked={marked}",
+                got=f"intersections={count}, sections={sections}",
             )
         )
     return checks
@@ -126,73 +146,71 @@ def _run_cy1_mirror_isometry(params, fixtures):
 
 
 def _run_cy1_gft_homomorphism(params, fixtures):
-    rng = random.Random(params["seed"])
+    # both sides are of degree <= 1 in each of r1, d1, r2, d2, so two values
+    # per variable prove the identity; the tensor class is the cup product
+    # of the Chern characters (r, d), a route that shares no code with odot
+    ring = RingDescriptor.elliptic()
+    grid = list(itertools.product((1, 2), (0, 1)))
     failures = []
-    for _ in range(params["samples"]):
-        r1, d1 = rng.randint(1, params["bound"]), rng.randint(-params["bound"], params["bound"])
-        r2, d2 = rng.randint(1, params["bound"]), rng.randint(-params["bound"], params["bound"])
-        tensor = cy1.BundleClass1(r1 * r2, r1 * d2 + r2 * d1)
-        lhs = cy1.gft_class(tensor)
+    for (r1, d1), (r2, d2) in itertools.product(grid, repeat=2):
+        tensor = cup(GradedVector(1, (r1, d1)), GradedVector(1, (r2, d2)), ring)
+        # an integral class: its numerators are its rank and degree
+        lhs = cy1.gft_class(cy1.BundleClass1(*tensor.nums))
         rhs = cy1.odot(
             cy1.gft_class(cy1.BundleClass1(r1, d1)),
             cy1.gft_class(cy1.BundleClass1(r2, d2)),
         )
         if lhs != rhs:
             failures.append(f"(r1,d1)=({r1},{d1}) (r2,d2)=({r2},{d2})")
+    n = len(grid) ** 2
     return [
         summary_check(
             "transform of a tensor product is the fibrewise product",
-            params["samples"],
+            n,
             failures,
-            inputs=f"seed={params['seed']}, bound={params['bound']}",
+            inputs=f"all {n} pairs of ranks {{1, 2}} x degrees {{0, 1}}",
         )
     ]
 
 
 def _run_cy1_atiyah(params, fixtures):
-    checks = []
     top = params["max_index"]
+    indices = range(1, top + 1)
+    table = {(a, b): cy1.atiyah_tensor(a, b) for a, b in itertools.product(indices, repeat=2)}
     bad_pairs = []
-    for a in range(1, top + 1):
-        for b in range(1, top + 1):
-            product = cy1.atiyah_tensor(a, b)
-            if product.dimension() != a * b:
-                bad_pairs.append(f"F_{a}xF_{b} dim {product.dimension()}")
-            if product != cy1.atiyah_tensor(b, a):
-                bad_pairs.append(f"F_{a}xF_{b} not commutative")
-    checks.append(
+    for (a, b), product in table.items():
+        if product.dimension() != a * b:
+            bad_pairs.append(f"F_{a}xF_{b} dim {product.dimension()}")
+        if product != table[b, a]:
+            bad_pairs.append(f"F_{a}xF_{b} not commutative")
+    # (F_a F_b) F_c = F_a (F_b F_c), the inner products read from the table
+    basis = {i: cy1.AtiyahElement.basis(i) for i in indices}
+    assoc_failures = [
+        f"({a},{b},{c})"
+        for a, b, c in itertools.product(indices, repeat=3)
+        if table[a, b] * basis[c] != basis[a] * table[b, c]
+    ]
+    unit = basis[1]
+    sample = cy1.AtiyahElement.from_dict({2: 3, 5: 1})
+    return [
         summary_check(
             f"indecomposable products: rank multiplicative, commutative (a,b <= {top})",
             total=top * top,
             failures=bad_pairs,
-        )
-    )
-    rng = random.Random(params["seed"])
-    assoc_failures = []
-    for _ in range(params["triples"]):
-        a, b, c = (rng.randint(1, top) for _ in range(3))
-        ea, eb, ec = (cy1.AtiyahElement.basis(i) for i in (a, b, c))
-        if (ea * eb) * ec != ea * (eb * ec):
-            assoc_failures.append(f"({a},{b},{c})")
-    checks.append(
+        ),
         summary_check(
             "indecomposable product is associative",
-            params["triples"],
+            top ** 3,
             assoc_failures,
-            inputs=f"seed={params['seed']}, indices <= {top}",
-        )
-    )
-    unit = cy1.AtiyahElement.basis(1)
-    sample = cy1.AtiyahElement.from_dict({2: 3, 5: 1})
-    checks.append(
+            inputs=f"all {top ** 3} triples, indices <= {top}",
+        ),
         Check(
             name="F_1 is the unit",
             ok=(unit * sample == sample and sample * unit == sample),
             expected=str(sample.terms),
             got=str((unit * sample).terms),
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 # ---------------------------------------------------------------- cy2 ----
@@ -468,21 +486,21 @@ def _run_quant_bs(params, fixtures):
 
 
 def _run_quant_holonomy(params, fixtures):
-    rng = random.Random(params["seed"])
     failures = []
-    for _ in range(params["samples"]):
-        k = rng.randint(1, params["k_max"])
-        j = math.floor(rng.random() * k)
-        mark = cy1.bs_points(k)[j]
-        got = numeric.holonomy_character(numeric.TorusModel(tau=1j, level=k), float(mark))
-        if abs(got - 1.0) > numeric.QUADRATURE_TOL:
-            failures.append(f"k={k} t={mark}: |holonomy - 1|={abs(got - 1.0):.2e}")
+    n = 0
+    for k in range(1, params["k_max"] + 1):
+        model = numeric.TorusModel(tau=1j, level=k)
+        for mark in cy1.bs_points(k):
+            n += 1
+            got = numeric.holonomy_character(model, float(mark))
+            if abs(got - 1.0) > numeric.QUADRATURE_TOL:
+                failures.append(f"k={k} t={mark}: |holonomy - 1|={abs(got - 1.0):.2e}")
     return [
         summary_check(
             "holonomy is trivial at the exact marked fibres j/k",
-            params["samples"],
+            n,
             failures,
-            inputs=f"seed={params['seed']}, k <= {params['k_max']}",
+            inputs=f"all {n} marks j/k, k <= {params['k_max']}",
             tol=f"{numeric.QUADRATURE_TOL:.0e}",
         )
     ]
@@ -560,16 +578,8 @@ SUITES = {
     for s in (
         SuiteDef("cy1-quantization", {"k_max": 50}, _run_cy1_quantization),
         SuiteDef("cy1-mirror-isometry", {}, _run_cy1_mirror_isometry),
-        SuiteDef(
-            "cy1-gft-homomorphism",
-            {"samples": 300, "seed": 11, "bound": 30},
-            _run_cy1_gft_homomorphism,
-        ),
-        SuiteDef(
-            "cy1-atiyah",
-            {"max_index": 8, "triples": 120, "seed": 3},
-            _run_cy1_atiyah,
-        ),
+        SuiteDef("cy1-gft-homomorphism", {}, _run_cy1_gft_homomorphism),
+        SuiteDef("cy1-atiyah", {"max_index": 8}, _run_cy1_atiyah),
         SuiteDef(
             "k3-quantization",
             {"l2_max": 40, "fixture": "k3-elliptic"},
@@ -611,11 +621,7 @@ SUITES = {
             {"k_max": 32, "tol": numeric.ROOT_TOL, "tau": [0.0, 1.0]},
             _run_quant_bs,
         ),
-        SuiteDef(
-            "quant-holonomy",
-            {"samples": 100, "seed": 23, "k_max": 12},
-            _run_quant_holonomy,
-        ),
+        SuiteDef("quant-holonomy", {"k_max": 12}, _run_quant_holonomy),
         SuiteDef(
             "quant-theta-rank",
             {"k_max": 8, "taus": [[0.0, 1.0], [0.5, 1.0], [0.0, 2.0]]},

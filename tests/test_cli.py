@@ -181,7 +181,7 @@ def test_manifest_accepts_well_formed_tau_taus_and_seed(tmp_path):
     suites = [
         {"name": "quant-bs", "params": {"tau": [0, 2]}},
         {"name": "quant-theta-rank", "params": {"taus": [[0.5, 1.5], [-1, 0.25]]}},
-        {"name": "cy1-atiyah", "params": {"seed": -3}},
+        {"name": "k3-reflections", "params": {"seed": -3}},
     ]
     m = parse_manifest(write_manifest(tmp_path, {"version": "1", "suites": suites}))
     assert [s.params for s in m.suites] == [s["params"] for s in suites]
@@ -194,14 +194,19 @@ def test_manifest_accepts_well_formed_tau_taus_and_seed(tmp_path):
         ("k3-mirror-transport", "seed"),
         ("cy3-skew", "bound"),
         ("cy3-mirror-isometry", "samples"),
+        ("cy1-gft-homomorphism", "bound"),
+        ("cy1-atiyah", "seed"),
+        ("quant-holonomy", "seed"),
     ],
 )
 def test_manifest_drops_the_parameters_of_the_former_sweeps(tmp_path, suite, key):
-    # the certificates take no sample parameters; older manifests still parse
+    # the certificates and exhaustive sweeps take no sample parameters;
+    # older manifests still parse.  cy1-atiyah counted triples, not samples
+    count = "triples" if suite == "cy1-atiyah" else "samples"
     payload = {"version": "1", "suites": [{"name": suite, "params": {key: 10}}]}
     assert parse_manifest(write_manifest(tmp_path, payload)).suites[0].params == {}
-    payload["suites"][0]["params"] = {"samples": 0}
-    with pytest.raises(ManifestError, match="parameter 'samples' must be a positive integer"):
+    payload["suites"][0]["params"] = {count: 0}
+    with pytest.raises(ManifestError, match=f"parameter '{count}' must be a positive integer"):
         parse_manifest(write_manifest(tmp_path, payload))
     payload["suites"][0]["params"] = {"draws": 10}
     with pytest.raises(ManifestError, match="does not take parameters \\['draws'\\]"):

@@ -5,7 +5,8 @@ exact CLI families must run without numpy in `sys.modules`; the names of `numeri
 A full `latmirror verify` must leave `numpy.fft` unloaded, and the float
 layer's holonomy and flat coordinate at one scalar height must not call
 numpy at all.  The import checks run in fresh interpreters, since this
-test process has numpy loaded already.  The last two tests guard the benchmark in
+test process has numpy loaded already.  Every suite's parameters, and the
+retired ones a manifest may still pass, are pinned.  The last two tests guard the benchmark in
 `perfbench/`: every name it takes from the package must still resolve,
 and its report check must accept the golden verify report.
 """
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import latmirror
-from latmirror import cli, manifest, numeric, shared
+from latmirror import cli, manifest, numeric, shared, suites
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -170,6 +171,48 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert latmirror.__all__ == PUBLIC_NAMES
+
+
+# suite -> (its parameters, the retired ones a manifest may still pass)
+SUITE_PARAMETERS = {
+    "cy1-quantization": ({"k_max"}, set()),
+    "cy1-mirror-isometry": (set(), {"samples", "seed", "bound"}),
+    "cy1-gft-homomorphism": (set(), {"samples", "seed", "bound"}),
+    "cy1-atiyah": ({"max_index"}, {"triples", "seed"}),
+    "k3-quantization": ({"l2_max", "fixture"}, set()),
+    "k3-reflections": ({"samples", "seed", "fixture"}, set()),
+    "k3-mirror-transport": ({"fixture"}, {"samples", "seed", "bound"}),
+    "k3-main-condition": (set(), set()),
+    "cy3-skew": ({"fixtures"}, {"samples", "seed", "bound"}),
+    "cy3-mirror-isometry": ({"fixtures"}, {"samples", "seed", "bound"}),
+    "cy3-quantization": ({"fixtures"}, set()),
+    "cy3-sublattice": ({"fixtures"}, set()),
+    "quant-bs": ({"k_max", "tol", "tau"}, set()),
+    "quant-holonomy": ({"k_max"}, {"samples", "seed"}),
+    "quant-theta-rank": ({"k_max", "taus"}, set()),
+    "quant-phase": (set(), set()),
+}
+
+
+def test_suite_parameters_are_pinned():
+    # a new knob must change this table; the walk of k3-reflections, whose
+    # domain is infinite, is the one seeded sweep
+    got = {
+        name: (set(suite.defaults), manifest._RETIRED_PARAMS.get(name, set()))
+        for name, suite in suites.SUITES.items()
+    }
+    assert got == SUITE_PARAMETERS
+    assert [name for name, suite in suites.SUITES.items() if "seed" in suite.defaults] == [
+        "k3-reflections"
+    ]
+    tree = ast.parse(Path(suites.__file__).read_text())
+    users = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "random" for n in ast.walk(node))
+    }
+    assert users == {"_run_k3_reflections"}
 
 
 def test_readme_library_example_runs():

@@ -3,16 +3,16 @@
 One row per suite: a monkeypatch that breaks exactly one target, and a
 reference for what the suite must then report.  For a certificate the
 reference checks the same basis classes or grid points one at a time
-through the per-vector functions; for a seeded sweep it redraws the
-suite's samples; for a fixed list of checks it derives the broken values
-by hand from the mutation.  Under the patch the
-suite must report ``fail`` (not ``error``), and every check the reference
-names must read exactly as the reference says.
+through the per-vector functions; for an exhaustive sweep it enumerates
+the same finite set; for the one seeded sweep, the walk of
+``k3-reflections``, it redraws the suite's points; for a fixed list of
+checks it derives the broken values by hand from the mutation.  Under
+the patch the suite must report ``fail`` (not ``error``), and every
+check the reference names must read exactly as the reference says.
 """
 
 import itertools
 import json
-import math
 import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -24,7 +24,7 @@ from latmirror.core import GradedVector, RingDescriptor
 from latmirror.report import summary_check
 from latmirror.suites import EXPECTED_CHI, SUITES
 from mutants import add_unit_entry
-from oracles import bs_fibres_scalar
+from oracles import bs_fibres_scalar, tensor_decompose_oracle
 
 
 class Row(NamedTuple):
@@ -35,6 +35,25 @@ class Row(NamedTuple):
 
 
 # ------------------------------------------------------------ mutations ----
+
+def drop_odot_cross_term(monkeypatch):
+    # (r1, d1) (.) (r2, d2) loses the r2 d1 of its fibre coefficient
+    monkeypatch.setattr(cy1, "odot", lambda a, b: cy1.CycleClass1(a.s0 * b.s0, a.s0 * b.e))
+
+
+def drop_lowest_atiyah_summand(monkeypatch):
+    # every pair of terms loses its lowest Clebsch-Gordan index F_{|a-b|+1},
+    # so F_1 (x) F_b is zero; atiyah_tensor, the pair table, is untouched
+    def product(self, other):
+        out = {}
+        for ia, ma in self.terms:
+            for ib, mb in other.terms:
+                for idx in range(ia + ib - 1, abs(ia - ib) + 1, -2):
+                    out[idx] = out.get(idx, 0) + ma * mb
+        return cy1.AtiyahElement.from_dict(out)
+
+    monkeypatch.setattr(cy1.AtiyahElement, "__mul__", product)
+
 
 def flip_cycle_pairing_sign(monkeypatch):
     monkeypatch.setattr(cy1, "cycle_pairing", lambda a, b: a.s0 * b.e + a.e * b.s0)
@@ -137,6 +156,52 @@ def cy1_isometry_reference(params, fixtures):
         if lhs != rhs:
             failures.append(f"{name}: {lhs} != {rhs}")
     return {"mirror pairing equals Euler pairing on the curve": (len(pairs), failures)}
+
+
+def cy1_quantization_reference(params, fixtures):
+    # the Euler form gains u0 v0, so chi(O, L^k) reads k + 1; the
+    # intersection count does not use it
+    return {
+        f"level {k}: transform meets section in k points, L^k has k sections":
+            f"intersections={k}, sections={k + 1}"
+        for k in range(1, params["k_max"] + 1)
+    }
+
+
+def cy1_gft_reference(params, fixtures):
+    # the tensor class by hand against the patched odot: the dropped term
+    # r2 d1 is nonzero exactly when d1 = 1, on half of the 16 points
+    values = list(itertools.product((1, 2), (0, 1)))
+    failures = []
+    for (r1, d1), (r2, d2) in itertools.product(values, repeat=2):
+        want = cy1.CycleClass1(r1 * r2, r1 * d2 + r2 * d1)
+        if cy1.odot(cy1.CycleClass1(r1, d1), cy1.CycleClass1(r2, d2)) != want:
+            failures.append(f"(r1,d1)=({r1},{d1}) (r2,d2)=({r2},{d2})")
+    assert len(failures) == 8
+    return {"transform of a tensor product is the fibrewise product": (16, failures)}
+
+
+def cy1_atiyah_reference(params, fixtures):
+    # the pair products from the sl2 character oracle, the outer products
+    # through the patched one; the unit times the sample loses every term
+    top = params["max_index"]
+    indices = range(1, top + 1)
+    basis = cy1.AtiyahElement.basis
+
+    def pair(a, b):
+        return cy1.AtiyahElement(tensor_decompose_oracle(a, b))
+
+    failures = [
+        f"({a},{b},{c})"
+        for a, b, c in itertools.product(indices, repeat=3)
+        if pair(a, b) * basis(c) != basis(a) * pair(b, c)
+    ]
+    assert failures
+    name = "indecomposable product is associative"
+    return {
+        name: summary_check(name, top ** 3, failures).got,
+        "F_1 is the unit": "()",
+    }
 
 
 def k3_reflections_reference(params, fixtures):
@@ -271,15 +336,13 @@ def cy3_sublattice_reference(params, fixtures):
 
 
 def quant_holonomy_reference(params, fixtures):
-    rng = random.Random(params["seed"])
+    marks = [(k, j) for k in range(1, params["k_max"] + 1) for j in range(k)]
     failures = []
-    for _ in range(params["samples"]):
-        k = rng.randint(1, params["k_max"])
-        j = math.floor(rng.random() * k)
+    for k, j in marks:
         got = numeric.holonomy_character(numeric.TorusModel(tau=1j, level=k), j / k)
         if abs(got - 1.0) > numeric.QUADRATURE_TOL:
             failures.append(f"k={k} t={Fraction(j, k)}: |holonomy - 1|={abs(got - 1.0):.2e}")
-    return {"holonomy is trivial at the exact marked fibres j/k": (params["samples"], failures)}
+    return {"holonomy is trivial at the exact marked fibres j/k": (len(marks), failures)}
 
 
 def quant_bs_reference(params, fixtures):
@@ -309,6 +372,9 @@ THREEFOLDS = ("quintic.json", "bicubic.json")
 
 ROWS = [
     Row("cy1-mirror-isometry", (), flip_cycle_pairing_sign, summaries(cy1_isometry_reference)),
+    Row("cy1-quantization", (), corrupt_exotic_form, cy1_quantization_reference),
+    Row("cy1-gft-homomorphism", (), drop_odot_cross_term, summaries(cy1_gft_reference)),
+    Row("cy1-atiyah", (), drop_lowest_atiyah_summand, cy1_atiyah_reference),
     Row("k3-quantization", ("k3_elliptic.json",), flip_fibre_coefficient,
         k3_quantization_reference),
     Row("k3-main-condition", (), drop_orthogonality_check, k3_main_condition_reference),

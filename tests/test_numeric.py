@@ -127,6 +127,31 @@ def test_scalar_heights_outside_the_range_raise_as_arrays_do():
             assert str(caught.value) == f"fibre height must lie in [0, 1], got {text}", (call, t)
 
 
+def test_heights_that_are_not_real_numbers_or_arrays_raise_one_line():
+    # the first four raised a bare TypeError from the range comparison; a
+    # complex numpy height passed it, compared by its real part
+    for t, name in (
+        ([0.3], "list"),
+        ((0.3, 0.5), "tuple"),
+        ("0.3", "str"),
+        (None, "NoneType"),
+        (0.3 + 0j, "complex"),
+        (np.complex128(0.3 + 0.5j), "complex128"),
+        (np.array([0.3 + 0.5j]), "complex128"),
+        (np.array(["0.3"]), "<U3"),
+        (np.array([0.3], dtype=object), "object"),
+    ):
+        for call in (holonomy_character, special_coordinates):
+            with pytest.raises(ValueError) as caught:
+                call(model(3), t)
+            assert str(caught.value) == (
+                f"fibre height must be a float, an int or a real numpy array, got {name}"
+            ), (call, t)
+    # real numpy scalars and arrays of every kind are still read
+    for t in (np.float32(0.25), np.int64(1), np.array([0, 1], dtype=np.uint8), np.bool_(True)):
+        holonomy_character(model(3), t)
+
+
 def test_holonomy_at_the_benchmark_points_equals_the_array_route():
     points = runpy.run_path(str(INPUTS))["torus_inputs"](1)["holonomy"]
     assert len(points) == 400
@@ -159,7 +184,7 @@ def test_perturbed_level_normalisation_fails_the_numeric_suites(monkeypatch, tmp
         "fixtures": [],
         "suites": [
             {"name": "quant-bs", "params": {"k_max": 4}},
-            {"name": "quant-holonomy", "params": {"samples": 20}},
+            {"name": "quant-holonomy", "params": {"k_max": 4}},
         ],
     }))
     reports = {r.suite: r for r in run_verify(parse_manifest(manifest)).reports}
@@ -531,7 +556,7 @@ def test_torus_model_validation():
         with pytest.raises(ValueError, match="finite"):
             TorusModel(tau=tau, level=1)
     # a bool is an int to isinstance; True used to pass and then fail in numpy
-    for level in (True, False, np.int64(3)):
+    for level in (True, False, np.bool_(True), np.int64(0), np.int32(-2), np.float64(3.0)):
         with pytest.raises(ValueError) as caught:
             TorusModel(tau=1j, level=level)
         assert str(caught.value) == f"level must be a positive integer, got {level}"
@@ -539,6 +564,18 @@ def test_torus_model_validation():
     for tau in (1j, np.complex128(0.5 + 1j), "0.5+1j"):
         m = TorusModel(tau=tau, level=2)
         assert type(m.tau) is complex and m.tau == complex(tau)
+
+
+def test_numpy_integer_levels_are_stored_as_ints():
+    # a level read from a numpy array was refused as "got 3"
+    for level in (np.int64(3), np.int32(3), np.uint8(3)):
+        m = TorusModel(tau=1j, level=level)
+        assert type(m.level) is int and m == TorusModel(tau=1j, level=3)
+        assert find_bs_fibres(m) == find_bs_fibres(model(3))
+        assert theta_basis_rank(m) == 3
+    # a built-in int is stored as given, not converted
+    big = 10 ** 20 + 1
+    assert TorusModel(tau=1j, level=big).level is big
 
 
 def test_winding_number_synthetic():
