@@ -8,7 +8,8 @@ coordinates, e.g. ``1:1,0:3/2,0:1/2`` for a rank-2 threefold.  Every
 command takes ``--json`` for machine-readable output.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage or parse
-error (bad flags, malformed manifest or fixture).
+error (bad flags, malformed manifest or fixture) or a request too large
+for memory (``quant theta-rank --level 100000``).
 
 Only the ``quant`` and ``verify`` handlers import `numeric` and `manifest`,
 so the exact families run without loading numpy.
@@ -545,6 +546,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError names the array it could not allocate
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))

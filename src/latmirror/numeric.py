@@ -11,26 +11,33 @@ exp(2 pi i * A(t)) where A(t) = k*t is the symplectic area swept by the
 fibre family between heights 0 and t.  In the translation-invariant gauge
 the level-k density is the constant k, so the area has this one closed
 form and no second route; the holonomy is trivial exactly at the k
-heights j/k.  A Python float or int height is one scalar, checked and
-exponentiated with ``math`` and ``cmath`` (its holonomy is a built-in
-complex); an array of heights, with an int or an int array of levels, is
-evaluated elementwise by numpy, to the same bits.  Marked
-(trivial-holonomy) fibres are found for any number of models in one
-search: sign-change bracketing on the concatenated fixed grids of every
-level, evaluated in one batched call, then bisection of the brackets
-still wider than the stopping width, all together, on the sign of the
-holonomy's imaginary part, which is the sign of its argument at every
-midpoint, so every root is the one a bracket-by-bracket bisection gives.
+heights j/k.  Heights are checked where they enter: `holonomy_character`
+and `special_coordinates` refuse one outside [0, 1] or not a real number;
+the fibre search makes its own heights inside (0, 1) and checks none.  A
+Python float or int height is one scalar, checked and exponentiated with
+``math`` and ``cmath`` (its holonomy is a built-in complex); an array of
+heights, with an int or an int array of levels, is evaluated elementwise
+by numpy, to the same bits.  Marked (trivial-holonomy) fibres are found
+for any number of models in one search: sign-change bracketing on the
+concatenated fixed grids of every level, evaluated in one batched call,
+then bisection of the brackets still wider than the stopping width, all
+together, on the sign of the holonomy's imaginary part, which is the sign
+of its argument at every midpoint, so every root is the one a
+bracket-by-bracket bisection gives.
 Theta series of level k are truncated q-expansions; their numerical rank
 over a deterministic sample grid is decided by singular values.  The N
 sample points are x = j/N, so each Fourier phase exp(2 pi i m x) is
 looked up among the N-th roots of unity rather than computed; each row
-is still shifted and scaled to unit norm.  A sampled cycle holds its samples as one read-only (n, 2) float
-array, converted from the given rows in one flat pass.  Its phase map is
-the squared unit tangent direction (the determinant map of the Lagrangian
-Grassmannian of the flat plane): constant exactly on straight segments,
-winding twice around a full circle.  It is computed over the whole sample
-array at once, rounded as the per-sample complex formula is, bit for bit.
+is still shifted and scaled to unit norm.  A level-k series is
+quasi-periodic, theta_c(z + 1/g) = exp(2 pi i c/g) theta_c(z) for every g
+dividing k, so with g = gcd(k, N) the lattice is summed on the first N/g
+samples only and the rest are those sums times roots of unity.  A sampled
+cycle holds its samples as one read-only (n, 2) float array, converted
+from the given rows in one flat pass.  Its phase map is the squared unit
+tangent direction (the determinant map of the Lagrangian Grassmannian of
+the flat plane): constant exactly on straight segments, winding twice
+around a full circle.  It is computed over the whole sample array at
+once, rounded as the per-sample complex formula is, bit for bit.
 
 Tolerance hierarchy (loosening as conditioning worsens):
 
@@ -92,19 +99,18 @@ class TorusModel:
             object.__setattr__(self, "level", int(level))
 
 
-def _swept_area(level: int | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
-    """Symplectic area k*t swept between heights 0 and t, elementwise.
+def _check_heights(t: float | np.ndarray) -> None:
+    """Raise ``ValueError`` unless every height t lies in [0, 1].
 
-    ``level`` is an int, or an int array of the shape of ``t``; ``t`` is a
-    Python float or int, checked by one chained comparison, or a numpy
-    scalar or array, checked by one reduction.  NaN lies outside [0, 1].
-    Any other height (a list, a string, None, a complex number or array)
-    raises ``ValueError`` too, naming its type or dtype.
+    A Python float or int is checked by one chained comparison, with no
+    numpy call; a numpy scalar or array of a real dtype by one reduction.
+    NaN lies outside [0, 1].  Any other height (a list, a string, None, a
+    complex number or array) raises too, naming its type or dtype.
     """
     if isinstance(t, (float, int)):
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"fibre height must lie in [0, 1], got {t}")
-        return level * t
+        return
     if not isinstance(t, (np.ndarray, np.generic)) or t.dtype.kind not in "biuf":
         got = t.dtype if isinstance(t, (np.ndarray, np.generic)) else type(t).__name__
         raise ValueError(f"fibre height must be a float, an int or a real numpy array, got {got}")
@@ -112,6 +118,16 @@ def _swept_area(level: int | np.ndarray, t: float | np.ndarray) -> float | np.nd
     if not inside.all():
         bad = t if np.ndim(t) == 0 else t[~inside][0]
         raise ValueError(f"fibre height must lie in [0, 1], got {bad}")
+
+
+def _swept_area(level: int | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
+    """Symplectic area k*t swept between heights 0 and t, elementwise.
+
+    ``level`` is an int, or an int array of the shape of ``t``.  Nothing is
+    checked here: the public entry points check the heights they are given
+    with `_check_heights`, and the fibre search evaluates only heights in
+    (0, 1) by construction.
+    """
     return level * t
 
 
@@ -120,7 +136,7 @@ def _holonomy(level: int | np.ndarray, t: float | np.ndarray) -> complex | np.nd
 
     A Python float or int height gives a built-in complex from
     ``cmath.exp``; anything else goes through ``np.exp`` elementwise.  The
-    two give the same bits at every height.
+    two give the same bits at every height.  The heights are not checked.
     """
     if isinstance(t, (float, int)):
         return cmath.exp(2j * math.pi * _swept_area(level, t))
@@ -131,13 +147,16 @@ def holonomy_character(model: TorusModel, t: float | np.ndarray) -> complex | np
     """Holonomy exp(2 pi i k t) of the fibre at height t.
 
     A Python float or int height gives a built-in complex; a numpy array
-    gives an array of the same shape, elementwise.
+    gives an array of the same shape, elementwise.  A height outside
+    [0, 1], or one that is not a real number or array, raises ``ValueError``.
     """
+    _check_heights(t)
     return _holonomy(model.level, t)
 
 
 def special_coordinates(model: TorusModel, t: float) -> float:
     """Flat coordinate exp(-2 pi * sweptarea(t)); strictly decreasing in t."""
+    _check_heights(t)
     return math.exp(-2.0 * math.pi * _swept_area(model.level, t))
 
 
@@ -170,7 +189,10 @@ def find_bs_fibres_batch(models: Sequence[TorusModel], tol: float = ROOT_TOL) ->
     so a bracket stops exactly where a bisection of it alone would, and
     every root is the one a one-model search gives.  The roots of every
     model are returned, however many there are; a model of level k should
-    have exactly k.
+    have exactly k.  No height is range-checked here: the grid points and
+    every midpoint lie in (0, 1) by construction, and only the public
+    height entry points, `holonomy_character` and `special_coordinates`,
+    run `_check_heights`.
     """
     if not 0.0 < tol <= 1e-6:
         raise ValueError(f"tolerance must lie in (0, 1e-6], got {tol}")
@@ -363,6 +385,12 @@ def theta_matrix(model: TorusModel, samples: int) -> np.ndarray:
     samples are x = j/N for N = ``samples``, so that phase is the N-th root
     of unity number (m j mod N): the N roots are computed once and looked
     up.
+
+    Row c is quasi-periodic: every m = c mod k is c mod g for each g
+    dividing k, so theta_c(z + 1/g) = exp(2 pi i c/g) theta_c(z).  With
+    g = gcd(k, N) and P = N/g, the lattice is summed only at the first P
+    samples, and sample j = qP + r is that sum at r times zeta^(c q), where
+    zeta = exp(2 pi i/g) is root number P.  When g = 1 every sample is summed.
     """
     k = model.level
     tau = model.tau
@@ -375,9 +403,13 @@ def theta_matrix(model: TorusModel, samples: int) -> np.ndarray:
     np.maximum.at(shift, chars, exponent.real)
     weights = np.zeros((k, ms.size), dtype=complex)
     weights[chars, np.arange(ms.size)] = np.exp(exponent - shift[chars])
+    g = math.gcd(k, samples)
+    period = samples // g
     js = np.arange(samples)
     roots = np.exp(2j * math.pi * js / samples)
-    rows = weights @ roots[np.outer(ms, js) % samples]
+    first = weights @ roots[np.multiply.outer(ms, js[:period]) % samples]
+    turns = roots[np.multiply.outer(np.arange(k), js[::period]) % samples]
+    rows = (turns[:, :, None] * first[:, None, :]).reshape(k, samples)
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 

@@ -464,6 +464,28 @@ def test_cli_quant_paths(capsys, tmp_path):
     assert doc["deviation"] < 1e-12 and abs(doc["winding"]) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 596. GiB for an array"),
+         "error: out of memory: Unable to allocate 596. GiB for an array\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+    ids=["numpy-text", "bare"],
+)
+def test_cli_out_of_memory_exits_2_on_one_line(capsys, monkeypatch, exc, line):
+    # `quant theta-rank --level 100000` ended in a traceback from numpy's
+    # _ArrayMemoryError; the stand-in raises without allocating anything
+    from latmirror import numeric
+
+    def too_large(model):
+        raise exc
+
+    monkeypatch.setattr(numeric, "theta_basis_rank", too_large)
+    code, out, err = run_cli(capsys, "quant", "theta-rank", "--level", "100000")
+    assert (code, out, err) == (2, "", line)
+
+
 def test_cli_exit_code_1_on_numeric_disagreement(capsys, tmp_path):
     curve = tmp_path / "degenerate.json"
     curve.write_text(json.dumps([[0.25, 0.25]] * 20))

@@ -245,6 +245,38 @@ def test_bs_batch_equals_the_per_level_calls():
     assert find_bs_fibres_batch([]) == []
 
 
+def test_fibre_search_checks_no_heights_and_evaluates_every_midpoint(monkeypatch):
+    # heights are checked at the public entry points only; the search makes
+    # its own inside (0, 1), and each of them still goes through _swept_area,
+    # the one formula the level mutants patch
+    checked, sizes = [], []
+    check, swept_area = numeric._check_heights, numeric._swept_area
+    monkeypatch.setattr(numeric, "_check_heights", lambda t: checked.append(t) or check(t))
+    monkeypatch.setattr(numeric, "_swept_area", lambda k, t: sizes.append(np.size(t)) or swept_area(k, t))
+    models = [model(k, tau=complex(0.2, 1.3)) for k in (1, 3, 8, 32, 64)]
+    got = find_bs_fibres_batch(models)
+    assert checked == []
+    # one call on the grids, then one per bisection round on the live
+    # brackets: as many evaluations as the brackets' scalar bisections make
+    assert sizes[0] == sum(8 * m.level for m in models)
+    assert sizes[1:] == sorted(sizes[1:], reverse=True) and min(sizes[1:]) > 0
+    midpoints = 0
+    for m, roots in zip(models, got):
+        calls = []
+
+        def holonomy(t, m=m):
+            calls.append(t)
+            return cmath.exp(2j * math.pi * (m.level * t))
+
+        assert bs_fibres_scalar(holonomy, m.level) == roots
+        midpoints += len(calls) - 8 * m.level
+    assert sum(sizes[1:]) == midpoints
+    sizes.clear()
+    holonomy_character(models[0], 0.5)
+    special_coordinates(models[0], 0.5)
+    assert checked == [0.5, 0.5] and sizes == [1, 1]
+
+
 def scale_level_4_area(monkeypatch):
     # the holonomy of level 4 winds as if the level were 6: six fibres
     swept_area = numeric._swept_area
@@ -517,10 +549,12 @@ def test_theta_rank_large_level_times_im_tau():
 
 
 def test_theta_matrix_equals_the_lattice_sum_oracle():
-    # the torus-numeric theta cases of seed 1, two at large k Im(tau), and a
-    # sample count that is not a multiple of the level
+    # the torus-numeric theta cases of seed 1 and two at large k Im(tau),
+    # where g = gcd(k, N) = k, then the other regimes of the quasi-period:
+    # N coprime to k (g = 1), 1 < g < k, and fewer samples than the level
     cases = [(tau, k, 4 * k) for tau, k in runpy.run_path(str(INPUTS))["torus_inputs"](1)["theta"]]
     cases += [(1j, 32, 128), (3j, 64, 256), (complex(0.3, 0.8), 5, 23)]
+    cases += [(complex(-0.2, 1.1), 6, 21), (complex(0.4, 0.7), 12, 8)]
     for tau, k, samples in cases:
         got = numeric.theta_matrix(model(k, tau=tau), samples)
         want = np.array(theta_matrix_scalar(tau, k, samples))
