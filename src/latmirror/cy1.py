@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import GradedVector, LatticeError, _as_int
@@ -167,7 +168,7 @@ class AtiyahElement:
         ``__post_init__``, which is the one path for foreign terms.
         """
         self = object.__new__(cls)
-        self.__dict__["terms"] = tuple(sorted(t for t in terms if t[1]))
+        self.__dict__["terms"] = tuple(sorted(filter(itemgetter(1), terms)))
         return self
 
     @classmethod
@@ -187,11 +188,12 @@ class AtiyahElement:
 
     def __mul__(self, other: "AtiyahElement") -> "AtiyahElement":
         out: dict = {}
+        get = out.get
         for ia, ma in self.terms:
             for ib, mb in other.terms:
                 mult = ma * mb
                 for idx in _clebsch_gordan(ia, ib):
-                    out[idx] = out.get(idx, 0) + mult
+                    out[idx] = get(idx, 0) + mult
         return AtiyahElement._of_terms(out.items())
 
 

@@ -155,8 +155,15 @@ def holonomy_character(model: TorusModel, t: float | np.ndarray) -> complex | np
 
 
 def special_coordinates(model: TorusModel, t: float) -> float:
-    """Flat coordinate exp(-2 pi * sweptarea(t)); strictly decreasing in t."""
+    """Flat coordinate exp(-2 pi * sweptarea(t)); strictly decreasing in t.
+
+    ``t`` is one height: a Python float or int, a real numpy scalar or a
+    0-d array.  A height outside [0, 1], one that is not a real number, or
+    an array of heights raises ``ValueError``.
+    """
     _check_heights(t)
+    if getattr(t, "ndim", 0):  # numpy scalars and 0-d arrays have ndim 0
+        raise ValueError(f"flat coordinate takes one fibre height, got an ndarray of shape {t.shape}")
     return math.exp(-2.0 * math.pi * _swept_area(model.level, t))
 
 
@@ -209,15 +216,15 @@ def find_bs_fibres_batch(models: Sequence[TorusModel], tol: float = ROOT_TOL) ->
     level = levels[bracket_owner]
     live = np.arange(len(a))  # the bracket that each entry of a, b and level stands for
     centres = np.empty(len(a))
-    while (wide := (b - a) > tol * _BISECT_FACTOR).any():
-        if not wide.all():  # retire the brackets that reached the stopping width
+    while n_wide := np.count_nonzero(wide := (b - a) > tol * _BISECT_FACTOR):
+        if n_wide < len(a):  # retire the brackets that reached the stopping width
             done = ~wide
             centres[live[done]] = 0.5 * (a[done] + b[done])
             live, a, b, level = live[wide], a[wide], b[wide], level[wide]
         mid = 0.5 * (a + b)
         below = _holonomy(level, mid).imag < 0.0
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
+        np.copyto(a, mid, where=below)
+        np.copyto(b, mid, where=~below)
     centres[live] = 0.5 * (a + b)
     mids = centres.tolist()  # grouped by model, in grid order
     found = []

@@ -1,8 +1,8 @@
 """Names the command line needs before the verifier or numpy is loaded.
 
-`cli` parses flags and catches errors with these, and imports `numeric`
-and `manifest` only in the handlers that use them, so the exact commands
-never load numpy.  `numeric` re-exports ``ROOT_TOL`` and
+`cli` and `commands` parse flags and catch errors with these, and import
+`numeric` and `manifest` only in the handlers that use them, so the exact
+commands never load numpy.  `numeric` re-exports ``ROOT_TOL`` and
 ``ConsistencyError``, and `manifest` re-exports ``DEFAULT_MANIFEST`` and
 ``ManifestError``, so ``numeric.ConsistencyError is shared.ConsistencyError``.
 """

@@ -23,7 +23,8 @@ from latmirror import (
     resolve_fixture,
     run_verify,
 )
-from latmirror.cli import _fmt_blocks, _parse_blocks, main
+from latmirror.cli import main
+from latmirror.commands import _fmt_blocks, _parse_blocks
 from latmirror.core import LatticeError, format_rational, parse_rational
 from latmirror.fixtures import fixture_from_payload
 from latmirror.suites import SUITES

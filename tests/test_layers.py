@@ -2,7 +2,9 @@
 
 `import latmirror`, the K3 mirror map, count and chamber walk and the
 exact CLI families must run without numpy in `sys.modules`; the names of `numeric` and `manifest` resolve on first use.
-A full `latmirror verify` must leave `numpy.fft` unloaded, and the float
+A full `latmirror verify` must leave `numpy.fft` and the other families'
+command handlers unloaded, and the parser built with one family's verbs
+must print every help text of that family as the full parser does.  The float
 layer's holonomy and flat coordinate at one scalar height must not call
 numpy at all.  The import checks run in fresh interpreters, since this
 test process has numpy loaded already.  Every suite's parameters, and the
@@ -11,6 +13,7 @@ retired ones a manifest may still pass, are pinned.  The last two tests guard th
 and its report check must accept the golden verify report.
 """
 
+import argparse
 import ast
 import importlib
 import json
@@ -90,16 +93,40 @@ from contextlib import redirect_stdout
 from latmirror import cli
 with redirect_stdout(io.StringIO()):
     assert cli.main(["verify"]) == 0
-print("numpy" in sys.modules, "numpy.fft" in sys.modules)
+print("numpy" in sys.modules, "numpy.fft" in sys.modules, "latmirror.commands" in sys.modules)
 """
 
 
 def test_verify_leaves_numpy_fft_unloaded():
     # the theta phases are looked up among roots of unity; the first use of
-    # numpy.fft would import it, a cost every cold `latmirror verify` pays
+    # numpy.fft would import it, a cost every cold `latmirror verify` pays;
+    # so would compiling and building the verbs of the other four families
     proc = run_fresh("-c", VERIFY_PROBE)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True False\n"
+    assert proc.stdout == "True False False\n"
+
+
+def subcommands(parser) -> dict:
+    """name -> parser of each subcommand of `parser` (none if it has no subparsers)."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices if actions else {}
+
+
+@pytest.mark.parametrize("family", ["cy1", "cy2", "cy3", "quant", "verify"])
+def test_the_parser_of_one_family_helps_as_the_full_parser_does(family):
+    # `main` builds only the verbs of the family it is given; every help
+    # text at the family's levels is the one a parser of all families prints
+    full, lazy = cli.build_parser(), cli.build_parser((family,))
+    assert lazy.format_help() == full.format_help() == cli.build_parser(()).format_help()
+    full_family, lazy_family = subcommands(full)[family], subcommands(lazy)[family]
+    assert lazy_family.format_help() == full_family.format_help()
+    verbs = subcommands(full_family)
+    assert list(subcommands(lazy_family)) == list(verbs)
+    assert (family == "verify") == (not verbs)
+    for name, verb in verbs.items():
+        assert subcommands(lazy_family)[name].format_help() == verb.format_help(), name
+    others = set(subcommands(full)) - {family}
+    assert not any(subcommands(subcommands(lazy)[other]) for other in others)
 
 
 class _NoNumpy:

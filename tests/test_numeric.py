@@ -150,6 +150,12 @@ def test_heights_that_are_not_real_numbers_or_arrays_raise_one_line():
     # real numpy scalars and arrays of every kind are still read
     for t in (np.float32(0.25), np.int64(1), np.array([0, 1], dtype=np.uint8), np.bool_(True)):
         holonomy_character(model(3), t)
+    # the flat coordinate is of one height: an array of them raised a bare
+    # TypeError from math.exp ("only 0-dimensional arrays can be converted")
+    for t, shape in ((np.array([0.3]), "(1,)"), (np.array([0.3, 0.5]), "(2,)"), (np.zeros((2, 2)), "(2, 2)")):
+        with pytest.raises(ValueError) as caught:
+            special_coordinates(model(3), t)
+        assert str(caught.value) == f"flat coordinate takes one fibre height, got an ndarray of shape {shape}"
 
 
 def test_holonomy_at_the_benchmark_points_equals_the_array_route():
