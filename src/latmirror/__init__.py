@@ -7,9 +7,9 @@ doubles.  `manifest.run_verify` ties the two together behind one report
 format; the `latmirror` console script exposes everything on the command
 line.
 
-Importing the package loads the exact layer and `fixtures` only.  The names
-from `numeric` and `manifest` are imported on first use, so code that never
-touches them never loads numpy.
+Importing the package loads the exact layer, `shared` and `fixtures` only.
+The names from `numeric` and `manifest` are imported on first use, so code
+that never touches them never loads numpy.
 """
 
 import importlib
@@ -82,14 +82,13 @@ from .fixtures import (
     load_k3_fixture,
     resolve_fixture,
 )
+from .shared import DEFAULT_MANIFEST, ConsistencyError, ManifestError
 
 __version__ = "0.1.0"
 
 # Public names imported on first access (PEP 562), so that `import latmirror`
-# stays numpy-free: those of `numeric` and `manifest`, which load numpy, and
-# of `shared`, which they re-export.
+# stays numpy-free: those of `numeric` and `manifest`, which load numpy.
 _LAZY = {
-    **dict.fromkeys(("ConsistencyError", "DEFAULT_MANIFEST", "ManifestError"), "shared"),
     **dict.fromkeys(("Manifest", "parse_manifest", "run_verify"), "manifest"),
     **dict.fromkeys(
         (

@@ -55,12 +55,13 @@ with ``cup(sqrt_td, sqrt_td) == td`` holding exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence, Union
+
+from .shared import ReadOnly
 
 RationalLike = Union[int, str, Fraction]
 
@@ -150,8 +151,7 @@ def blocks_of(dim: int, flat: Sequence) -> tuple:
     return (flat[0], *mids, flat[-1])
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class GradedVector:
+class GradedVector(ReadOnly):
     """One element of the even-cohomology ring.
 
     Stored as flat integer numerators ``nums`` (laid out by
@@ -160,9 +160,7 @@ class GradedVector:
     and i = dim, a tuple of Fractions in between.
     """
 
-    dim: int
-    nums: tuple
-    den: int
+    _fields = ("dim", "nums", "den")
 
     def __init__(self, dim: int, blocks: tuple):
         if type(dim) is not int or dim not in (1, 2, 3):
@@ -275,8 +273,7 @@ def _check_symmetric(matrix, noun: str = "Gram matrix") -> None:
                 raise ShapeError(f"{noun} must be symmetric")
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
+class RingDescriptor(ReadOnly):
     """Multiplication data for one even-cohomology ring.
 
     dim 1: no parameters (picard_rank is 0; both blocks are scalars).
@@ -294,32 +291,32 @@ class RingDescriptor:
     flat row-major form (a, b) -> D[a][b][d].
     """
 
-    dim: int
-    picard_rank: int
-    gram: tuple | None = None
-    cubic: tuple | None = None
-    c2: tuple | None = None
+    _fields = ("dim", "picard_rank", "gram", "cubic", "c2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dim", _as_int(self.dim))
-        object.__setattr__(self, "picard_rank", _as_int(self.picard_rank))
-        if self.dim not in (1, 2, 3):
-            raise ShapeError(f"dim must be 1, 2 or 3, got {self.dim}")
-        k = self.picard_rank
-        if self.dim == 1:
+    def __init__(
+        self,
+        dim: int,
+        picard_rank: int,
+        gram: tuple | None = None,
+        cubic: tuple | None = None,
+        c2: tuple | None = None,
+    ):
+        dim, k = _as_int(dim), _as_int(picard_rank)
+        if dim not in (1, 2, 3):
+            raise ShapeError(f"dim must be 1, 2 or 3, got {dim}")
+        if dim == 1:
             if k != 0:
                 raise ShapeError("dim-1 rings have no intermediate block")
-            if self.gram is not None or self.cubic is not None or self.c2 is not None:
+            if gram is not None or cubic is not None or c2 is not None:
                 raise ShapeError("dim-1 rings carry no Gram/cubic/c2 data")
-            return
-        if k < 1:
+        elif k < 1:
             raise ShapeError("picard_rank must be >= 1 for dim 2 and 3")
-        if self.dim == 2:
-            if self.gram is None:
+        elif dim == 2:
+            if gram is None:
                 raise ShapeError("dim-2 ring needs a Gram matrix")
-            if self.cubic is not None or self.c2 is not None:
+            if cubic is not None or c2 is not None:
                 raise ShapeError("dim-2 rings carry no cubic/c2 data")
-            gram = _int_array(self.gram, 2, "Gram matrix must be square")
+            gram = _int_array(gram, 2, "Gram matrix must be square")
             if len(gram) != k:
                 raise ShapeError("Gram size must equal picard_rank")
             _check_symmetric(gram)
@@ -329,37 +326,34 @@ class RingDescriptor:
                         f"Gram diagonal entry {gram[i][i]} is odd; "
                         "surface lattices here are even"
                     )
-            object.__setattr__(self, "gram", gram)
-            return
-        # dim == 3
-        if self.cubic is None or self.c2 is None:
-            raise ShapeError("dim-3 ring needs cubic and c2 data")
-        if self.gram is not None:
-            raise ShapeError("dim-3 rings carry no Gram matrix")
-        shape = "cubic tensor must be picard_rank^3"
-        flat = _int_array(self.cubic, 1, shape)
-        if len(flat) != k ** 3:
-            raise ShapeError(shape)
-        # row-major: D[a][b][c] is the entry (a k + b) k + c
-        for a in range(k):
-            for b in range(k):
-                for c in range(k):
-                    v = flat[(a * k + b) * k + c]
-                    if not (
-                        v == flat[(a * k + c) * k + b] == flat[(b * k + a) * k + c]
-                        == flat[(b * k + c) * k + a] == flat[(c * k + a) * k + b]
-                        == flat[(c * k + b) * k + a]
-                    ):
-                        raise ShapeError("cubic tensor must be totally symmetric")
-        # by that symmetry, plane d, (a, b) -> D[a][b][d] = D[d][a][b], is
-        # the run of k^2 entries from d k^2
-        cubic = tuple(flat[d * k * k:(d + 1) * k * k] for d in range(k))
-        length = "c2 vector length must equal picard_rank"
-        c2 = _int_array(self.c2, 1, length)
-        if len(c2) != k:
-            raise ShapeError(length)
-        object.__setattr__(self, "cubic", cubic)
-        object.__setattr__(self, "c2", c2)
+        else:
+            if cubic is None or c2 is None:
+                raise ShapeError("dim-3 ring needs cubic and c2 data")
+            if gram is not None:
+                raise ShapeError("dim-3 rings carry no Gram matrix")
+            shape = "cubic tensor must be picard_rank^3"
+            flat = _int_array(cubic, 1, shape)
+            if len(flat) != k ** 3:
+                raise ShapeError(shape)
+            # row-major: D[a][b][c] is the entry (a k + b) k + c
+            for a in range(k):
+                for b in range(k):
+                    for c in range(k):
+                        v = flat[(a * k + b) * k + c]
+                        if not (
+                            v == flat[(a * k + c) * k + b] == flat[(b * k + a) * k + c]
+                            == flat[(b * k + c) * k + a] == flat[(c * k + a) * k + b]
+                            == flat[(c * k + b) * k + a]
+                        ):
+                            raise ShapeError("cubic tensor must be totally symmetric")
+            # by that symmetry, plane d, (a, b) -> D[a][b][d] = D[d][a][b], is
+            # the run of k^2 entries from d k^2
+            cubic = tuple(flat[d * k * k:(d + 1) * k * k] for d in range(k))
+            length = "c2 vector length must equal picard_rank"
+            c2 = _int_array(c2, 1, length)
+            if len(c2) != k:
+                raise ShapeError(length)
+        self.__dict__.update(dim=dim, picard_rank=k, gram=gram, cubic=cubic, c2=c2)
 
     @classmethod
     def elliptic(cls) -> "RingDescriptor":

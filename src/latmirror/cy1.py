@@ -21,29 +21,28 @@ positions j/k, matching the k-dimensional space of level-k theta series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
 
 from .core import GradedVector, LatticeError, _as_int
+from .shared import ReadOnly
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(ReadOnly):
     """Reduced support slope: gcd(r, d) = 1, r >= 0, infinity = (0, 1)."""
 
-    r: int
-    d: int
+    _fields = ("r", "d")
 
-    def __post_init__(self):
-        if self.r < 0:
+    def __init__(self, r: int, d: int):
+        if r < 0:
             raise LatticeError("slope stored with r < 0; use reduce_slope")
-        if self.r == 0 and self.d != 1:
+        if r == 0 and d != 1:
             raise LatticeError("infinite slope is normalized to (0, 1)")
-        if gcd(abs(self.r), abs(self.d)) != 1:
-            raise LatticeError(f"slope ({self.r}, {self.d}) is not reduced")
+        if gcd(abs(r), abs(d)) != 1:
+            raise LatticeError(f"slope ({r}, {d}) is not reduced")
+        self.__dict__.update(r=r, d=d)
 
     @property
     def is_infinite(self) -> bool:
@@ -55,19 +54,17 @@ class Slope:
         return str(self.d) if self.r == 1 else f"{self.d}/{self.r}"
 
 
-@dataclass(frozen=True)
-class BundleClass1:
+class BundleClass1(ReadOnly):
     """Topological type (rank, degree) of a bundle on the curve."""
 
-    rank: int
-    deg: int
+    _fields = ("rank", "deg")
 
-    def __post_init__(self):
-        if type(self.rank) is not int or type(self.deg) is not int:
-            object.__setattr__(self, "rank", _as_int(self.rank))
-            object.__setattr__(self, "deg", _as_int(self.deg))
-        if self.rank < 0:
+    def __init__(self, rank: int, deg: int):
+        if type(rank) is not int or type(deg) is not int:
+            rank, deg = _as_int(rank), _as_int(deg)
+        if rank < 0:
             raise LatticeError("rank must be nonnegative")
+        self.__dict__.update(rank=rank, deg=deg)
 
 
 class CycleClass1(NamedTuple):
@@ -136,8 +133,7 @@ def decompose_primitive(c: CycleClass1) -> tuple[Slope, int]:
     return reduce_slope(r, d), gcd(abs(r), abs(d))
 
 
-@dataclass(frozen=True)
-class AtiyahElement:
+class AtiyahElement(ReadOnly):
     """Formal integer combination of the indecomposables F_r (r >= 1).
 
     The constructor checks and sorts the terms.  A product adds the
@@ -145,11 +141,12 @@ class AtiyahElement:
     one element from it through :meth:`_of_terms`.
     """
 
-    terms: tuple  # sorted ((index, multiplicity), ...), zeros dropped
+    # terms: sorted ((index, multiplicity), ...), zeros dropped
+    _fields = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple):
         clean = []
-        for idx, mult in self.terms:
+        for idx, mult in terms:
             if type(idx) is not int or type(mult) is not int:
                 idx, mult = _as_int(idx), _as_int(mult)
             if idx < 1:
@@ -157,7 +154,7 @@ class AtiyahElement:
             if mult != 0:
                 clean.append((idx, mult))
         clean.sort()
-        object.__setattr__(self, "terms", tuple(clean))
+        self.__dict__["terms"] = tuple(clean)
 
     @classmethod
     def _of_terms(cls, terms) -> "AtiyahElement":
@@ -165,7 +162,7 @@ class AtiyahElement:
 
         The one way in for elements this module computes: it only sorts
         the terms and drops zero multiplicities, skipping the checks of
-        ``__post_init__``, which is the one path for foreign terms.
+        the constructor, which is the one path for foreign terms.
         """
         self = object.__new__(cls)
         self.__dict__["terms"] = tuple(sorted(filter(itemgetter(1), terms)))

@@ -29,14 +29,13 @@ are Python ints.  :func:`check_main_condition` certifies a hyperbolic
 summand candidate (e, s) by e^2 = 0, s^2 = -2, e.s = 1 and orthogonality
 of the declared complement, and reports every check.
 
-``K3Descriptor`` checks its input and is a dataclass; the mirror,
-transform, count, walk and main-condition results only carry values and
-are ``NamedTuple``s.
+``K3Descriptor`` checks its input in its constructor and is read-only
+after it; the mirror, transform, count, walk and main-condition results
+only carry values and are ``NamedTuple``s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -55,6 +54,7 @@ from .core import (
     pair_exotic,
     pair_form,
 )
+from .shared import ReadOnly
 
 # Euler characteristic of every K3 surface; an elliptic fibration with only
 # nodal fibres has exactly this many singular fibres.
@@ -65,36 +65,39 @@ EULER_K3 = 24
 H_GRAM = ((-2, 1), (1, 0))
 
 
-@dataclass(frozen=True)
-class K3Descriptor:
+class K3Descriptor(ReadOnly):
     """A K3 Picard lattice plus optional root and fibration metadata.
 
     ``root_axes`` holds, for each declared root, the pair (root, Gram
     applied to the root), built and square-checked here once by
     :func:`_minus2_axes`, the one (-2)-root check; a walk on the
-    descriptor's own roots reads it instead of checking them again.
+    descriptor's own roots reads it instead of checking them again.  It
+    is left out of equality, the hash and the repr.
     """
 
-    ring: RingDescriptor
-    label: str = "k3"
-    roots: tuple = ()
-    singular_fibres: int | None = None
-    root_axes: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("ring", "label", "roots", "singular_fibres")
 
-    def __post_init__(self):
-        if self.ring.dim != 2:
+    def __init__(
+        self,
+        ring: RingDescriptor,
+        label: str = "k3",
+        roots: tuple = (),
+        singular_fibres: int | None = None,
+    ):
+        if ring.dim != 2:
             raise ShapeError("K3Descriptor needs a dim-2 ring")
-        roots = _int_array(self.roots, 2, "roots must be a sequence of divisor coordinate vectors")
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "root_axes", tuple(_minus2_axes(roots, self)))
-        if self.singular_fibres is not None:
-            count = _as_int(self.singular_fibres)
-            if count != EULER_K3:
+        roots = _int_array(roots, 2, "roots must be a sequence of divisor coordinate vectors")
+        # the root check reads the ring
+        self.__dict__.update(ring=ring, label=label, roots=roots)
+        self.__dict__["root_axes"] = tuple(_minus2_axes(roots, self))
+        if singular_fibres is not None:
+            singular_fibres = _as_int(singular_fibres)
+            if singular_fibres != EULER_K3:
                 raise LatticeError(
                     f"elliptic K3 fibration must have {EULER_K3} singular fibres "
-                    f"(Euler characteristic), got {count}"
+                    f"(Euler characteristic), got {singular_fibres}"
                 )
-            object.__setattr__(self, "singular_fibres", count)
+        self.__dict__["singular_fibres"] = singular_fibres
 
 
 def mukai2(ch: GradedVector, X: K3Descriptor) -> GradedVector:

@@ -29,7 +29,6 @@ Only flat fibrewise pairings are modeled.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -46,22 +45,22 @@ from .core import (
     pair_sym,
     todd_multiply,
 )
+from .shared import ReadOnly
 
 
 class NonIntegralEulerWarning(UserWarning):
     """Euler characteristic came out non-integral: not a genuine bundle."""
 
 
-@dataclass(frozen=True)
-class CY3Descriptor:
+class CY3Descriptor(ReadOnly):
     """Triple-intersection data of a threefold with trivial canonical class."""
 
-    ring: RingDescriptor
-    label: str = "cy3"
+    _fields = ("ring", "label")
 
-    def __post_init__(self):
-        if self.ring.dim != 3:
+    def __init__(self, ring: RingDescriptor, label: str = "cy3"):
+        if ring.dim != 3:
             raise ShapeError("CY3Descriptor needs a dim-3 ring")
+        self.__dict__.update(ring=ring, label=label)
 
     @property
     def todd(self) -> ToddData:
@@ -109,8 +108,6 @@ def euler_pairing3(ch1: GradedVector, ch2: GradedVector, X: CY3Descriptor) -> Fr
     return pair_exotic(ch1, ch2, X.ring)
 
 
-# frozen here too, so that no attribute can be set on the subclass either
-@dataclass(frozen=True, init=False, repr=False, eq=False)
 class MirrorClass3(GradedVector):
     """Middle-cohomology class on the mirror: section, fibre, psi blocks.
 
@@ -216,20 +213,17 @@ def gft_s0_intersection3(L: Sequence, X: CY3Descriptor) -> Fraction:
     return chi_bundle3(line_bundle_ch(L, X), X)
 
 
-@dataclass(frozen=True)
-class Rank3Sublattice:
+class Rank3Sublattice(ReadOnly):
     """Read-only restriction of both forms to <[X], c2, [pt]>.
 
     Both restricted Gram matrices are degenerate and the second Chern
     class generates the kernel; that is asserted at construction.
     """
 
-    basis_labels: tuple
-    gram_sym: tuple
-    gram_exotic: tuple
+    _fields = ("basis_labels", "gram_sym", "gram_exotic")
 
-    def __post_init__(self):
-        for gram in (self.gram_sym, self.gram_exotic):
+    def __init__(self, basis_labels: tuple, gram_sym: tuple, gram_exotic: tuple):
+        for gram in (gram_sym, gram_exotic):
             mid_row = gram[1]
             mid_col = tuple(row[1] for row in gram)
             if any(x != 0 for x in mid_row) or any(x != 0 for x in mid_col):
@@ -237,6 +231,9 @@ class Rank3Sublattice:
                     "second Chern class is not in the kernel of the "
                     "restricted form; implementation bug"
                 )
+        self.__dict__.update(
+            basis_labels=basis_labels, gram_sym=gram_sym, gram_exotic=gram_exotic
+        )
 
 
 def canonical_rank3_sublattice(X: CY3Descriptor) -> Rank3Sublattice:

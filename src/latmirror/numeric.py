@@ -56,13 +56,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .shared import ROOT_TOL, ConsistencyError
+from .shared import ROOT_TOL, ConsistencyError, ReadOnly
 
 QUADRATURE_TOL = 1e-11
 RANK_RTOL = 1e-8
@@ -75,28 +74,24 @@ _BISECT_FACTOR = 0.25
 _THETA_TAIL = 1e-14
 
 
-@dataclass(frozen=True)
-class TorusModel:
+class TorusModel(ReadOnly):
     """Flat torus C/(Z + tau Z), unit total area, prequantum level k."""
 
-    tau: complex
-    level: int
+    _fields = ("tau", "level")
 
-    def __post_init__(self):
-        tau = self.tau
+    def __init__(self, tau: complex, level: int):
         if type(tau) is not complex:
             tau = complex(tau)
-            object.__setattr__(self, "tau", tau)
         if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
             raise ValueError(f"tau must be finite, got {tau}")
         if not tau.imag > 0:
             raise ValueError(f"tau must lie in the upper half plane, got {tau}")
-        level = self.level
         if not isinstance(level, int) or type(level) is bool or level < 1:
             # a numpy integer level is stored as an int; a bool is refused
             if not isinstance(level, np.integer) or level < 1:
                 raise ValueError(f"level must be a positive integer, got {level}")
-            object.__setattr__(self, "level", int(level))
+            level = int(level)
+        self.__dict__.update(tau=tau, level=level)
 
 
 def _check_heights(t: float | np.ndarray) -> None:
@@ -259,8 +254,7 @@ def _sample_array(samples) -> np.ndarray:
     return flat.reshape(-1, 2)
 
 
-@dataclass(frozen=True, eq=False)
-class ParamCurve:
+class ParamCurve(ReadOnly):
     """Sampled cycle on the torus cover; >= 16 samples, orientation +-1.
 
     ``points`` is one read-only float64 array of shape (n, 2), copied from
@@ -269,22 +263,24 @@ class ParamCurve:
     and cannot close up in cover coordinates.  Bad input raises
     ``ValueError`` whose message starts with "curve samples must form an
     (n, 2) array", "curve samples must be finite numbers", "need at least
-    16 samples" or "orientation must be".
+    16 samples" or "orientation must be".  Two curves are equal only if
+    they are one object.
     """
 
-    points: np.ndarray
-    orientation: int = 1
+    _fields = ("points", "orientation")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        pts = _sample_array(self.points)
+    def __init__(self, points: np.ndarray, orientation: int = 1):
+        pts = _sample_array(points)
         if not np.isfinite(pts).all():  # NaN also stands in for None
             raise ValueError("curve samples must be finite numbers")
         if len(pts) < 16:
             raise ValueError(f"need at least 16 samples, got {len(pts)}")
-        if self.orientation not in (1, -1):
+        if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        self.__dict__.update(points=pts, orientation=orientation)
 
     @property
     def is_closed(self) -> bool:

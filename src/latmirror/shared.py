@@ -1,6 +1,8 @@
 """Names the command line needs before the verifier or numpy is loaded.
 
-`cli` and `commands` parse flags and catch errors with these, and import
+``ReadOnly`` is the base of the classes that check their input: each
+stores its values once, in its ``__init__``.  `cli` and `commands` parse
+flags and catch errors with the other names here, and import
 `numeric` and `manifest` only in the handlers that use them, so the exact
 commands never load numpy.  `numeric` re-exports ``ROOT_TOL`` and
 ``ConsistencyError``, and `manifest` re-exports ``DEFAULT_MANIFEST`` and
@@ -23,3 +25,35 @@ class ConsistencyError(RuntimeError):
 
 class ManifestError(ValueError):
     """The manifest (or a file it references) does not parse."""
+
+
+class ReadOnly:
+    """A value set once in ``__init__``, through ``__dict__``, and never again.
+
+    ``_fields`` names the stored values that equality (with the same class
+    only), the hash and the repr ``Name(field=value, ...)`` read.
+    """
+
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        items = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({items})"

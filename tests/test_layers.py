@@ -53,7 +53,11 @@ for argv in (
 ):
     with redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+print(
+    sorted(m for m in sys.modules if m.split(".")[0] == "numpy"),
+    "dataclasses" in sys.modules,
+    "inspect" in sys.modules,
+)
 """
 
 
@@ -69,9 +73,11 @@ def run_fresh(*args):
 
 
 def test_exact_imports_and_commands_leave_numpy_unloaded():
+    # nor `dataclasses` and the `inspect` it loads, about a third of a
+    # cold `import latmirror`
     proc = run_fresh("-c", EXACT_PROBE)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[] False False\n"
 
 
 @pytest.mark.parametrize(
@@ -93,17 +99,23 @@ from contextlib import redirect_stdout
 from latmirror import cli
 with redirect_stdout(io.StringIO()):
     assert cli.main(["verify"]) == 0
-print("numpy" in sys.modules, "numpy.fft" in sys.modules, "latmirror.commands" in sys.modules)
+print(
+    "numpy" in sys.modules,
+    "numpy.fft" in sys.modules,
+    "latmirror.commands" in sys.modules,
+    "dataclasses" in sys.modules,
+)
 """
 
 
 def test_verify_leaves_numpy_fft_unloaded():
     # the theta phases are looked up among roots of unity; the first use of
     # numpy.fft would import it, a cost every cold `latmirror verify` pays;
-    # so would compiling and building the verbs of the other four families
+    # so would compiling and building the verbs of the other four families,
+    # and importing `dataclasses`
     proc = run_fresh("-c", VERIFY_PROBE)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True False False\n"
+    assert proc.stdout == "True False False False\n"
 
 
 def subcommands(parser) -> dict:
@@ -297,21 +309,38 @@ def test_the_benchmark_report_check_accepts_the_golden_report():
     assert check["verify_faults"](0, golden, counts) == []
 
 
-def test_only_validating_classes_are_dataclasses():
-    # a record that only carries values is a NamedTuple; @dataclass is kept
-    # for classes whose __post_init__ or __init__ checks their input
-    plain, validating = [], []
+def test_records_are_named_tuples_and_checking_classes_check_in_init():
+    # a record that only carries values is a NamedTuple, the one kind of
+    # class that declares fields; a class that checks its input derives
+    # from shared.ReadOnly and checks it in its __init__; no module
+    # imports dataclasses
+    imports, declaring, read_only, checking = [], set(), {"ReadOnly"}, set()
     for path in sorted((SRC / "latmirror").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imports += [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imports.append((node.module or "").split(".")[0])
             if not isinstance(node, ast.ClassDef):
                 continue
-            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-            if "dataclass" not in [getattr(d, "id", None) for d in decorators]:
-                continue
-            methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
-            (validating if methods & {"__post_init__", "__init__"} else plain).append(node.name)
-    assert plain == []
-    assert {"GradedVector", "AtiyahElement", "ParamCurve"} <= set(validating)
+            bases = {getattr(b, "id", None) for b in node.bases}
+            if any(isinstance(f, ast.AnnAssign) for f in node.body):
+                declaring.add((node.name, "NamedTuple" in bases))
+            # a base is defined before the classes that derive from it
+            if bases & read_only:
+                read_only.add(node.name)
+                inits = [f for f in node.body if getattr(f, "name", None) == "__init__"]
+                assert inits, f"{node.name} has no __init__"
+                if any(isinstance(n, ast.Raise) for n in ast.walk(inits[0])):
+                    checking.add(node.name)
+    assert "dataclasses" not in imports
+    assert declaring and [name for name, is_tuple in sorted(declaring) if not is_tuple] == []
+    assert read_only - {"ReadOnly"} == {
+        "GradedVector", "RingDescriptor", "Slope", "BundleClass1", "AtiyahElement",
+        "K3Descriptor", "CY3Descriptor", "MirrorClass3", "Rank3Sublattice", "TorusModel",
+        "ParamCurve",
+    }
+    assert {"GradedVector", "AtiyahElement", "ParamCurve"} <= checking
 
 
 def unused_imports(path: Path) -> list:
