@@ -11,9 +11,10 @@ This module holds ``verify`` and the top-level parser, which lists all
 five families.  The handlers, verbs and flags of ``cy1``, ``cy2``, ``cy3``
 and ``quant`` live in `commands`, which `main` imports only when the
 command line names one of those families, so ``latmirror verify`` never
-compiles or builds them.  Only ``verify`` and the ``quant`` handlers
-import `manifest` and `numeric`, so the exact families run without
-loading numpy.
+compiles or builds them.  ``verify`` imports `manifest`, which loads
+`numeric` and numpy only for a manifest that selects a ``quant-*``
+suite; the ``quant`` handlers import `numeric`.  So the exact families,
+and a verify of exact suites, run without loading numpy.
 """
 
 from __future__ import annotations

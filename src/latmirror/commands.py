@@ -27,14 +27,16 @@ from .shared import ROOT_TOL
 
 
 def _parse_int_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
+    if text.count(",") != 1:
         raise LatticeError(f"expected 'a,b', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    return _parse_int_tuple(text)
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise LatticeError(f"malformed integers {text!r}; want comma-separated integers") from None
 
 
 def _parse_blocks(text: str, dim: int) -> GradedVector:

@@ -69,7 +69,7 @@ class K3Descriptor(ReadOnly):
     """A K3 Picard lattice plus optional root and fibration metadata.
 
     ``root_axes`` holds, for each declared root, the pair (root, Gram
-    applied to the root), built and square-checked here once by
+    applied to the root), two tuples, built and square-checked here once by
     :func:`_minus2_axes`, the one (-2)-root check; a walk on the
     descriptor's own roots reads it instead of checking them again.  It
     is left out of equality, the hash and the repr.
@@ -230,13 +230,14 @@ def _reflect_columns(xs: Sequence, delta: Sequence, X: K3Descriptor) -> list:
 
 
 def _minus2_axes(roots: Sequence[Sequence], X: K3Descriptor) -> list:
-    """(root, Gram applied to the root) for each root, checked to have square -2."""
+    """(root, Gram applied to the root) for each root, as two tuples, checked
+    to have square -2."""
     axes = []
     for d in X.ring._divisors(roots):
         gram_d = apply_form(X.ring.gram, d)
         if sum(map(mul, d, gram_d)) != -2:
             raise LatticeError("reflection axis must have square -2")
-        axes.append((d, gram_d))
+        axes.append((tuple(d), tuple(gram_d)))
     return axes
 
 

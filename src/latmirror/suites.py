@@ -51,6 +51,11 @@ can raise: a loaded K3 fixture has an even Gram lattice, and the preimage
 of td u is u sqrt(td), whose rank and divisor block are those of u.  The
 hand-written forms pair the images exactly: the K3 images in ints, the
 others in Fractions.
+
+The ``quant-*`` runners import `numeric` (and ``quant-phase`` numpy) when
+they run, so that importing this module, as parsing a manifest does,
+loads only the exact layer.  :func:`manifest.run_verify` loads the float
+layer before it times the first suite.
 """
 
 from __future__ import annotations
@@ -62,9 +67,7 @@ from functools import partial
 from operator import mul
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import cy1, cy2, cy3, numeric
+from . import cy1, cy2, cy3
 from .core import (
     GradedVector,
     RingDescriptor,
@@ -75,6 +78,7 @@ from .core import (
     todd_multiply,
 )
 from .report import Check, summary_check
+from .shared import ROOT_TOL
 
 
 class SuiteInputError(RuntimeError):
@@ -465,6 +469,8 @@ def _run_cy3_sublattice(params, fixtures):
 # -------------------------------------------------------------- quant ----
 
 def _run_quant_bs(params, fixtures):
+    from . import numeric
+
     checks = []
     tau = complex(*params["tau"])
     levels = range(1, params["k_max"] + 1)
@@ -486,6 +492,8 @@ def _run_quant_bs(params, fixtures):
 
 
 def _run_quant_holonomy(params, fixtures):
+    from . import numeric
+
     failures = []
     n = 0
     for k in range(1, params["k_max"] + 1):
@@ -507,6 +515,8 @@ def _run_quant_holonomy(params, fixtures):
 
 
 def _run_quant_theta_rank(params, fixtures):
+    from . import numeric
+
     checks = []
     for re_im in params["taus"]:
         tau = complex(*re_im)
@@ -527,6 +537,10 @@ def _run_quant_theta_rank(params, fixtures):
 
 
 def _run_quant_phase(params, fixtures):
+    import numpy as np
+
+    from . import numeric
+
     model = numeric.TorusModel(tau=1j, level=1)
     checks = []
     for r, d in ((1, 1), (2, 3), (1, 4), (5, 1)):
@@ -618,7 +632,7 @@ SUITES = {
         ),
         SuiteDef(
             "quant-bs",
-            {"k_max": 32, "tol": numeric.ROOT_TOL, "tau": [0.0, 1.0]},
+            {"k_max": 32, "tol": ROOT_TOL, "tau": [0.0, 1.0]},
             _run_quant_bs,
         ),
         SuiteDef("quant-holonomy", {"k_max": 12}, _run_quant_holonomy),

@@ -559,6 +559,22 @@ def test_cli_value_starting_with_minus_is_a_value(capsys, flag, value, argv):
     assert run_cli(capsys, *argv, flag, value) == want
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("cy1", "intersect", "--a", "1/2,0", "--b", "0,1"), "1/2,0"),
+        (("cy2", "mirror", "--divisor", "1/2"), "1/2"),
+        (("cy2", "reflect", "--x", "1,2,x", "--delta", "0,0,1"), "1,2,x"),
+        (("cy3", "slope", "--divisor", "1.5"), "1.5"),
+    ],
+)
+def test_cli_integer_flag_names_its_input(capsys, argv, text):
+    # a rational or a decimal in an integer flag printed Python's int() text
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed integers {text!r}; want comma-separated integers\n"
+
+
 def test_cli_signed_denominator_exits_2(capsys):
     code, out, err = run_cli(capsys, "cy2", "mukai", "--ch=1:1/-2:0")
     assert (code, out, err) == (2, "", "error: malformed rational '1/-2'; want 'p' or 'p/q'\n")

@@ -1,16 +1,20 @@
-"""The package's layering: the exact layer never loads numpy.
+"""The package's layering: each layer loads only what it uses.
 
-`import latmirror`, the K3 mirror map, count and chamber walk and the
-exact CLI families must run without numpy in `sys.modules`; the names of `numeric` and `manifest` resolve on first use.
-A full `latmirror verify` must leave `numpy.fft` and the other families'
-command handlers unloaded, and the parser built with one family's verbs
-must print every help text of that family as the full parser does.  The float
-layer's holonomy and flat coordinate at one scalar height must not call
-numpy at all.  The import checks run in fresh interpreters, since this
-test process has numpy loaded already.  Every suite's parameters, and the
-retired ones a manifest may still pass, are pinned.  The last two tests guard the benchmark in
-`perfbench/`: every name it takes from the package must still resolve,
-and its report check must accept the golden verify report.
+A bare `import latmirror` loads no other module: every public name and
+every submodule resolves on first access.  The K3 mirror map, count and
+chamber walk, the exact CLI families, parsing a manifest with its
+fixtures, and a verify of exact suites must run without numpy in
+`sys.modules`.  A full `latmirror verify` loads numpy before the first
+suite's timer, never inside one, and leaves `numpy.fft` and the other
+families' command handlers unloaded; the parser built with one family's
+verbs must print every help text of that family as the full parser does.
+The float layer's holonomy and flat coordinate at one scalar height must
+not call numpy at all.  The import checks run in fresh interpreters,
+since this test process has numpy loaded already.  Every suite's
+parameters, and the retired ones a manifest may still pass, are pinned.
+Two tests guard the benchmark in `perfbench/`: every name it takes from
+the package must still resolve, and its report check must accept the
+golden verify report.
 """
 
 import argparse
@@ -116,6 +120,111 @@ def test_verify_leaves_numpy_fft_unloaded():
     proc = run_fresh("-c", VERIFY_PROBE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True False False False\n"
+
+
+BARE_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import latmirror
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_a_bare_import_loads_nothing_else():
+    # no exact layer (and so no fractions), no float layer, no numpy
+    proc = run_fresh("-c", BARE_IMPORT_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['latmirror']\n"
+
+
+RESOLVE_PROBE = """
+import sys, types
+import latmirror
+for name in latmirror.__all__:
+    getattr(latmirror, name)
+for name in sys.argv[1:]:
+    module = getattr(latmirror, name)
+    assert isinstance(module, types.ModuleType) and module.__name__ == "latmirror." + name, name
+    assert name in dir(latmirror), name
+print("ok")
+"""
+
+
+def test_every_public_name_and_submodule_resolves_from_a_fresh_import():
+    # `import latmirror; latmirror.suites` must work without a prior
+    # `import latmirror.suites`
+    submodules = sorted(p.stem for p in (SRC / "latmirror").glob("*.py") if p.stem != "__init__")
+    assert {"cli", "core", "numeric", "suites"} <= set(submodules)
+    proc = run_fresh("-c", RESOLVE_PROBE, *submodules)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+PARSE_PROBE = """
+import sys
+import latmirror
+manifest = latmirror.parse_manifest(latmirror.DEFAULT_MANIFEST)
+for name in manifest.fixtures:
+    latmirror.load_fixture(name, manifest.base)
+print("numpy" in sys.modules, "latmirror.numeric" in sys.modules)
+"""
+
+
+def test_parsing_a_manifest_and_loading_its_fixtures_leave_the_float_layer_unloaded():
+    proc = run_fresh("-c", PARSE_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\n"
+
+
+EXACT_VERIFY_PROBE = """
+import io, sys
+from contextlib import redirect_stdout
+from latmirror import cli
+with redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--manifest", sys.argv[1]])
+print(code, "numpy" in sys.modules, "latmirror.numeric" in sys.modules)
+"""
+
+
+def test_a_verify_of_exact_suites_only_never_loads_numpy(tmp_path):
+    default = json.loads(shared.DEFAULT_MANIFEST.read_text())
+    exact = {
+        "version": default["version"],
+        "fixtures": [str(shared.DEFAULT_MANIFEST.parent / name) for name in default["fixtures"]],
+        "suites": [s for s in default["suites"] if not s["name"].startswith("quant-")],
+    }
+    assert len(exact["suites"]) == 12
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps(exact))
+    proc = run_fresh("-c", EXACT_VERIFY_PROBE, str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False False\n"
+
+
+TIMER_PROBE = """
+import sys, time
+from latmirror import manifest
+parsed = manifest.parse_manifest(manifest.DEFAULT_MANIFEST)
+seen = ["numpy" in sys.modules]
+
+
+class Clock:
+    def perf_counter(self):
+        seen.append("numpy" in sys.modules)
+        return time.perf_counter()
+
+
+manifest.time = Clock()
+assert manifest.run_verify(parsed).passed
+print(seen[0], len(seen) - 1, all(seen[1:]))
+"""
+
+
+def test_no_suite_timer_includes_loading_the_float_layer():
+    # numpy is not loaded by the parse, and is loaded before the first of
+    # the 16 suites' two perf_counter calls
+    proc = run_fresh("-c", TIMER_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False 32 True\n"
 
 
 def subcommands(parser) -> dict:

@@ -9,7 +9,8 @@ repr of the record it was.  The eleven classes that check their input
 derive from ``shared.ReadOnly``: no attribute can be set or deleted, two
 are equal when they are of one class with equal fields, and the hash is
 that of the tuple of fields.  ``ParamCurve`` alone compares by identity,
-and ``K3Descriptor.root_axes`` is kept out of equality, hash and repr.
+and ``K3Descriptor.root_axes`` is kept out of equality, hash and repr;
+it holds tuples only, so it cannot be changed in place either.
 """
 
 from fractions import Fraction
@@ -27,6 +28,7 @@ from latmirror import (
     cy2,
     cy3,
     line_bundle_ch,
+    load_k3_fixture,
     manifest,
     mirror_cy3,
     numeric,
@@ -205,10 +207,32 @@ def test_eleven_validating_classes_are_read_only_values(k3_reflective, quintic):
         if name in CLASS_REPRS:
             assert repr(a) == CLASS_REPRS[name]
     # root_axes is stored but left out of the repr, and of equality and
-    # hashing: it holds lists, so a hash of it would raise
+    # hashing: it repeats the roots, with the Gram matrix applied
     X = k3_reflective
     assert [list(d) for d, _ in X.root_axes] == [list(r) for r in X.roots]
     assert "root_axes" not in repr(X) and hash(X) == hash(classes["K3Descriptor"][0]())
+
+
+def test_root_axes_cannot_be_changed_in_place():
+    # a fresh descriptor: the session fixtures are shared, and a change
+    # to one would reach every later walk on it
+    X = load_k3_fixture("k3_reflective")
+    assert X.root_axes == (((0, 1, 0), (1, -2, 0)), ((0, 0, 1), (0, 0, -2)))
+    with pytest.raises(TypeError):
+        X.root_axes[0][1][1] = 5
+    with pytest.raises(TypeError):
+        X.root_axes[1][0][2] = 0
+    # walks on the descriptor's own roots, which read root_axes: the ends
+    # and the indices of the applied roots
+    walks = {
+        (1, 3, 4): ((1, -2, -4), (0, 1)),
+        (0, 0, 5): ((0, 0, -5), (1,)),
+        (2, -3, 1): ((2, -3, -1), (1,)),
+        (-1, -1, -1): ((-1, -1, -1), ()),
+    }
+    assert cy2.walk_batch(list(walks), X.roots, X) == list(walks.values())
+    res = cy2.walk_to_chamber((1, 3, 4), X.roots, X)
+    assert (res.vector, res.applied) == ((1, -2, -4), (0, 1))
 
 
 def test_classes_compare_only_with_their_own_class():
