@@ -330,7 +330,8 @@ def _h_cy3_sublattice(args):
 def _h_quant_bs(args):
     from . import numeric
 
-    model = numeric.TorusModel(tau=complex(*_parse_float_pair(args.tau)), level=args.level)
+    # the fibres depend on the level alone
+    model = numeric.TorusModel(tau=1j, level=args.level)
     roots = numeric.find_bs_fibres(model, tol=args.tol)
     return (
         0,
@@ -350,7 +351,8 @@ def _h_quant_theta(args):
 def _h_quant_holonomy(args):
     from . import numeric
 
-    model = numeric.TorusModel(tau=complex(*_parse_float_pair(args.tau)), level=args.level)
+    # the holonomy depends on the level alone
+    model = numeric.TorusModel(tau=1j, level=args.level)
     val = numeric.holonomy_character(model, args.height)
     return (
         0,
@@ -471,7 +473,6 @@ def _cy3_verbs(sub) -> None:
 def _quant_verbs(sub) -> None:
     p = _leaf(sub, "bs", _h_quant_bs, "find trivial-holonomy fibres")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--tau", default="0,1", metavar="re,im")
     p.add_argument("--tol", type=float, default=ROOT_TOL)
     p = _leaf(sub, "theta-rank", _h_quant_theta, "rank of the level-k theta space")
     p.add_argument("--level", type=int, required=True)
@@ -479,7 +480,6 @@ def _quant_verbs(sub) -> None:
     p = _leaf(sub, "holonomy", _h_quant_holonomy, "fibre holonomy exp(2 pi i k t)")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--height", type=float, required=True)
-    p.add_argument("--tau", default="0,1", metavar="re,im")
     p = _leaf(sub, "coords", _h_quant_coords, "flat special coordinate u(t)")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--height", type=float, required=True)

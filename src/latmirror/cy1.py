@@ -36,6 +36,8 @@ class Slope(ReadOnly):
     _fields = ("r", "d")
 
     def __init__(self, r: int, d: int):
+        if type(r) is not int or type(d) is not int:
+            r, d = _as_int(r), _as_int(d)
         if r < 0:
             raise LatticeError("slope stored with r < 0; use reduce_slope")
         if r == 0 and d != 1:

@@ -1,11 +1,11 @@
-"""Verification manifests: what to run, on which fixtures, with what seeds.
+"""Verification manifests: what to run, on which fixtures, with what parameters.
 
 A manifest is strict JSON:
 
     {"version": "1",
      "fixtures": ["quintic.json", "k3_reflective.json", ...],
      "suites": [{"name": "cy3-skew", "params": {"fixtures": ["quintic"]}},
-                {"name": "k3-reflections", "params": {"samples": 240, "seed": 5}},
+                {"name": "k3-reflections", "params": {"fixture": "k3-reflective"}},
                 ...]}
 
 Rejected at parse time, with one :class:`ManifestError` line: a manifest
@@ -21,15 +21,14 @@ parameters of the wrong shape, which would crash their suite: a ``seed``
 that is not an integer, a ``fixture`` that is not a string, a
 ``fixtures`` entry that is not one, and a ``tau`` or ``taus`` entry that
 is not [re, im], two finite numbers with im > 0.
-The suites that now check a basis, a grid or a whole finite set
-instead of a seeded sample still accept the parameters of their former
-sweeps, so that older manifests parse: ``samples``, ``seed`` and
-``bound`` for ``cy1-mirror-isometry``, ``cy1-gft-homomorphism``,
-``k3-mirror-transport``, ``cy3-skew`` and ``cy3-mirror-isometry``;
-``triples`` and ``seed`` for ``cy1-atiyah``; ``samples`` and ``seed``
-for ``quant-holonomy``.  Those are checked as above and then dropped,
-and change nothing.  ``k3-reflections`` is the one suite that still
-takes a ``seed``.
+No suite draws at random.  The suites that now check a basis, a grid
+or a whole finite set instead of a seeded sample still accept the
+parameters of their former sweeps, so that older manifests parse:
+``samples``, ``seed`` and ``bound`` for ``cy1-mirror-isometry``,
+``cy1-gft-homomorphism``, ``k3-mirror-transport``, ``cy3-skew`` and
+``cy3-mirror-isometry``; ``triples`` and ``seed`` for ``cy1-atiyah``;
+``samples`` and ``seed`` for ``k3-reflections`` and ``quant-holonomy``.
+Those are checked as above and then dropped, and change nothing.
 A fixture file that parses but is not a valid fixture (not an object, a
 wrong key, an odd Gram diagonal, a wrong fibre count) is built while the
 verifier runs and is recorded as a failing ``load`` check, exit 1,
@@ -104,7 +103,7 @@ _RETIRED_PARAMS = {
         {"samples", "seed", "bound"},
     ),
     "cy1-atiyah": {"triples", "seed"},
-    "quant-holonomy": {"samples", "seed"},
+    **dict.fromkeys(("k3-reflections", "quant-holonomy"), {"samples", "seed"}),
 }
 
 
@@ -225,8 +224,8 @@ def run_verify(manifest: Manifest) -> VerifyResult:
     """Run every suite in the manifest; never abort on a failing suite.
 
     Reports are assembled in suite-name order (fixture loading reports
-    first under the name "fixtures"); all randomness is seeded by suite
-    parameters, so two runs differ only in durations.
+    first under the name "fixtures"); no suite draws at random, so two
+    runs differ only in durations.
     """
     fixtures, fixture_checks = _load_fixtures(manifest)
     reports = [

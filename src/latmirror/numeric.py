@@ -378,8 +378,10 @@ def theta_matrix(model: TorusModel, samples: int) -> np.ndarray:
     """Level-k theta series sampled on a horizontal line, one unit row each.
 
     Row c is the lattice sum over m = c mod k of exp(i pi tau m^2/k +
-    2 pi i m z).  The exponents of one row span a range that grows like
-    k Im(tau), so the row's largest real part is subtracted before
+    2 pi i m z), on the modes m = c + k q with |q| <= ceil(n/k), where n
+    is ``_theta_truncation``: a (k x J) grid of modes that reaches past
+    +-n in every row.  The exponents of one row span a range that grows
+    like k Im(tau), so the row's largest real part is subtracted before
     ``np.exp`` (no overflow) and the row is scaled to unit norm (no row
     swamps the others).  Both are per-row scalings, which leave the rank
     unchanged.  Every sample z = x + y tau has the same imaginary part, so
@@ -394,25 +396,27 @@ def theta_matrix(model: TorusModel, samples: int) -> np.ndarray:
     g = gcd(k, N) and P = N/g, the lattice is summed only at the first P
     samples, and sample j = qP + r is that sum at r times zeta^(c q), where
     zeta = exp(2 pi i/g) is root number P.  When g = 1 every sample is summed.
+
+    The weights hold about 2n entries and their phases about 2n P.  The
+    k x N result is the largest array and is allocated first, so a level
+    too large for memory (about 10^5 at N = 4k) raises ``MemoryError``
+    before anything is computed.
     """
     k = model.level
     tau = model.tau
-    n_max = _theta_truncation(k, tau.imag)
-    y = 0.3  # generic horizontal line in the fundamental domain
-    ms = np.arange(-n_max, n_max + 1)
-    chars = ms % k
-    exponent = 1j * math.pi * tau * ms * ms / k + 2j * math.pi * ms * (y * tau)
-    shift = np.full(k, -np.inf)
-    np.maximum.at(shift, chars, exponent.real)
-    weights = np.zeros((k, ms.size), dtype=complex)
-    weights[chars, np.arange(ms.size)] = np.exp(exponent - shift[chars])
     g = math.gcd(k, samples)
     period = samples // g
+    rows = np.empty((k, g, period), dtype=complex)
+    reach = -(-_theta_truncation(k, tau.imag) // k)
+    y = 0.3  # generic horizontal line in the fundamental domain
+    ms = np.arange(k)[:, None] + k * np.arange(-reach, reach + 1)
+    exponent = 1j * math.pi * tau * ms * ms / k + 2j * math.pi * ms * (y * tau)
+    weights = np.exp(exponent - exponent.real.max(axis=1, keepdims=True))
     js = np.arange(samples)
     roots = np.exp(2j * math.pi * js / samples)
-    first = weights @ roots[np.multiply.outer(ms, js[:period]) % samples]
+    first = (weights[:, None, :] @ roots[(ms[:, :, None] * js[:period]) % samples])[:, 0]
     turns = roots[np.multiply.outer(np.arange(k), js[::period]) % samples]
-    rows = (turns[:, :, None] * first[:, None, :]).reshape(k, samples)
+    rows = np.multiply(turns[:, :, None], first[:, None, :], out=rows).reshape(k, samples)
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 

@@ -1,9 +1,8 @@
 """Verification suites orchestrated by ``latmirror verify``.
 
 Each suite recomputes one family of identities through two independent
-routes and records per-check evidence.  The one random sweep, the walk of
-``k3-reflections``, is seeded from the manifest, so a verify run is
-deterministic end to end.
+routes and records per-check evidence.  No suite draws at random, so a
+verify run is deterministic end to end.
 
 Eight suites check a finite set whole instead of sampling it.  Six of
 them prove exact identities between polynomials in the integer
@@ -24,7 +23,7 @@ the grid {-1, 0, 1}^k and degree 4 the grid {-2, ..., 2}^k:
 - ``k3-reflections``: for each declared root, the involution on the basis
   and the isometry of the Gram pairing on all basis pairs, through
   ``cy2._reflect_columns`` (the kernel of :func:`cy2.reflect_minus2`);
-  its seeded walk (:func:`cy2.walk_batch`) is not polynomial;
+  its walk, which is not polynomial, is described below;
 - ``k3-mirror-transport``: the Euler form of (1, L, L^2/2)
   against :func:`cy2.mirror_pairing_k3` of the :func:`cy2.mirror_k3`
   images, on {-1, 0, 1}^k for each of L1 and L2; the (-2)-sphere square,
@@ -45,6 +44,24 @@ The other two cover a finite domain whole:
 - ``quant-holonomy``: the holonomy at every mark j/k of
   :func:`cy1.bs_points`, k <= ``k_max``.
 
+The walk of ``k3-reflections`` (:func:`cy2.walk_batch`) starts from
+every point of {-2, ..., 2}^k and is checked on a second route: the
+roots it records are replayed from the start through
+``cy2._reflect_columns``, and the replay must equal the walk's end,
+which must keep the start's Gram square and pair nonnegatively with
+every root.  What the box proves depends on the roots.  When they are
+the simple roots of a finite Weyl group, the closed chamber is a
+fundamental domain (Humphreys, "Reflection Groups and Coxeter Groups",
+1990, 1.12) and every walk ends.  On ``k3-reflective`` the two roots are
+orthogonal, the group is Z/2 x Z/2, and the walk from x reflects once in
+each root d with x.d < 0, so its path depends only on the signs of the
+two pairings; the box meets all nine sign patterns, so every path the
+walk can take is walked and replayed.  When the group is infinite (a
+reflective hyperbolic lattice; Vinberg, 1972) the box proves nothing
+about the points outside it, whose walks may be longer than any from the
+box; ``cy2.MAX_WALK_STEPS`` turns a walk that does not end into an
+error.
+
 Each check's ``inputs`` says what it covers; a failure names the basis
 pair or grid point (:func:`core.isometry_failures`).  No mirror map here
 can raise: a loaded K3 fixture has an even Gram lattice, and the preimage
@@ -62,7 +79,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from functools import partial
 from operator import mul
 from typing import Callable, NamedTuple
@@ -245,6 +261,10 @@ def _run_k3_quantization(params, fixtures):
     return checks
 
 
+# the walks of k3-reflections start from every point of {-2, ..., 2}^k
+WALK_RADIUS = 2
+
+
 def _run_k3_reflections(params, fixtures):
     X = _get_fixture(fixtures, params["fixture"], cy2.K3Descriptor)
     if not X.roots:
@@ -264,17 +284,25 @@ def _run_k3_reflections(params, fixtures):
         ]
         failures = isometry_failures(basis, images, gram_pair, gram_pair)
         isome += [f"delta={delta} {f}" for f in failures]
-    rng = random.Random(params["seed"])
-    n = params["samples"]
-    draws = rng.choices(range(-9, 10), k=n * k)
-    xs = [tuple(draws[i:i + k]) for i in range(0, n * k, k)]
-    # every end point against every root, through the Gram-applied roots of the fixture
+    # each walk from the box, its recorded roots replayed through the
+    # kernel of reflect_minus2
+    starts = _grid(k, WALK_RADIUS)
     gram_roots = [gram_d for _, gram_d in X.root_axes]
-    walk = [
-        f"x={x} stopped outside the chamber"
-        for x, (end, _) in zip(xs, cy2.walk_batch(xs, X.roots, X))
-        if any(sum(map(mul, end, g)) < 0 for g in gram_roots)
-    ]
+    walk = []
+    for x, (end, applied) in zip(starts, cy2.walk_batch(starts, X.roots, X)):
+        replay = x
+        for j in applied:
+            replay = tuple(cy2._reflect_columns(replay, X.roots[j], X))
+        wrong = []
+        if replay != end:
+            wrong.append(f"replay {replay} != end {end}")
+        square, start_square = gram_pair(end, end), gram_pair(x, x)
+        if square != start_square:
+            wrong.append(f"square {square} != {start_square}")
+        if any(sum(map(mul, end, g)) < 0 for g in gram_roots):
+            wrong.append("stopped outside the chamber")
+        if wrong:
+            walk.append(f"x={x}: {'; '.join(wrong)}")
     note = f"fixture={X.label}"
     m = len(X.roots)
     return [
@@ -287,8 +315,9 @@ def _run_k3_reflections(params, fixtures):
             inputs=f"each of {m} roots on all {k * k} basis pairs, {note}",
         ),
         summary_check(
-            "bounded walk reaches the nonnegative chamber", n, walk,
-            inputs=f"seed={params['seed']}, {note}",
+            "bounded walk reaches the nonnegative chamber", len(starts), walk,
+            inputs=f"all {len(starts)} points of {{-{WALK_RADIUS}, ..., {WALK_RADIUS}}}^{k}, "
+            f"walked and replayed, {note}",
         ),
     ]
 
@@ -601,7 +630,7 @@ SUITES = {
         ),
         SuiteDef(
             "k3-reflections",
-            {"samples": 240, "seed": 5, "fixture": "k3-reflective"},
+            {"fixture": "k3-reflective"},
             _run_k3_reflections,
         ),
         SuiteDef(

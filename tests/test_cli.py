@@ -185,7 +185,8 @@ def test_manifest_accepts_well_formed_tau_taus_and_seed(tmp_path):
         {"name": "k3-reflections", "params": {"seed": -3}},
     ]
     m = parse_manifest(write_manifest(tmp_path, {"version": "1", "suites": suites}))
-    assert [s.params for s in m.suites] == [s["params"] for s in suites]
+    # the seed of the former k3-reflections sweep is checked, then dropped
+    assert [s.params for s in m.suites] == [s["params"] for s in suites[:2]] + [{}]
 
 
 @pytest.mark.parametrize(
@@ -198,6 +199,8 @@ def test_manifest_accepts_well_formed_tau_taus_and_seed(tmp_path):
         ("cy1-gft-homomorphism", "bound"),
         ("cy1-atiyah", "seed"),
         ("quant-holonomy", "seed"),
+        ("k3-reflections", "seed"),
+        ("k3-reflections", "samples"),
     ],
 )
 def test_manifest_drops_the_parameters_of_the_former_sweeps(tmp_path, suite, key):
@@ -593,8 +596,6 @@ def test_cli_non_integral_chi_warns_on_one_line(capsys):
     [
         # NaN real part: was two RuntimeWarnings, then an SVD error
         ("quant", "theta-rank", "--level", "4", "--tau", "nan,1"),
-        # infinite imaginary part: was accepted, exit 0
-        ("quant", "holonomy", "--level", "3", "--height", "0.5", "--tau", "0,inf"),
     ],
 )
 def test_cli_non_finite_tau_exits_2(capsys, argv):
@@ -604,6 +605,22 @@ def test_cli_non_finite_tau_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: tau must be finite")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quant", "bs", "--level", "3", "--tau", "0,2"),
+        ("quant", "holonomy", "--level", "3", "--height", "0.5", "--tau", "0,1"),
+    ],
+)
+def test_cli_fibre_verbs_take_no_tau(capsys, argv):
+    # the fibres and the holonomy depend on the level alone; the flag changed nothing
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "unrecognized arguments: --tau" in err
 
 
 @pytest.mark.parametrize(

@@ -150,6 +150,21 @@ def test_atiyah_and_bundle_entries_must_be_integers():
     assert type(gft_class(BundleClass1("2", "3")).e) is int
 
 
+def test_slope_entries_coerce_as_bundle_entries_do():
+    # "1" and 1.0 raised a bare TypeError from gcd, and True was stored
+    with pytest.raises(LatticeError, match="got 1.0$"):
+        Slope(1.0, 2)
+    with pytest.raises(LatticeError, match="got 2.5$"):
+        Slope(1, 2.5)
+    for bad in ("1/2", True, None):
+        with pytest.raises(LatticeError, match="^integer lattice datum expected"):
+            Slope(bad, 0)
+        with pytest.raises(LatticeError, match="^integer lattice datum expected"):
+            Slope(1, bad)
+    assert Slope("1", "-2") == Slope(1, -2)
+    assert type(Slope("1", 2).r) is int
+
+
 def test_atiyah_tensor_indices_must_be_integers():
     # True used to give F_2 (as F_1 (x) F_2); 2.0 and "x" a bare TypeError
     for bad in (True, 2.0, "x", None, "1/2"):

@@ -328,7 +328,7 @@ SUITE_PARAMETERS = {
     "cy1-gft-homomorphism": (set(), {"samples", "seed", "bound"}),
     "cy1-atiyah": ({"max_index"}, {"triples", "seed"}),
     "k3-quantization": ({"l2_max", "fixture"}, set()),
-    "k3-reflections": ({"samples", "seed", "fixture"}, set()),
+    "k3-reflections": ({"fixture"}, {"samples", "seed"}),
     "k3-mirror-transport": ({"fixture"}, {"samples", "seed", "bound"}),
     "k3-main-condition": (set(), set()),
     "cy3-skew": ({"fixtures"}, {"samples", "seed", "bound"}),
@@ -343,24 +343,26 @@ SUITE_PARAMETERS = {
 
 
 def test_suite_parameters_are_pinned():
-    # a new knob must change this table; the walk of k3-reflections, whose
-    # domain is infinite, is the one seeded sweep
+    # a new knob must change this table; no suite takes a seed
     got = {
         name: (set(suite.defaults), manifest._RETIRED_PARAMS.get(name, set()))
         for name, suite in suites.SUITES.items()
     }
     assert got == SUITE_PARAMETERS
-    assert [name for name, suite in suites.SUITES.items() if "seed" in suite.defaults] == [
-        "k3-reflections"
-    ]
-    tree = ast.parse(Path(suites.__file__).read_text())
-    users = {
-        node.name
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and any(isinstance(n, ast.Name) and n.id == "random" for n in ast.walk(node))
-    }
-    assert users == {"_run_k3_reflections"}
+    assert [name for name, suite in suites.SUITES.items() if "seed" in suite.defaults] == []
+
+
+def test_no_module_imports_random():
+    # every suite checks a basis, a grid or a whole finite set
+    imported = set()
+    for path in sorted((SRC / "latmirror").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[0])
+    assert "itertools" in imported
+    assert "random" not in imported
 
 
 def test_readme_library_example_runs():

@@ -3,17 +3,17 @@
 One row per suite: a monkeypatch that breaks exactly one target, and a
 reference for what the suite must then report.  For a certificate the
 reference checks the same basis classes or grid points one at a time
-through the per-vector functions; for an exhaustive sweep it enumerates
-the same finite set; for the one seeded sweep, the walk of
-``k3-reflections``, it redraws the suite's points; for a fixed list of
-checks it derives the broken values by hand from the mutation.  Under
-the patch the suite must report ``fail`` (not ``error``), and every
-check the reference names must read exactly as the reference says.
+through the per-vector functions; for an exhaustive sweep, the walk of
+``k3-reflections`` included, it enumerates the same finite set; for a
+fixed list of checks it derives the broken values by hand from the
+mutation.  Under the patch the suite must report ``fail`` (not
+``error``), and every check the reference names must read exactly as
+the reference says.  A few mutants outside the rows break a second
+target of a suite that already has one.
 """
 
 import itertools
 import json
-import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -67,6 +67,16 @@ def double_reflection_coefficient(monkeypatch):
         return [2 * y - x for x, y in zip(xs, reflect(xs, delta, X))]
 
     monkeypatch.setattr(cy2, "_reflect_columns", doubled)
+
+
+def record_the_first_root(monkeypatch):
+    # the walk reflects as before but records root 0 for every reflection
+    walk = cy2.walk_batch
+
+    def misrecorded(points, roots, X):
+        return [(end, (0,) * len(applied)) for end, applied in walk(points, roots, X)]
+
+    monkeypatch.setattr(cy2, "walk_batch", misrecorded)
 
 
 def flip_fibre_coefficient(monkeypatch):
@@ -218,19 +228,30 @@ def k3_reflections_reference(params, fixtures):
             lhs, rhs = X.ring.pic_pair(rx, ry), X.ring.pic_pair(x, y)
             if lhs != rhs:
                 isome.append(f"delta={delta} {name}: {lhs} != {rhs}")
-    n = params["samples"]
-    draws = random.Random(params["seed"]).choices(range(-9, 10), k=n * k)
+    # each walk from the box, its recorded roots replayed one reflection
+    # at a time through reflect_minus2
+    starts = grid(k, 2)
     walk = []
-    for i in range(n):
-        x = tuple(draws[i * k:(i + 1) * k])
-        end = cy2.walk_to_chamber(x, X.roots, X).vector
+    for x in starts:
+        result = cy2.walk_to_chamber(x, X.roots, X)
+        end = tuple(map(int, result.vector))
+        replay = x
+        for j in result.applied:
+            replay = tuple(map(int, cy2.reflect_minus2(replay, X.roots[j], X)))
+        wrong = []
+        if replay != end:
+            wrong.append(f"replay {replay} != end {end}")
+        if X.ring.pic_pair(end, end) != X.ring.pic_pair(x, x):
+            wrong.append(f"square {X.ring.pic_pair(end, end)} != {X.ring.pic_pair(x, x)}")
         if any(X.ring.pic_pair(end, d) < 0 for d in X.roots):
-            walk.append(f"x={x} stopped outside the chamber")
+            wrong.append("stopped outside the chamber")
+        if wrong:
+            walk.append(f"x={x}: {'; '.join(wrong)}")
     m = len(X.roots)
     return {
         "reflection is an involution": (m * k, invol),
         "reflection preserves the Gram pairing": (m * k * k, isome),
-        "bounded walk reaches the nonnegative chamber": (n, walk),
+        "bounded walk reaches the nonnegative chamber": (len(starts), walk),
     }
 
 
@@ -440,3 +461,27 @@ def test_corrupted_exotic_form_fails_the_mirror_isometry(monkeypatch, tmp_path):
         check = next(c for c in report.checks if c.name == f"{label}: mirror map is an isometry")
         assert not check.ok
         assert "; first: (e0, e0): 0 != 1" in check.got, check.got
+
+
+def test_a_misrecorded_walk_fails_the_walk_check(monkeypatch, tmp_path):
+    # the walk still ends in the chamber with the start's square, so only
+    # the replay sees the wrong indices: on k3-reflective the roots (0, 1, 0)
+    # and (0, 0, 1) are orthogonal, and a start reflects in the second root
+    # exactly when x.(0, 0, 1) = -2 x_2 < 0; those 50 of the 125 starts fail
+    record_the_first_root(monkeypatch)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "version": "1",
+        "fixtures": ["k3_reflective.json"],
+        "suites": [{"name": "k3-reflections", "params": {}}],
+    }))
+    report = {r.suite: r for r in run_verify(parse_manifest(manifest)).reports}["k3-reflections"]
+    assert report.status == "fail"
+    name = "bounded walk reaches the nonnegative chamber"
+    (failed,) = [c for c in report.checks if not c.ok]
+    assert failed.name == name
+    fixtures = {"k3-reflective": load_fixture("k3_reflective.json")}
+    total, failures = k3_reflections_reference(SUITES["k3-reflections"].defaults, fixtures)[name]
+    assert [f.split(":")[0] for f in failures] == [f"x={x}" for x in grid(3, 2) if x[2] > 0]
+    assert failed.got == summary_check(name, total, failures).got
+    assert failed.got == "50/125 failed; first: x=(-2, -2, 1): replay (-2, 0, 1) != end (-2, -2, -1)"
