@@ -32,8 +32,8 @@ _EXPORTS = {
     "fixtures": "FixtureError load_cy3_fixture load_fixture load_k3_fixture resolve_fixture",
     "manifest": "Manifest parse_manifest run_verify",
     "numeric": """ParamCurve TorusModel arc_curve find_bs_fibres find_bs_fibres_batch
-        holonomy_character phase_map_curve segment_curve special_coordinates
-        theta_basis_rank winding_number""",
+        holonomy_character phase_map_curve segment_curve theta_basis_rank
+        winding_number""",
     "shared": "ConsistencyError DEFAULT_MANIFEST ManifestError",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

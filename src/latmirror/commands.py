@@ -361,14 +361,6 @@ def _h_quant_holonomy(args):
     )
 
 
-def _h_quant_coords(args):
-    from . import numeric
-
-    model = numeric.TorusModel(tau=1j, level=args.level)
-    u = numeric.special_coordinates(model, args.height)
-    return 0, {"u": u}, f"{u:.15e}"
-
-
 def _h_quant_phase(args):
     from . import numeric
 
@@ -478,9 +470,6 @@ def _quant_verbs(sub) -> None:
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--tau", default="0,1", metavar="re,im")
     p = _leaf(sub, "holonomy", _h_quant_holonomy, "fibre holonomy exp(2 pi i k t)")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--height", type=float, required=True)
-    p = _leaf(sub, "coords", _h_quant_coords, "flat special coordinate u(t)")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--height", type=float, required=True)
     p = _leaf(sub, "phase", _h_quant_phase, "phase map of a sampled curve")

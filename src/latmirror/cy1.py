@@ -222,7 +222,13 @@ def mirror_cy1(u: GradedVector) -> CycleClass1:
 
 
 def bs_points(k: int) -> list[Fraction]:
-    """Level-k quantization marks the fibre positions j/k, j = 0..k-1."""
+    """Level-k quantization marks the fibre positions j/k, j = 0..k-1.
+
+    The level is read as `Slope` reads its entries: an int or an
+    integer-valued string, not a float or a bool.
+    """
+    if type(k) is not int:
+        k = _as_int(k)
     if k < 1:
         raise LatticeError("level must be a positive integer")
     return [Fraction(j, k) for j in range(k)]

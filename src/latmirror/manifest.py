@@ -15,8 +15,9 @@ or fixture file that cannot be read or parsed as JSON (through
 is not a list, a fixture name that is not a string or names no file, and
 an unknown suite name.  So are parameters that would verify nothing: a
 count (``k_max``, ``max_index``, ``triples``, ``samples``) that is not a
-positive integer, an ``l2_max`` below 0, a ``tol`` that is not a positive
-finite number and an empty list of ``fixtures`` or ``taus``; and
+positive integer, an ``l2_max`` below 0, a ``tol`` that is not a float
+or an int in (0, 1e-6] (``shared.MAX_ROOT_TOL``, the fibre search's
+bound) and an empty list of ``fixtures`` or ``taus``; and
 parameters of the wrong shape, which would crash their suite: a ``seed``
 that is not an integer, a ``fixture`` that is not a string, a
 ``fixtures`` entry that is not one, and a ``tau`` or ``taus`` entry that
@@ -46,7 +47,6 @@ first suite's timer starts, and only when the manifest selects a
 
 from __future__ import annotations
 
-import math
 import sys
 import time
 from pathlib import Path
@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 from .fixtures import FixtureError, check_object, fixture_from_payload, read_json, resolve_fixture
 from .report import Check, SuiteReport
-from .shared import DEFAULT_MANIFEST, ManifestError  # noqa: F401  (DEFAULT_MANIFEST re-exported)
+from .shared import DEFAULT_MANIFEST, MAX_ROOT_TOL, ManifestError  # noqa: F401  (DEFAULT_MANIFEST re-exported)
 from .suites import SUITES, SuiteInputError
 
 MANIFEST_VERSION = "1"
@@ -82,7 +82,11 @@ _PARAM_RULES = {
         ("a positive integer", lambda x: type(x) is int and x > 0),
     ),
     "l2_max": ("an integer >= 0", lambda x: type(x) is int and x >= 0),
-    "tol": ("a positive finite number", lambda x: type(x) in (int, float) and 0 < x < math.inf),
+    # the fibre search's own precondition, so a tol it refuses fails at parse
+    "tol": (
+        f"a number in (0, {MAX_ROOT_TOL}]",
+        lambda x: type(x) in (int, float) and 0 < x <= MAX_ROOT_TOL,
+    ),
     "seed": ("an integer", lambda x: type(x) is int),
     "tau": ("[re, im]: two finite numbers with im > 0", _is_tau),
     "fixture": ("a string", lambda x: type(x) is str),

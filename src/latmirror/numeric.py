@@ -12,12 +12,10 @@ fibre family between heights 0 and t.  In the translation-invariant gauge
 the level-k density is the constant k, so the area has this one closed
 form and no second route; the holonomy is trivial exactly at the k
 heights j/k.  Heights are checked where they enter: `holonomy_character`
-and `special_coordinates` refuse one outside [0, 1] or not a real number;
-the fibre search makes its own heights inside (0, 1) and checks none.  A
-Python float or int height is one scalar, checked and exponentiated with
-``math`` and ``cmath`` (its holonomy is a built-in complex); an array of
-heights, with an int or an int array of levels, is evaluated elementwise
-by numpy, to the same bits.  Marked (trivial-holonomy) fibres are found
+takes one height, a Python float or int in [0, 1], and exponentiates it
+with ``cmath`` (its holonomy is a built-in complex); the fibre search makes
+its own heights inside (0, 1), checks none, and evaluates them with numpy
+elementwise, to the same bits.  Marked (trivial-holonomy) fibres are found
 for any number of models in one search: sign-change bracketing on the
 concatenated fixed grids of every level, evaluated in one batched call,
 then bisection of the brackets still wider than the stopping width, all
@@ -45,8 +43,9 @@ Tolerance hierarchy (loosening as conditioning worsens):
     ROOT_TOL       = 1e-9    marked-fibre positions
     RANK_RTOL      = 1e-8    relative singular-value cutoff
 
-ROOT_TOL and ConsistencyError are defined in `shared`, where the command
-line reads them without importing numpy.
+ROOT_TOL, MAX_ROOT_TOL (the widest tolerance the fibre search takes) and
+ConsistencyError are defined in `shared`, where the command line and the
+manifest read them without importing numpy.
 
 Summation orders are fixed (no reductions over unordered collections), so
 repeated runs give bit-identical floats.
@@ -61,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .shared import ROOT_TOL, ConsistencyError, ReadOnly
+from .shared import MAX_ROOT_TOL, ROOT_TOL, ConsistencyError, ReadOnly
 
 QUADRATURE_TOL = 1e-11
 RANK_RTOL = 1e-8
@@ -94,32 +93,23 @@ class TorusModel(ReadOnly):
         self.__dict__.update(tau=tau, level=level)
 
 
-def _check_heights(t: float | np.ndarray) -> None:
-    """Raise ``ValueError`` unless every height t lies in [0, 1].
+def _check_heights(t: float) -> None:
+    """Raise ``ValueError`` unless t is one Python float or int in [0, 1].
 
-    A Python float or int is checked by one chained comparison, with no
-    numpy call; a numpy scalar or array of a real dtype by one reduction.
-    NaN lies outside [0, 1].  Any other height (a list, a string, None, a
-    complex number or array) raises too, naming its type or dtype.
+    A bool is not a height, nor is a numpy scalar or array.  NaN lies
+    outside [0, 1].
     """
-    if isinstance(t, (float, int)):
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"fibre height must lie in [0, 1], got {t}")
-        return
-    if not isinstance(t, (np.ndarray, np.generic)) or t.dtype.kind not in "biuf":
-        got = t.dtype if isinstance(t, (np.ndarray, np.generic)) else type(t).__name__
-        raise ValueError(f"fibre height must be a float, an int or a real numpy array, got {got}")
-    inside = (t >= 0.0) & (t <= 1.0)
-    if not inside.all():
-        bad = t if np.ndim(t) == 0 else t[~inside][0]
-        raise ValueError(f"fibre height must lie in [0, 1], got {bad}")
+    if type(t) is not float and type(t) is not int:
+        raise ValueError(f"fibre height must be a float or an int, got {type(t).__name__}")
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"fibre height must lie in [0, 1], got {t}")
 
 
 def _swept_area(level: int | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
     """Symplectic area k*t swept between heights 0 and t, elementwise.
 
     ``level`` is an int, or an int array of the shape of ``t``.  Nothing is
-    checked here: the public entry points check the heights they are given
+    checked here: the public entry point checks the height it is given
     with `_check_heights`, and the fibre search evaluates only heights in
     (0, 1) by construction.
     """
@@ -138,28 +128,14 @@ def _holonomy(level: int | np.ndarray, t: float | np.ndarray) -> complex | np.nd
     return np.exp(2j * math.pi * _swept_area(level, t))
 
 
-def holonomy_character(model: TorusModel, t: float | np.ndarray) -> complex | np.ndarray:
-    """Holonomy exp(2 pi i k t) of the fibre at height t.
+def holonomy_character(model: TorusModel, t: float) -> complex:
+    """Holonomy exp(2 pi i k t) of the fibre at height t, a built-in complex.
 
-    A Python float or int height gives a built-in complex; a numpy array
-    gives an array of the same shape, elementwise.  A height outside
-    [0, 1], or one that is not a real number or array, raises ``ValueError``.
+    ``t`` is one height, a Python float or int; a height outside [0, 1],
+    or of any other type, raises ``ValueError``.
     """
     _check_heights(t)
     return _holonomy(model.level, t)
-
-
-def special_coordinates(model: TorusModel, t: float) -> float:
-    """Flat coordinate exp(-2 pi * sweptarea(t)); strictly decreasing in t.
-
-    ``t`` is one height: a Python float or int, a real numpy scalar or a
-    0-d array.  A height outside [0, 1], one that is not a real number, or
-    an array of heights raises ``ValueError``.
-    """
-    _check_heights(t)
-    if getattr(t, "ndim", 0):  # numpy scalars and 0-d arrays have ndim 0
-        raise ValueError(f"flat coordinate takes one fibre height, got an ndarray of shape {t.shape}")
-    return math.exp(-2.0 * math.pi * _swept_area(model.level, t))
 
 
 def find_bs_fibres(model: TorusModel, tol: float = ROOT_TOL) -> list[float]:
@@ -193,11 +169,10 @@ def find_bs_fibres_batch(models: Sequence[TorusModel], tol: float = ROOT_TOL) ->
     model are returned, however many there are; a model of level k should
     have exactly k.  No height is range-checked here: the grid points and
     every midpoint lie in (0, 1) by construction, and only the public
-    height entry points, `holonomy_character` and `special_coordinates`,
-    run `_check_heights`.
+    entry point `holonomy_character` runs `_check_heights`.
     """
-    if not 0.0 < tol <= 1e-6:
-        raise ValueError(f"tolerance must lie in (0, 1e-6], got {tol}")
+    if not 0.0 < tol <= MAX_ROOT_TOL:
+        raise ValueError(f"tolerance must lie in (0, {MAX_ROOT_TOL}], got {tol}")
     levels = np.array([m.level for m in models], dtype=np.int64)
     sizes = 8 * levels
     owner = np.repeat(np.arange(len(levels)), sizes)  # the model of each grid point

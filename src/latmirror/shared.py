@@ -15,6 +15,8 @@ from pathlib import Path
 
 # marked-fibre positions; the tolerance hierarchy is in numeric's docstring
 ROOT_TOL = 1e-9
+# the widest tolerance the fibre search takes, and a manifest's tol may be
+MAX_ROOT_TOL = 1e-6
 
 DEFAULT_MANIFEST = Path(__file__).parent / "fixtures" / "manifest_default.json"
 

@@ -111,7 +111,8 @@ def test_manifest_rejects_a_count_that_is_not_positive(tmp_path, capsys, suite, 
     [
         ("l2_max", 0, True), ("l2_max", -5, False), ("l2_max", 1.5, False),
         ("l2_max", True, False),
-        ("tol", 1.5, True), ("tol", 0, False), ("tol", -5, False), ("tol", True, False),
+        ("tol", 1e-6, True), ("tol", 1e-9, True), ("tol", 2e-6, False), ("tol", 1.5, False),
+        ("tol", 0, False), ("tol", -5, False), ("tol", True, False),
         ("tol", math.inf, False), ("tol", math.nan, False),
     ],
 )
@@ -458,6 +459,14 @@ def test_cli_quant_paths(capsys, tmp_path):
     assert len(out.split()) == 3
     code, out, _ = run_cli(capsys, "quant", "theta-rank", "--level", "5")
     assert (code, out.strip()) == (0, "5")
+    # exp(2 pi i * 3/4) = -i, its real part the rounding of cos(3 pi / 2)
+    holonomy = ("quant", "holonomy", "--level", "3", "--height")
+    assert run_cli(capsys, *holonomy, "0.25") == (0, "-0.000000000000000 -1.000000000000000i\n", "")
+    code, out, _ = run_cli(capsys, *holonomy, "0.25", "--json")
+    assert (code, json.loads(out)) == (0, {"holonomy": [-1.8369701987210297e-16, -1.0]})
+    for height in ("1.5", "nan"):
+        line = f"error: fibre height must lie in [0, 1], got {float(height)}\n"
+        assert run_cli(capsys, *holonomy, height) == (2, "", line), height
 
     pts = [[i / 63, 2 * i / 63] for i in range(64)]
     curve = tmp_path / "seg.json"

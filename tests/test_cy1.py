@@ -273,6 +273,7 @@ def test_bs_points_examples():
 
     assert bs_points(1) == [Fraction(0)]
     assert bs_points(3) == [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
+    assert bs_points("3") == bs_points(3)  # an integer string, as the classes read it
     for k in range(1, 51):
         pts = bs_points(k)
         assert len(pts) == k
@@ -280,6 +281,13 @@ def test_bs_points_examples():
         assert all(0 <= p < 1 and p.denominator <= k for p in pts)
     with pytest.raises(LatticeError):
         bs_points(0)
+
+
+@pytest.mark.parametrize("level", [2.0, 2.5, True, False, None, "x", "1/2", [3]])
+def test_bs_points_refuse_a_level_that_is_not_an_integer(level):
+    # a float or a string was a bare TypeError from range(); True was read as level 1
+    with pytest.raises(LatticeError, match=r"^integer lattice datum expected, got "):
+        bs_points(level)
 
 
 def test_quantization_equality_cy1():

@@ -258,20 +258,19 @@ class _NoNumpy:
 
 
 def test_scalar_heights_stay_off_numpy(monkeypatch):
-    # a scalar height is checked by one chained comparison and exponentiated
-    # by cmath or math; np.exp, np.count_nonzero and np.logical_not (the
-    # array route's calls once) and every other numpy name must go unused
+    # a height is checked by one type test and one chained comparison and
+    # exponentiated by cmath; np.exp (the fibre search's route) and every
+    # other numpy name must go unused, an array height refused included
     model = numeric.TorusModel(tau=0.5 + 1j, level=7)
-    want = numeric.holonomy_character(model, 0.3), numeric.special_coordinates(model, 0.3)
+    want = numeric.holonomy_character(model, 0.3)
     heights = numeric.np.array([0.3])
     monkeypatch.setattr(numeric, "np", _NoNumpy())
     for t in (0.3, 0, 1):
         assert type(numeric.holonomy_character(model, t)) is complex
-        assert type(numeric.special_coordinates(model, t)) is float
-    assert (numeric.holonomy_character(model, 0.3), numeric.special_coordinates(model, 0.3)) == want
+    assert numeric.holonomy_character(model, 0.3) == want
     with pytest.raises(ValueError, match=r"^fibre height must lie in \[0, 1\], got nan$"):
         numeric.holonomy_character(model, float("nan"))
-    with pytest.raises(AssertionError, match="numpy"):  # arrays still use numpy
+    with pytest.raises(ValueError, match="^fibre height must be a float or an int, got ndarray$"):
         numeric.holonomy_character(model, heights)
 
 
@@ -311,9 +310,9 @@ PUBLIC_NAMES = [
     "load_k3_fixture", "mirror_cy1", "mirror_cy3", "mirror_isometry_check3", "mirror_k3",
     "mirror_pairing3", "mirror_pairing_k3", "moduli_dim2", "mukai2", "mukai_vector", "odot",
     "pair_exotic", "pair_sym", "parse_manifest", "parse_rational", "phase_map_curve",
-    "reflect_minus2", "resolve_fixture", "run_verify", "segment_curve",
-    "special_coordinates", "star", "theta_basis_rank", "todd_data",
-    "verify_quantization_k3", "walk_to_chamber", "winding_number",
+    "reflect_minus2", "resolve_fixture", "run_verify", "segment_curve", "star",
+    "theta_basis_rank", "todd_data", "verify_quantization_k3", "walk_to_chamber",
+    "winding_number",
 ]
 
 

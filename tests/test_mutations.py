@@ -79,6 +79,21 @@ def record_the_first_root(monkeypatch):
     monkeypatch.setattr(cy2, "walk_batch", misrecorded)
 
 
+def map_the_walk_ends(scale):
+    """A mutation: the walk records its roots as before but ends at scale * end."""
+
+    def mutate(monkeypatch):
+        walk = cy2.walk_batch
+
+        def rescaled(points, roots, X):
+            walks = walk(points, roots, X)
+            return [(tuple(scale * a for a in end), applied) for end, applied in walks]
+
+        monkeypatch.setattr(cy2, "walk_batch", rescaled)
+
+    return mutate
+
+
 def flip_fibre_coefficient(monkeypatch):
     # the marked-fibre expansion reads [s0] + L^2/2 [e'] for [s0] - L^2/2 [e']
     marked = cy2._marked_fibres
@@ -463,12 +478,14 @@ def test_corrupted_exotic_form_fails_the_mirror_isometry(monkeypatch, tmp_path):
         assert "; first: (e0, e0): 0 != 1" in check.got, check.got
 
 
-def test_a_misrecorded_walk_fails_the_walk_check(monkeypatch, tmp_path):
-    # the walk still ends in the chamber with the start's square, so only
-    # the replay sees the wrong indices: on k3-reflective the roots (0, 1, 0)
-    # and (0, 0, 1) are orthogonal, and a start reflects in the second root
-    # exactly when x.(0, 0, 1) = -2 x_2 < 0; those 50 of the 125 starts fail
-    record_the_first_root(monkeypatch)
+def walk_check_failures(mutate, monkeypatch, tmp_path):
+    """The walk check of k3-reflections under a mutation, and its reference.
+
+    The walk check must be the only one that fails, and read as the
+    reference's failure list summarised.  Returns that list and the check's
+    ``got`` text.
+    """
+    mutate(monkeypatch)
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({
         "version": "1",
@@ -482,6 +499,41 @@ def test_a_misrecorded_walk_fails_the_walk_check(monkeypatch, tmp_path):
     assert failed.name == name
     fixtures = {"k3-reflective": load_fixture("k3_reflective.json")}
     total, failures = k3_reflections_reference(SUITES["k3-reflections"].defaults, fixtures)[name]
-    assert [f.split(":")[0] for f in failures] == [f"x={x}" for x in grid(3, 2) if x[2] > 0]
     assert failed.got == summary_check(name, total, failures).got
-    assert failed.got == "50/125 failed; first: x=(-2, -2, 1): replay (-2, 0, 1) != end (-2, -2, -1)"
+    return failures, failed.got
+
+
+def test_a_misrecorded_walk_fails_the_walk_check(monkeypatch, tmp_path):
+    # the walk still ends in the chamber with the start's square, so only
+    # the replay sees the wrong indices: on k3-reflective the roots (0, 1, 0)
+    # and (0, 0, 1) are orthogonal, and a start reflects in the second root
+    # exactly when x.(0, 0, 1) = -2 x_2 < 0; those 50 of the 125 starts fail
+    failures, got = walk_check_failures(record_the_first_root, monkeypatch, tmp_path)
+    assert [f.split(":")[0] for f in failures] == [f"x={x}" for x in grid(3, 2) if x[2] > 0]
+    assert got == "50/125 failed; first: x=(-2, -2, 1): replay (-2, 0, 1) != end (-2, -2, -1)"
+
+
+@pytest.mark.parametrize(
+    "scale, first, item, count",
+    [
+        # a doubled end is still in the chamber but has four times the
+        # square, so the square check fails except at the 12 ends of square 0
+        (2, "x=(-2, -2, -2): replay (-2, -2, -2) != end (-4, -4, -4); square -32 != -8",
+         "; square ", 112),
+        # a negated end keeps the square but pairs negatively with a root,
+        # except at the 2 ends orthogonal to every root
+        (-1, "x=(-2, -2, -2): replay (-2, -2, -2) != end (2, 2, 2); stopped outside the chamber",
+         "; stopped outside the chamber", 122),
+    ],
+    ids=["doubled", "negated"],
+)
+def test_a_walk_that_ends_elsewhere_fails_the_square_or_chamber_check(
+    scale, first, item, count, monkeypatch, tmp_path
+):
+    # the recorded roots replay to the true end, so every start but the
+    # origin, whose end is 0 either way, fails the replay
+    failures, got = walk_check_failures(map_the_walk_ends(scale), monkeypatch, tmp_path)
+    assert [f.split(":")[0] for f in failures] == [f"x={x}" for x in grid(3, 2) if any(x)]
+    assert got == f"124/125 failed; first: {first}"
+    assert sum(item in f for f in failures) == count
+    assert sum(f.count("; ") for f in failures) == count  # no other comparison fails

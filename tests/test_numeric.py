@@ -24,7 +24,6 @@ from latmirror import (
     holonomy_character,
     phase_map_curve,
     segment_curve,
-    special_coordinates,
     theta_basis_rank,
     winding_number,
 )
@@ -73,21 +72,20 @@ def test_holonomy_unit_modulus():
 
 
 def test_holonomy_batch_equals_scalar_calls():
+    # the fibre search's array route, elementwise, against the public entry
     ts = np.concatenate(([0.0, 1.0], np.random.default_rng(29).random(300)))
     for k in (1, 7, 32, 128):
         m = model(k)
-        batch = holonomy_character(m, ts)
+        batch = numeric._holonomy(k, ts)
         assert batch.shape == ts.shape
-        assert batch.tolist() == [complex(holonomy_character(m, float(t))) for t in ts]
+        assert batch.tolist() == [holonomy_character(m, t) for t in ts.tolist()]
 
 
 def test_swept_area_range_check():
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got nan"):
         holonomy_character(model(2), math.nan)
-    with pytest.raises(ValueError, match=r"got 1\.5"):
-        holonomy_character(model(2), np.array([0.5, 1.5, math.nan]))
-    with pytest.raises(ValueError):
-        special_coordinates(model(2), -0.25)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got -0\.25"):
+        holonomy_character(model(2), -0.25)
 
 
 def bits(z):
@@ -95,20 +93,18 @@ def bits(z):
 
 
 def test_scalar_heights_give_the_array_route_bitwise():
-    # a Python float or int height goes through math and cmath, a numpy
-    # scalar of a float too; a 0-d array stays on numpy
-    heights = (0, 1, -0.0, 0.0, 1.0, 0.3, 1 / 3, math.nextafter(1.0, 0.0), np.float64(0.3), np.array(0.3))
+    # a Python float or int height goes through cmath, the fibre search's
+    # heights through numpy: the two give the same bits
+    heights = (0, 1, -0.0, 0.0, 1.0, 0.3, 1 / 3, math.nextafter(1.0, 0.0))
     for k in (1, 3, 128):
         m = model(k)
         for t in heights:
             got = holonomy_character(m, t)
-            assert type(got) is (np.complex128 if isinstance(t, np.ndarray) else complex), t
-            assert bits(got) == bits(holonomy_character(m, np.array([float(t)]))[0]), (k, t)
-            area = numeric._swept_area(k, np.array([float(t)]))[0]
-            assert special_coordinates(m, t) == math.exp(-2.0 * math.pi * area)
+            assert type(got) is complex, t
+            assert bits(got) == bits(numeric._holonomy(k, np.array([float(t)]))[0]), (k, t)
 
 
-def test_scalar_heights_outside_the_range_raise_as_arrays_do():
+def test_scalar_heights_outside_the_range_raise_one_line():
     for t, text in (
         (math.nextafter(1.0, 2.0), "1.0000000000000002"),
         (math.nextafter(0.0, -1.0), "-5e-324"),
@@ -117,45 +113,35 @@ def test_scalar_heights_outside_the_range_raise_as_arrays_do():
         (math.nan, "nan"),
         (2, "2"),
         (-1, "-1"),
-        (np.float64(math.nan), "nan"),
-        (np.array(1.5), "1.5"),
-        (np.array([0.5, -0.5, math.nan]), "-0.5"),
     ):
-        for call in (holonomy_character, special_coordinates):
-            with pytest.raises(ValueError) as caught:
-                call(model(3), t)
-            assert str(caught.value) == f"fibre height must lie in [0, 1], got {text}", (call, t)
+        with pytest.raises(ValueError) as caught:
+            holonomy_character(model(3), t)
+        assert str(caught.value) == f"fibre height must lie in [0, 1], got {text}", t
 
 
 def test_heights_that_are_not_real_numbers_or_arrays_raise_one_line():
-    # the first four raised a bare TypeError from the range comparison; a
-    # complex numpy height passed it, compared by its real part
+    # one height a call: an array, a numpy scalar or a bool is refused by
+    # its type, as a bool level is by TorusModel (True read as height 1)
     for t, name in (
         ([0.3], "list"),
         ((0.3, 0.5), "tuple"),
         ("0.3", "str"),
         (None, "NoneType"),
+        (True, "bool"),
+        (False, "bool"),
         (0.3 + 0j, "complex"),
+        (np.float64(0.3), "float64"),
+        (np.float32(0.25), "float32"),
+        (np.int64(1), "int64"),
+        (np.bool_(True), "bool"),
         (np.complex128(0.3 + 0.5j), "complex128"),
-        (np.array([0.3 + 0.5j]), "complex128"),
-        (np.array(["0.3"]), "<U3"),
-        (np.array([0.3], dtype=object), "object"),
+        (np.array(0.3), "ndarray"),
+        (np.array([0.3, 0.5]), "ndarray"),
+        (np.array([1.5]), "ndarray"),
     ):
-        for call in (holonomy_character, special_coordinates):
-            with pytest.raises(ValueError) as caught:
-                call(model(3), t)
-            assert str(caught.value) == (
-                f"fibre height must be a float, an int or a real numpy array, got {name}"
-            ), (call, t)
-    # real numpy scalars and arrays of every kind are still read
-    for t in (np.float32(0.25), np.int64(1), np.array([0, 1], dtype=np.uint8), np.bool_(True)):
-        holonomy_character(model(3), t)
-    # the flat coordinate is of one height: an array of them raised a bare
-    # TypeError from math.exp ("only 0-dimensional arrays can be converted")
-    for t, shape in ((np.array([0.3]), "(1,)"), (np.array([0.3, 0.5]), "(2,)"), (np.zeros((2, 2)), "(2, 2)")):
         with pytest.raises(ValueError) as caught:
-            special_coordinates(model(3), t)
-        assert str(caught.value) == f"flat coordinate takes one fibre height, got an ndarray of shape {shape}"
+            holonomy_character(model(3), t)
+        assert str(caught.value) == f"fibre height must be a float or an int, got {name}", t
 
 
 def test_holonomy_at_the_benchmark_points_equals_the_array_route():
@@ -165,7 +151,7 @@ def test_holonomy_at_the_benchmark_points_equals_the_array_route():
         m = model(k, tau=tau)
         got = holonomy_character(m, t)
         assert type(got) is complex
-        assert bits(got) == bits(holonomy_character(m, np.array([t]))[0]), (tau, k, t)
+        assert bits(got) == bits(numeric._holonomy(k, np.array([t]))[0]), (tau, k, t)
 
 
 def test_bs_fibres_at_the_benchmark_levels_equal_the_scalar_reference():
@@ -279,8 +265,7 @@ def test_fibre_search_checks_no_heights_and_evaluates_every_midpoint(monkeypatch
     assert sum(sizes[1:]) == midpoints
     sizes.clear()
     holonomy_character(models[0], 0.5)
-    special_coordinates(models[0], 0.5)
-    assert checked == [0.5, 0.5] and sizes == [1, 1]
+    assert checked == [0.5] and sizes == [1]
 
 
 def scale_level_4_area(monkeypatch):
@@ -344,22 +329,6 @@ def test_bs_deterministic():
     a = find_bs_fibres(model(7))
     b = find_bs_fibres(model(7))
     assert a == b  # bitwise: fixed grids, fixed bisection order
-
-
-# ------------------------------------------------------ special coords ----
-
-def test_special_coordinates_examples():
-    assert special_coordinates(model(1), 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert special_coordinates(model(1), 0.5) == pytest.approx(
-        math.exp(-math.pi), rel=1e-12
-    )
-    assert special_coordinates(model(1), 0.2) > special_coordinates(model(1), 0.7)
-
-
-def test_special_coordinates_strictly_decreasing():
-    m = model(3)
-    vals = [special_coordinates(m, t) for t in np.linspace(0.0, 0.99, 34)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 # ------------------------------------------------------------- phase ------
