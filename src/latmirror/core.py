@@ -169,8 +169,10 @@ class GradedVector(ReadOnly):
             raise ShapeError("blocks must be a list or tuple")
         if len(blocks) != dim + 1:
             raise ShapeError(f"dim {dim} needs {dim + 1} blocks, got {len(blocks)}")
-        # one pass: an int is kept as it is, anything else goes through
-        # as_fraction and leaves its denominator in dens
+        # one pass: an int is kept as it is, a Fraction is read through its
+        # numerator and denominator, anything else goes through as_fraction
+        # first; an entry of denominator 1 is kept as its int, any other
+        # stays a Fraction and leaves its denominator in dens
         entries, dens, arities = [], [], set()
         for i, block in enumerate(blocks):
             if i == 0 or i == dim:
@@ -181,8 +183,13 @@ class GradedVector(ReadOnly):
                 start = len(entries)
             for x in block:
                 if type(x) is not int:
-                    x = as_fraction(x)
-                    dens.append(x.denominator)
+                    if type(x) is not Fraction:
+                        x = as_fraction(x)
+                    q = x.denominator
+                    if q == 1:
+                        x = x.numerator
+                    else:
+                        dens.append(q)
                 entries.append(x)
             if 0 < i < dim:
                 arities.add(len(entries) - start)
@@ -190,9 +197,13 @@ class GradedVector(ReadOnly):
             raise ShapeError("intermediate blocks differ in arity")
         # over the least common denominator of reduced entries, the
         # numerators and the denominator share no factor
-        den = lcm(*dens)
+        den = 1
         if dens:
-            entries = [x.numerator * (den // x.denominator) for x in entries]
+            den = lcm(*dens)
+            entries = [
+                x * den if type(x) is int else x.numerator * (den // x.denominator)
+                for x in entries
+            ]
         self.__dict__.update(dim=dim, nums=tuple(entries), den=den)
 
     @classmethod
@@ -565,7 +576,10 @@ def todd_multiply(u: GradedVector, ring: RingDescriptor, factor: str) -> GradedV
     ``factor`` names a :class:`ToddData` field: "td", "sqrt_td" or
     "sqrt_td_inv", the factor 1 + w t with w = 2, 1 or -1.  On a K3 the
     product adds w u0 to the top block; on a threefold it adds w u0 c2/24
-    to the curve block and w (u1.c2)/24 to the top.
+    to the curve block and w (u1.c2)/24 to the top.  The threefold product
+    is built as one list: every numerator times 24, then w u0 c2 added to
+    the curve slots and w (u1.c2) to the top, over 24 times the
+    denominator, and reduced once by :meth:`GradedVector._of_numerators`.
     """
     _check_compatible(u, ring)
     w = _TODD_WEIGHTS[factor]
@@ -574,12 +588,13 @@ def todd_multiply(u: GradedVector, ring: RingDescriptor, factor: str) -> GradedV
     nums = u.nums
     if ring.dim == 2:
         return GradedVector._of_numerators(2, (*nums[:-1], nums[-1] + w * nums[0]), u.den)
-    # flat slices: u0 | u1 = nums[1:k+1] | u2 = nums[k+1:-1] | u3
+    # flat: u0 | u1 = nums[1:k+1] | u2 = nums[k+1:-1] | u3, the product over 24 den
     k, c2 = ring.picard_rank, ring.c2
+    out = [24 * x for x in nums]
     wu0 = w * nums[0]
-    out = [24 * x for x in nums[:k + 1]]
-    out += [24 * x + wu0 * c for x, c in zip(nums[k + 1:-1], c2)]
-    out.append(24 * nums[-1] + w * _dot(nums[1:k + 1], c2))
+    for j, c in enumerate(c2, k + 1):
+        out[j] += wu0 * c
+    out[-1] += w * _dot(nums[1:k + 1], c2)
     return GradedVector._of_numerators(3, out, 24 * u.den)
 
 

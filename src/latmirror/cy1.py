@@ -139,8 +139,11 @@ class AtiyahElement(ReadOnly):
     """Formal integer combination of the indecomposables F_r (r >= 1).
 
     The constructor checks and sorts the terms.  A product adds the
-    Clebsch-Gordan indices of every pair of terms into one dict and builds
-    one element from it through :meth:`_of_terms`.
+    multiplicities of the Clebsch-Gordan indices of every pair of terms into
+    one list indexed by the index, so its terms come out in index order, and
+    builds one element from it through :meth:`_of_terms`.  That list is as
+    long as the product's largest index, so its cost grows with the indices
+    as well as with the number of terms.
     """
 
     # terms: sorted ((index, multiplicity), ...), zeros dropped
@@ -160,14 +163,14 @@ class AtiyahElement(ReadOnly):
 
     @classmethod
     def _of_terms(cls, terms) -> "AtiyahElement":
-        """The element of int (index, multiplicity) pairs with indices >= 1.
+        """The element of int (index, multiplicity) pairs with increasing indices >= 1.
 
-        The one way in for elements this module computes: it only sorts
-        the terms and drops zero multiplicities, skipping the checks of
-        the constructor, which is the one path for foreign terms.
+        The one way in for elements this module computes: it only drops
+        zero multiplicities, skipping the checks and the sort of the
+        constructor, which is the one path for foreign terms.
         """
         self = object.__new__(cls)
-        self.__dict__["terms"] = tuple(sorted(filter(itemgetter(1), terms)))
+        self.__dict__["terms"] = tuple(filter(itemgetter(1), terms))
         return self
 
     @classmethod
@@ -186,19 +189,24 @@ class AtiyahElement(ReadOnly):
         return sum(idx * mult for idx, mult in self.terms)
 
     def __mul__(self, other: "AtiyahElement") -> "AtiyahElement":
-        out: dict = {}
-        get = out.get
+        if not (self.terms and other.terms):
+            return AtiyahElement._of_terms(())
+        # out[idx] is the multiplicity of F_idx; the largest index is
+        # a + b - 1 for the largest indices a and b of the two factors
+        out = [0] * (self.terms[-1][0] + other.terms[-1][0])
         for ia, ma in self.terms:
             for ib, mb in other.terms:
                 mult = ma * mb
                 for idx in _clebsch_gordan(ia, ib):
-                    out[idx] = get(idx, 0) + mult
-        return AtiyahElement._of_terms(out.items())
+                    out[idx] += mult
+        # out[0] stays 0, so _of_terms drops it with every cancelled index
+        return AtiyahElement._of_terms(enumerate(out))
 
 
 def _clebsch_gordan(a: int, b: int) -> range:
-    """The indices a + b - 1 - 2j, j = 0..min(a, b) - 1, of F_a (x) F_b."""
-    return range(a + b - 1, abs(a - b), -2)
+    """The indices a + b - 1 - 2j, j = 0..min(a, b) - 1, of F_a (x) F_b,
+    in increasing order: |a - b| + 1, |a - b| + 3, ..., a + b - 1."""
+    return range(abs(a - b) + 1, a + b, 2)
 
 
 def atiyah_tensor(a: int, b: int) -> AtiyahElement:

@@ -78,9 +78,11 @@ def line_bundle_ch(L: Sequence, X: CY3Descriptor) -> GradedVector:
     L = X.ring._integer_divisor(L)
     outer = [x * y for x in L for y in L]
     square = [_dot(plane, outer) for plane in X.ring.cubic]
-    cube = _dot(square, L)
-    # (1, L, L^2/2, L^3/6) over the denominator 6
-    nums = (6, *(6 * x for x in L), *(3 * x for x in square), cube)
+    # (1, L, L^2/2, L^3/6) over the denominator 6, as one list
+    nums = [6]
+    nums += [6 * x for x in L]
+    nums += [3 * x for x in square]
+    nums.append(_dot(square, L))
     return GradedVector._of_numerators(3, nums, 6)
 
 

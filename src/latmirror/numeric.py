@@ -72,6 +72,9 @@ _BISECT_FACTOR = 0.25
 # Every term a truncated theta series drops is smaller than this.
 _THETA_TAIL = 1e-14
 
+# The fibre search indexes its grid of 8 k points per level k in int64.
+_INT64_MAX = 2**63 - 1
+
 
 class TorusModel(ReadOnly):
     """Flat torus C/(Z + tau Z), unit total area, prequantum level k."""
@@ -169,11 +172,20 @@ def find_bs_fibres_batch(models: Sequence[TorusModel], tol: float = ROOT_TOL) ->
     model are returned, however many there are; a model of level k should
     have exactly k.  No height is range-checked here: the grid points and
     every midpoint lie in (0, 1) by construction, and only the public
-    entry point `holonomy_character` runs `_check_heights`.
+    entry point `holonomy_character` runs `_check_heights`.  Levels whose
+    grids together pass 2^63 - 1 points raise ``ValueError``, naming the
+    largest level, before numpy sees them.
     """
     if not 0.0 < tol <= MAX_ROOT_TOL:
         raise ValueError(f"tolerance must lie in (0, {MAX_ROOT_TOL}], got {tol}")
-    levels = np.array([m.level for m in models], dtype=np.int64)
+    levels = [m.level for m in models]
+    # checked once, on Python ints: numpy would refuse or wrap a larger grid
+    if 8 * sum(levels) > _INT64_MAX:
+        raise ValueError(
+            f"level {max(levels)} is too large for the fibre search: "
+            f"its grid of {8 * sum(levels)} points does not fit in int64"
+        )
+    levels = np.array(levels, dtype=np.int64)
     sizes = 8 * levels
     owner = np.repeat(np.arange(len(levels)), sizes)  # the model of each grid point
     offsets = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)

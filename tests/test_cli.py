@@ -296,6 +296,37 @@ def test_verify_reports_corrupted_fixture_and_keeps_going(tmp_path):
     assert result.exit_code == 1
 
 
+def test_verify_reports_a_crashed_suite_and_keeps_going(capsys, monkeypatch):
+    # a runner that raises is reported as an error with one check naming the
+    # exception; every other suite of the default manifest reports as always
+    def crash(params, fixtures):
+        raise RuntimeError("pair table exhausted")
+
+    monkeypatch.setitem(SUITES, "cy1-atiyah", SUITES["cy1-atiyah"]._replace(run=crash))
+    code, out, err = run_cli(capsys, "verify", "--json")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    reports = {r.pop("suite"): r for r in doc["reports"]}
+    crashed = reports.pop("cy1-atiyah")
+    assert crashed["status"] == "error"
+    assert [(c["name"], c["ok"], c["got"]) for c in crashed["checks"]] == [
+        ("suite crashed", False, "RuntimeError: pair table exhausted")
+    ]
+    golden = json.loads(GOLDEN.read_text())
+    want = {r.pop("suite"): r for r in golden["reports"]}
+    del want["cy1-atiyah"]
+    for report in reports.values():
+        report.pop("duration_s")
+    assert reports == want
+    assert (doc["passed"], doc["suites"]) == (False, {"total": 17, "failed": 1})
+    code, out, err = run_cli(capsys, "verify")
+    lines = out.splitlines()
+    assert (code, err, lines[-1]) == (1, "", "result: FAIL")
+    assert lines[0].startswith("ERROR cy1-atiyah                 1 checks, 1 failed  (")
+    assert lines[1] == "      FAIL suite crashed: got RuntimeError: pair table exhausted"
+    assert sum(line.startswith("PASS  ") for line in lines) == 16
+
+
 def test_verify_records_a_non_integer_picard_rank_as_a_failed_load(tmp_path):
     # infinity crashed the run with an OverflowError; 1.9 and true loaded as rank 1
     quintic = json.loads(resolve_fixture("quintic.json").read_text())
@@ -451,6 +482,51 @@ def test_cli_cy3_paths(capsys):
     assert json.loads(out) == {"fixture": "quintic", "pairs": 16, "failures": 0, "passed": True}
     code, out, _ = run_cli(capsys, "cy3", "verify-isometry", "--fixture", "bicubic")
     assert (code, out) == (0, "all 36 basis pairs on bicubic: isometric\n")
+
+
+@pytest.mark.parametrize(
+    "argv, text, doc",
+    [
+        # on the quartic L = 2H has L^2 = 16 and h0 = L^2/2 + 2 = 10 sections,
+        # one per marked fibre
+        (("cy2", "quantize", "--divisor", "2"),
+         "L^2=16: h0=10, marked fibres=10 -> ok",
+         {"bs_count": "10", "fixture": "k3-quartic", "h0": "10", "l2": "16", "ok": True}),
+        # v = ch sqrt(td) = (2, H, 1) has v^2 = 4 - 2*2*1 = 0: dimension v^2 + 2
+        (("cy2", "moduli", "--ch", "2:1:-1"), "2", {"dimension": 2}),
+        # on k3-elliptic (1, (1, 0), 0): v = (1, s, 1), v^2 = -2 - 2 = -4
+        (("cy2", "moduli", "--ch", "1:1,0:0", "--fixture", "k3_elliptic"), "-2", {"dimension": -2}),
+        # chi(O(H)) on the quintic: H^3/6 + c2.H/12 = 5/6 + 50/12
+        (("cy3", "slope", "--divisor", "1"), "5", {"chi": "5"}),
+        # chi(O(J1)) on the bicubic: J1^3 = 0, c2.J1 = 36
+        (("cy3", "slope", "--divisor", "1,0", "--fixture", "bicubic"), "3", {"chi": "3"}),
+    ],
+    ids=["cy2-quantize", "cy2-moduli", "cy2-moduli-elliptic", "cy3-slope", "cy3-slope-bicubic"],
+)
+def test_cli_success_paths_print_their_text_and_json(capsys, argv, text, doc):
+    assert run_cli(capsys, *argv) == (0, text + "\n", "")
+    assert run_cli(capsys, *argv, "--json") == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "level",
+    [
+        # one past int64: numpy could not read the level (a traceback, exit 1)
+        2**63,
+        # int64's largest: 8 k wrapped to a negative grid size
+        2**63 - 1,
+        # the least level whose 8 k grid points pass int64
+        2**60,
+    ],
+    ids=["past-int64", "int64-max", "grid-past-int64"],
+)
+def test_cli_quant_bs_refuses_a_level_whose_grid_overflows_int64(capsys, level):
+    line = (
+        f"error: level {level} is too large for the fibre search: "
+        f"its grid of {8 * level} points does not fit in int64\n"
+    )
+    for flags in ((), ("--json",)):
+        assert run_cli(capsys, "quant", "bs", "--level", str(level), *flags) == (2, "", line)
 
 
 def test_cli_quant_paths(capsys, tmp_path):

@@ -510,6 +510,65 @@ def test_public_constructor_coerces_by_its_rule(case):
     assert (u.nums, u.den) == (tuple(int(x * den) for x in entries), den)
 
 
+class Half(Fraction):
+    """A Fraction subclass: not a Fraction by ``type``, so it goes through as_fraction."""
+
+
+def integer_spellings(n):
+    return (n, Fraction(n), str(n), f" {n} ", Half(n))
+
+
+@pytest.mark.parametrize("dim, ints", [
+    (1, (3, -2)),
+    (2, (1, (0, -4), 7)),
+    (3, (-2, (1, 0, 5), (6, -9, 0), 4)),
+])
+def test_integer_entries_give_one_class_whatever_their_type(dim, ints):
+    # an int, Fraction(n, 1), an integer string and a Fraction subclass are
+    # one entry: the same numerators, all Python ints, over 1
+    def spelled(which):
+        return tuple(
+            tuple(integer_spellings(x)[which] for x in block) if isinstance(block, tuple)
+            else integer_spellings(block)[which]
+            for block in ints
+        )
+
+    flat = [ints[0], *(x for block in ints[1:-1] for x in block), ints[-1]]
+    reference = GradedVector(dim, ints)
+    assert (reference.nums, reference.den) == (tuple(flat), 1)
+    for which in range(len(integer_spellings(0))):
+        u = GradedVector(dim, spelled(which))
+        assert (u.nums, u.den) == (reference.nums, 1)
+        assert all(type(x) is int for x in u.nums)
+        assert u == reference and hash(u) == hash(reference)
+
+
+def test_mixed_entries_give_the_numerators_of_the_as_fraction_route():
+    # ints, Fractions of denominator 1 and not, p/q strings and a Fraction
+    # subclass in one class: the numerators over the least common
+    # denominator of the entries read one at a time through as_fraction
+    rng = random.Random(31)
+    kinds = (
+        lambda p, q: p,
+        lambda p, q: Fraction(p, q),
+        lambda p, q: Fraction(p * q, q),
+        lambda p, q: f"{p}/{q}",
+        lambda p, q: Half(p, q),
+    )
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        entries = [rng.choice(kinds)(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(2 + 2 * k)]
+        blocks = (entries[0], tuple(entries[1:1 + k]), tuple(entries[1 + k:-1]), entries[-1])
+        exact = [as_fraction(x) for x in entries]
+        den = lcm(*(x.denominator for x in exact))
+        u = GradedVector(3, blocks)
+        assert (u.nums, u.den) == (tuple(x.numerator * (den // x.denominator) for x in exact), den)
+        assert all(type(x) is int for x in u.nums)
+        assert u == GradedVector(3, tuple(
+            tuple(map(as_fraction, b)) if isinstance(b, tuple) else as_fraction(b) for b in blocks
+        ))
+
+
 # ------------------------------------------------------ ring algebra ------
 
 # every p/q with q <= 4 and |p/q| <= 6: the values st.fractions(-6, 6,

@@ -1,5 +1,6 @@
 """Elliptic-curve lattice calculus against two independent oracles."""
 
+import itertools
 import random
 import re
 import time
@@ -236,6 +237,48 @@ def test_atiyah_product_of_formal_sums_agrees_with_the_character_oracle():
         assert list(got.terms) == sorted(got.terms)
         assert got == AtiyahElement.from_dict(want) and hash(got) == hash(AtiyahElement.from_dict(want))
     assert cancelled >= 10
+
+
+def oracle_product(x: dict, y: dict) -> dict:
+    """{index: multiplicity} of the product of two formal sums, zeros kept:
+    the oracle's decomposition of each pair of terms, scaled by both
+    multiplicities and summed."""
+    out: dict = {}
+    for ia, ma in x.items():
+        for ib, mb in y.items():
+            for idx, mult in tensor_decompose_oracle(ia, ib):
+                out[idx] = out.get(idx, 0) + ma * mb * mult
+    return out
+
+
+def test_index_list_product_equals_the_character_oracle_on_every_pair_of_small_sums():
+    # the empty sum, every c F_i and every c F_i + d F_j (i < j <= 4, c and d
+    # in {-1, 1, 2}) times every other: 67^2 products.  Each is the oracle's
+    # sum in increasing index order with its zeros dropped; in F_2 (F_1 - F_3)
+    # = -F_4 and its like a multiplicity cancels to zero
+    coeffs = (-1, 1, 2)
+    sums = [{}]
+    sums += [{i: c} for i in range(1, 5) for c in coeffs]
+    sums += [
+        {i: c, j: d}
+        for i, j in itertools.combinations(range(1, 5), 2)
+        for c in coeffs for d in coeffs
+    ]
+    cancelled = 0
+    for x, y in itertools.product(sums, repeat=2):
+        want = oracle_product(x, y)
+        cancelled += 0 in want.values()
+        got = AtiyahElement.from_dict(x) * AtiyahElement.from_dict(y)
+        assert got.terms == tuple(sorted((i, m) for i, m in want.items() if m)), (x, y)
+        assert all(type(i) is int and type(m) is int for i, m in got.terms)
+        assert got == AtiyahElement.from_dict(want) and hash(got) == hash(AtiyahElement.from_dict(want))
+    assert len(sums) == 67 and cancelled == 728
+    # sparse sums far apart in index, and the unit on either side
+    for x, y in (({1: 1, 40: -2}, {3: 1}), ({25: 1, 2: -1}, {30: 2, 1: 1}), ({1: 1}, {17: -3})):
+        want = oracle_product(x, y)
+        got = AtiyahElement.from_dict(x) * AtiyahElement.from_dict(y)
+        assert got.terms == tuple(sorted((i, m) for i, m in want.items() if m)), (x, y)
+        assert got == AtiyahElement.from_dict(y) * AtiyahElement.from_dict(x)
 
 
 def test_atiyah_oracle_agrees_with_symmetric_power_recursion():

@@ -55,6 +55,28 @@ def drop_lowest_atiyah_summand(monkeypatch):
     monkeypatch.setattr(cy1.AtiyahElement, "__mul__", product)
 
 
+def drop_lowest_pair_summand(monkeypatch):
+    # the pair table loses F_{|a-b|+1} from every F_a (x) F_b, so its rank
+    # is a b - |a - b| - 1; the sum stays symmetric in (a, b)
+    tensor = cy1.atiyah_tensor
+
+    def dropped(a, b):
+        return cy1.AtiyahElement(tensor(a, b).terms[1:])
+
+    monkeypatch.setattr(cy1, "atiyah_tensor", dropped)
+
+
+def copies_of_the_larger_factor(monkeypatch):
+    # for a < b the pair table reads F_a (x) F_b as a copies of F_b: the rank
+    # a b is kept, but F_2 (x) F_3 = 2 F_3 while F_3 (x) F_2 = F_2 + F_4
+    tensor = cy1.atiyah_tensor
+
+    def asymmetric(a, b):
+        return cy1.AtiyahElement(((b, a),)) if a < b else tensor(a, b)
+
+    monkeypatch.setattr(cy1, "atiyah_tensor", asymmetric)
+
+
 def flip_cycle_pairing_sign(monkeypatch):
     monkeypatch.setattr(cy1, "cycle_pairing", lambda a, b: a.s0 * b.e + a.e * b.s0)
 
@@ -476,6 +498,68 @@ def test_corrupted_exotic_form_fails_the_mirror_isometry(monkeypatch, tmp_path):
         check = next(c for c in report.checks if c.name == f"{label}: mirror map is an isometry")
         assert not check.ok
         assert "; first: (e0, e0): 0 != 1" in check.got, check.got
+
+
+def cy1_pair_table_reference(params, fixtures):
+    # the pair check and the associativity check from the patched table, the
+    # rank by its definition and commutativity as equality of the two orders;
+    # the unit check runs on the product alone, which no table mutant breaks
+    top = params["max_index"]
+    indices = range(1, top + 1)
+    table = {(a, b): cy1.atiyah_tensor(a, b) for a, b in itertools.product(indices, repeat=2)}
+    pair_failures = []
+    for (a, b), product in table.items():
+        rank = sum(idx * mult for idx, mult in product.terms)
+        if rank != a * b:
+            pair_failures.append(f"F_{a}xF_{b} dim {rank}")
+        if product.terms != table[b, a].terms:
+            pair_failures.append(f"F_{a}xF_{b} not commutative")
+    basis = cy1.AtiyahElement.basis
+    assoc_failures = [
+        f"({a},{b},{c})"
+        for a, b, c in itertools.product(indices, repeat=3)
+        if table[a, b] * basis(c) != basis(a) * table[b, c]
+    ]
+    pair = f"indecomposable products: rank multiplicative, commutative (a,b <= {top})"
+    assoc = "indecomposable product is associative"
+    return pair_failures, {
+        pair: summary_check(pair, top * top, pair_failures).got,
+        assoc: summary_check(assoc, top ** 3, assoc_failures).got,
+    }
+
+
+@pytest.mark.parametrize(
+    "mutate, kind, count",
+    [
+        # every one of the 64 pairs loses a summand of rank |a - b| + 1 >= 1
+        (drop_lowest_pair_summand, " dim ", 64),
+        # both orders of each of the 21 pairs 2 <= a < b <= 8; F_1 (x) F_b
+        # is F_b either way
+        (copies_of_the_larger_factor, "not commutative", 42),
+    ],
+    ids=["dropped-summand", "asymmetric"],
+)
+def test_a_broken_pair_table_fails_the_atiyah_pair_check(mutate, kind, count, monkeypatch, tmp_path):
+    # the row of cy1-atiyah breaks the product; these break the pair table,
+    # which only the rank and commutativity check reads on its own
+    mutate(monkeypatch)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "version": "1",
+        "fixtures": [],
+        "suites": [{"name": "cy1-atiyah", "params": {}}],
+    }))
+    report = {r.suite: r for r in run_verify(parse_manifest(manifest)).reports}["cy1-atiyah"]
+    assert report.status == "fail"
+    pair_failures, want = cy1_pair_table_reference(SUITES["cy1-atiyah"].defaults, {})
+    assert len(pair_failures) == count and all(kind in f for f in pair_failures)
+    got = {c.name: c for c in report.checks}
+    for name, text in want.items():
+        assert got[name].got == text, name
+    pair = next(iter(want))
+    assert not got[pair].ok
+    assert {c.name for c in report.checks if not c.ok} <= set(want)
+    assert got["F_1 is the unit"].ok
 
 
 def walk_check_failures(mutate, monkeypatch, tmp_path):
