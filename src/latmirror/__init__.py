@@ -20,15 +20,15 @@ __version__ = "0.1.0"
 # module -> the public names it exports through the package
 _EXPORTS = {
     "core": """GradedVector LatticeError RingDescriptor ShapeError ToddData cup
-        format_rational mukai_vector pair_exotic pair_sym parse_rational star todd_data""",
-    "cy1": """AtiyahElement BundleClass1 CycleClass1 Slope atiyah_tensor bs_points
+        format_rational pair_exotic pair_sym star todd_data""",
+    "cy1": """AtiyahElement CycleClass1 Slope atiyah_tensor bs_points
         cycle_pairing decompose_primitive gft_class intersection_count mirror_cy1 odot""",
     "cy2": """EULER_K3 H_GRAM GftClassK3 K3Descriptor MirrorClassK3 check_main_condition
-        euler_pairing2 gft_class_k3 mirror_k3 mirror_pairing_k3 moduli_dim2 mukai2
+        gft_class_k3 mirror_k3 mirror_pairing_k3 moduli_dim2 mukai2
         reflect_minus2 verify_quantization_k3 walk_to_chamber""",
     "cy3": """CY3Descriptor MirrorClass3 NonIntegralEulerWarning Rank3Sublattice
         canonical_rank3_sublattice chi_bundle3 euler_pairing3 gft_s0_intersection3
-        line_bundle_ch mirror_cy3 mirror_isometry_check3 mirror_pairing3""",
+        line_bundle_ch mirror_cy3 mirror_pairing3""",
     "fixtures": "FixtureError load_cy3_fixture load_fixture load_k3_fixture resolve_fixture",
     "manifest": "Manifest parse_manifest run_verify",
     "numeric": """ParamCurve TorusModel arc_curve find_bs_fibres find_bs_fibres_batch

@@ -3,9 +3,11 @@
 Grammar: ``latmirror <cy1|cy2|cy3|quant|verify> <verb> [flags]``.  Every
 command takes ``--json`` for machine-readable output.
 
-Exit codes: 0 all checks pass, 1 a verification failed, 2 usage or parse
-error (bad flags, malformed manifest or fixture) or a request too large
-for memory (``quant theta-rank --level 100000``).
+Exit codes: 0 all checks pass, 1 a verification failed or stdout was
+closed before the output was written (``latmirror cy1 bs --level 20000 |
+head -c 10``), 2 usage or parse error (bad flags, malformed manifest or
+fixture) or a request too large for memory (``quant theta-rank --level
+100000``).
 
 This module holds ``verify`` and the top-level parser, which lists all
 five families.  The handlers, verbs and flags of ``cy1``, ``cy2``, ``cy3``
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -117,10 +120,14 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy's _ArrayMemoryError names the array it could not allocate
         print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull so that the interpreter's
+        # final flush stays quiet (the recipe of the `signal` module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -21,7 +21,7 @@ import sys
 import warnings
 
 from . import cy1, cy2, cy3
-from .core import GradedVector, LatticeError, RingDescriptor, format_rational, parse_rational
+from .core import GradedVector, LatticeError, RingDescriptor, format_rational, pair_exotic
 from .fixtures import FixtureError, load_cy3_fixture, load_k3_fixture, read_json
 from .shared import ROOT_TOL
 
@@ -45,11 +45,7 @@ def _parse_blocks(text: str, dim: int) -> GradedVector:
         raise LatticeError(
             f"expected {dim + 1} ':'-separated blocks for dim {dim}, got {len(blocks)}"
         )
-    out: list = [parse_rational(blocks[0])]
-    for mid in blocks[1:-1]:
-        out.append(tuple(parse_rational(x) for x in mid.split(",")))
-    out.append(parse_rational(blocks[-1]))
-    return GradedVector(dim, tuple(out))
+    return GradedVector(dim, [blocks[0], *(mid.split(",") for mid in blocks[1:-1]), blocks[-1]])
 
 
 def _fmt_blocks(vec: GradedVector) -> str:
@@ -86,7 +82,7 @@ def _h_cy1_intersect(args):
 
 
 def _h_cy1_gft(args):
-    c = cy1.gft_class(cy1.BundleClass1(args.rank, args.deg))
+    c = cy1.gft_class(GradedVector(1, (args.rank, args.deg)))
     slope, mult = cy1.decompose_primitive(c)
     return (
         0,
@@ -138,9 +134,7 @@ def _h_cy1_mirror(args):
 
 def _h_cy2_rr(args):
     X = load_k3_fixture(args.fixture)
-    chi = cy2.euler_pairing2(
-        _parse_blocks(args.ch1, 2), _parse_blocks(args.ch2, 2), X
-    )
+    chi = pair_exotic(_parse_blocks(args.ch1, 2), _parse_blocks(args.ch2, 2), X.ring)
     return 0, {"chi": format_rational(chi)}, format_rational(chi)
 
 

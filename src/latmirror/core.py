@@ -29,9 +29,11 @@ numerator constructor that reduces by the gcd.  On top of the cup product
 the module exposes the symmetric top-degree pairing ``pair_sym``, the
 degree involution ``star`` (sign flip on blocks of degree 2 mod 4, the
 Chern-character image of dualisation), the Todd-twisted Euler pairing
-``pair_exotic`` (symmetric for n = 2, skew for n = 1 and 3), the Mukai
-vector ``ch * sqrt(td)`` and ``todd_multiply``, the product with td,
-sqrt(td) or sqrt(td)^-1.
+``pair_exotic`` (symmetric for n = 2, skew for n = 1 and 3) and
+``todd_multiply``, the product with td, sqrt(td) or sqrt(td)^-1: the Mukai
+vector ``ch * sqrt(td)`` is ``todd_multiply(ch, ring, "sqrt_td")``.
+:func:`as_fraction` reads an entry, a ``"p/q"`` string included, and
+:func:`format_rational` writes one.
 
 The two pairings and the three Todd products are written out in closed
 form, one branch per dimension, on the numerators of the flat
@@ -131,11 +133,6 @@ def as_fraction(x: RationalLike) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Serialize a rational as ``"p/q"`` (or ``"p"`` when q = 1)."""
     return str(Fraction(x))
-
-
-def parse_rational(s: RationalLike) -> Fraction:
-    """Inverse of :func:`format_rational`; also accepts ints and Fractions."""
-    return as_fraction(s)
 
 
 def blocks_of(dim: int, flat: Sequence) -> tuple:
@@ -609,8 +606,3 @@ def isometry_failures(classes, images, pairing, image_pairing, names=None) -> li
             if lhs != rhs:
                 failures.append(f"({a}, {b}): {lhs} != {rhs}")
     return failures
-
-
-def mukai_vector(ch: GradedVector, ring: RingDescriptor) -> GradedVector:
-    """Mukai vector ``ch * sqrt(td)`` with the positive square root."""
-    return todd_multiply(ch, ring, "sqrt_td")

@@ -1,8 +1,9 @@
 """Rank/degree lattice of an elliptic curve and its torus-fibration mirror.
 
-A bundle class is a pair (rank, degree); its support slope is the reduced
-fraction degree/rank, with (0, 1) standing for the infinite slope of the
-fibre direction.  On the mirror side a cycle class a*[s0] + b*[e'] records
+A bundle class is its Chern character (rank, degree), the dim-1
+:class:`core.GradedVector`; its support slope is the reduced fraction
+degree/rank, with (0, 1) standing for the infinite slope of the fibre
+direction.  On the mirror side a cycle class a*[s0] + b*[e'] records
 multisection and fibre coefficients of a closed geodesic on the flat torus;
 two such cycles meet in |d1*r2 - d2*r1| points and pair skewly with
 [s0].[e'] = 1.  The fibrewise tensor product of multisections is
@@ -56,19 +57,6 @@ class Slope(ReadOnly):
         return str(self.d) if self.r == 1 else f"{self.d}/{self.r}"
 
 
-class BundleClass1(ReadOnly):
-    """Topological type (rank, degree) of a bundle on the curve."""
-
-    _fields = ("rank", "deg")
-
-    def __init__(self, rank: int, deg: int):
-        if type(rank) is not int or type(deg) is not int:
-            rank, deg = _as_int(rank), _as_int(deg)
-        if rank < 0:
-            raise LatticeError("rank must be nonnegative")
-        self.__dict__.update(rank=rank, deg=deg)
-
-
 class CycleClass1(NamedTuple):
     """Integer cycle class a*[s0] + b*[e'] on the mirror torus."""
 
@@ -110,11 +98,19 @@ def cycle_pairing(a: CycleClass1, b: CycleClass1) -> int:
     return r1 * d2 - d1 * r2
 
 
-def gft_class(E: BundleClass1) -> CycleClass1:
-    """Cycle class of the fibrewise Fourier transform: rank*[s0] + deg*[e']."""
-    if E.rank == 0 and E.deg == 0:
+def gft_class(ch: GradedVector) -> CycleClass1:
+    """Cycle class of the fibrewise Fourier transform of a bundle with Chern
+    character (rank, deg): its :func:`mirror_cy1` image rank*[s0] + deg*[e'].
+
+    Refuses what :func:`mirror_cy1` refuses, then a negative rank, then the
+    zero class.
+    """
+    c = mirror_cy1(ch)
+    if c.s0 < 0:
+        raise LatticeError("rank must be nonnegative")
+    if c == (0, 0):
         raise LatticeError("zero class has no transform")
-    return CycleClass1(E.rank, E.deg)
+    return c
 
 
 def odot(a: CycleClass1, b: CycleClass1) -> CycleClass1:

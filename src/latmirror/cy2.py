@@ -1,12 +1,13 @@
 """K3 lattice calculus: Mukai vectors, mirror classes, quantization counts.
 
 Chern data of a sheaf on a K3 enters as a dim-2 graded vector
-(rank, c1, ch2); its Mukai vector is ch * sqrt(td) = (rank, c1, ch2 + rank).
-The Euler pairing chi(Hom(E1, E2)) is the Poincare pairing of the dualised
-Mukai vector of E1 against that of E2.  As star(sqrt td) = sqrt td on a K3,
-that is the Todd-twisted pairing :func:`core.pair_exotic` of the Chern
-characters, the one Euler pairing of every dimension; a simple sheaf moves
-in a moduli space of dimension 2 - chi(Hom(E, E)).
+(rank, c1, ch2); its Mukai vector :func:`mukai2` is ch * sqrt(td) =
+(rank, c1, ch2 + rank).  The Euler pairing chi(Hom(E1, E2)) is the Poincare
+pairing of the dualised Mukai vector of E1 against that of E2.  As
+star(sqrt td) = sqrt td on a K3, that is the Todd-twisted pairing
+:func:`core.pair_exotic` of the Chern characters, the one Euler pairing of
+every dimension, so this module defines none of its own; a simple sheaf
+moves in a moduli space of dimension 2 - chi(Hom(E, E)).
 
 The mirror of a polarising class L is the sphere class [s] + L - L^2/2 [e]
 in the lattice spanned by a section [s] ([s]^2 = -2), a fibre [e]
@@ -50,9 +51,9 @@ from .core import (
     _int_array,
     apply_form,
     as_fraction,
-    mukai_vector,
     pair_exotic,
     pair_form,
+    todd_multiply,
 )
 from .shared import ReadOnly
 
@@ -101,13 +102,8 @@ class K3Descriptor(ReadOnly):
 
 
 def mukai2(ch: GradedVector, X: K3Descriptor) -> GradedVector:
-    """Mukai vector (rank, c1, ch2 + rank) of a Chern-data vector."""
-    return mukai_vector(ch, X.ring)
-
-
-def euler_pairing2(ch1: GradedVector, ch2: GradedVector, X: K3Descriptor) -> Fraction:
-    """chi(Hom(E1, E2)): the Todd-twisted pairing :func:`core.pair_exotic`."""
-    return pair_exotic(ch1, ch2, X.ring)
+    """Mukai vector ch * sqrt(td) = (rank, c1, ch2 + rank) of a Chern-data vector."""
+    return todd_multiply(ch, X.ring, "sqrt_td")
 
 
 def moduli_dim2(ch: GradedVector, X: K3Descriptor) -> int:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .core import (
     GradedVector,
@@ -95,14 +95,19 @@ def chi_bundle3(ch: GradedVector, X: CY3Descriptor) -> Fraction:
     with :class:`NonIntegralEulerWarning`.
     """
     w = todd_multiply(ch, X.ring, "td")
-    val = Fraction(w.nums[-1], w.den)
-    if val.denominator != 1:
+    return _flag_nonintegral(Fraction(w.nums[-1], w.den))
+
+
+def _flag_nonintegral(chi: Fraction) -> Fraction:
+    """``chi``, after a :class:`NonIntegralEulerWarning` at the caller's caller
+    if it is not an integer."""
+    if chi.denominator != 1:
         warnings.warn(
-            f"chi = {val} is not an integer; input is not a bundle class",
+            f"chi = {chi} is not an integer; input is not a bundle class",
             NonIntegralEulerWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return val
+    return chi
 
 
 def euler_pairing3(ch1: GradedVector, ch2: GradedVector, X: CY3Descriptor) -> Fraction:
@@ -166,30 +171,10 @@ def mirror_pairing3(a: MirrorClass3, b: MirrorClass3) -> Fraction:
     return Fraction(a0 * b3 - a3 * b0 - _dot(a1, b2) + _dot(a2, b1), a.den * b.den)
 
 
-class IsometryReport3(NamedTuple):
-    lhs: Fraction
-    rhs: Fraction
-    ok: bool
-
-
-def mirror_isometry_check3(
-    u: GradedVector, v: GradedVector, X: CY3Descriptor
-) -> IsometryReport3:
-    """Verify that mirroring is an isometry onto its image.
-
-    Chern characters u, v are carried to the mirror via their Mukai
-    normalization (multiplication by td composed with the mirror map);
-    the mirror-side skew pairing must equal the Euler pairing exactly.
-    """
-    mu = mirror_cy3(todd_multiply(u, X.ring, "td"), X)
-    mv = mirror_cy3(todd_multiply(v, X.ring, "td"), X)
-    lhs = mirror_pairing3(mu, mv)
-    rhs = euler_pairing3(u, v, X)
-    return IsometryReport3(lhs=lhs, rhs=rhs, ok=(lhs == rhs))
-
-
 def isometry_certificate3(X: CY3Descriptor) -> tuple:
-    """:func:`mirror_isometry_check3` on every pair of basis classes.
+    """The mirror isometry on every pair of basis classes: the mirror
+    pairing of the images of the Mukai vectors u * td against the Euler
+    pairing :func:`core.pair_exotic` of u and v.
 
     Both sides are bilinear in the flat coordinates of u and v, so
     agreement on the n^2 pairs (e_i, e_j) of :meth:`GradedVector.basis`
@@ -210,9 +195,14 @@ def gft_s0_intersection3(L: Sequence, X: CY3Descriptor) -> Fraction:
     """Intersection of the transformed bundle class with the zero section.
 
     Equals chi(O(L)); this number is simultaneously the marked-fibre count
-    and the support slope of the transform.
+    and the support slope of the transform.  Computed as (2 L^3 + c2.L)/12
+    from the cubic planes and ``c2``, not through the Todd product of
+    :func:`chi_bundle3`; a non-integral value warns as that does.
     """
-    return chi_bundle3(line_bundle_ch(L, X), X)
+    L = X.ring._integer_divisor(L)
+    outer = [x * y for x in L for y in L]
+    cube = _dot([_dot(plane, outer) for plane in X.ring.cubic], L)
+    return _flag_nonintegral(Fraction(2 * cube + _dot(X.ring.c2, L), 12))
 
 
 class Rank3Sublattice(ReadOnly):

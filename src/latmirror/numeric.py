@@ -174,23 +174,35 @@ def find_bs_fibres_batch(models: Sequence[TorusModel], tol: float = ROOT_TOL) ->
     every midpoint lie in (0, 1) by construction, and only the public
     entry point `holonomy_character` runs `_check_heights`.  Levels whose
     grids together pass 2^63 - 1 points raise ``ValueError``, naming the
-    largest level, before numpy sees them.
+    largest level and the grid size, before numpy sees them; so do grids
+    that numpy cannot allocate, in place of its ``MemoryError`` or its
+    "array is too big" ``ValueError``.
     """
     if not 0.0 < tol <= MAX_ROOT_TOL:
         raise ValueError(f"tolerance must lie in (0, {MAX_ROOT_TOL}], got {tol}")
     levels = [m.level for m in models]
-    # checked once, on Python ints: numpy would refuse or wrap a larger grid
-    if 8 * sum(levels) > _INT64_MAX:
-        raise ValueError(
+    points = 8 * sum(levels)
+
+    def too_large(where: str) -> ValueError:
+        return ValueError(
             f"level {max(levels)} is too large for the fibre search: "
-            f"its grid of {8 * sum(levels)} points does not fit in int64"
+            f"its grid of {points} points does not fit in {where}"
         )
-    levels = np.array(levels, dtype=np.int64)
-    sizes = 8 * levels
-    owner = np.repeat(np.arange(len(levels)), sizes)  # the model of each grid point
-    offsets = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    grid = (offsets + 0.5) / sizes[owner]
-    angles = np.angle(_holonomy(levels[owner], grid))
+
+    # checked once, on Python ints: numpy would refuse or wrap a larger grid
+    if points > _INT64_MAX:
+        raise too_large("int64")
+    try:
+        levels = np.array(levels, dtype=np.int64)
+        sizes = 8 * levels
+        owner = np.repeat(np.arange(len(levels)), sizes)  # the model of each grid point
+        offsets = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        grid = (offsets + 0.5) / sizes[owner]
+        angles = np.angle(_holonomy(levels[owner], grid))
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+            raise
+        raise too_large("memory") from exc
     fa, fb = angles[:-1], angles[1:]
     bracket = (owner[:-1] == owner[1:]) & (fa < 0.0) & (0.0 < fb) & ((fb - fa) < math.pi)
     a, b = grid[:-1][bracket], grid[1:][bracket]

@@ -131,8 +131,9 @@ def _run_cy1_quantization(params, fixtures):
     checks = []
     s0 = cy1.CycleClass1(1, 0)
     for k in range(1, params["k_max"] + 1):
-        count = cy1.intersection_count(cy1.gft_class(cy1.BundleClass1(1, k)), s0)
-        sections = pair_exotic(structure, GradedVector(1, (1, k)), ring)
+        ch = GradedVector(1, (1, k))
+        count = cy1.intersection_count(cy1.gft_class(ch), s0)
+        sections = pair_exotic(structure, ch, ring)
         checks.append(
             Check(
                 name=f"level {k}: transform meets section in k points, L^k has k sections",
@@ -173,13 +174,9 @@ def _run_cy1_gft_homomorphism(params, fixtures):
     grid = list(itertools.product((1, 2), (0, 1)))
     failures = []
     for (r1, d1), (r2, d2) in itertools.product(grid, repeat=2):
-        tensor = cup(GradedVector(1, (r1, d1)), GradedVector(1, (r2, d2)), ring)
-        # an integral class: its numerators are its rank and degree
-        lhs = cy1.gft_class(cy1.BundleClass1(*tensor.nums))
-        rhs = cy1.odot(
-            cy1.gft_class(cy1.BundleClass1(r1, d1)),
-            cy1.gft_class(cy1.BundleClass1(r2, d2)),
-        )
+        ch1, ch2 = GradedVector(1, (r1, d1)), GradedVector(1, (r2, d2))
+        lhs = cy1.gft_class(cup(ch1, ch2, ring))
+        rhs = cy1.odot(cy1.gft_class(ch1), cy1.gft_class(ch2))
         if lhs != rhs:
             failures.append(f"(r1,d1)=({r1},{d1}) (r2,d2)=({r2},{d2})")
     n = len(grid) ** 2
@@ -463,6 +460,8 @@ def _run_cy3_quantization(params, fixtures):
             )
         )
         for L, expected in EXPECTED_CHI.get(label, ()):
+            # the slope is (2 L^3 + c2.L)/12 from the cubic and c2, chi the top
+            # block of ch(O(L)) * td: only chi takes a Todd product
             slope = cy3.gft_s0_intersection3(L, X)
             chi = cy3.chi_bundle3(cy3.line_bundle_ch(L, X), X)
             checks.append(

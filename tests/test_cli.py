@@ -4,6 +4,8 @@ import copy
 import io
 import json
 import math
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -25,7 +27,7 @@ from latmirror import (
 )
 from latmirror.cli import main
 from latmirror.commands import _fmt_blocks, _parse_blocks
-from latmirror.core import LatticeError, format_rational, parse_rational
+from latmirror.core import LatticeError, as_fraction, format_rational
 from latmirror.fixtures import fixture_from_payload
 from latmirror.suites import SUITES
 
@@ -529,6 +531,33 @@ def test_cli_quant_bs_refuses_a_level_whose_grid_overflows_int64(capsys, level):
         assert run_cli(capsys, "quant", "bs", "--level", str(level), *flags) == (2, "", line)
 
 
+def test_cli_quant_bs_names_the_level_whose_grid_numpy_cannot_allocate(capsys, monkeypatch):
+    # 2^60 - 1: the grid fits in int64, but numpy printed its "array is too
+    # big" line, which named no level; numpy refuses it before allocating
+    level = 2**60 - 1
+    line = (
+        f"error: level {level} is too large for the fibre search: "
+        f"its grid of {8 * level} points does not fit in memory\n"
+    )
+    assert run_cli(capsys, "quant", "bs", "--level", str(level)) == (2, "", line)
+    # numpy's MemoryError while the grid is built, raised by a stand-in that
+    # allocates nothing; any other ValueError passes through as it was
+    from latmirror import numeric
+
+    for exc, message in (
+        (MemoryError("Unable to allocate 5.82 TiB for an array"),
+         "level 3 is too large for the fibre search: its grid of 24 points does not fit in memory"),
+        (ValueError("some other fault"), "some other fault"),
+    ):
+        def refuse(levels, heights, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(numeric, "_holonomy", refuse)
+        with pytest.raises(ValueError) as caught:
+            numeric.find_bs_fibres_batch([numeric.TorusModel(tau=1j, level=3)])
+        assert str(caught.value) == message
+
+
 def test_cli_quant_paths(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "quant", "bs", "--level", "3")
     assert code == 0
@@ -573,6 +602,23 @@ def test_cli_out_of_memory_exits_2_on_one_line(capsys, monkeypatch, exc, line):
     monkeypatch.setattr(numeric, "theta_basis_rank", too_large)
     code, out, err = run_cli(capsys, "quant", "theta-rank", "--level", "100000")
     assert (code, out, err) == (2, "", line)
+
+
+def test_cli_closed_stdout_exits_1_without_a_traceback():
+    # `latmirror cy1 bs --level 20000 | head -c 10` printed a BrokenPipeError
+    # traceback; the marks run to about 200 kB, more than a pipe holds, so
+    # the write fails whenever the reader closes its end
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "latmirror.cli", "cy1", "bs", "--level", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_cli_exit_code_1_on_numeric_disagreement(capsys, tmp_path):
@@ -1042,5 +1088,5 @@ def test_block_syntax_loads_or_exits_2_on_one_line(case):
 @given(q=st.fractions())
 def test_rational_text_round_trips(q):
     text = format_rational(q)
-    assert parse_rational(text) == q and type(parse_rational(text)) is Fraction
-    assert parse_rational(f" {text} ") == q
+    assert as_fraction(text) == q and type(as_fraction(text)) is Fraction
+    assert as_fraction(f" {text} ") == q

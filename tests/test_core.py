@@ -19,10 +19,8 @@ from latmirror import (
     cup,
     format_rational,
     load_cy3_fixture,
-    mukai_vector,
     pair_exotic,
     pair_sym,
-    parse_rational,
     star,
     todd_data,
 )
@@ -169,16 +167,18 @@ def test_pair_exotic_dim3_isotropic(quintic, bicubic):
 
 # ------------------------------------------------------------- mukai ------
 
+# the Mukai vector ch * sqrt(td) is todd_multiply(ch, ring, "sqrt_td")
+
 def test_mukai_structure_sheaf_k3():
-    assert mukai_vector(gv(K3_4, 1, (0,), 0), K3_4).blocks == (1, (0,), 1)
+    assert todd_multiply(gv(K3_4, 1, (0,), 0), K3_4, "sqrt_td").blocks == (1, (0,), 1)
 
 
 def test_mukai_elliptic_identity():
-    assert mukai_vector(gv(ELLIPTIC, 1, 0), ELLIPTIC).blocks == (1, 0)
+    assert todd_multiply(gv(ELLIPTIC, 1, 0), ELLIPTIC, "sqrt_td").blocks == (1, 0)
 
 
 def test_mukai_quintic_structure_sheaf(quintic):
-    m = mukai_vector(GradedVector(3, (1, (0,), (0,), 0)), quintic.ring)
+    m = todd_multiply(GradedVector(3, (1, (0,), (0,), 0)), quintic.ring, "sqrt_td")
     assert m.blocks == (1, (0,), (Fraction(25, 12),), 0)  # 50/24 on the c2 block
 
 
@@ -238,7 +238,6 @@ def test_closed_forms_equal_cup_route(case):
     assert pair_exotic(u, v, ring) == cup(cup(star(u), v, ring), td.td, ring).blocks[n]
     for f in ("td", "sqrt_td", "sqrt_td_inv"):
         assert todd_multiply(u, ring, f) == cup(u, getattr(td, f), ring)
-    assert mukai_vector(u, ring) == cup(u, td.sqrt_td, ring)
 
 
 def transpose(m):
@@ -660,11 +659,11 @@ def test_malformed_gram_and_cubic_are_shape_errors():
 
 def test_rational_strings_round_trip():
     for f in (Fraction(0), Fraction(-7, 3), Fraction(22), Fraction(5, 2)):
-        assert parse_rational(format_rational(f)) == f
-    assert parse_rational("25/12") == Fraction(25, 12)
+        assert as_fraction(format_rational(f)) == f
+    assert as_fraction("25/12") == Fraction(25, 12)
     assert format_rational(Fraction(4, 2)) == "2"
     with pytest.raises(LatticeError):
-        parse_rational("1.5")
+        as_fraction("1.5")
 
 
 def test_graded_vector_payload_round_trip(quintic):

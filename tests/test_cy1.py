@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from latmirror import (
     AtiyahElement,
-    BundleClass1,
     CycleClass1,
     GradedVector,
     LatticeError,
@@ -66,12 +66,33 @@ def test_intersection_formula_vs_torus_oracle():
             assert formula == torus_line_intersections(c1, c2), (c1, c2)
 
 
+def ch(rank, deg):
+    """The Chern character (rank, deg) of a bundle on the curve."""
+    return GradedVector(1, (rank, deg))
+
+
 def test_gft_examples():
-    assert gft_class(BundleClass1(1, 0)) == CycleClass1(1, 0)
-    assert gft_class(BundleClass1(1, 7)) == CycleClass1(1, 7)
-    assert gft_class(BundleClass1(2, 3)) == CycleClass1(2, 3)
-    with pytest.raises(LatticeError):
-        gft_class(BundleClass1(0, 0))
+    assert gft_class(ch(1, 0)) == CycleClass1(1, 0)
+    assert gft_class(ch(1, 7)) == CycleClass1(1, 7)
+    assert gft_class(ch(2, 3)) == CycleClass1(2, 3)
+    with pytest.raises(LatticeError, match="^zero class has no transform$"):
+        gft_class(ch(0, 0))
+
+
+def test_gft_class_refuses_in_order():
+    # the first two inputs also fail the checks after theirs: the first refusal wins
+    with pytest.raises(LatticeError, match="^mirror_cy1 needs a dim-1 graded vector$"):
+        gft_class(GradedVector(2, (Fraction(-1, 2), (0,), 0)))
+    with pytest.raises(LatticeError, match="^mirror_cy1 needs integer coefficients$"):
+        gft_class(ch(Fraction(-1, 2), 0))
+    with pytest.raises(LatticeError, match="^rank must be nonnegative$"):
+        gft_class(ch(-1, 0))
+    with pytest.raises(LatticeError, match="^zero class has no transform$"):
+        gft_class(ch(0, 0))
+    # the transform is the mirror image, with int coordinates
+    for r, d in itertools.product(range(0, 4), range(-3, 4)):
+        if (r, d) != (0, 0):
+            assert gft_class(ch(r, d)) == mirror_cy1(ch(r, d)) == (r, d)
 
 
 def test_odot_examples():
@@ -84,9 +105,9 @@ def test_odot_examples():
 
 @given(st.integers(1, 40), st.integers(-40, 40), st.integers(1, 40), st.integers(-40, 40))
 def test_gft_is_odot_homomorphism(r1, d1, r2, d2):
-    tensored = BundleClass1(r1 * r2, r1 * d2 + r2 * d1)
+    tensored = ch(r1 * r2, r1 * d2 + r2 * d1)
     lhs = gft_class(tensored)
-    rhs = odot(gft_class(BundleClass1(r1, d1)), gft_class(BundleClass1(r2, d2)))
+    rhs = odot(gft_class(ch(r1, d1)), gft_class(ch(r2, d2)))
     assert lhs == rhs
 
 
@@ -102,9 +123,9 @@ def test_decompose_examples():
 
 
 def test_rank_zero_bundle_class_is_accepted():
-    assert gft_class(BundleClass1(0, 1)) == CycleClass1(0, 1)
+    assert gft_class(ch(0, 1)) == CycleClass1(0, 1)
     with pytest.raises(LatticeError, match="^rank must be nonnegative$"):
-        BundleClass1(-1, 1)
+        gft_class(ch(-1, 1))
 
 
 def test_atiyah_dimension_weights_each_index_by_its_multiplicity():
@@ -137,18 +158,24 @@ def test_atiyah_and_bundle_entries_must_be_integers():
         AtiyahElement(((2.5, 1),))
     with pytest.raises(LatticeError, match="got 1.9$"):
         AtiyahElement.from_dict({3: 1.9})
-    with pytest.raises(LatticeError, match="got 1.5$"):
-        BundleClass1(1.5, 2.5)
-    with pytest.raises(LatticeError, match="got 2.5$"):
-        BundleClass1(1, 2.5)
+    # a bundle class is read as any graded vector is, and transformed only
+    # when integral
+    with pytest.raises(LatticeError, match="^float 1.5 rejected"):
+        ch(1.5, 2.5)
+    with pytest.raises(LatticeError, match="^float 2.5 rejected"):
+        ch(1, 2.5)
+    with pytest.raises(LatticeError, match="^booleans are not lattice entries$"):
+        ch(True, 0)
+    with pytest.raises(LatticeError, match="^mirror_cy1 needs integer coefficients$"):
+        gft_class(ch("1/2", 0))
+    with pytest.raises(TypeError):
+        ch(None, 0)
     for bad in ("1/2", True, None):
         with pytest.raises(LatticeError):
             AtiyahElement(((bad, 1),))
-        with pytest.raises(LatticeError):
-            BundleClass1(bad, 0)
     assert AtiyahElement((("2", "3"),)) == AtiyahElement(((2, 3),))
-    assert BundleClass1("2", "-3") == BundleClass1(2, -3)
-    assert type(gft_class(BundleClass1("2", "3")).e) is int
+    assert ch("2", "-3") == ch(2, -3)
+    assert type(gft_class(ch("2", "3")).e) is int
 
 
 def test_slope_entries_coerce_as_bundle_entries_do():
@@ -336,5 +363,5 @@ def test_bs_points_refuse_a_level_that_is_not_an_integer(level):
 def test_quantization_equality_cy1():
     s0 = CycleClass1(1, 0)
     for k in range(1, 51):
-        cycle = gft_class(BundleClass1(1, k))
+        cycle = gft_class(ch(1, k))
         assert intersection_count(cycle, s0) == k == len(bs_points(k))

@@ -1,5 +1,6 @@
 """Threefold lattice engine: skew Euler form, chi, mirror map, sublattice."""
 
+import itertools
 import json
 import random
 import warnings
@@ -23,11 +24,10 @@ from latmirror import (
     load_cy3_fixture,
     line_bundle_ch,
     mirror_cy3,
-    mirror_isometry_check3,
     mirror_pairing3,
     todd_data,
 )
-from latmirror import parse_manifest, run_verify
+from latmirror import core, parse_manifest, run_verify
 from latmirror.cli import main
 from latmirror.core import pair_exotic, todd_multiply
 from latmirror.cy3 import isometry_certificate3
@@ -36,6 +36,17 @@ from mutants import add_unit_entry
 from oracles import p1p1p2_223, p1x4_2222
 
 O3 = GradedVector(3, (1, (0,), (0,), 0))
+
+
+def isometry_sides(u, v, X):
+    """The mirror pairing of the images of the Mukai vectors u * td and v * td,
+    and the Euler pairing of u and v: equal when the mirror is an isometry.
+
+    Both closed forms are read as ``core.<name>`` at the call, so a test
+    that corrupts one with :func:`mutants.add_unit_entry` sees it here too.
+    """
+    mu, mv = (mirror_cy3(core.todd_multiply(w, X.ring, "td"), X) for w in (u, v))
+    return mirror_pairing3(mu, mv), core.pair_exotic(u, v, X.ring)
 
 
 def p1x4():
@@ -264,10 +275,8 @@ def test_mirror_cy3_h_prime_closure(quintic, bicubic):
 
 
 def test_mirror_isometry_trivial_and_example(quintic):
-    rep = mirror_isometry_check3(O3, O3, quintic)
-    assert rep.ok and rep.lhs == rep.rhs == 0
-    rep = mirror_isometry_check3(O3, line_bundle_ch((1,), quintic), quintic)
-    assert rep.ok and rep.lhs == rep.rhs == 5
+    assert isometry_sides(O3, O3, quintic) == (0, 0)
+    assert isometry_sides(O3, line_bundle_ch((1,), quintic), quintic) == (5, 5)
 
 
 def test_mirror_isometry_random(quintic, bicubic):
@@ -275,8 +284,8 @@ def test_mirror_isometry_random(quintic, bicubic):
     for X in (quintic, bicubic):
         k = X.ring.picard_rank
         for _ in range(1000):
-            rep = mirror_isometry_check3(rand_ch(rng, k), rand_ch(rng, k), X)
-            assert rep.ok, (X.label, rep.lhs, rep.rhs)
+            lhs, rhs = isometry_sides(rand_ch(rng, k), rand_ch(rng, k), X)
+            assert lhs == rhs, (X.label, lhs, rhs)
 
 
 def test_mirror_pairing3_normalization(quintic):
@@ -333,6 +342,36 @@ def test_gft_s0_matches_chi_on_positive_classes(quintic, bicubic):
         assert gft_s0_intersection3(L, bicubic) == chi_bundle3(
             line_bundle_ch(L, bicubic), bicubic
         )
+
+
+def test_gft_s0_is_the_td_route_and_warns_where_it_does(quintic, bicubic):
+    # (2 L^3 + c2.L)/12 against the top block of ch(O(L)) * td, on every L in
+    # {-3, ..., 3}^k; on a ring whose c2 is not a threefold's, both warn
+    odd = CY3Descriptor(ring=RingDescriptor(dim=3, picard_rank=1, cubic=(1,), c2=(1,)))
+    warned = set()
+    for X in (quintic, bicubic, odd):
+        for L in itertools.product(range(-3, 4), repeat=X.ring.picard_rank):
+            routes = []
+            for route in (
+                lambda: gft_s0_intersection3(L, X),
+                lambda: chi_bundle3(line_bundle_ch(L, X), X),
+            ):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    got = route()
+                # the warning points at the caller, as chi_bundle3's always did
+                routes.append((got, type(got), [(w.category, w.filename) for w in caught]))
+            assert routes[0] == routes[1], (X.label, L)
+            warned.add(bool(routes[0][2]))
+    assert warned == {True, False}
+    # a non-integral value, and the route's input errors are the td route's
+    with pytest.warns(NonIntegralEulerWarning, match=r"^chi = 1/4 is not an integer"):
+        assert gft_s0_intersection3((1,), odd) == Fraction(1, 4)
+    for L, error in (((1, 2), "divisor coordinates must match"), (("1/2",), "must be integral")):
+        with pytest.raises(LatticeError, match=error):
+            gft_s0_intersection3(L, quintic)
+        with pytest.raises(LatticeError, match=error):
+            line_bundle_ch(L, quintic)
 
 
 # ---------------------------------------------------------- sublattice ----
@@ -406,9 +445,9 @@ def test_corrupted_todd_product_fails_the_mirror_isometry(monkeypatch, tmp_path,
         failures = []
         for i, u in enumerate(basis):
             for j, v in enumerate(basis):
-                rep = mirror_isometry_check3(u, v, X)
-                if not rep.ok:
-                    failures.append(f"(e{i}, e{j}): {rep.lhs} != {rep.rhs}")
+                lhs, rhs = isometry_sides(u, v, X)
+                if lhs != rhs:
+                    failures.append(f"(e{i}, e{j}): {lhs} != {rhs}")
         check = next(
             c for c in report.checks if c.name == f"{label}: mirror map is an isometry"
         )

@@ -297,22 +297,20 @@ def test_lazy_names_resolve_and_are_listed(capsys, monkeypatch):
 
 # the package's public surface; adding or dropping an exported name changes this list
 PUBLIC_NAMES = [
-    "AtiyahElement", "BundleClass1", "CY3Descriptor", "ConsistencyError", "CycleClass1",
-    "DEFAULT_MANIFEST", "EULER_K3", "FixtureError", "GftClassK3", "GradedVector", "H_GRAM",
-    "K3Descriptor", "LatticeError", "Manifest", "ManifestError", "MirrorClass3",
-    "MirrorClassK3", "NonIntegralEulerWarning", "ParamCurve", "Rank3Sublattice",
-    "RingDescriptor", "ShapeError", "Slope", "ToddData", "TorusModel", "arc_curve",
-    "atiyah_tensor", "bs_points", "canonical_rank3_sublattice", "check_main_condition",
-    "chi_bundle3", "cup", "cycle_pairing", "decompose_primitive", "euler_pairing2",
-    "euler_pairing3", "find_bs_fibres", "find_bs_fibres_batch", "format_rational",
-    "gft_class", "gft_class_k3", "gft_s0_intersection3", "holonomy_character",
-    "intersection_count", "line_bundle_ch", "load_cy3_fixture", "load_fixture",
-    "load_k3_fixture", "mirror_cy1", "mirror_cy3", "mirror_isometry_check3", "mirror_k3",
-    "mirror_pairing3", "mirror_pairing_k3", "moduli_dim2", "mukai2", "mukai_vector", "odot",
-    "pair_exotic", "pair_sym", "parse_manifest", "parse_rational", "phase_map_curve",
-    "reflect_minus2", "resolve_fixture", "run_verify", "segment_curve", "star",
-    "theta_basis_rank", "todd_data", "verify_quantization_k3", "walk_to_chamber",
-    "winding_number",
+    "AtiyahElement", "CY3Descriptor", "ConsistencyError", "CycleClass1", "DEFAULT_MANIFEST",
+    "EULER_K3", "FixtureError", "GftClassK3", "GradedVector", "H_GRAM", "K3Descriptor",
+    "LatticeError", "Manifest", "ManifestError", "MirrorClass3", "MirrorClassK3",
+    "NonIntegralEulerWarning", "ParamCurve", "Rank3Sublattice", "RingDescriptor",
+    "ShapeError", "Slope", "ToddData", "TorusModel", "arc_curve", "atiyah_tensor",
+    "bs_points", "canonical_rank3_sublattice", "check_main_condition", "chi_bundle3", "cup",
+    "cycle_pairing", "decompose_primitive", "euler_pairing3", "find_bs_fibres",
+    "find_bs_fibres_batch", "format_rational", "gft_class", "gft_class_k3",
+    "gft_s0_intersection3", "holonomy_character", "intersection_count", "line_bundle_ch",
+    "load_cy3_fixture", "load_fixture", "load_k3_fixture", "mirror_cy1", "mirror_cy3",
+    "mirror_k3", "mirror_pairing3", "mirror_pairing_k3", "moduli_dim2", "mukai2", "odot",
+    "pair_exotic", "pair_sym", "parse_manifest", "phase_map_curve", "reflect_minus2",
+    "resolve_fixture", "run_verify", "segment_curve", "star", "theta_basis_rank",
+    "todd_data", "verify_quantization_k3", "walk_to_chamber", "winding_number",
 ]
 
 
@@ -446,7 +444,7 @@ def test_records_are_named_tuples_and_checking_classes_check_in_init():
     assert "dataclasses" not in imports
     assert declaring and [name for name, is_tuple in sorted(declaring) if not is_tuple] == []
     assert read_only - {"ReadOnly"} == {
-        "GradedVector", "RingDescriptor", "Slope", "BundleClass1", "AtiyahElement",
+        "GradedVector", "RingDescriptor", "Slope", "AtiyahElement",
         "K3Descriptor", "CY3Descriptor", "MirrorClass3", "Rank3Sublattice", "TorusModel",
         "ParamCurve",
     }
@@ -497,6 +495,62 @@ def test_src_modules_import_nothing_unused(tmp_path):
         "def f(x: 'Fraction') -> int:\n    return gcd(x, sys.maxsize)\n"
     )
     assert unused_imports(toy) == ["toy.py:1 lcm"]
+
+
+# parameters that no body reads but a caller still passes; this list may only
+# shrink.  `model` goes together with its calls in `perfbench/`.
+KNOWN_UNREAD_PARAMETERS = ["numeric.phase_map_curve model"]
+
+
+def unread_parameters(path: Path) -> list:
+    """``module.qualified_name parameter`` for each parameter that its function never reads.
+
+    A read is a ``Name`` in load context anywhere in the body, nested
+    functions included; a parameter that is only assigned is not read.
+    Exempt by name are dunder methods, whose signature the protocol fixes,
+    and the ``params`` and ``fixtures`` of the ``_run_*`` suite runners,
+    which share one signature.
+    """
+    unread = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope)
+                continue
+            inner = (*scope, child.name)
+            if not isinstance(child, ast.ClassDef) and not re.fullmatch(r"__\w+__", child.name):
+                args = child.args
+                params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a]
+                if child.name.startswith("_run_"):
+                    params = [p for p in params if p not in ("params", "fixtures")]
+                read = {
+                    n.id for stmt in child.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                unread.extend(f"{path.stem}.{'.'.join(inner)} {p}" for p in params if p not in read)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), str(path)), ())
+    return unread
+
+
+def test_src_functions_read_every_parameter(tmp_path):
+    modules = sorted((SRC / "latmirror").glob("*.py"))
+    assert [f for path in modules for f in unread_parameters(path)] == KNOWN_UNREAD_PARAMETERS
+    # the check sees a parameter that is never read or only assigned, and
+    # skips the exempt names; a read in a nested function counts
+    toy = tmp_path / "toy.py"
+    toy.write_text(
+        "def f(a, b, *rest, c=1, **kw):\n    b = a\n    return lambda: c + len(kw)\n"
+        "def _run_x(params, fixtures, extra):\n    return []\n"
+        "class C:\n    def __eq__(self, other):\n        return True\n"
+        "    def g(self, x):\n        def h():\n            return x\n        return h\n"
+    )
+    assert unread_parameters(toy) == [
+        "toy.f b", "toy.f rest", "toy._run_x extra", "toy.C.g self",
+    ]
 
 
 # the private constructors that skip a class's checks, for values the module computed

@@ -5,7 +5,7 @@ reports and in the benchmark's fault messages embed their reprs, so the
 repr keeps the ``Name(field=value, ...)`` text, and ``Check.to_json``
 keeps its key order.  ``MirrorClass3`` is the ``GradedVector`` the mirror
 map computes; it keeps the read-only fields, value equality, hash and
-repr of the record it was.  The eleven classes that check their input
+repr of the record it was.  The ten classes that check their input
 derive from ``shared.ReadOnly``: no attribute can be set or deleted, two
 are equal when they are of one class with equal fields, and the hash is
 that of the tuple of fields.  ``ParamCurve`` alone compares by identity,
@@ -20,7 +20,6 @@ import pytest
 
 from latmirror import (
     AtiyahElement,
-    BundleClass1,
     CycleClass1,
     GradedVector,
     RingDescriptor,
@@ -42,10 +41,8 @@ def _check():
     return report.Check(name="n", ok=False, inputs="i", expected="e", got="g", tol="t")
 
 
-def _records(k3_reflective, quintic):
-    X, Q = k3_reflective, quintic
-    u = GradedVector(3, (1, (0,), (0,), 0))
-    v = GradedVector(3, (0, (1,), (0,), 0))
+def _records(k3_reflective):
+    X = k3_reflective
     return {
         "ToddData": lambda: todd_data(RingDescriptor.elliptic()),
         "CycleClass1": lambda: CycleClass1(2, -3),
@@ -54,7 +51,6 @@ def _records(k3_reflective, quintic):
         "QuantizationReportK3": lambda: cy2.verify_quantization_k3((2, 1, 0), X),
         "WalkResult": lambda: cy2.walk_to_chamber((1, 3, 4), X.roots, X),
         "MainConditionReport": lambda: cy2.check_main_condition(((0, 1), (1, -2)), (1, 0), (0, 1)),
-        "IsometryReport3": lambda: cy3.mirror_isometry_check3(u, v, Q),
         "SuiteSpec": lambda: manifest.SuiteSpec("cy1-atiyah", {"seed": 1}),
         "Manifest": lambda: manifest.Manifest("1", ("a",), (), Path("x"), ()),
         "VerifyResult": lambda: manifest.VerifyResult((report.SuiteReport("s", "fail"),), False),
@@ -80,9 +76,9 @@ LITERAL_REPRS = {
 }
 
 
-def test_fourteen_records_are_read_only_values(k3_reflective, quintic):
-    records = _records(k3_reflective, quintic)
-    assert len(records) == 14
+def test_thirteen_records_are_read_only_values(k3_reflective):
+    records = _records(k3_reflective)
+    assert len(records) == 13
     for name, make in records.items():
         a, b = make(), make()
         assert type(a).__name__ == name
@@ -134,7 +130,7 @@ def test_record_properties_and_json_keep_their_shape():
 
 
 def _classes(k3_reflective, quintic):
-    """name -> (factory, fields) of the eleven classes that check their input.
+    """name -> (factory, fields) of the ten classes that check their input.
 
     ``fields`` are the stored names that equality, hashing and (unless the
     class prints itself) the repr read, in order.
@@ -148,7 +144,6 @@ def _classes(k3_reflective, quintic):
             ("dim", "picard_rank", "gram", "cubic", "c2"),
         ),
         "Slope": (lambda: cy1.Slope(1, 2), ("r", "d")),
-        "BundleClass1": (lambda: BundleClass1(2, 3), ("rank", "deg")),
         "AtiyahElement": (lambda: AtiyahElement(((2, 1),)), ("terms",)),
         "K3Descriptor": (
             lambda: cy2.K3Descriptor(X.ring, X.label, X.roots, X.singular_fibres),
@@ -171,7 +166,6 @@ OWN_REPR = {"GradedVector", "MirrorClass3"}
 CLASS_REPRS = {
     "TorusModel": "TorusModel(tau=1j, level=3)",
     "Slope": "Slope(r=1, d=2)",
-    "BundleClass1": "BundleClass1(rank=2, deg=3)",
     "AtiyahElement": "AtiyahElement(terms=((2, 1),))",
     "K3Descriptor": (
         "K3Descriptor(ring=RingDescriptor(dim=2, picard_rank=3, "
@@ -181,9 +175,9 @@ CLASS_REPRS = {
 }
 
 
-def test_eleven_validating_classes_are_read_only_values(k3_reflective, quintic):
+def test_ten_validating_classes_are_read_only_values(k3_reflective, quintic):
     classes = _classes(k3_reflective, quintic)
-    assert len(classes) == 11
+    assert len(classes) == 10
     for name, (make, fields) in classes.items():
         a, b = make(), make()
         assert type(a).__name__ == name
@@ -242,7 +236,7 @@ def test_classes_compare_only_with_their_own_class():
     v = GradedVector(3, (1, (1,), (0,), Fraction(-5, 4)))
     assert (w.dim, w.nums, w.den) == (v.dim, v.nums, v.den)
     assert w != v and v != w and not w == v
-    assert cy1.Slope(1, 2) != BundleClass1(1, 2)
+    assert cy1.Slope(1, 2) != cy1.CycleClass1(1, 2) and cy1.Slope(1, 2) != (1, 2)
 
 
 def test_keyword_construction_keeps_its_defaults(k3_reflective, quintic):
@@ -255,7 +249,6 @@ def test_keyword_construction_keeps_its_defaults(k3_reflective, quintic):
     assert GradedVector(dim=1, blocks=(1, 2)) == GradedVector(1, (1, 2))
     assert cy3.MirrorClass3(s0=1, e=0, psi1=(1,), psi2=(0,)) == cy3.MirrorClass3(1, 0, (1,), (0,))
     assert cy1.Slope(r=0, d=1).is_infinite
-    assert BundleClass1(rank="2", deg=3) == BundleClass1(2, 3)
     assert AtiyahElement(terms=((1, 0), (3, 2), (2, 1))).terms == ((2, 1), (3, 2))
     sub = cy3.canonical_rank3_sublattice(quintic)
     assert cy3.Rank3Sublattice(
