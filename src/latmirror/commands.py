@@ -23,7 +23,6 @@ import warnings
 from . import cy1, cy2, cy3
 from .core import GradedVector, LatticeError, RingDescriptor, format_rational, pair_exotic
 from .fixtures import FixtureError, load_cy3_fixture, load_k3_fixture, read_json
-from .shared import ROOT_TOL
 
 
 def _parse_int_pair(text: str) -> tuple[int, int]:
@@ -57,13 +56,6 @@ def _fmt_blocks(vec: GradedVector) -> str:
         else:
             parts.append(format_rational(block))
     return ":".join(parts)
-
-
-def _parse_float_pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise LatticeError(f"expected 're,im', got {text!r}")
-    return float(parts[0]), float(parts[1])
 
 
 # ------------------------------------------------------------ handlers ----
@@ -326,7 +318,7 @@ def _h_quant_bs(args):
 
     # the fibres depend on the level alone
     model = numeric.TorusModel(tau=1j, level=args.level)
-    roots = numeric.find_bs_fibres(model, tol=args.tol)
+    roots = numeric.find_bs_fibres(model)
     return (
         0,
         {"level": args.level, "fibres": roots},
@@ -337,7 +329,8 @@ def _h_quant_bs(args):
 def _h_quant_theta(args):
     from . import numeric
 
-    model = numeric.TorusModel(tau=complex(*_parse_float_pair(args.tau)), level=args.level)
+    # the rank is the level for every tau
+    model = numeric.TorusModel(tau=1j, level=args.level)
     rank = numeric.theta_basis_rank(model)
     return 0, {"level": args.level, "rank": rank}, str(rank)
 
@@ -459,10 +452,8 @@ def _cy3_verbs(sub) -> None:
 def _quant_verbs(sub) -> None:
     p = _leaf(sub, "bs", _h_quant_bs, "find trivial-holonomy fibres")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--tol", type=float, default=ROOT_TOL)
     p = _leaf(sub, "theta-rank", _h_quant_theta, "rank of the level-k theta space")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--tau", default="0,1", metavar="re,im")
     p = _leaf(sub, "holonomy", _h_quant_holonomy, "fibre holonomy exp(2 pi i k t)")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--height", type=float, required=True)

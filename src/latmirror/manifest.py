@@ -16,8 +16,8 @@ is not a list, a fixture name that is not a string or names no file, and
 an unknown suite name.  So are parameters that would verify nothing: a
 count (``k_max``, ``max_index``, ``triples``, ``samples``) that is not a
 positive integer, an ``l2_max`` below 0, a ``tol`` that is not a float
-or an int in (0, 1e-6] (``shared.MAX_ROOT_TOL``, the fibre search's
-bound) and an empty list of ``fixtures`` or ``taus``; and
+or an int in (0, 1e-6] (``MAX_ROOT_TOL``) and an empty list of
+``fixtures`` or ``taus``; and
 parameters of the wrong shape, which would crash their suite: a ``seed``
 that is not an integer, a ``fixture`` that is not a string, a
 ``fixtures`` entry that is not one, and a ``tau`` or ``taus`` entry that
@@ -28,8 +28,10 @@ parameters of their former sweeps, so that older manifests parse:
 ``samples``, ``seed`` and ``bound`` for ``cy1-mirror-isometry``,
 ``cy1-gft-homomorphism``, ``k3-mirror-transport``, ``cy3-skew`` and
 ``cy3-mirror-isometry``; ``triples`` and ``seed`` for ``cy1-atiyah``;
-``samples`` and ``seed`` for ``k3-reflections`` and ``quant-holonomy``.
-Those are checked as above and then dropped, and change nothing.
+``samples`` and ``seed`` for ``k3-reflections`` and ``quant-holonomy``;
+``tol`` for ``quant-bs``, whose fibre search stops at a fixed width and
+whose check uses ``shared.ROOT_TOL``.  Those are checked as above and then
+dropped, and change nothing.
 A fixture file that parses but is not a valid fixture (not an object, a
 wrong key, an odd Gram diagonal, a wrong fibre count) is built while the
 verifier runs and is recorded as a failing ``load`` check, exit 1,
@@ -54,10 +56,13 @@ from typing import NamedTuple
 
 from .fixtures import FixtureError, check_object, fixture_from_payload, read_json, resolve_fixture
 from .report import Check, SuiteReport
-from .shared import DEFAULT_MANIFEST, MAX_ROOT_TOL, ManifestError  # noqa: F401  (DEFAULT_MANIFEST re-exported)
+from .shared import DEFAULT_MANIFEST, ManifestError  # noqa: F401  (DEFAULT_MANIFEST re-exported)
 from .suites import SUITES, SuiteInputError
 
 MANIFEST_VERSION = "1"
+
+# the widest retired quant-bs ``tol`` a manifest may still give
+MAX_ROOT_TOL = 1e-6
 
 
 def _is_tau(x) -> bool:
@@ -82,7 +87,7 @@ _PARAM_RULES = {
         ("a positive integer", lambda x: type(x) is int and x > 0),
     ),
     "l2_max": ("an integer >= 0", lambda x: type(x) is int and x >= 0),
-    # the fibre search's own precondition, so a tol it refuses fails at parse
+    # the fibre search's former precondition, so that the same manifests parse
     "tol": (
         f"a number in (0, {MAX_ROOT_TOL}]",
         lambda x: type(x) in (int, float) and 0 < x <= MAX_ROOT_TOL,
@@ -97,7 +102,7 @@ _PARAM_RULES = {
     ),
 }
 
-# suite -> the parameters of its former seeded sweep
+# suite -> the parameters of its former seeded sweep or search tolerance
 _RETIRED_PARAMS = {
     **dict.fromkeys(
         (
@@ -108,6 +113,7 @@ _RETIRED_PARAMS = {
     ),
     "cy1-atiyah": {"triples", "seed"},
     **dict.fromkeys(("k3-reflections", "quant-holonomy"), {"samples", "seed"}),
+    "quant-bs": {"tol"},
 }
 
 

@@ -43,9 +43,10 @@ Tolerance hierarchy (loosening as conditioning worsens):
     ROOT_TOL       = 1e-9    marked-fibre positions
     RANK_RTOL      = 1e-8    relative singular-value cutoff
 
-ROOT_TOL, MAX_ROOT_TOL (the widest tolerance the fibre search takes) and
-ConsistencyError are defined in `shared`, where the command line and the
-manifest read them without importing numpy.
+The fibre search stops at brackets ``_STOP_WIDTH`` = ROOT_TOL / 4 wide;
+it takes no tolerance.  ROOT_TOL and ConsistencyError are defined in
+`shared`, where the suites and the command line read them without
+importing numpy.
 
 Summation orders are fixed (no reductions over unordered collections), so
 repeated runs give bit-identical floats.
@@ -60,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .shared import MAX_ROOT_TOL, ROOT_TOL, ConsistencyError, ReadOnly
+from .shared import ROOT_TOL, ConsistencyError, ReadOnly
 
 QUADRATURE_TOL = 1e-11
 RANK_RTOL = 1e-8
@@ -68,6 +69,7 @@ RANK_RTOL = 1e-8
 # Positions must sit within ROOT_TOL of j/k; bisection stops at a bracket
 # a quarter of that wide so the midpoint has margin to spare.
 _BISECT_FACTOR = 0.25
+_STOP_WIDTH = ROOT_TOL * _BISECT_FACTOR
 
 # Every term a truncated theta series drops is smaller than this.
 _THETA_TAIL = 1e-14
@@ -141,20 +143,20 @@ def holonomy_character(model: TorusModel, t: float) -> complex:
     return _holonomy(model.level, t)
 
 
-def find_bs_fibres(model: TorusModel, tol: float = ROOT_TOL) -> list[float]:
+def find_bs_fibres(model: TorusModel) -> list[float]:
     """Locate all fibre heights in [0, 1) with trivial holonomy.
 
     The one-level case of :func:`find_bs_fibres_batch`: exactly k positions
     must emerge at level k, the first of them t = 0; any other count raises,
     naming the level.
     """
-    roots = find_bs_fibres_batch([model], tol)[0]
+    roots = find_bs_fibres_batch([model])[0]
     if len(roots) != model.level:
         raise ConsistencyError(f"level {model.level} model produced {len(roots)} trivial-holonomy fibres")
     return roots
 
 
-def find_bs_fibres_batch(models: Sequence[TorusModel], tol: float = ROOT_TOL) -> list[list[float]]:
+def find_bs_fibres_batch(models: Sequence[TorusModel]) -> list[list[float]]:
     """The trivial-holonomy fibre heights of every model, in one search.
 
     t = 0 is a root by construction (zero swept area).  The rest are
@@ -162,24 +164,23 @@ def find_bs_fibres_batch(models: Sequence[TorusModel], tol: float = ROOT_TOL) ->
     lands on a root.  The grids of all models are concatenated, so one
     batched holonomy call gives the wrapped angle at every grid point; a
     bracket is a step within one model's grid from negative to positive
-    angle by less than pi.  The brackets still wider than tol/4 are then
-    bisected together on the sign of the angle, read as the sign of the
-    holonomy's imaginary part: every midpoint lies in (0, 1), where that
-    part is never -0.0, and off -0.0 atan2(y, x) < 0 exactly when y < 0.
-    Each bracket leaves the live set in the round its width reaches tol/4,
-    so a bracket stops exactly where a bisection of it alone would, and
-    every root is the one a one-model search gives.  The roots of every
-    model are returned, however many there are; a model of level k should
-    have exactly k.  No height is range-checked here: the grid points and
-    every midpoint lie in (0, 1) by construction, and only the public
-    entry point `holonomy_character` runs `_check_heights`.  Levels whose
+    angle by less than pi.  The brackets still wider than ``_STOP_WIDTH``
+    (ROOT_TOL/4) are then bisected together on the sign of the angle, read
+    as the sign of the holonomy's imaginary part: every midpoint lies in
+    (0, 1), where that part is never -0.0, and off -0.0 atan2(y, x) < 0
+    exactly when y < 0.  Each bracket leaves the live set in the round its
+    width reaches ``_STOP_WIDTH``, so a bracket stops exactly where a
+    bisection of it alone would, and every root is the one a one-model
+    search gives.  The roots of every model are returned, however many
+    there are; a model of level k should have exactly k.  No height is
+    range-checked here: the grid points and every midpoint lie in (0, 1)
+    by construction, and only the public entry point
+    `holonomy_character` runs `_check_heights`.  Levels whose
     grids together pass 2^63 - 1 points raise ``ValueError``, naming the
     largest level and the grid size, before numpy sees them; so do grids
     that numpy cannot allocate, in place of its ``MemoryError`` or its
     "array is too big" ``ValueError``.
     """
-    if not 0.0 < tol <= MAX_ROOT_TOL:
-        raise ValueError(f"tolerance must lie in (0, {MAX_ROOT_TOL}], got {tol}")
     levels = [m.level for m in models]
     points = 8 * sum(levels)
 
@@ -210,7 +211,7 @@ def find_bs_fibres_batch(models: Sequence[TorusModel], tol: float = ROOT_TOL) ->
     level = levels[bracket_owner]
     live = np.arange(len(a))  # the bracket that each entry of a, b and level stands for
     centres = np.empty(len(a))
-    while n_wide := np.count_nonzero(wide := (b - a) > tol * _BISECT_FACTOR):
+    while n_wide := np.count_nonzero(wide := (b - a) > _STOP_WIDTH):
         if n_wide < len(a):  # retire the brackets that reached the stopping width
             done = ~wide
             centres[live[done]] = 0.5 * (a[done] + b[done])

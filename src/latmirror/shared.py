@@ -1,12 +1,14 @@
 """Names the command line needs before the verifier or numpy is loaded.
 
 ``ReadOnly`` is the base of the classes that check their input: each
-stores its values once, in its ``__init__``.  `cli` and `commands` parse
-flags and catch errors with the other names here, and import
-`numeric` and `manifest` only in the handlers that use them, so the exact
-commands never load numpy.  `numeric` re-exports ``ROOT_TOL`` and
-``ConsistencyError``, and `manifest` re-exports ``DEFAULT_MANIFEST`` and
-``ManifestError``, so ``numeric.ConsistencyError is shared.ConsistencyError``.
+stores its values once, in its ``__init__``.  `cli` and `commands` catch
+errors and find the default manifest with the other names here, and
+import `numeric` and `manifest` only in the handlers that use them, so the
+exact commands never load numpy.  ``ROOT_TOL`` is the fibre search's
+accuracy, which the ``quant-bs`` suite reads without loading numpy.
+`numeric` re-exports ``ROOT_TOL`` and ``ConsistencyError``, and `manifest`
+re-exports ``DEFAULT_MANIFEST`` and ``ManifestError``, so
+``numeric.ConsistencyError is shared.ConsistencyError``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from pathlib import Path
 
 # marked-fibre positions; the tolerance hierarchy is in numeric's docstring
 ROOT_TOL = 1e-9
-# the widest tolerance the fibre search takes, and a manifest's tol may be
-MAX_ROOT_TOL = 1e-6
 
 DEFAULT_MANIFEST = Path(__file__).parent / "fixtures" / "manifest_default.json"
 

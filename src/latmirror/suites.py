@@ -503,17 +503,17 @@ def _run_quant_bs(params, fixtures):
     tau = complex(*params["tau"])
     levels = range(1, params["k_max"] + 1)
     models = [numeric.TorusModel(tau=tau, level=k) for k in levels]
-    for k, found in zip(levels, numeric.find_bs_fibres_batch(models, tol=params["tol"])):
+    for k, found in zip(levels, numeric.find_bs_fibres_batch(models)):
         exact = [float(p) for p in cy1.bs_points(k)]
         err = max(abs(a - b) for a, b in zip(found, exact)) if found else math.inf
         checks.append(
             Check(
                 name=f"level {k}: marked fibres sit at j/k",
-                ok=(len(found) == k and err <= params["tol"]),
+                ok=(len(found) == k and err <= ROOT_TOL),
                 inputs=f"tau={tau}",
                 expected=f"{k} fibres at multiples of 1/{k}",
                 got=f"{len(found)} fibres, max deviation {err:.2e}",
-                tol=f"{params['tol']:.0e}",
+                tol=f"{ROOT_TOL:.0e}",
             )
         )
     return checks
@@ -660,7 +660,7 @@ SUITES = {
         ),
         SuiteDef(
             "quant-bs",
-            {"k_max": 32, "tol": ROOT_TOL, "tau": [0.0, 1.0]},
+            {"k_max": 32, "tau": [0.0, 1.0]},
             _run_quant_bs,
         ),
         SuiteDef("quant-holonomy", {"k_max": 12}, _run_quant_holonomy),

@@ -6,7 +6,6 @@ import json
 import math
 import subprocess
 import sys
-import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +20,7 @@ from latmirror import (
     ManifestError,
     load_cy3_fixture,
     load_fixture,
+    load_k3_fixture,
     parse_manifest,
     resolve_fixture,
     run_verify,
@@ -119,11 +119,13 @@ def test_manifest_rejects_a_count_that_is_not_positive(tmp_path, capsys, suite, 
     ],
 )
 def test_manifest_checks_l2_max_and_tol(tmp_path, key, value, ok):
+    # quant-bs's tol is retired: still checked, as when the search took it, then dropped
     suite = "k3-quantization" if key == "l2_max" else "quant-bs"
     payload = {"version": "1", "suites": [{"name": suite, "params": {key: value}}]}
     path = write_manifest(tmp_path, payload)
     if ok:
-        assert parse_manifest(path).suites[0].params == {key: value}
+        kept = {key: value} if key == "l2_max" else {}
+        assert parse_manifest(path).suites[0].params == kept
     else:
         with pytest.raises(ManifestError, match=f"parameter '{key}' must be"):
             parse_manifest(path)
@@ -389,6 +391,26 @@ def test_verify_missing_suite_fixture_is_error_not_crash(tmp_path):
     assert not result.passed
 
 
+@pytest.mark.parametrize(
+    "fixture, message",
+    [
+        ("quintic", "fixture 'quintic' has the wrong geometry type"),
+        ("k3-quartic", "fixture k3-quartic declares no roots"),
+        ("k3-elliptic-not-loaded", "fixture 'k3-elliptic-not-loaded' is not loaded"),
+    ],
+)
+def test_verify_suite_preconditions_name_the_fixture(tmp_path, fixture, message):
+    payload = {
+        "version": "1",
+        "fixtures": ["quintic.json", "k3_quartic.json"],
+        "suites": [{"name": "k3-reflections", "params": {"fixture": fixture}}],
+    }
+    result = run_verify(parse_manifest(write_manifest(tmp_path, payload)))
+    rep = {r.suite: r for r in result.reports}["k3-reflections"]
+    assert (rep.status, result.exit_code) == ("error", 1)
+    assert [(c.name, c.ok, c.got) for c in rep.checks] == [("suite preconditions", False, message)]
+
+
 def test_verify_builds_fixtures_from_the_parse(tmp_path):
     # parse_manifest reads each fixture once; run_verify does not read it again
     (tmp_path / "local.json").write_text(resolve_fixture("quintic.json").read_text())
@@ -649,22 +671,27 @@ def test_cli_exit_code_2_paths(capsys, tmp_path):
     # a curve of non-pairs was an uncaught TypeError; an object was unpacked as keys
     (tmp_path / "ints.json").write_text("[1,2,3]")
     (tmp_path / "object.json").write_text('{"x": 1}')
+    not_pairs = "error: curve file must hold a JSON list of [x, y] number pairs\n"
     cases = [
-        ("cy1", "intersect", "--a", "1,0", "--b", "1"),  # malformed pair
-        ("cy3", "chi", "--bundle", "1:1:1/2"),  # wrong block count
-        ("cy3", "chi", "--bundle", "1:1:1/2:1/6", "--fixture", "nope"),
-        ("quant", "bs", "--level", "3", "--tol", "0.5"),  # tol precondition
-        ("verify", "--manifest", str(tmp_path / "absent.json")),
-        ("quant", "phase", "--curve", str(tmp_path / "absent.json")),
-        ("quant", "phase", "--curve", str(tmp_path / "ints.json")),
-        ("quant", "phase", "--curve", str(tmp_path / "object.json")),
+        (("cy1", "intersect", "--a", "1,0", "--b", "1"), "error: expected 'a,b', got '1'\n"),
+        (("cy3", "chi", "--bundle", "1:1:1/2"),  # wrong block count
+         "error: expected 4 ':'-separated blocks for dim 3, got 3\n"),
+        (("cy3", "chi", "--bundle", "1:1:1/2:1/6", "--fixture", "nope"),
+         "error: fixture 'nope' not found (tried "),
+        (("verify", "--manifest", str(tmp_path / "absent.json")), "error: cannot read manifest "),
+        (("quant", "phase", "--curve", str(tmp_path / "absent.json")), "error: cannot read curve file "),
+        (("quant", "phase", "--curve", str(tmp_path / "ints.json")), not_pairs),
+        (("quant", "phase", "--curve", str(tmp_path / "object.json")), not_pairs),
         # verifications of nothing: each printed a pass and exited 0
-        ("cy2", "verify", "--l2-range", "2..-4"),
+        (("cy2", "verify", "--l2-range", "2..-4"), "error: --l2-range 2..-4 is empty\n"),
+        (("cy2", "verify", "--l2-range", "2-40"), "error: --l2-range wants 'LO..HI', got '2-40'\n"),
+        (("cy2", "verify", "--l2-range", "1..5"), "error: --l2-range endpoints must be even\n"),
+        (("cy2", "gft"), "error: need either --l2 or --divisor\n"),
     ]
-    for argv in cases:
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 2, argv
-        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+    for argv, line in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, len(err.splitlines())) == (2, "", 1), argv
+        assert err.startswith(line), argv
     # argparse handles unknown verbs, and the sample flags verify-isometry dropped
     for argv in (
         ("cy1", "no-such-verb"),
@@ -725,33 +752,21 @@ def test_cli_non_integral_chi_warns_on_one_line(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # NaN real part: was two RuntimeWarnings, then an SVD error
+        ("quant", "bs", "--level", "3", "--tau", "0,2"),
+        ("quant", "holonomy", "--level", "3", "--height", "0.5", "--tau", "0,1"),
+        ("quant", "bs", "--level", "3", "--tol", "1e-9"),
+        # a NaN tau once ended in an SVD error; the rank is the level for every tau
         ("quant", "theta-rank", "--level", "4", "--tau", "nan,1"),
     ],
 )
-def test_cli_non_finite_tau_exits_2(capsys, argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: tau must be finite")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("quant", "bs", "--level", "3", "--tau", "0,2"),
-        ("quant", "holonomy", "--level", "3", "--height", "0.5", "--tau", "0,1"),
-    ],
-)
 def test_cli_fibre_verbs_take_no_tau(capsys, argv):
-    # the fibres and the holonomy depend on the level alone; the flag changed nothing
+    # the fibres, the holonomy and the theta rank depend on the level alone,
+    # and the search stops at a fixed width; the flag changed nothing
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
-    assert "unrecognized arguments: --tau" in err
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
 
 
 @pytest.mark.parametrize(
@@ -821,6 +836,20 @@ def test_fixture_label_must_be_a_string(tmp_path, payload):
     del payload["label"]
     path.write_text(json.dumps(payload))
     assert load_fixture(str(path)).label in ("k3", "cy3")
+
+
+# each refusal's exception type and full message
+FIXTURE_REFUSALS = [
+    (lambda: load_k3_fixture("quintic"), FixtureError, "quintic is not a K3 fixture"),
+    (lambda: load_cy3_fixture("k3_quartic"), FixtureError, "k3_quartic is not a threefold fixture"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", FIXTURE_REFUSALS)
+def test_fixture_refusals_are_pinned(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (exc, message)
 
 
 DEEP = "[" * 100000 + "]" * 100000

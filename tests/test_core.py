@@ -696,3 +696,44 @@ def test_bit_identical_reruns(quintic):
         return acc
 
     assert pipeline() == pipeline()
+
+
+# ---------------------------------------------------------- refusals ------
+
+def odd_arity_sum():
+    GradedVector(2, (1, (0,), 0)) + GradedVector(2, (1, (0, 0), 0))
+
+
+# each refusal's exception type and full message
+CORE_REFUSALS = [
+    (lambda: RingDescriptor(dim=4, picard_rank=0), ShapeError, "dim must be 1, 2 or 3, got 4"),
+    (lambda: RingDescriptor(dim=1, picard_rank=1), ShapeError,
+     "dim-1 rings have no intermediate block"),
+    (lambda: RingDescriptor(dim=1, picard_rank=0, gram=((2,),)), ShapeError,
+     "dim-1 rings carry no Gram/cubic/c2 data"),
+    (lambda: RingDescriptor(dim=3, picard_rank=0), ShapeError,
+     "picard_rank must be >= 1 for dim 2 and 3"),
+    (lambda: RingDescriptor(dim=2, picard_rank=1), ShapeError, "dim-2 ring needs a Gram matrix"),
+    (lambda: RingDescriptor(dim=2, picard_rank=1, gram=((2,),), c2=(1,)), ShapeError,
+     "dim-2 rings carry no cubic/c2 data"),
+    (lambda: RingDescriptor(dim=2, picard_rank=2, gram=((2,),)), ShapeError,
+     "Gram size must equal picard_rank"),
+    (lambda: RingDescriptor(dim=3, picard_rank=1, cubic=(5,)), ShapeError,
+     "dim-3 ring needs cubic and c2 data"),
+    (lambda: RingDescriptor(dim=3, picard_rank=1, cubic=(5,), c2=(50,), gram=((2,),)),
+     ShapeError, "dim-3 rings carry no Gram matrix"),
+    (lambda: RingDescriptor(dim=3, picard_rank=1, cubic=(5,), c2=(50, 50)), ShapeError,
+     "c2 vector length must equal picard_rank"),
+    (lambda: GradedVector(1, (1, 0)) + GradedVector(2, (1, (0,), 0)), ShapeError,
+     "can only add graded vectors of equal dimension"),
+    (lambda: GradedVector(1, (1, 0)) + (1, 0), ShapeError,
+     "can only add graded vectors of equal dimension"),
+    (odd_arity_sum, ShapeError, "intermediate blocks differ in arity"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", CORE_REFUSALS)
+def test_core_refusals_are_pinned(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (exc, message)

@@ -365,3 +365,21 @@ def test_quantization_equality_cy1():
     for k in range(1, 51):
         cycle = gft_class(ch(1, k))
         assert intersection_count(cycle, s0) == k == len(bs_points(k))
+
+
+# ---------------------------------------------------------- refusals ------
+
+# each refusal's exception type and full message
+CY1_REFUSALS = [
+    (lambda: Slope(-1, 1), LatticeError, "slope stored with r < 0; use reduce_slope"),
+    (lambda: Slope(0, 2), LatticeError, "infinite slope is normalized to (0, 1)"),
+    (lambda: Slope(2, 4), LatticeError, "slope (2, 4) is not reduced"),
+    (lambda: AtiyahElement(((0, 1),)), LatticeError, "indecomposable index must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", CY1_REFUSALS)
+def test_cy1_refusals_are_pinned(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (exc, message)

@@ -497,3 +497,36 @@ def test_roots_of_the_wrong_nesting_are_shape_errors(k3_reflective):
         reflect_minus2((1, 2, 3), 5, X)
     with pytest.raises(ShapeError, match="^divisor coordinates must match picard_rank$"):
         reflect_minus2(5, (0, 1, 0), X)
+
+
+# ---------------------------------------------------------- refusals ------
+
+def odd_square_transform():
+    # an odd Gram entry, forced past the ring's checks, makes odd squares
+    X = K3Descriptor(ring=RingDescriptor(dim=2, picard_rank=1, gram=((2,),)))
+    object.__setattr__(X.ring, "gram", ((3,),))
+    gft_class_k3((3,), X)
+
+
+def short_picard_block():
+    mirror_pairing_k3(cy2.MirrorClassK3(s=1, pic=(1, 2), e=0), mirror_k3((1,), QUARTIC), QUARTIC)
+
+
+# each refusal's exception type and full message
+CY2_REFUSALS = [
+    (lambda: K3Descriptor(ring=RingDescriptor(dim=3, picard_rank=1, cubic=(5,), c2=(50,))),
+     ShapeError, "K3Descriptor needs a dim-2 ring"),
+    (short_picard_block, ShapeError, "divisor coordinates must match picard_rank"),
+    (odd_square_transform, LatticeError, "L^2 = 27 is not even"),
+    (lambda: verify_quantization_k3((1,), rank1_k3(-4)), LatticeError,
+     "L^2 = -4 < -2 is outside the counting range"),
+    (lambda: check_main_condition(((0, 1), (1, -2)), (1, 0, 0), (0, 1)), ShapeError,
+     "vector length must match the ambient Gram size"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", CY2_REFUSALS)
+def test_cy2_refusals_are_pinned(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (exc, message)

@@ -27,7 +27,7 @@ from latmirror import (
     mirror_pairing3,
     todd_data,
 )
-from latmirror import core, parse_manifest, run_verify
+from latmirror import core, cy3, parse_manifest, run_verify
 from latmirror.cli import main
 from latmirror.core import pair_exotic, todd_multiply
 from latmirror.cy3 import isometry_certificate3
@@ -466,3 +466,30 @@ def test_descriptor_requires_dim3(k3_quartic):
 
     with pytest.raises(ShapeError):
         CY3Descriptor(ring=k3_quartic.ring)
+
+
+# ---------------------------------------------------------- refusals ------
+
+KERNEL_BUG = (
+    "second Chern class is not in the kernel of the restricted form; implementation bug"
+)
+SYM_RANK3 = ((0, 0, 1), (0, 0, 0), (1, 0, 0))
+SKEW_RANK3 = ((0, 0, 1), (0, 0, 0), (-1, 0, 0))
+
+# each refusal's exception type and full message
+CY3_REFUSALS = [
+    (lambda: mirror_cy3(GradedVector(2, (1, (0,), 0)), load_cy3_fixture("quintic")),
+     ShapeError, "mirror_cy3 needs a dim-3 graded vector"),
+    # the kernel guard, on a middle row and then on a middle column
+    (lambda: cy3.Rank3Sublattice(("X", "c2", "pt"), ((0, 0, 1), (0, 1, 0), (1, 0, 0)), SKEW_RANK3),
+     RuntimeError, KERNEL_BUG),
+    (lambda: cy3.Rank3Sublattice(("X", "c2", "pt"), SYM_RANK3, ((0, 1, 1), (0, 0, 0), (-1, 0, 0))),
+     RuntimeError, KERNEL_BUG),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", CY3_REFUSALS)
+def test_cy3_refusals_are_pinned(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (exc, message)

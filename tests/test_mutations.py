@@ -412,9 +412,9 @@ def quant_bs_reference(params, fixtures):
     out = {}
     for k in range(1, params["k_max"] + 1):
         m = numeric.TorusModel(tau=tau, level=k)
-        roots = bs_fibres_scalar(lambda t: numeric.holonomy_character(m, t), k, params["tol"])
+        roots = bs_fibres_scalar(lambda t: numeric.holonomy_character(m, t), k)
         err = max(abs(t - j / k) for j, t in enumerate(roots))
-        assert (err > params["tol"]) == (k > 1), k
+        assert (err > numeric.ROOT_TOL) == (k > 1), k
         if k > 1:
             out[f"level {k}: marked fibres sit at j/k"] = f"{k} fibres, max deviation {err:.2e}"
     return out

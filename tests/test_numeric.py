@@ -309,20 +309,13 @@ def test_quant_bs_fails_only_the_level_with_a_wrong_count(monkeypatch, tmp_path)
     batch = numeric.find_bs_fibres_batch
     monkeypatch.setattr(
         numeric, "find_bs_fibres_batch",
-        lambda models, tol: [r[:-1] if m.level == 3 else r for m, r in zip(models, batch(models, tol))],
+        lambda models: [r[:-1] if m.level == 3 else r for m, r in zip(models, batch(models))],
     )
     status, checks = run()
     assert status == "fail"
     assert {name: c.ok for name, c in checks.items()} == {f"level {k}": k != 3 for k in range(1, 7)}
     count, deviation = re.fullmatch(r"(\d+) fibres, max deviation (\S+)", checks["level 3"].got).groups()
     assert int(count) == 2 and float(deviation) <= numeric.ROOT_TOL
-
-
-def test_bs_tol_validation():
-    with pytest.raises(ValueError):
-        find_bs_fibres(model(2), tol=0.0)
-    with pytest.raises(ValueError):
-        find_bs_fibres(model(2), tol=1e-3)
 
 
 def test_bs_deterministic():
@@ -426,6 +419,7 @@ def test_param_curve_validation():
         [(i / 20, 0.0, 1.0) for i in range(20)],  # three columns
         [(i / 20, 0.0) for i in range(19)] + [(1.0,)],  # ragged
         [(i / 20, "y") for i in range(20)],
+        5,  # not a sequence at all
     ):
         with pytest.raises(ValueError, match=r"^curve samples must form an \(n, 2\) array"):
             ParamCurve(bad)
