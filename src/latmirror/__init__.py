@@ -31,9 +31,8 @@ _EXPORTS = {
         line_bundle_ch mirror_cy3 mirror_pairing3""",
     "fixtures": "FixtureError load_cy3_fixture load_fixture load_k3_fixture resolve_fixture",
     "manifest": "Manifest parse_manifest run_verify",
-    "numeric": """ParamCurve TorusModel arc_curve find_bs_fibres find_bs_fibres_batch
-        holonomy_character phase_map_curve segment_curve theta_basis_rank
-        winding_number""",
+    "numeric": """ParamCurve TorusModel arc_curve find_bs_fibres holonomy_character
+        phase_map_curve segment_curve theta_basis_rank winding_number""",
     "shared": "ConsistencyError DEFAULT_MANIFEST ManifestError",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

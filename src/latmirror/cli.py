@@ -6,8 +6,8 @@ command takes ``--json`` for machine-readable output.
 Exit codes: 0 all checks pass, 1 a verification failed or stdout was
 closed before the output was written (``latmirror cy1 bs --level 20000 |
 head -c 10``), 2 usage or parse error (bad flags, malformed manifest or
-fixture) or a request too large for memory (``quant theta-rank --level
-100000``).
+fixture), a request refused as too large (``cy1 bs --level 10000000``) or
+one that runs out of memory.
 
 This module holds ``verify`` and the top-level parser, which lists all
 five families.  The handlers, verbs and flags of ``cy1``, ``cy2``, ``cy3``

@@ -313,28 +313,6 @@ def _h_cy3_sublattice(args):
     return 0, payload, json.dumps(payload, indent=2)
 
 
-def _h_quant_bs(args):
-    from . import numeric
-
-    # the fibres depend on the level alone
-    model = numeric.TorusModel(tau=1j, level=args.level)
-    roots = numeric.find_bs_fibres(model)
-    return (
-        0,
-        {"level": args.level, "fibres": roots},
-        " ".join(f"{r:.12f}" for r in roots),
-    )
-
-
-def _h_quant_theta(args):
-    from . import numeric
-
-    # the rank is the level for every tau
-    model = numeric.TorusModel(tau=1j, level=args.level)
-    rank = numeric.theta_basis_rank(model)
-    return 0, {"level": args.level, "rank": rank}, str(rank)
-
-
 def _h_quant_holonomy(args):
     from . import numeric
 
@@ -450,10 +428,6 @@ def _cy3_verbs(sub) -> None:
 
 
 def _quant_verbs(sub) -> None:
-    p = _leaf(sub, "bs", _h_quant_bs, "find trivial-holonomy fibres")
-    p.add_argument("--level", type=int, required=True)
-    p = _leaf(sub, "theta-rank", _h_quant_theta, "rank of the level-k theta space")
-    p.add_argument("--level", type=int, required=True)
     p = _leaf(sub, "holonomy", _h_quant_holonomy, "fibre holonomy exp(2 pi i k t)")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--height", type=float, required=True)

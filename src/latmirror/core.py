@@ -140,8 +140,8 @@ def blocks_of(dim: int, flat: Sequence) -> tuple:
 
     ``flat`` is ``(u_0, u_1..., ..., u_n)``: the rank, then the dim - 1
     middle blocks of k coordinates each, then the top.  The entries may be
-    anything (ints, Fractions, numpy arrays of a batch); ends come back as
-    they are, middle blocks as tuples.
+    anything (int numerators, Fractions, formatted strings); ends come back
+    as they are, middle blocks as tuples.
     """
     k = (len(flat) - 2) // (dim - 1) if dim > 1 else 0
     mids = tuple(tuple(flat[1 + i * k: 1 + (i + 1) * k]) for i in range(dim - 1))

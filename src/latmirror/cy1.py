@@ -30,6 +30,10 @@ from typing import NamedTuple
 from .core import GradedVector, LatticeError, _as_int
 from .shared import ReadOnly
 
+# The largest level of bs_points and index of atiyah_tensor, refused before
+# they build a list that long (a level of 10^6 takes seconds and 300 MB).
+MAX_LENGTH = 10**6
+
 
 class Slope(ReadOnly):
     """Reduced support slope: gcd(r, d) = 1, r >= 0, infinity = (0, 1)."""
@@ -213,6 +217,8 @@ def atiyah_tensor(a: int, b: int) -> AtiyahElement:
     a, b = _as_int(a), _as_int(b)
     if a < 1 or b < 1:
         raise LatticeError("indecomposable indices must be >= 1")
+    if max(a, b) > MAX_LENGTH:
+        raise LatticeError(f"indecomposable index {max(a, b)} is too large: at most {MAX_LENGTH}")
     return AtiyahElement._of_terms((idx, 1) for idx in _clebsch_gordan(a, b))
 
 
@@ -229,10 +235,12 @@ def bs_points(k: int) -> list[Fraction]:
     """Level-k quantization marks the fibre positions j/k, j = 0..k-1.
 
     The level is read as `Slope` reads its entries: an int or an
-    integer-valued string, not a float or a bool.
+    integer-valued string, not a float or a bool, at most ``MAX_LENGTH``.
     """
     if type(k) is not int:
         k = _as_int(k)
     if k < 1:
         raise LatticeError("level must be a positive integer")
+    if k > MAX_LENGTH:
+        raise LatticeError(f"level {k} is too large: at most {MAX_LENGTH}")
     return [Fraction(j, k) for j in range(k)]

@@ -90,7 +90,7 @@ def chi_bundle3(ch: GradedVector, X: CY3Descriptor) -> Fraction:
     """Holomorphic Euler characteristic: top block of ch * td.
 
     Read as the last numerator of :func:`core.todd_multiply` over its
-    denominator, without building the other blocks.  Non-integral output
+    denominator; the whole product is built and reduced.  Non-integral output
     is legal input-wise but cannot come from a bundle, so it is flagged
     with :class:`NonIntegralEulerWarning`.
     """

@@ -78,15 +78,16 @@ def resolve_fixture(name: str, base: Path | None = None) -> Path:
 
 
 def read_json(path: str | Path, error: type[ValueError], noun: str):
-    """The parsed JSON of a file; any failure raises ``error``, one line naming the file."""
+    """The parsed JSON of a file; any failure raises ``error``, one line quoting its name."""
+    name = repr(str(path))
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise error(f"cannot read {noun} {path}: {exc}") from exc
+        raise error(f"cannot read {noun} {name}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an int too long
-        raise error(f"{noun} {path} is not valid JSON: {exc}") from exc
+        raise error(f"{noun} {name} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise error(f"{noun} {path} is nested too deeply to parse") from exc
+        raise error(f"{noun} {name} is nested too deeply to parse") from exc
 
 
 def check_object(

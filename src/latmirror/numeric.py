@@ -13,7 +13,8 @@ the level-k density is the constant k, so the area has this one closed
 form and no second route; the holonomy is trivial exactly at the k
 heights j/k.  Heights are checked where they enter: `holonomy_character`
 takes one height, a Python float or int in [0, 1], and exponentiates it
-with ``cmath`` (its holonomy is a built-in complex); the fibre search makes
+with ``cmath`` (its holonomy is a built-in complex), at a level of at most
+``MAX_HOLONOMY_LEVEL``; the fibre search, which reads only signs, makes
 its own heights inside (0, 1), checks none, and evaluates them with numpy
 elementwise, to the same bits.  Marked (trivial-holonomy) fibres are found
 for any number of models in one search: sign-change bracketing on the
@@ -65,6 +66,10 @@ from .shared import ROOT_TOL, ConsistencyError, ReadOnly
 
 QUADRATURE_TOL = 1e-11
 RANK_RTOL = 1e-8
+
+# The phase 2 pi k t is formed in floats, off by at most about 2 pi k
+# 2^-52; above this level that can exceed QUADRATURE_TOL (7167).
+MAX_HOLONOMY_LEVEL = int((QUADRATURE_TOL - 2**-52) / (2 * math.pi * 2**-52))
 
 # Positions must sit within ROOT_TOL of j/k; bisection stops at a bracket
 # a quarter of that wide so the midpoint has margin to spare.
@@ -137,9 +142,15 @@ def holonomy_character(model: TorusModel, t: float) -> complex:
     """Holonomy exp(2 pi i k t) of the fibre at height t, a built-in complex.
 
     ``t`` is one height, a Python float or int; a height outside [0, 1],
-    or of any other type, raises ``ValueError``.
+    or of any other type, raises ``ValueError``, and so does a level above
+    ``MAX_HOLONOMY_LEVEL``, whose float phase can miss ``QUADRATURE_TOL``.
     """
     _check_heights(t)
+    if model.level > MAX_HOLONOMY_LEVEL:
+        raise ValueError(
+            f"level {model.level} is too large for the holonomy: "
+            f"above level {MAX_HOLONOMY_LEVEL} its float phase can miss {QUADRATURE_TOL:.0e}"
+        )
     return _holonomy(model.level, t)
 
 

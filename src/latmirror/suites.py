@@ -522,9 +522,13 @@ def _run_quant_bs(params, fixtures):
 def _run_quant_holonomy(params, fixtures):
     from . import numeric
 
+    if (k_max := params["k_max"]) > numeric.MAX_HOLONOMY_LEVEL:
+        raise SuiteInputError(
+            f"k_max {k_max} is above the holonomy's largest level {numeric.MAX_HOLONOMY_LEVEL}"
+        )
     failures = []
     n = 0
-    for k in range(1, params["k_max"] + 1):
+    for k in range(1, k_max + 1):
         model = numeric.TorusModel(tau=1j, level=k)
         for mark in cy1.bs_points(k):
             n += 1
@@ -536,7 +540,7 @@ def _run_quant_holonomy(params, fixtures):
             "holonomy is trivial at the exact marked fibres j/k",
             n,
             failures,
-            inputs=f"all {n} marks j/k, k <= {params['k_max']}",
+            inputs=f"all {n} marks j/k, k <= {k_max}",
             tol=f"{numeric.QUADRATURE_TOL:.0e}",
         )
     ]

@@ -234,7 +234,7 @@ def test_manifest_rejects_non_json(tmp_path):
 def test_manifest_with_a_non_json_fixture_is_one_usage_line(tmp_path, capsys):
     (tmp_path / "broken.json").write_text("{not json")
     path = write_manifest(tmp_path, {**GOOD_MANIFEST, "fixtures": ["broken.json"]})
-    with pytest.raises(ManifestError, match=f"^fixture {tmp_path / 'broken.json'} is not valid JSON: "):
+    with pytest.raises(ManifestError, match=f"^fixture '{tmp_path / 'broken.json'}' is not valid JSON: "):
         parse_manifest(path)
     code, out, err = run_cli(capsys, "verify", "--manifest", str(path))
     assert (code, out) == (2, "")
@@ -411,6 +411,20 @@ def test_verify_suite_preconditions_name_the_fixture(tmp_path, fixture, message)
     assert [(c.name, c.ok, c.got) for c in rep.checks] == [("suite preconditions", False, message)]
 
 
+def test_verify_quant_holonomy_refuses_a_level_past_the_holonomy_bound(tmp_path):
+    payload = {
+        "version": "1",
+        "fixtures": ["quintic.json"],
+        "suites": [{"name": "quant-holonomy", "params": {"k_max": 7168}}],
+    }
+    result = run_verify(parse_manifest(write_manifest(tmp_path, payload)))
+    rep = {r.suite: r for r in result.reports}["quant-holonomy"]
+    assert (rep.status, result.exit_code) == ("error", 1)
+    assert [(c.name, c.ok, c.got) for c in rep.checks] == [
+        ("suite preconditions", False, "k_max 7168 is above the holonomy's largest level 7167")
+    ]
+
+
 def test_verify_builds_fixtures_from_the_parse(tmp_path):
     # parse_manifest reads each fixture once; run_verify does not read it again
     (tmp_path / "local.json").write_text(resolve_fixture("quintic.json").read_text())
@@ -544,28 +558,34 @@ def test_cli_success_paths_print_their_text_and_json(capsys, argv, text, doc):
     ],
     ids=["past-int64", "int64-max", "grid-past-int64"],
 )
-def test_cli_quant_bs_refuses_a_level_whose_grid_overflows_int64(capsys, level):
-    line = (
-        f"error: level {level} is too large for the fibre search: "
-        f"its grid of {8 * level} points does not fit in int64\n"
-    )
-    for flags in ((), ("--json",)):
-        assert run_cli(capsys, "quant", "bs", "--level", str(level), *flags) == (2, "", line)
-
-
-def test_cli_quant_bs_names_the_level_whose_grid_numpy_cannot_allocate(capsys, monkeypatch):
-    # 2^60 - 1: the grid fits in int64, but numpy printed its "array is too
-    # big" line, which named no level; numpy refuses it before allocating
-    level = 2**60 - 1
-    line = (
-        f"error: level {level} is too large for the fibre search: "
-        f"its grid of {8 * level} points does not fit in memory\n"
-    )
-    assert run_cli(capsys, "quant", "bs", "--level", str(level)) == (2, "", line)
-    # numpy's MemoryError while the grid is built, raised by a stand-in that
-    # allocates nothing; any other ValueError passes through as it was
+def test_cli_quant_bs_refuses_a_level_whose_grid_overflows_int64(level):
+    # named for the removed `quant bs` verb, which reached the fibre search
     from latmirror import numeric
 
+    message = (
+        f"level {level} is too large for the fibre search: "
+        f"its grid of {8 * level} points does not fit in int64"
+    )
+    with pytest.raises(ValueError) as caught:
+        numeric.find_bs_fibres(numeric.TorusModel(tau=1j, level=level))
+    assert str(caught.value) == message
+
+
+def test_cli_quant_bs_names_the_level_whose_grid_numpy_cannot_allocate(monkeypatch):
+    # named for the removed `quant bs` verb, which reached the fibre search;
+    # 2^60 - 1: the grid fits in int64, but numpy printed its "array is too
+    # big" line, which named no level; numpy refuses it before allocating
+    from latmirror import numeric
+
+    level = 2**60 - 1
+    with pytest.raises(ValueError) as caught:
+        numeric.find_bs_fibres(numeric.TorusModel(tau=1j, level=level))
+    assert str(caught.value) == (
+        f"level {level} is too large for the fibre search: "
+        f"its grid of {8 * level} points does not fit in memory"
+    )
+    # numpy's MemoryError while the grid is built, raised by a stand-in that
+    # allocates nothing; any other ValueError passes through as it was
     for exc, message in (
         (MemoryError("Unable to allocate 5.82 TiB for an array"),
          "level 3 is too large for the fibre search: its grid of 24 points does not fit in memory"),
@@ -581,11 +601,6 @@ def test_cli_quant_bs_names_the_level_whose_grid_numpy_cannot_allocate(capsys, m
 
 
 def test_cli_quant_paths(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "quant", "bs", "--level", "3")
-    assert code == 0
-    assert len(out.split()) == 3
-    code, out, _ = run_cli(capsys, "quant", "theta-rank", "--level", "5")
-    assert (code, out.strip()) == (0, "5")
     # exp(2 pi i * 3/4) = -i, its real part the rounding of cos(3 pi / 2)
     holonomy = ("quant", "holonomy", "--level", "3", "--height")
     assert run_cli(capsys, *holonomy, "0.25") == (0, "-0.000000000000000 -1.000000000000000i\n", "")
@@ -614,15 +629,15 @@ def test_cli_quant_paths(capsys, tmp_path):
     ids=["numpy-text", "bare"],
 )
 def test_cli_out_of_memory_exits_2_on_one_line(capsys, monkeypatch, exc, line):
-    # `quant theta-rank --level 100000` ended in a traceback from numpy's
-    # _ArrayMemoryError; the stand-in raises without allocating anything
+    # a numpy _ArrayMemoryError once ended in a traceback; the stand-in
+    # raises without allocating anything
     from latmirror import numeric
 
-    def too_large(model):
+    def too_large(model, t):
         raise exc
 
-    monkeypatch.setattr(numeric, "theta_basis_rank", too_large)
-    code, out, err = run_cli(capsys, "quant", "theta-rank", "--level", "100000")
+    monkeypatch.setattr(numeric, "holonomy_character", too_large)
+    code, out, err = run_cli(capsys, "quant", "holonomy", "--level", "3", "--height", "0.5")
     assert (code, out, err) == (2, "", line)
 
 
@@ -680,6 +695,8 @@ def test_cli_exit_code_2_paths(capsys, tmp_path):
          "error: fixture 'nope' not found (tried "),
         (("verify", "--manifest", str(tmp_path / "absent.json")), "error: cannot read manifest "),
         (("quant", "phase", "--curve", str(tmp_path / "absent.json")), "error: cannot read curve file "),
+        # a newline in a file name broke the error line in two
+        (("quant", "phase", "--curve", "a\nb"), "error: cannot read curve file 'a\\nb': "),
         (("quant", "phase", "--curve", str(tmp_path / "ints.json")), not_pairs),
         (("quant", "phase", "--curve", str(tmp_path / "object.json")), not_pairs),
         # verifications of nothing: each printed a pass and exited 0
@@ -687,6 +704,14 @@ def test_cli_exit_code_2_paths(capsys, tmp_path):
         (("cy2", "verify", "--l2-range", "2-40"), "error: --l2-range wants 'LO..HI', got '2-40'\n"),
         (("cy2", "verify", "--l2-range", "1..5"), "error: --l2-range endpoints must be even\n"),
         (("cy2", "gft"), "error: need either --l2 or --divisor\n"),
+        # 10^8 marks ran out of memory after 38 s; the holonomy printed
+        # -0.99999996... + 0.00026i for the exact -1
+        (("cy1", "bs", "--level", "1000001"), "error: level 1000001 is too large: at most 1000000\n"),
+        (("cy1", "atiyah", "--a", "3", "--b", "1000001"),
+         "error: indecomposable index 1000001 is too large: at most 1000000\n"),
+        (("quant", "holonomy", "--level", "1000000000001", "--height", "0.5"),
+         "error: level 1000000000001 is too large for the holonomy: "
+         "above level 7167 its float phase can miss 1e-11\n"),
     ]
     for argv, line in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -749,19 +774,34 @@ def test_cli_non_integral_chi_warns_on_one_line(capsys):
     assert err == "warning: chi = 51/2 is not an integer; input is not a bundle class\n"
 
 
+@pytest.mark.parametrize("verb", ["bs", "theta-rank"])
+def test_cli_quant_bs_and_theta_rank_are_gone(capsys, verb):
+    # they printed the marks j/k and the rank k, both fixed by the level;
+    # `cy1 bs` prints the marks exactly
+    with pytest.raises(SystemExit) as exc:
+        main(["quant", verb, "--level", "3"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"latmirror quant: error: argument verb: invalid choice: '{verb}' "
+        "(choose from 'holonomy', 'phase')"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["quant", "--help"])
+    assert exc.value.code == 0
+    assert "{holonomy,phase}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ("quant", "bs", "--level", "3", "--tau", "0,2"),
+        # the fibre search stops at a fixed width; no verb takes a tolerance
+        ("quant", "holonomy", "--level", "3", "--height", "0.5", "--tol", "1e-9"),
         ("quant", "holonomy", "--level", "3", "--height", "0.5", "--tau", "0,1"),
-        ("quant", "bs", "--level", "3", "--tol", "1e-9"),
-        # a NaN tau once ended in an SVD error; the rank is the level for every tau
-        ("quant", "theta-rank", "--level", "4", "--tau", "nan,1"),
     ],
 )
 def test_cli_fibre_verbs_take_no_tau(capsys, argv):
-    # the fibres, the holonomy and the theta rank depend on the level alone,
-    # and the search stops at a fixed width; the flag changed nothing
+    # the holonomy depends on the level alone; the flag changed nothing
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     out, err = capsys.readouterr()
@@ -881,11 +921,6 @@ def test_cli_input_file_of_the_wrong_shape_exits_2(capsys, tmp_path, argv, text,
     code, out, err = run_cli(capsys, *argv, str(path))
     assert (code, out, len(err.splitlines())) == (2, "", 1)
     assert err.startswith("error: ") and message in err
-
-
-def test_cli_theta_rank_level_32(capsys):
-    code, out, _ = run_cli(capsys, "quant", "theta-rank", "--level", "32")
-    assert (code, out.strip()) == (0, "32")
 
 
 def test_cli_verify_default_pass(capsys):

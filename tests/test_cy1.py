@@ -360,6 +360,18 @@ def test_bs_points_refuse_a_level_that_is_not_an_integer(level):
         bs_points(level)
 
 
+def test_bs_points_and_atiyah_tensor_accept_the_largest_length(monkeypatch):
+    # F_1 is the unit, so F_(10^6) (x) F_1 builds one term
+    from latmirror import cy1
+
+    assert atiyah_tensor(cy1.MAX_LENGTH, 1).terms == ((10**6, 1),)
+    # the largest level, at a bound small enough to build
+    monkeypatch.setattr(cy1, "MAX_LENGTH", 5)
+    assert bs_points(5) == [Fraction(j, 5) for j in range(5)]
+    with pytest.raises(LatticeError, match="^level 6 is too large: at most 5$"):
+        bs_points(6)
+
+
 def test_quantization_equality_cy1():
     s0 = CycleClass1(1, 0)
     for k in range(1, 51):
@@ -375,6 +387,12 @@ CY1_REFUSALS = [
     (lambda: Slope(0, 2), LatticeError, "infinite slope is normalized to (0, 1)"),
     (lambda: Slope(2, 4), LatticeError, "slope (2, 4) is not reduced"),
     (lambda: AtiyahElement(((0, 1),)), LatticeError, "indecomposable index must be >= 1"),
+    # refused before anything is built: 10^8 marks ran out of memory
+    (lambda: bs_points(10**6 + 1), LatticeError, "level 1000001 is too large: at most 1000000"),
+    (lambda: atiyah_tensor(10**6 + 1, 1), LatticeError,
+     "indecomposable index 1000001 is too large: at most 1000000"),
+    (lambda: atiyah_tensor(2, 10**18), LatticeError,
+     f"indecomposable index {10**18} is too large: at most 1000000"),
 ]
 
 

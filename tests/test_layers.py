@@ -87,7 +87,8 @@ def test_exact_imports_and_commands_leave_numpy_unloaded():
 @pytest.mark.parametrize(
     "argv, last_line",
     [
-        (["quant", "theta-rank", "--level", "4"], "4"),
+        pytest.param(["quant", "holonomy", "--level", "3", "--height", "0.5"],
+                     "-1.000000000000000 +0.000000000000000i", id="quant-holonomy"),
         (["verify"], "result: PASS"),
     ],
 )
@@ -289,11 +290,11 @@ def test_lazy_names_resolve_and_are_listed(capsys, monkeypatch):
     monkeypatch.delattr(latmirror, "report")
     assert latmirror.report is sys.modules["latmirror.report"]
 
-    def disagree(model):
+    def disagree(model, t):
         raise numeric.ConsistencyError("routes disagree")
 
-    monkeypatch.setattr(numeric, "theta_basis_rank", disagree)
-    assert cli.main(["quant", "theta-rank", "--level", "4"]) == 1
+    monkeypatch.setattr(numeric, "holonomy_character", disagree)
+    assert cli.main(["quant", "holonomy", "--level", "4", "--height", "0.5"]) == 1
     assert capsys.readouterr().err == "check failed: routes disagree\n"
 
 
@@ -306,8 +307,8 @@ PUBLIC_NAMES = [
     "ShapeError", "Slope", "ToddData", "TorusModel", "arc_curve", "atiyah_tensor",
     "bs_points", "canonical_rank3_sublattice", "check_main_condition", "chi_bundle3", "cup",
     "cycle_pairing", "decompose_primitive", "euler_pairing3", "find_bs_fibres",
-    "find_bs_fibres_batch", "format_rational", "gft_class", "gft_class_k3",
-    "gft_s0_intersection3", "holonomy_character", "intersection_count", "line_bundle_ch",
+    "format_rational", "gft_class", "gft_class_k3", "gft_s0_intersection3",
+    "holonomy_character", "intersection_count", "line_bundle_ch",
     "load_cy3_fixture", "load_fixture", "load_k3_fixture", "mirror_cy1", "mirror_cy3",
     "mirror_k3", "mirror_pairing3", "mirror_pairing_k3", "moduli_dim2", "mukai2", "odot",
     "pair_exotic", "pair_sym", "parse_manifest", "phase_map_curve", "reflect_minus2",

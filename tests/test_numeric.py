@@ -20,7 +20,6 @@ from latmirror import (
     arc_curve,
     bs_points,
     find_bs_fibres,
-    find_bs_fibres_batch,
     holonomy_character,
     phase_map_curve,
     segment_curve,
@@ -28,7 +27,7 @@ from latmirror import (
     winding_number,
 )
 from latmirror import numeric, parse_manifest, run_verify
-from latmirror.numeric import QUADRATURE_TOL, ConsistencyError
+from latmirror.numeric import QUADRATURE_TOL, ConsistencyError, find_bs_fibres_batch
 
 from oracles import bs_fibres_scalar, phase_map_scalar, theta_matrix_scalar
 
@@ -62,6 +61,32 @@ def test_holonomy_quadrature_vs_closed_form():
         got = holonomy_character(m, t)
         want = cmath.exp(2j * math.pi * k * t)  # independent of module internals
         assert abs(got - want) < QUADRATURE_TOL
+
+
+def exact_holonomy(k, t):
+    """exp(2 pi i k t) with k t reduced mod 1 exactly: a float t is p/q, q a power of 2."""
+    p, q = t.as_integer_ratio()
+    return cmath.exp(2j * math.pi * ((k * p) % q / q))
+
+
+def test_holonomy_refuses_levels_whose_float_phase_can_miss_the_tolerance():
+    assert numeric.MAX_HOLONOMY_LEVEL == 7167
+    # at the bound, every height stays within QUADRATURE_TOL of the exact value
+    rng = random.Random(107)
+    k = numeric.MAX_HOLONOMY_LEVEL
+    heights = [rng.random() for _ in range(2000)] + [0.5, 1 / 3, math.nextafter(1.0, 0.0)]
+    worst = max(abs(holonomy_character(model(k), t) - exact_holonomy(k, t)) for t in heights)
+    assert worst <= QUADRATURE_TOL
+    # above it the level is refused; far above it the float phase misses:
+    # exp(2 pi i (10^12 + 1) / 2) is -1, the float route is off by 2.6e-4
+    for k in (numeric.MAX_HOLONOMY_LEVEL + 1, 10**12 + 1):
+        with pytest.raises(ValueError) as err:
+            holonomy_character(model(k), 0.5)
+        assert str(err.value) == (
+            f"level {k} is too large for the holonomy: "
+            "above level 7167 its float phase can miss 1e-11"
+        )
+    assert abs(numeric._holonomy(10**12 + 1, 0.5) - exact_holonomy(10**12 + 1, 0.5)) > 1e-4
 
 
 def test_holonomy_unit_modulus():
